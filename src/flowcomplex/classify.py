@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Optional
 
 from .model import (
     FamilyKind,
     FlowComplex,
-    OrbitClass,
     OrbitKind,
     PointKind,
     PreconditionError,
-    RefKind,
+    REGULAR_KINDS,
     SchemaKind,
     Shape,
     closure_of,
@@ -28,10 +28,8 @@ from .model import (
 from .orbits import (
     Direction,
     ExtendedOrbitSet,
-    extended_orbit,
-    generalized_extended_orbit,
+    Expansion,
     generalized_saddle_sets,
-    member_closure,
     orbit_set_closure,
     orbit_set_is_closed,
 )
@@ -92,10 +90,6 @@ class DichotomyCase(str, Enum):
     VIOLATION = "Violation"
 
 
-def _dense_kinds() -> tuple[OrbitKind, OrbitKind]:
-    return (OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL)
-
-
 class Classifier:
     """Cached per-complex classification engine.
 
@@ -109,15 +103,22 @@ class Classifier:
         self._ext: dict[tuple[str, Direction], ExtendedOrbitSet] = {}
         self._closure: dict[str, frozenset[str]] = {}
         self._blocks: Optional[dict[str, frozenset[str]]] = None
-        self._gen: Optional[dict[tuple[str, Direction], ExtendedOrbitSet]] = None
-        self._gen_sets: Optional[list] = None
+        self._gen: dict[tuple[str, Direction], ExtendedOrbitSet] = {}
 
     # -- cached primitives -------------------------------------------------
+
+    @cached_property
+    def _plain(self) -> Expansion:
+        return Expansion.plain(self.fc)
+
+    @cached_property
+    def _generalized(self) -> Expansion:
+        return Expansion.admit(self.fc, generalized_saddle_sets(self.fc))
 
     def ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
         key = (xid, direction)
         if key not in self._ext:
-            self._ext[key] = extended_orbit(self.fc, xid, direction)
+            self._ext[key] = self._plain.orbit(xid, direction)
         return self._ext[key]
 
     def closure(self, xid: str) -> frozenset[str]:
@@ -126,12 +127,9 @@ class Classifier:
         return self._closure[xid]
 
     def gen_ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
-        if self._gen is None:
-            self._gen = {}
-            self._gen_sets = generalized_saddle_sets(self.fc)
         key = (xid, direction)
         if key not in self._gen:
-            self._gen[key] = generalized_extended_orbit(self.fc, xid, direction, self._gen_sets)
+            self._gen[key] = self._generalized.orbit(xid, direction)
         return self._gen[key]
 
     def blocks(self) -> dict[str, frozenset[str]]:
@@ -218,27 +216,29 @@ class Classifier:
                     return Verdict(False, Witness((xid,), rule))
         return Verdict(True)
 
+    @cached_property
+    def routed(self) -> frozenset[str]:
+        """Ids with a declared route into the closure of the recurrent part:
+        the closure of a locally dense or exceptional class, a periodic
+        annulus boundary, or a family-sequence target."""
+        fc = self.fc
+        out: set[str] = set()
+        for o in fc.orbit_classes:
+            if o.kind in (OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL):
+                out |= self.closure(o.id)
+        for fam in fc.families:
+            if fam.kind is FamilyKind.PERIODIC_ANNULUS:
+                out |= fam.boundary0 | fam.boundary1
+        for schema in fc.accumulation_schemas:
+            if schema.kind is SchemaKind.FAMILY_SEQUENCE:
+                out |= schema.target
+        return frozenset(out)
+
     def nonwandering(self) -> Verdict:
         """Every proper non-closed class needs a declared route into the
         closure of the recurrent part; there is no benefit of the doubt."""
-        fc = self.fc
-        dense_ids = [o.id for o in fc.orbit_classes if o.kind in _dense_kinds()]
-        annulus_boundaries: list[frozenset[str]] = [
-            bset
-            for fam in fc.families
-            if fam.kind is FamilyKind.PERIODIC_ANNULUS
-            for bset, _ in fam.boundaries()
-        ]
-        seq_targets = [
-            s.target for s in fc.accumulation_schemas if s.kind is SchemaKind.FAMILY_SEQUENCE
-        ]
-        for o in fc.orbit_classes:
-            if o.kind is not OrbitKind.PROPER:
-                continue
-            in_dense_closure = any(o.id in self.closure(d) for d in dense_ids)
-            in_family_boundary = any(o.id in bset for bset in annulus_boundaries)
-            in_seq_target = any(o.id in t for t in seq_targets)
-            if not (in_dense_closure or in_family_boundary or in_seq_target):
+        for o in self.fc.orbit_classes:
+            if o.kind is OrbitKind.PROPER and o.id not in self.routed:
                 return Verdict(False, Witness((o.id,), "wandering-proper-class"))
         return Verdict(True)
 
@@ -301,12 +301,7 @@ class Classifier:
 
     def regular(self) -> Verdict:
         for s in self.fc.singular_sets:
-            if s.shape is not Shape.POINT or s.kind not in (
-                PointKind.CENTER,
-                PointKind.SADDLE,
-                PointKind.SINK,
-                PointKind.SOURCE,
-            ):
+            if s.shape is not Shape.POINT or s.kind not in REGULAR_KINDS:
                 return Verdict(False, Witness((s.id,), "degenerate-singularity"))
         for schema in self.fc.accumulation_schemas:
             if schema.kind in (SchemaKind.SADDLE_CHAIN, SchemaKind.SINGULARITY_SEQUENCE):

@@ -16,7 +16,7 @@ foliation) are carried either by a ``Family`` or by a few representative
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -272,6 +272,22 @@ class FlowComplex:
         return {d.id: d for d in self.saddle_set_decls}
 
     @cached_property
+    def classes_by_limit(self) -> Mapping[tuple[str, str], list[tuple[frozenset[str], str]]]:
+        """Orbit classes indexed by their resolved alpha and omega limits.
+
+        ``(side, lid)``, with ``side`` "alpha" or "omega", maps to the
+        ``(limit, class id)`` pairs whose limit on that side has ``lid`` as its
+        least id, so every limit lying inside an id set is found through the
+        set's own ids.  Built on first use.
+        """
+        out: dict[tuple[str, str], list[tuple[frozenset[str], str]]] = {}
+        for o in self.orbit_classes:
+            for side, ref in (("alpha", o.alpha), ("omega", o.omega)):
+                if ref is not None and ref.ids:
+                    out.setdefault((side, min(ref.ids)), []).append((ref.resolved(), o.id))
+        return out
+
+    @cached_property
     def all_ids(self) -> frozenset[str]:
         """Ids of dynamical pieces: singular sets, orbit classes, and families."""
         return frozenset(self.sing_by_id) | frozenset(self.orbit_by_id) | frozenset(self.family_by_id)
@@ -419,6 +435,27 @@ def _check_saddle_slots(fc: FlowComplex, out: list[Violation]) -> None:
             )
 
 
+def _check_limit_ref_kinds(fc: FlowComplex, out: list[Violation]) -> None:
+    # sing: names a singular set and orbit: an orbit class; set: names
+    # several ids, or one that is not singular (a lone singularity is
+    # sing:, which the slot count sees).  Unknown ids are left to the
+    # unresolved-id rule.
+    known, sing = fc.all_ids, fc.sing_by_id
+    table = {RefKind.SING: sing, RefKind.ORBIT: fc.orbit_by_id}
+    for o in fc.orbit_classes:
+        for ref in (o.alpha, o.omega):
+            if ref is None:
+                continue
+            ids = ref.ids
+            if ref.kind is RefKind.SET:
+                wrong = not ids or (len(ids) == 1 and ids[0] in sing)
+            else:
+                wrong = ids[0] not in table[ref.kind] and ids[0] in known
+            if wrong:
+                detail = f"{ref.kind.value}:{','.join(ids)} names the wrong kind of piece"
+                out.append(Violation(o.id, "limit-ref-kind", detail))
+
+
 def _poincare_hopf_applies(fc: FlowComplex) -> bool:
     if not (fc.surface.closed and fc.surface.orientable):
         return False
@@ -437,7 +474,7 @@ def _check_poincare_hopf(fc: FlowComplex, out: list[Violation]) -> None:
     for s in fc.singular_sets:
         counts[s.kind] += 1  # type: ignore[index]
     index_sum = counts[PointKind.CENTER] + counts[PointKind.SINK] + counts[PointKind.SOURCE] - counts[PointKind.SADDLE]
-    expected = 2 - 2 * fc.surface.genus
+    expected = fc.surface.euler_characteristic
     if index_sum != expected:
         out.append(
             Violation(
@@ -481,6 +518,8 @@ def validate(fc: FlowComplex) -> ValidationReport:
     # closure-based checks need resolvable references; everything record-local
     # still runs so the report stays complete
     refs_ok = not out
+
+    _check_limit_ref_kinds(fc, out)
 
     for s in fc.singular_sets:
         if s.shape is Shape.POINT:

@@ -7,8 +7,11 @@ alpha limits and stable sets.  A two-sided extension is the union of the
 two one-sided fixpoints, not a joint closure; the membership relation is
 reflexive and symmetric but need not be transitive.
 
-Generalized extensions replace single saddles by declared isolated saddle
+Generalized extensions replace single saddles by admitted isolated saddle
 sets, expanding whenever a member's limit set is contained in such a set.
+Plain extension is generalized extension over the singleton saddle sets:
+both run the one fixpoint in ``Expansion``, which reads what a set adjoins
+from the complex's lazily built limit index (``FlowComplex.classes_by_limit``).
 """
 
 from __future__ import annotations
@@ -18,12 +21,10 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
-    AccumulationSchema,
     FamilyKind,
     FlowComplex,
     FlowComplexError,
     OrbitKind,
-    PointKind,
     PreconditionError,
     RefKind,
     SchemaKind,
@@ -64,16 +65,19 @@ class ExtendedOrbitSet:
     self_readded: bool
 
 
+def _classes_limiting_into(fc: FlowComplex, fset: frozenset[str], side: str) -> list[str]:
+    """Sorted orbit classes whose ``side`` ("alpha" or "omega") limit lies inside ``fset``."""
+    return sorted(
+        oid for lid in fset for limit, oid in fc.classes_by_limit.get((side, lid), ()) if limit <= fset
+    )
+
+
 def unstable_set(fc: FlowComplex, sid: str) -> frozenset[str]:
     """All orbit classes whose alpha limit is exactly the saddle ``sid``."""
     fc.require(sid)
     if not fc.is_saddle(sid):
         raise PreconditionError(f"{sid!r} is not a saddle")
-    return frozenset(
-        o.id
-        for o in fc.orbit_classes
-        if o.alpha is not None and o.alpha.kind is RefKind.SING and o.alpha.ids == (sid,)
-    )
+    return frozenset(_classes_limiting_into(fc, frozenset({sid}), "alpha"))
 
 
 def stable_set(fc: FlowComplex, sid: str) -> frozenset[str]:
@@ -81,92 +85,136 @@ def stable_set(fc: FlowComplex, sid: str) -> frozenset[str]:
     fc.require(sid)
     if not fc.is_saddle(sid):
         raise PreconditionError(f"{sid!r} is not a saddle")
-    return frozenset(
-        o.id
-        for o in fc.orbit_classes
-        if o.omega is not None and o.omega.kind is RefKind.SING and o.omega.ids == (sid,)
-    )
+    return frozenset(_classes_limiting_into(fc, frozenset({sid}), "omega"))
 
 
-def _saddle_limit(fc: FlowComplex, xid: str, forward: bool) -> Optional[str]:
-    """The single saddle that ``xid`` limits onto in the given time direction, if any.
+SaddleSetLike = Union[str, frozenset, set, tuple]
 
-    A saddle point limits onto itself, which is what lets extension sweep
-    through the separatrices of a saddle taken as a seed.
+
+class Expansion:
+    """The extension fixpoint over a fixed, admitted list of expansion sets.
+
+    A member fires every set that contains its limit on the approach side (a
+    singular set is its own limit, which lets extension sweep through the
+    separatrices of a saddle taken as a seed).  A fired set adjoins itself
+    and every class whose departure-side limit lies inside it; what each set
+    adjoins is computed once per instance, from the complex's limit index.
     """
-    if xid in fc.sing_by_id:
-        return xid if fc.is_saddle(xid) else None
-    orb = fc.orbit_by_id.get(xid)
-    if orb is None:
-        return None
-    ref = orb.omega if forward else orb.alpha
-    if ref is not None and ref.kind is RefKind.SING and fc.is_saddle(ref.ids[0]):
-        return ref.ids[0]
-    return None
 
+    def __init__(self, fc: FlowComplex, sets: Sequence[frozenset[str]]):
+        self.fc = fc
+        self.sets = sets
+        self._holding: dict[str, list[int]] = {}
+        for i, fset in enumerate(sets):
+            for mid in fset:
+                self._holding.setdefault(mid, []).append(i)
+        self._adjoined: dict[tuple[int, bool], list[str]] = {}
 
-def _one_sided_extension(fc: FlowComplex, start: str, forward: bool) -> ExtendedOrbitSet:
-    wing = unstable_set if forward else stable_set
-    members: set[str] = {start}
-    added_round: dict[str, int] = {start: SEED_ROUND}
-    self_readded = False
-    depth = 0
-    frontier = [start]
-    rnd = 0
-    while frontier:
-        rnd += 1
-        payload: list[str] = []
-        for oid in sorted(frontier):
-            sid = _saddle_limit(fc, oid, forward)
-            if sid is not None:
-                payload.append(sid)
-                payload.extend(sorted(wing(fc, sid)))
-        if start in payload:
-            self_readded = True
-        fresh = []
-        for pid in payload:
-            if pid not in members:
-                members.add(pid)
-                added_round[pid] = rnd
-                fresh.append(pid)
-        if fresh:
-            depth = rnd
-        frontier = fresh
-    return ExtendedOrbitSet(
-        start=start,
-        direction=Direction.FORWARD if forward else Direction.BACKWARD,
-        members=frozenset(members),
-        added_round=added_round,
-        depth=depth,
-        self_readded=self_readded,
-    )
+    @classmethod
+    def plain(cls, fc: FlowComplex) -> "Expansion":
+        """Plain extension: every saddle is its own expansion set."""
+        return cls(fc, [frozenset({sid}) for sid in sorted(fc.saddle_ids)])
+
+    @classmethod
+    def admit(cls, fc: FlowComplex, saddle_sets: Iterable[SaddleSetLike]) -> "Expansion":
+        """Resolve declared set ids and check every set for admission."""
+        resolved: list[frozenset[str]] = []
+        for item in saddle_sets:
+            if isinstance(item, str):
+                decl = fc.decl_by_id.get(item)
+                if decl is None:
+                    raise InvalidSaddleSetError(f"no declared saddle set named {item!r}")
+                resolved.append(decl.members)
+            else:
+                resolved.append(frozenset(item))
+        for mset in resolved:
+            validate_isolated_saddle_set(fc, mset)
+        return cls(fc, sorted(resolved, key=sorted))
+
+    def _adjoins(self, i: int, forward: bool) -> list[str]:
+        key = (i, forward)
+        if key not in self._adjoined:
+            fset = self.sets[i]
+            departure = "alpha" if forward else "omega"
+            self._adjoined[key] = sorted(fset) + _classes_limiting_into(self.fc, fset, departure)
+        return self._adjoined[key]
+
+    def _payload(self, xid: str, forward: bool) -> list[str]:
+        fc = self.fc
+        if xid in fc.sing_by_id:
+            limits = frozenset({xid})
+        else:
+            orb = fc.orbit_by_id.get(xid)
+            ref = None if orb is None else (orb.omega if forward else orb.alpha)
+            if ref is None:
+                return []
+            limits = ref.resolved()
+        out: list[str] = []
+        # a set holding every limit id holds any one of them
+        for i in self._holding.get(next(iter(limits), ""), ()):
+            if limits <= self.sets[i]:
+                out.extend(self._adjoins(i, forward))
+        return out
+
+    def _one_sided(self, start: str, forward: bool) -> ExtendedOrbitSet:
+        members: set[str] = {start}
+        added_round: dict[str, int] = {start: SEED_ROUND}
+        self_readded = False
+        depth = 0
+        frontier = [start]
+        rnd = 0
+        while frontier:
+            rnd += 1
+            payload: list[str] = []
+            for oid in sorted(frontier):
+                payload.extend(self._payload(oid, forward))
+            if start in payload:
+                self_readded = True
+            fresh = []
+            for pid in payload:
+                if pid not in members:
+                    members.add(pid)
+                    added_round[pid] = rnd
+                    fresh.append(pid)
+            if fresh:
+                depth = rnd
+            frontier = fresh
+        return ExtendedOrbitSet(
+            start=start,
+            direction=Direction.FORWARD if forward else Direction.BACKWARD,
+            members=frozenset(members),
+            added_round=added_round,
+            depth=depth,
+            self_readded=self_readded,
+        )
+
+    def orbit(self, start: str, direction: Direction = Direction.BOTH) -> ExtendedOrbitSet:
+        """Least fixpoint from ``start``.  The two-sided result is the union
+        of the forward and backward fixpoints; rounds from the two runs are
+        merged by taking the earlier one."""
+        self.fc.require(start)
+        direction = Direction(direction)
+        if direction is not Direction.BOTH:
+            return self._one_sided(start, direction is Direction.FORWARD)
+        fwd = self._one_sided(start, True)
+        bwd = self._one_sided(start, False)
+        added: dict[str, int] = dict(bwd.added_round)
+        for oid, rnd in fwd.added_round.items():
+            added[oid] = min(rnd, added.get(oid, rnd))
+        return ExtendedOrbitSet(
+            start=start,
+            direction=Direction.BOTH,
+            members=fwd.members | bwd.members,
+            added_round=added,
+            depth=max(fwd.depth, bwd.depth),
+            self_readded=fwd.self_readded or bwd.self_readded,
+        )
 
 
 def extended_orbit(fc: FlowComplex, start: str, direction: Direction = Direction.BOTH) -> ExtendedOrbitSet:
-    """Least fixpoint of the saddle expansion rule from ``start``.
-
-    The two-sided result is the union of the forward and backward fixpoints;
-    rounds from the two runs are merged by taking the earlier one.
-    """
-    fc.require(start)
-    direction = Direction(direction)
-    if direction is Direction.FORWARD:
-        return _one_sided_extension(fc, start, forward=True)
-    if direction is Direction.BACKWARD:
-        return _one_sided_extension(fc, start, forward=False)
-    fwd = _one_sided_extension(fc, start, forward=True)
-    bwd = _one_sided_extension(fc, start, forward=False)
-    added: dict[str, int] = dict(bwd.added_round)
-    for oid, rnd in fwd.added_round.items():
-        added[oid] = min(rnd, added.get(oid, rnd))
-    return ExtendedOrbitSet(
-        start=start,
-        direction=Direction.BOTH,
-        members=fwd.members | bwd.members,
-        added_round=added,
-        depth=max(fwd.depth, bwd.depth),
-        self_readded=fwd.self_readded or bwd.self_readded,
-    )
+    """Least fixpoint of the saddle expansion rule from ``start``: the
+    generalized extension over the singleton saddle sets."""
+    return Expansion.plain(fc).orbit(start, direction)
 
 
 def member_closure(fc: FlowComplex, xid: str) -> frozenset[str]:
@@ -210,18 +258,14 @@ def orbit_set_is_closed(fc: FlowComplex, members: Iterable[str]) -> bool:
     return orbit_set_closure(fc, mset) <= mset
 
 
-def is_extended_periodic(fc: FlowComplex, xid: str) -> bool:
+def is_periodic_extension(fc: FlowComplex, ext: ExtendedOrbitSet) -> bool:
     """A compact extended orbit that is more than a single point.
 
     Its members may only be proper orbits, periodic orbits, saddles, or
     family bundles of such, and the member set must already be closed.
     """
-    fc.require(xid)
-    ext = extended_orbit(fc, xid, Direction.BOTH)
-    singleton_point = len(ext.members) == 1 and next(iter(ext.members)) in fc.sing_by_id and fc.sing_by_id[
-        next(iter(ext.members))
-    ].shape is Shape.POINT
-    if singleton_point:
+    only = next(iter(ext.members)) if len(ext.members) == 1 else None
+    if only is not None and only in fc.sing_by_id and fc.sing_by_id[only].shape is Shape.POINT:
         return False
     for mid in ext.members:
         if fc.is_saddle(mid) or mid in fc.family_by_id:
@@ -231,6 +275,11 @@ def is_extended_periodic(fc: FlowComplex, xid: str) -> bool:
         if fc.orbit_by_id[mid].kind not in (OrbitKind.PERIODIC, OrbitKind.PROPER):
             return False
     return orbit_set_is_closed(fc, ext.members)
+
+
+def is_extended_periodic(fc: FlowComplex, xid: str) -> bool:
+    """Whether the two-sided extended orbit of ``xid`` is extended periodic."""
+    return is_periodic_extension(fc, extended_orbit(fc, xid, Direction.BOTH))
 
 
 class CycleSide(str, Enum):
@@ -409,83 +458,6 @@ def validate_isolated_saddle_set(fc: FlowComplex, members: Iterable[str]) -> Non
         raise InvalidSaddleSetError(f"{sorted(mset)} is not isolated from minimal sets")
 
 
-SaddleSetLike = Union[str, frozenset, set, tuple]
-
-
-def _resolve_saddle_sets(fc: FlowComplex, saddle_sets: Iterable[SaddleSetLike]) -> list[frozenset[str]]:
-    resolved: list[frozenset[str]] = []
-    for item in saddle_sets:
-        if isinstance(item, str):
-            decl = fc.decl_by_id.get(item)
-            if decl is None:
-                raise InvalidSaddleSetError(f"no declared saddle set named {item!r}")
-            resolved.append(decl.members)
-        else:
-            resolved.append(frozenset(item))
-    for mset in resolved:
-        validate_isolated_saddle_set(fc, mset)
-    return sorted(resolved, key=sorted)
-
-
-def _limit_ids(fc: FlowComplex, xid: str, forward: bool) -> Optional[frozenset[str]]:
-    if xid in fc.sing_by_id:
-        return frozenset({xid})
-    orb = fc.orbit_by_id.get(xid)
-    if orb is None:
-        return None
-    ref = orb.omega if forward else orb.alpha
-    return None if ref is None else ref.resolved()
-
-
-def _one_sided_generalized(
-    fc: FlowComplex, start: str, forward: bool, sets: Sequence[frozenset[str]]
-) -> ExtendedOrbitSet:
-    entering: dict[int, frozenset[str]] = {}
-    for i, fset in enumerate(sets):
-        # classes whose limit on the approach side is contained in the set
-        entering[i] = frozenset(
-            o.id
-            for o in fc.orbit_classes
-            if (ref := (o.alpha if forward else o.omega)) is not None and ref.resolved() <= fset
-        )
-    members: set[str] = {start}
-    added_round: dict[str, int] = {start: SEED_ROUND}
-    self_readded = False
-    depth = 0
-    frontier = [start]
-    rnd = 0
-    while frontier:
-        rnd += 1
-        payload: list[str] = []
-        for oid in sorted(frontier):
-            limits = _limit_ids(fc, oid, forward)
-            if limits is None:
-                continue
-            for i, fset in enumerate(sets):
-                if limits <= fset:
-                    payload.extend(sorted(fset))
-                    payload.extend(sorted(entering[i]))
-        if start in payload:
-            self_readded = True
-        fresh = []
-        for pid in payload:
-            if pid not in members:
-                members.add(pid)
-                added_round[pid] = rnd
-                fresh.append(pid)
-        if fresh:
-            depth = rnd
-        frontier = fresh
-    return ExtendedOrbitSet(
-        start=start,
-        direction=Direction.FORWARD if forward else Direction.BACKWARD,
-        members=frozenset(members),
-        added_round=added_round,
-        depth=depth,
-        self_readded=self_readded,
-    )
-
-
 def generalized_extended_orbit(
     fc: FlowComplex,
     start: str,
@@ -500,25 +472,7 @@ def generalized_extended_orbit(
     departure-side limit is contained in it are then adjoined.
     """
     fc.require(start)
-    direction = Direction(direction)
-    sets = _resolve_saddle_sets(fc, saddle_sets)
-    if direction is Direction.FORWARD:
-        return _one_sided_generalized(fc, start, True, sets)
-    if direction is Direction.BACKWARD:
-        return _one_sided_generalized(fc, start, False, sets)
-    fwd = _one_sided_generalized(fc, start, True, sets)
-    bwd = _one_sided_generalized(fc, start, False, sets)
-    added: dict[str, int] = dict(bwd.added_round)
-    for oid, rnd in fwd.added_round.items():
-        added[oid] = min(rnd, added.get(oid, rnd))
-    return ExtendedOrbitSet(
-        start=start,
-        direction=Direction.BOTH,
-        members=fwd.members | bwd.members,
-        added_round=added,
-        depth=max(fwd.depth, bwd.depth),
-        self_readded=fwd.self_readded or bwd.self_readded,
-    )
+    return Expansion.admit(fc, saddle_sets).orbit(start, direction)
 
 
 def generalized_saddle_sets(fc: FlowComplex) -> list[SaddleSetLike]:

@@ -20,7 +20,8 @@ Record shapes::
 
 Limit references are ``sing:<id>``, ``orbit:<id>`` or ``set:<id,id,...>``.
 Syntax errors carry line and column and are all collected in one pass;
-whether references resolve is left to validation.
+whether references resolve, and name the kind of piece their prefix says,
+is left to validation.
 """
 
 from __future__ import annotations

@@ -14,15 +14,13 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .model import (
-    FamilyKind,
     FlowComplex,
     OrbitKind,
-    PointKind,
     SchemaKind,
     Shape,
 )
 from .classify import Classifier, DichotomyCase
-from .orbits import Direction, orbit_set_is_closed
+from .orbits import Direction, is_periodic_extension, orbit_set_is_closed
 
 
 class TheoremStatus(str, Enum):
@@ -104,22 +102,6 @@ def _sides_meet_dense(cls: Classifier, xid: str) -> bool:
     return bool(fwd & dense) and bool(bwd & dense)
 
 
-def _is_extended_periodic_cached(cls: Classifier, xid: str) -> bool:
-    fc = cls.fc
-    ext = cls.ext(xid, Direction.BOTH)
-    only = next(iter(ext.members)) if len(ext.members) == 1 else None
-    if only is not None and only in fc.sing_by_id and fc.sing_by_id[only].shape is Shape.POINT:
-        return False
-    for mid in ext.members:
-        if fc.is_saddle(mid) or mid in fc.family_by_id:
-            continue
-        if mid in fc.sing_by_id:
-            return False
-        if fc.orbit_by_id[mid].kind not in (OrbitKind.PERIODIC, OrbitKind.PROPER):
-            return False
-    return orbit_set_is_closed(fc, ext.members)
-
-
 # -- individual checks --------------------------------------------------------
 
 
@@ -129,7 +111,7 @@ def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
     fc = cls.fc
     found = False
     for xid in sorted(fc.all_ids):
-        if not _is_extended_periodic_cached(cls, xid):
+        if not is_periodic_extension(fc, cls.ext(xid, Direction.BOTH)):
             continue
         found = True
         for mid in cls.ext(xid, Direction.BOTH).members:
@@ -161,23 +143,7 @@ def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
             continue
         if cls.ext(o.id, Direction.BOTH).members != frozenset({o.id}):
             continue
-        routed = (
-            any(
-                o.id in cls.closure(d.id)
-                for d in fc.orbit_classes
-                if d.kind in (OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL)
-            )
-            or any(
-                o.id in bset
-                for fam in fc.families
-                if fam.kind is FamilyKind.PERIODIC_ANNULUS
-                for bset, _ in fam.boundaries()
-            )
-            or any(
-                o.id in s.target for s in fc.accumulation_schemas if s.kind is SchemaKind.FAMILY_SEQUENCE
-            )
-        )
-        if not routed:
+        if o.id not in cls.routed:
             return TheoremResult(name, TheoremStatus.HOLDS, f"wandering witness {o.id}")
     return TheoremResult(name, TheoremStatus.VIOLATION, "no wandering proper orbit equal to its own extension")
 

@@ -7,6 +7,8 @@ no sharing with the library's optimized code paths.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from flowcomplex import Direction, FlowComplex, OrbitKind, RefKind
 
 
@@ -31,9 +33,18 @@ def _limit_saddle(fc: FlowComplex, xid: str, forward: bool) -> str | None:
     return None
 
 
-def _one_sided(fc: FlowComplex, start: str, forward: bool) -> tuple[frozenset[str], bool]:
+class NaiveExtension(NamedTuple):
+    members: frozenset[str]
+    self_readded: bool
+    added_round: dict[str, int]  # the first round whose recompute holds each member
+    depth: int  # the number of rounds that grew the member set
+
+
+def _one_sided(fc: FlowComplex, start: str, forward: bool) -> NaiveExtension:
     members = {start}
+    added_round = {start: 0}
     self_readded = False
+    rnd = 0
     while True:
         payload: set[str] = set()
         for oid in members:
@@ -44,19 +55,31 @@ def _one_sided(fc: FlowComplex, start: str, forward: bool) -> tuple[frozenset[st
             self_readded = True
         grown = members | payload
         if grown == members:
-            return frozenset(members), self_readded
+            return NaiveExtension(frozenset(members), self_readded, added_round, rnd)
+        rnd += 1
+        for mid in grown - members:
+            added_round[mid] = rnd
         members = grown
 
 
-def naive_extended_orbit(fc: FlowComplex, start: str, direction: Direction) -> tuple[frozenset[str], bool]:
-    """Full-recompute fixpoint; returns (members, self_readded)."""
+def naive_extension(fc: FlowComplex, start: str, direction: Direction) -> NaiveExtension:
+    """Full-recompute fixpoint with provenance; the two-sided run keeps each
+    member's earlier first round and the deeper side's depth."""
     if direction is Direction.FORWARD:
         return _one_sided(fc, start, True)
     if direction is Direction.BACKWARD:
         return _one_sided(fc, start, False)
-    fm, fs = _one_sided(fc, start, True)
-    bm, bs = _one_sided(fc, start, False)
-    return fm | bm, fs or bs
+    fwd = _one_sided(fc, start, True)
+    bwd = _one_sided(fc, start, False)
+    members = fwd.members | bwd.members
+    added = {mid: min(run.added_round[mid] for run in (fwd, bwd) if mid in run.members) for mid in members}
+    return NaiveExtension(members, fwd.self_readded or bwd.self_readded, added, max(fwd.depth, bwd.depth))
+
+
+def naive_extended_orbit(fc: FlowComplex, start: str, direction: Direction) -> tuple[frozenset[str], bool]:
+    """Full-recompute fixpoint; returns (members, self_readded)."""
+    run = naive_extension(fc, start, direction)
+    return run.members, run.self_readded
 
 
 def expand_once(fc: FlowComplex, members: frozenset[str], forward: bool) -> frozenset[str]:

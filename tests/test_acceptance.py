@@ -34,7 +34,7 @@ from flowcomplex import (
 from flowcomplex.gallery import GALLERY
 from flowcomplex.model import OrbitKind, SchemaKind, Shape
 
-from naive_oracle import expand_once, naive_extended_orbit
+from naive_oracle import expand_once, naive_extension
 
 SWEEP_SEEDS = range(1000)
 
@@ -201,6 +201,10 @@ def test_criterion_6_genus_zero_five_way():
     )
 
 
+def _provenance(ext):
+    return ext.members, ext.self_readded, ext.added_round, ext.depth
+
+
 def test_criterion_7_oracle_equivalence(sweep):
     mismatches = []
     singleton_mismatches = []
@@ -210,11 +214,10 @@ def test_criterion_7_oracle_equivalence(sweep):
         for xid in sorted(fc.all_ids):
             for direction in (Direction.FORWARD, Direction.BACKWARD, Direction.BOTH):
                 ext = extended_orbit(fc, xid, direction)
-                members, self_readded = naive_extended_orbit(fc, xid, direction)
-                if ext.members != members or ext.self_readded != self_readded:
+                if _provenance(ext) != naive_extension(fc, xid, direction):
                     mismatches.append((seed, xid, direction))
                 gen = generalized_extended_orbit(fc, xid, direction, singletons)
-                if gen.members != ext.members or gen.self_readded != ext.self_readded:
+                if _provenance(gen) != _provenance(ext):
                     singleton_mismatches.append((seed, xid, direction))
                 if direction is not Direction.BOTH:
                     forward = direction is Direction.FORWARD
@@ -222,8 +225,8 @@ def test_criterion_7_oracle_equivalence(sweep):
                         unstable_fixpoints.append((seed, xid, direction))
     _criterion(
         7,
-        f"worklist extension matches the naive oracle, re-expansion is identity, and singleton-generalized "
-        f"extension coincides on {len(sweep)} complexes",
+        f"worklist extension matches the naive oracle (members, rounds, depth), re-expansion is identity, "
+        f"and singleton-generalized extension coincides on {len(sweep)} complexes",
         not mismatches and not singleton_mismatches and not unstable_fixpoints,
         f"oracle={mismatches[:2]} singleton={singleton_mismatches[:2]} fixpoint={unstable_fixpoints[:2]}",
     )

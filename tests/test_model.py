@@ -14,6 +14,9 @@ from flowcomplex import (
     SurfaceInfo,
     UnknownIdError,
     closure_of,
+    extended_orbit,
+    generalized_extended_orbit,
+    parse,
     partition_orbits,
     random_complex,
     validate,
@@ -127,6 +130,60 @@ def test_locally_dense_closure_mismatch():
         ],
     )
     assert "locally-dense-closure-mismatch" in validate(fc).rules()
+
+
+THIRD_SEPARATRIX_AS_SET = """\
+surface genus=0 orientable=true boundary=0
+sing s point kind=saddle
+sing a point kind=source
+sing b point kind=sink
+sing c point kind=center
+orbit i1 proper alpha=sing:a omega=sing:s
+orbit i2 proper alpha=sing:a omega=sing:s
+orbit o1 proper alpha=sing:s omega=sing:b
+orbit o2 proper alpha=sing:s omega=sing:b
+orbit x proper alpha=sing:a omega=set:s
+"""
+
+
+def test_one_id_set_reference_to_a_singularity_is_rejected():
+    # ``set:s`` would be a third stable separatrix of ``s`` that the slot
+    # count does not see; plain and generalized extension read it alike
+    fc = parse(THIRD_SEPARATRIX_AS_SET)
+    report = validate(fc)
+    assert [(v.id, v.rule) for v in report.violations] == [("x", "limit-ref-kind")]
+    for direction in ("fwd", "bwd", "both"):
+        plain = extended_orbit(fc, "x", direction)
+        gen = generalized_extended_orbit(fc, "x", direction, [frozenset({"s"})])
+        assert (plain.members, plain.added_round, plain.depth) == (gen.members, gen.added_round, gen.depth)
+
+
+def test_limit_reference_kind_must_match_its_target():
+    singular = [
+        SingularSet("s", Shape.POINT, PointKind.SADDLE),
+        SingularSet("a", Shape.POINT, PointKind.SOURCE),
+    ]
+    cases = {
+        "orbit-named-as-sing": (LimitRef.sing("p"), LimitRef.sing("a")),
+        "sing-named-as-orbit": (LimitRef.sing("a"), LimitRef.orbit("s")),
+        "singular-one-id-set": (LimitRef.sing("a"), LimitRef.of_set({"a"})),
+        "empty-set": (LimitRef.sing("a"), LimitRef.of_set(())),
+    }
+    for name, (alpha, omega) in cases.items():
+        fc = _sphere(
+            singular_sets=singular,
+            orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC), OrbitClass("m", OrbitKind.PROPER, alpha, omega)],
+        )
+        assert "limit-ref-kind" in validate(fc).rules(), name
+    fine = _sphere(
+        singular_sets=singular,
+        orbit_classes=[
+            OrbitClass("p", OrbitKind.PERIODIC),
+            OrbitClass("m", OrbitKind.PROPER, LimitRef.sing("a"), LimitRef.orbit("p")),
+            OrbitClass("n", OrbitKind.PROPER, LimitRef.sing("a"), LimitRef.of_set({"p"})),
+        ],
+    )
+    assert "limit-ref-kind" not in validate(fine).rules()
 
 
 def test_set_reference_must_be_invariant():

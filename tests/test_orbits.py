@@ -32,7 +32,7 @@ from flowcomplex import (
     validate_isolated_saddle_set,
 )
 
-from naive_oracle import expand_once, naive_extended_orbit, reachability_members
+from naive_oracle import expand_once, naive_extended_orbit, naive_extension, reachability_members
 
 
 def test_unstable_set_plus_saddle(gallery_complexes):
@@ -175,6 +175,7 @@ def test_generalized_with_singleton_saddles_matches_extended(gallery_complexes):
                 gen = generalized_extended_orbit(fc, xid, direction, singletons)
                 assert gen.members == plain.members, (xid, direction)
                 assert gen.self_readded == plain.self_readded, (xid, direction)
+                assert (gen.added_round, gen.depth) == (plain.added_round, plain.depth), (xid, direction)
 
 
 def test_generalized_halfdisk_covers_both_half_disks(gallery_complexes):
@@ -285,6 +286,8 @@ def test_oracle_agreement_on_random_complexes(seed, start_pick):
     xid = ids[start_pick % len(ids)]
     for direction in (Direction.FORWARD, Direction.BACKWARD, Direction.BOTH):
         ext = extended_orbit(fc, xid, direction)
-        members, self_readded = naive_extended_orbit(fc, xid, direction)
-        assert ext.members == members
-        assert ext.self_readded == self_readded
+        naive = naive_extension(fc, xid, direction)
+        assert ext.members == naive.members
+        assert ext.self_readded == naive.self_readded
+        assert ext.added_round == naive.added_round
+        assert ext.depth == naive.depth
