@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, wraps
+from typing import Callable, Optional
 
 from .model import (
     FamilyKind,
@@ -23,7 +23,7 @@ from .model import (
     REGULAR_KINDS,
     SchemaKind,
     Shape,
-    closure_of,
+    singularity_accumulation,
 )
 from .orbits import (
     Direction,
@@ -31,7 +31,6 @@ from .orbits import (
     Expansion,
     generalized_saddle_sets,
     orbit_set_closure,
-    orbit_set_is_closed,
 )
 
 
@@ -90,20 +89,36 @@ class DichotomyCase(str, Enum):
     VIOLATION = "Violation"
 
 
+def _once(verdict: Callable[["Classifier"], Verdict]) -> Callable[["Classifier"], Verdict]:
+    """Decide a flow-level verdict once per ``Classifier``: it is a pure
+    function of the immutable complex."""
+    name = verdict.__name__
+
+    @wraps(verdict)
+    def cached(self: "Classifier") -> Verdict:
+        if name not in self._verdicts:
+            self._verdicts[name] = verdict(self)
+        return self._verdicts[name]
+
+    return cached
+
+
 class Classifier:
     """Cached per-complex classification engine.
 
     The module-level functions below are the public surface; they build a
     throwaway instance.  Report assembly and the theorem harness reuse one
-    instance so extension fixpoints and closures are computed once.
+    instance so extension fixpoints, blocks and verdicts are computed once;
+    closures are kept by the complex itself (``FlowComplex.closure``).
     """
 
     def __init__(self, fc: FlowComplex):
         self.fc = fc
         self._ext: dict[tuple[str, Direction], ExtendedOrbitSet] = {}
-        self._closure: dict[str, frozenset[str]] = {}
+        self._block_of_members: dict[frozenset[str], frozenset[str]] = {}
         self._blocks: Optional[dict[str, frozenset[str]]] = None
         self._gen: dict[tuple[str, Direction], ExtendedOrbitSet] = {}
+        self._verdicts: dict[str, Verdict] = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -122,9 +137,7 @@ class Classifier:
         return self._ext[key]
 
     def closure(self, xid: str) -> frozenset[str]:
-        if xid not in self._closure:
-            self._closure[xid] = closure_of(self.fc, xid)
-        return self._closure[xid]
+        return self.fc.closure(xid)
 
     def gen_ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
         key = (xid, direction)
@@ -132,15 +145,31 @@ class Classifier:
             self._gen[key] = self._generalized.orbit(xid, direction)
         return self._gen[key]
 
+    def _closure_of_members(self, members: frozenset[str]) -> frozenset[str]:
+        found = self._block_of_members.get(members)
+        if found is None:
+            found = orbit_set_closure(self.fc, members)
+            if found == members:
+                found = members  # a closed member set is its own block: keep one copy
+            self._block_of_members[members] = found
+        return found
+
+    def block(self, xid: str) -> frozenset[str]:
+        """Closure of the two-sided extended orbit of ``xid``, with family ids
+        standing for one generic member; computed once per distinct member
+        set."""
+        return self._closure_of_members(self.ext(xid, Direction.BOTH).members)
+
     def blocks(self) -> dict[str, frozenset[str]]:
-        """Closure of the two-sided extended orbit of every id, with family
-        ids standing for one generic member."""
+        """``block`` of every id."""
         if self._blocks is None:
-            self._blocks = {
-                xid: orbit_set_closure(self.fc, self.ext(xid, Direction.BOTH).members)
-                for xid in self.fc.all_ids
-            }
+            self._blocks = {xid: self.block(xid) for xid in self.fc.all_ids}
         return self._blocks
+
+    def extension_closed(self, xid: str) -> bool:
+        """Whether the two-sided extended orbit of ``xid`` is a closed set."""
+        members = self.ext(xid, Direction.BOTH).members
+        return self._closure_of_members(members) <= members
 
     # -- pointwise recurrence ----------------------------------------------
 
@@ -190,12 +219,14 @@ class Classifier:
     def _universe(self) -> list[str]:
         return sorted(self.fc.all_ids)
 
+    @_once
     def recurrent_flow(self) -> Verdict:
         for xid in self._universe():
             if not (self.positively_recurrent(xid) and self.negatively_recurrent(xid)):
                 return Verdict(False, Witness((xid,), "non-recurrent-point"))
         return Verdict(True)
 
+    @_once
     def extended_recurrent(self) -> Verdict:
         for xid in self._universe():
             for forward in (True, False):
@@ -204,6 +235,7 @@ class Classifier:
                     return Verdict(False, Witness((xid,), rule))
         return Verdict(True)
 
+    @_once
     def generalized_recurrent(self) -> Verdict:
         for xid in self._universe():
             for forward in (True, False):
@@ -234,6 +266,7 @@ class Classifier:
                 out |= schema.target
         return frozenset(out)
 
+    @_once
     def nonwandering(self) -> Verdict:
         """Every proper non-closed class needs a declared route into the
         closure of the recurrent part; there is no benefit of the doubt."""
@@ -242,16 +275,30 @@ class Classifier:
                 return Verdict(False, Witness((o.id,), "wandering-proper-class"))
         return Verdict(True)
 
+    @_once
     def extended_pap(self) -> Verdict:
-        """The closures of extended orbits must pairwise coincide or be disjoint."""
+        """The closures of extended orbits must pairwise coincide or be disjoint.
+
+        One pass over the distinct blocks, each led by its least id, marks
+        the ids that two distinct blocks hold.  The witness is the first
+        overlapping pair of ids in sorted order: the least lead of a block
+        holding a marked id, then the least lead of another block meeting it
+        (every partner of that first id is larger than it).
+        """
         blocks = self.blocks()
-        ids = self._universe()
-        for i, x in enumerate(ids):
-            bx = blocks[x]
-            for y in ids[i + 1 :]:
-                by = blocks[y]
-                if bx & by and bx != by:
-                    return Verdict(False, Witness((x, y), "block-overlap"))
+        lead: dict[frozenset[str], str] = {}
+        for xid in self._universe():
+            lead.setdefault(blocks[xid], xid)
+        owner: dict[str, str] = {}
+        shared: set[str] = set()
+        for block, x in lead.items():
+            for eid in block:
+                if owner.setdefault(eid, x) != x:
+                    shared.add(eid)
+        for bx, x in lead.items():
+            if not shared.isdisjoint(bx):
+                y = next(y for by, y in lead.items() if y != x and not by.isdisjoint(bx))
+                return Verdict(False, Witness((x, y), "block-overlap"))
         return Verdict(True)
 
     def _usc_witness(self) -> Optional[Witness]:
@@ -265,7 +312,6 @@ class Classifier:
         block must absorb the target together with whatever all sample
         blocks share.
         """
-        blocks = self.blocks()
         for fam in self.fc.families:
             for bset, shrinks in fam.boundaries():
                 if shrinks:
@@ -274,22 +320,23 @@ class Classifier:
                     sing = self.fc.sing_by_id.get(bid)
                     if sing is not None and sing.shape is not Shape.POINT:
                         return Witness((fam.id, bid), "continuum-in-limit")
-                    if not bset <= blocks[bid]:
+                    if not bset <= self.block(bid):
                         return Witness((fam.id, bid), "family-boundary-not-absorbed")
         for schema in self.fc.accumulation_schemas:
             # what every instance's block carries along persists in the limit;
             # a single declared instance gives no evidence of a shared part
             shared: frozenset[str] = frozenset()
             if len(schema.samples) >= 2:
-                shared = blocks[schema.samples[0]]
+                shared = self.block(schema.samples[0])
                 for sid in schema.samples[1:]:
-                    shared = shared & blocks[sid]
+                    shared = shared & self.block(sid)
             limit = schema.target | shared
             for tid in sorted(schema.target):
-                if not limit <= blocks[tid]:
+                if not limit <= self.block(tid):
                     return Witness((schema.id, tid), "schema-limit-not-absorbed")
         return None
 
+    @_once
     def extended_r_closed(self) -> Verdict:
         pap = self.extended_pap()
         if not pap.verdict:
@@ -299,13 +346,14 @@ class Classifier:
             return Verdict(False, usc)
         return Verdict(True)
 
+    @_once
     def regular(self) -> Verdict:
         for s in self.fc.singular_sets:
             if s.shape is not Shape.POINT or s.kind not in REGULAR_KINDS:
                 return Verdict(False, Witness((s.id,), "degenerate-singularity"))
-        for schema in self.fc.accumulation_schemas:
-            if schema.kind in (SchemaKind.SADDLE_CHAIN, SchemaKind.SINGULARITY_SEQUENCE):
-                return Verdict(False, Witness((schema.id,), "singularity-accumulation"))
+        schema = singularity_accumulation(self.fc)
+        if schema is not None:
+            return Verdict(False, Witness((schema.id,), "singularity-accumulation"))
         return Verdict(True)
 
     def report(self) -> ClassificationReport:
@@ -340,9 +388,9 @@ class Classifier:
         if not self.extended_recurrent().verdict:
             raise PreconditionError("dichotomy requires an extended recurrent flow")
         members = self.ext(xid, Direction.BOTH).members
-        if orbit_set_is_closed(fc, members):
+        closure = self._closure_of_members(members)
+        if closure <= members:
             raise PreconditionError(f"extended orbit of {xid!r} is closed")
-        closure = orbit_set_closure(fc, members)
         for sid in sorted(closure):
             sing = fc.sing_by_id.get(sid)
             if sing is not None and not sing.is_saddle:

@@ -288,6 +288,19 @@ class FlowComplex:
         return out
 
     @cached_property
+    def _closures(self) -> dict[str, frozenset[str]]:
+        return {}
+
+    def closure(self, xid: str) -> frozenset[str]:
+        """``closure_of(self, xid)``, computed once per id and kept for the
+        life of the complex.  An id whose closure does not resolve is never
+        kept, so it raises ``UnknownIdError`` on every call."""
+        found = self._closures.get(xid)
+        if found is None:
+            found = self._closures[xid] = closure_of(self, xid)
+        return found
+
+    @cached_property
     def all_ids(self) -> frozenset[str]:
         """Ids of dynamical pieces: singular sets, orbit classes, and families."""
         return frozenset(self.sing_by_id) | frozenset(self.orbit_by_id) | frozenset(self.family_by_id)
@@ -371,6 +384,15 @@ def closure_of(fc: FlowComplex, xid: str) -> frozenset[str]:
                 out.add(zid)
                 frontier.append(zid)
     return frozenset(out)
+
+
+def singularity_accumulation(fc: FlowComplex) -> Optional[AccumulationSchema]:
+    """The first schema that encodes infinitely many singularities: a saddle
+    chain or a singularity sequence."""
+    for schema in fc.accumulation_schemas:
+        if schema.kind in (SchemaKind.SADDLE_CHAIN, SchemaKind.SINGULARITY_SEQUENCE):
+            return schema
+    return None
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .model import (
     RefKind,
     SchemaKind,
     Shape,
-    closure_of,
 )
 
 
@@ -227,7 +226,7 @@ def member_closure(fc: FlowComplex, xid: str) -> frozenset[str]:
     """
     if xid in fc.family_by_id:
         return frozenset({xid})
-    return closure_of(fc, xid)
+    return fc.closure(xid)
 
 
 def orbit_set_closure(fc: FlowComplex, members: Iterable[str]) -> frozenset[str]:
@@ -258,23 +257,29 @@ def orbit_set_is_closed(fc: FlowComplex, members: Iterable[str]) -> bool:
     return orbit_set_closure(fc, mset) <= mset
 
 
-def is_periodic_extension(fc: FlowComplex, ext: ExtendedOrbitSet) -> bool:
-    """A compact extended orbit that is more than a single point.
-
-    Its members may only be proper orbits, periodic orbits, saddles, or
-    family bundles of such, and the member set must already be closed.
-    """
-    only = next(iter(ext.members)) if len(ext.members) == 1 else None
+def has_periodic_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
+    """The member kinds of a compact extended orbit that is more than a
+    single point: proper orbits, periodic orbits, saddles, or family bundles
+    of such, and not one point singularity alone."""
+    only = next(iter(members)) if len(members) == 1 else None
     if only is not None and only in fc.sing_by_id and fc.sing_by_id[only].shape is Shape.POINT:
         return False
-    for mid in ext.members:
+    for mid in members:
         if fc.is_saddle(mid) or mid in fc.family_by_id:
             continue
         if mid in fc.sing_by_id:
             return False
         if fc.orbit_by_id[mid].kind not in (OrbitKind.PERIODIC, OrbitKind.PROPER):
             return False
-    return orbit_set_is_closed(fc, ext.members)
+    return True
+
+
+def is_periodic_extension(fc: FlowComplex, ext: ExtendedOrbitSet) -> bool:
+    """A compact extended orbit that is more than a single point: its
+    members have the kinds ``has_periodic_member_kinds`` admits, and the
+    member set is already closed.
+    """
+    return has_periodic_member_kinds(fc, ext.members) and orbit_set_is_closed(fc, ext.members)
 
 
 def is_extended_periodic(fc: FlowComplex, xid: str) -> bool:
@@ -338,13 +343,14 @@ def extended_limit_cycles(fc: FlowComplex) -> list[LimitCycle]:
                 target = fc.orbit_by_id.get(ref.ids[0])
                 if target is not None and target.kind is OrbitKind.PERIODIC:
                     candidates.add(frozenset(ref.ids))
+    plain = Expansion.plain(fc)
     results: list[LimitCycle] = []
     for gamma in sorted(candidates, key=sorted):
         if len(gamma) == 1 and next(iter(gamma)) in fc.sing_by_id:
             continue
         if not _is_closed_curve_union(fc, gamma):
             continue
-        contained = any(gamma <= extended_orbit(fc, mid, Direction.BOTH).members for mid in sorted(gamma))
+        contained = any(gamma <= plain.orbit(mid, Direction.BOTH).members for mid in sorted(gamma))
         if not contained:
             continue
         witnesses: list[tuple[str, CycleSide]] = []
@@ -370,7 +376,7 @@ class SaddleSetVerdict:
 def _require_invariant_closed(fc: FlowComplex, members: frozenset[str]) -> None:
     for mid in sorted(members):
         fc.require(mid)
-        escape = closure_of(fc, mid) - members
+        escape = fc.closure(mid) - members
         if escape:
             raise PreconditionError(f"set is not invariant-closed: closure of {mid} adds {sorted(escape)}")
 
@@ -398,7 +404,7 @@ def _accumulates(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
         return any(not shrinks and (bset & members) for bset, shrinks in fam.boundaries())
     orb = fc.orbit_by_id.get(wid)
     if orb is not None and orb.kind in (OrbitKind.PERIODIC, OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL):
-        if closure_of(fc, wid) & members:
+        if fc.closure(wid) & members:
             return True
     for schema in fc.accumulation_schemas:
         if schema.target <= members and wid in schema.samples:

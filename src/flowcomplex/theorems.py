@@ -18,9 +18,10 @@ from .model import (
     OrbitKind,
     SchemaKind,
     Shape,
+    singularity_accumulation,
 )
 from .classify import Classifier, DichotomyCase
-from .orbits import Direction, is_periodic_extension, orbit_set_is_closed
+from .orbits import Direction, has_periodic_member_kinds
 
 
 class TheoremStatus(str, Enum):
@@ -42,13 +43,7 @@ def has_finitely_many_singularities(fc: FlowComplex) -> bool:
     An arc or circle of fixed points is uncountably many singularities; a
     saddle chain or singularity sequence encodes infinitely many.
     """
-    for s in fc.singular_sets:
-        if s.shape is not Shape.POINT:
-            return False
-    for schema in fc.accumulation_schemas:
-        if schema.kind in (SchemaKind.SADDLE_CHAIN, SchemaKind.SINGULARITY_SEQUENCE):
-            return False
-    return True
+    return all(s.shape is Shape.POINT for s in fc.singular_sets) and singularity_accumulation(fc) is None
 
 
 def has_no_schemas(fc: FlowComplex) -> bool:
@@ -90,7 +85,7 @@ def _dense_closure_swallows_singularity_sequence(cls: Classifier) -> Optional[st
 
 def _all_extended_orbits_closed(cls: Classifier) -> Optional[str]:
     for xid in sorted(cls.fc.all_ids):
-        if not orbit_set_is_closed(cls.fc, cls.ext(xid, Direction.BOTH).members):
+        if not cls.extension_closed(xid):
             return xid
     return None
 
@@ -106,22 +101,20 @@ def _sides_meet_dense(cls: Classifier, xid: str) -> bool:
 
 
 def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
-    """A compact extended orbit consists of finitely many proper orbits and saddles."""
+    """A compact extended orbit consists of finitely many proper orbits and
+    saddles, so its members never hold a whole (infinite) saddle chain."""
     name = "extended-periodic-finiteness"
     fc = cls.fc
+    chains = [schema for schema in fc.accumulation_schemas if schema.kind is SchemaKind.SADDLE_CHAIN]
     found = False
     for xid in sorted(fc.all_ids):
-        if not is_periodic_extension(fc, cls.ext(xid, Direction.BOTH)):
+        members = cls.ext(xid, Direction.BOTH).members
+        if not (has_periodic_member_kinds(fc, members) and cls.extension_closed(xid)):
             continue
         found = True
-        for mid in cls.ext(xid, Direction.BOTH).members:
-            ok = (
-                fc.is_saddle(mid)
-                or mid in fc.family_by_id
-                or (mid in fc.orbit_by_id and fc.orbit_by_id[mid].kind in (OrbitKind.PERIODIC, OrbitKind.PROPER))
-            )
-            if not ok:
-                return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: member {mid} has the wrong kind")
+        for schema in chains:
+            if set(schema.samples) <= members:
+                return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: members hold saddle chain {schema.id}")
     if not found:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no compact extended orbits")
     return TheoremResult(name, TheoremStatus.HOLDS)
@@ -167,7 +160,7 @@ def check_dichotomy(cls: Classifier) -> TheoremResult:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not extended recurrent")
     checked = 0
     for xid in sorted(fc.all_ids):
-        if orbit_set_is_closed(fc, cls.ext(xid, Direction.BOTH).members):
+        if cls.extension_closed(xid):
             continue
         checked += 1
         if cls.dichotomy(xid) is DichotomyCase.VIOLATION:
@@ -249,7 +242,7 @@ def check_regular_orbit_closure_dichotomy(cls: Classifier) -> TheoremResult:
     if not (cls.nonwandering().verdict and cls.regular().verdict):
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
     for xid in sorted(fc.all_ids):
-        if orbit_set_is_closed(fc, cls.ext(xid, Direction.BOTH).members):
+        if cls.extension_closed(xid):
             continue
         if not _sides_meet_dense(cls, xid):
             return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: open extension missing a dense side")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from flowcomplex import Direction, FlowComplex, OrbitKind, RefKind
+from flowcomplex import Direction, FlowComplex, OrbitKind, RefKind, orbit_set_closure
 
 
 def _wing(fc: FlowComplex, sid: str, forward: bool) -> set[str]:
@@ -80,6 +80,19 @@ def naive_extended_orbit(fc: FlowComplex, start: str, direction: Direction) -> t
     """Full-recompute fixpoint; returns (members, self_readded)."""
     run = naive_extension(fc, start, direction)
     return run.members, run.self_readded
+
+
+def naive_extended_pap(fc: FlowComplex) -> tuple[bool, tuple[str, str] | None]:
+    """Pairwise decomposition check: the closures of any two two-sided
+    extended orbits coincide or are disjoint.  Returns the verdict and the
+    first overlapping pair of ids in sorted order."""
+    ids = sorted(fc.all_ids)
+    blocks = {x: orbit_set_closure(fc, naive_extension(fc, x, Direction.BOTH).members) for x in ids}
+    for i, x in enumerate(ids):
+        for y in ids[i + 1 :]:
+            if blocks[x] & blocks[y] and blocks[x] != blocks[y]:
+                return False, (x, y)
+    return True, None
 
 
 def expand_once(fc: FlowComplex, members: frozenset[str], forward: bool) -> frozenset[str]:

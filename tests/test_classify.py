@@ -1,23 +1,33 @@
 import pytest
 
 from flowcomplex import (
+    GALLERY,
+    AccumulationSchema,
+    Classifier,
     DichotomyCase,
+    Direction,
     Family,
     FamilyKind,
     FlowComplex,
+    LimitRef,
     OrbitClass,
     OrbitKind,
     PointKind,
     PreconditionError,
+    SchemaKind,
     Shape,
     SingularSet,
     SurfaceInfo,
     TheoremStatus,
+    UnknownIdError,
+    build,
     classification_report,
     dichotomy_check,
+    extended_orbit,
     is_extended_center,
     is_extended_negatively_recurrent,
     is_extended_pap,
+    is_extended_periodic,
     is_extended_positively_recurrent,
     is_extended_r_closed,
     is_extended_recurrent,
@@ -26,9 +36,12 @@ from flowcomplex import (
     is_nonwandering,
     is_positively_recurrent,
     is_regular,
+    orbit_set_is_closed,
+    parse,
     random_complex,
     verify_theorems,
 )
+from naive_oracle import naive_extended_pap
 
 
 def _two_center_sphere():
@@ -250,3 +263,77 @@ def test_strictness_witnesses(gallery_complexes):
     assert halfdisk.generalized_recurrent.verdict and not halfdisk.non_wandering.verdict
     comb = classification_report(gallery_complexes["comb_torus"])
     assert comb.non_wandering.verdict and not comb.generalized_recurrent.verdict
+
+
+def test_extended_pap_matches_the_pairwise_oracle():
+    complexes = [build(entry.name) for entry in GALLERY] + [random_complex(seed) for seed in range(1000)]
+    verdicts = set()
+    for fc in complexes:
+        verdict = Classifier(fc).extended_pap()
+        ok, pair = naive_extended_pap(fc)
+        assert verdict.verdict == ok
+        assert (verdict.witness.ids if verdict.witness else None) == pair
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def is_extended_closed(fc, xid):
+    return orbit_set_is_closed(fc, extended_orbit(fc, xid, Direction.BOTH).members)
+
+
+def test_extended_recurrent_is_decided_once_per_classifier(gallery_complexes, monkeypatch):
+    calls = []
+    probe = Classifier.extended_recurrent_point
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return probe(self, *args, **kwargs)
+
+    monkeypatch.setattr(Classifier, "extended_recurrent_point", counted)
+    for name in ("nested_saddles_disk", "genus2_mixed"):
+        fc = gallery_complexes[name]
+        Classifier(fc).extended_recurrent()
+        once = len(calls)
+        calls.clear()
+        cls = Classifier(fc)
+        open_ids = [xid for xid in sorted(fc.all_ids) if not is_extended_closed(fc, xid)]
+        assert open_ids, name
+        for xid in open_ids:
+            cls.dichotomy(xid)
+        assert len(calls) == once, name
+        calls.clear()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "family f1 kind=annulus b0=c b1=g2 shrinks0=true",
+        "family f1 kind=annulus b0=c b1=s shrinks0=true\naccum q kind=family_seq samples=f1 target=g2",
+        "family f1 kind=annulus b0=c b1=s shrinks0=true\naccum q kind=family_seq samples=f1,g3 target=s",
+    ],
+)
+def test_unresolved_ids_in_blocks_raise_unknown_id_error(extra):
+    head = "surface genus=0 orientable=true boundary=0\nsing c point kind=center\nsing s point kind=saddle\n"
+    fc = parse(head + extra + "\n")
+    with pytest.raises(UnknownIdError):
+        classification_report(fc)
+    with pytest.raises(UnknownIdError):
+        verify_theorems(fc)
+
+
+def test_compact_extended_orbit_holding_a_saddle_chain_violates_finiteness():
+    # two homoclinic loops at s, with a chain schema whose sample and target
+    # both sit inside their compact extended orbit (not a sound flow)
+    fc = FlowComplex.build(
+        SurfaceInfo(0, True, 0),
+        singular_sets=[SingularSet("s", Shape.POINT, PointKind.SADDLE)],
+        orbit_classes=[
+            OrbitClass("h1", OrbitKind.PROPER, alpha=LimitRef.sing("s"), omega=LimitRef.sing("s")),
+            OrbitClass("h2", OrbitKind.PROPER, alpha=LimitRef.sing("s"), omega=LimitRef.sing("s")),
+        ],
+        accumulation_schemas=[AccumulationSchema("q", SchemaKind.SADDLE_CHAIN, ("s",), frozenset({"s"}))],
+    )
+    assert is_extended_periodic(fc, "h1")
+    [result] = verify_theorems(fc, ["extended-periodic-finiteness"])
+    assert result.status is TheoremStatus.VIOLATION
+    assert result.detail == "h1: members hold saddle chain q"
