@@ -31,6 +31,7 @@ from .orbits import (
     Expansion,
     generalized_saddle_sets,
     orbit_set_closure,
+    two_sided,
 )
 
 
@@ -103,6 +104,25 @@ def _once(verdict: Callable[["Classifier"], Verdict]) -> Callable[["Classifier"]
     return cached
 
 
+def _cached_orbit(
+    cache: dict[tuple[str, Direction], ExtendedOrbitSet], engine: Expansion, xid: str, direction: Direction
+) -> ExtendedOrbitSet:
+    """``engine.orbit(xid, direction)``, kept in ``cache``.  A two-sided query
+    merges the kept one-sided runs of ``xid`` when both are kept; otherwise
+    the engine runs and its one-sided runs are not kept, since keeping them
+    raises peak memory on complexes whose verdicts never ask for them."""
+    key = (xid, direction)
+    found = cache.get(key)
+    if found is None:
+        fwd, bwd = cache.get((xid, Direction.FORWARD)), cache.get((xid, Direction.BACKWARD))
+        if direction is Direction.BOTH and fwd is not None and bwd is not None:
+            found = two_sided(fwd, bwd)
+        else:
+            found = engine.orbit(xid, direction)
+        cache[key] = found
+    return found
+
+
 class Classifier:
     """Cached per-complex classification engine.
 
@@ -131,19 +151,13 @@ class Classifier:
         return Expansion.admit(self.fc, generalized_saddle_sets(self.fc))
 
     def ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
-        key = (xid, direction)
-        if key not in self._ext:
-            self._ext[key] = self._plain.orbit(xid, direction)
-        return self._ext[key]
+        return _cached_orbit(self._ext, self._plain, xid, direction)
 
     def closure(self, xid: str) -> frozenset[str]:
         return self.fc.closure(xid)
 
     def gen_ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
-        key = (xid, direction)
-        if key not in self._gen:
-            self._gen[key] = self._generalized.orbit(xid, direction)
-        return self._gen[key]
+        return _cached_orbit(self._gen, self._generalized, xid, direction)
 
     def _closure_of_members(self, members: frozenset[str]) -> frozenset[str]:
         found = self._block_of_members.get(members)

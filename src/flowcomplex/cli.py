@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation violations (or other domain errors),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -165,7 +166,10 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="flowcomplex",
         description="Validate, classify and inspect symbolic surface-flow complexes.",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
     FamilyKind,
@@ -188,26 +188,30 @@ class Expansion:
         )
 
     def orbit(self, start: str, direction: Direction = Direction.BOTH) -> ExtendedOrbitSet:
-        """Least fixpoint from ``start``.  The two-sided result is the union
-        of the forward and backward fixpoints; rounds from the two runs are
-        merged by taking the earlier one."""
+        """Least fixpoint from ``start``.  The two-sided result is
+        ``two_sided`` of the forward and backward fixpoints."""
         self.fc.require(start)
         direction = Direction(direction)
         if direction is not Direction.BOTH:
             return self._one_sided(start, direction is Direction.FORWARD)
-        fwd = self._one_sided(start, True)
-        bwd = self._one_sided(start, False)
-        added: dict[str, int] = dict(bwd.added_round)
-        for oid, rnd in fwd.added_round.items():
-            added[oid] = min(rnd, added.get(oid, rnd))
-        return ExtendedOrbitSet(
-            start=start,
-            direction=Direction.BOTH,
-            members=fwd.members | bwd.members,
-            added_round=added,
-            depth=max(fwd.depth, bwd.depth),
-            self_readded=fwd.self_readded or bwd.self_readded,
-        )
+        return two_sided(self._one_sided(start, True), self._one_sided(start, False))
+
+
+def two_sided(fwd: ExtendedOrbitSet, bwd: ExtendedOrbitSet) -> ExtendedOrbitSet:
+    """The two-sided extension from the forward and backward fixpoints of one
+    seed: the union of their members, each added in the earlier of its two
+    rounds (backward entries first, in insertion order)."""
+    added: dict[str, int] = dict(bwd.added_round)
+    for oid, rnd in fwd.added_round.items():
+        added[oid] = min(rnd, added.get(oid, rnd))
+    return ExtendedOrbitSet(
+        start=fwd.start,
+        direction=Direction.BOTH,
+        members=fwd.members | bwd.members,
+        added_round=added,
+        depth=max(fwd.depth, bwd.depth),
+        self_readded=fwd.self_readded or bwd.self_readded,
+    )
 
 
 def extended_orbit(fc: FlowComplex, start: str, direction: Direction = Direction.BOTH) -> ExtendedOrbitSet:
@@ -332,6 +336,13 @@ def _is_closed_curve_union(fc: FlowComplex, ids: frozenset[str]) -> bool:
 def extended_limit_cycles(fc: FlowComplex) -> list[LimitCycle]:
     """Non-singleton unions of closed curves inside an extended orbit that are
     the declared alpha or omega limit of an orbit class outside them."""
+    plain = Expansion.plain(fc)
+    return _limit_cycles(fc, lambda mid: plain.orbit(mid, Direction.BOTH).members)
+
+
+def _limit_cycles(fc: FlowComplex, members: Callable[[str], frozenset[str]]) -> list[LimitCycle]:
+    """``extended_limit_cycles`` with ``members(xid)`` giving the two-sided
+    extended orbit of ``xid``, so a caller can answer from its own cache."""
     candidates: set[frozenset[str]] = set()
     for o in fc.orbit_classes:
         for ref in (o.alpha, o.omega):
@@ -343,14 +354,13 @@ def extended_limit_cycles(fc: FlowComplex) -> list[LimitCycle]:
                 target = fc.orbit_by_id.get(ref.ids[0])
                 if target is not None and target.kind is OrbitKind.PERIODIC:
                     candidates.add(frozenset(ref.ids))
-    plain = Expansion.plain(fc)
     results: list[LimitCycle] = []
     for gamma in sorted(candidates, key=sorted):
         if len(gamma) == 1 and next(iter(gamma)) in fc.sing_by_id:
             continue
         if not _is_closed_curve_union(fc, gamma):
             continue
-        contained = any(gamma <= plain.orbit(mid, Direction.BOTH).members for mid in sorted(gamma))
+        contained = any(gamma <= members(mid) for mid in sorted(gamma))
         if not contained:
             continue
         witnesses: list[tuple[str, CycleSide]] = []

@@ -21,7 +21,7 @@ from .model import (
     singularity_accumulation,
 )
 from .classify import Classifier, DichotomyCase
-from .orbits import Direction, has_periodic_member_kinds
+from .orbits import Direction, _limit_cycles, has_periodic_member_kinds
 
 
 class TheoremStatus(str, Enum):
@@ -122,11 +122,9 @@ def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
 
 def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
     """An extended limit cycle forces a wandering proper orbit equal to its own extension."""
-    from .orbits import extended_limit_cycles
-
     name = "limit-cycles-force-wandering"
     fc = cls.fc
-    cycles = extended_limit_cycles(fc)
+    cycles = _limit_cycles(fc, lambda mid: cls.ext(mid, Direction.BOTH).members)
     if not cycles:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no extended limit cycles")
     if cls.nonwandering().verdict:

@@ -41,6 +41,7 @@ from flowcomplex import (
     random_complex,
     verify_theorems,
 )
+from flowcomplex.orbits import Expansion, generalized_saddle_sets
 from naive_oracle import naive_extended_pap
 
 
@@ -337,3 +338,39 @@ def test_compact_extended_orbit_holding_a_saddle_chain_violates_finiteness():
     [result] = verify_theorems(fc, ["extended-periodic-finiteness"])
     assert result.status is TheoremStatus.VIOLATION
     assert result.detail == "h1: members hold saddle chain q"
+
+
+def _orbit_fields(ext):
+    return ext.start, ext.direction, ext.members, list(ext.added_round.items()), ext.depth, ext.self_readded
+
+
+def test_two_sided_extension_from_kept_runs_matches_the_engine(gallery_complexes):
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    for fc in complexes:
+        engines = {"ext": Expansion.plain(fc), "gen_ext": Expansion.admit(fc, generalized_saddle_sets(fc))}
+        one_sided_first, both_first = Classifier(fc), Classifier(fc)
+        for xid in sorted(fc.all_ids):
+            for query, engine in engines.items():
+                expected = {d: _orbit_fields(engine.orbit(xid, d)) for d in Direction}
+                merged, fresh = getattr(one_sided_first, query), getattr(both_first, query)
+                for d in (Direction.FORWARD, Direction.BACKWARD, Direction.BOTH):
+                    assert _orbit_fields(merged(xid, d)) == expected[d], (query, xid, d)
+                for d in (Direction.BOTH, Direction.FORWARD, Direction.BACKWARD):
+                    assert _orbit_fields(fresh(xid, d)) == expected[d], (query, xid, d)
+
+
+def test_report_merges_the_kept_one_sided_runs(monkeypatch):
+    runs = []
+    one_sided = Expansion._one_sided
+
+    def counted(self, start, forward):
+        runs.append((start, forward))
+        return one_sided(self, start, forward)
+
+    monkeypatch.setattr(Expansion, "_one_sided", counted)
+    fc = build("nested_saddles_disk", {"n": 40})
+    assert len(fc.all_ids) == 200
+    classification_report(fc)
+    # extended_recurrent keeps both one-sided runs of 78 ids, and the blocks
+    # merge them; rerunning both fixpoints for every block took 712 runs
+    assert len(runs) == 556
