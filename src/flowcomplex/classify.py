@@ -4,7 +4,8 @@ Every decision is a pure function of a validated flow complex.  Flow-level
 verdicts carry a witness (an id set plus the rule that fired) whenever they
 are negative, so reports are auditable.  A shared per-complex cache keeps
 repeated extension and closure queries cheap when a full report or the
-theorem harness is assembled.
+theorem harness is assembled: verdicts and checks read extended orbits as
+member sets (``Classifier.reach``), never as per-seed fixpoint runs.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ from .model import (
     Shape,
     singularity_accumulation,
 )
-from .orbits import (
-    Direction,
-    ExtendedOrbitSet,
-    Expansion,
-    generalized_saddle_sets,
-    orbit_set_closure,
-    two_sided,
-)
+from .orbits import Direction, ExtendedOrbitSet, Expansion, orbit_set_closure
 
 
 @dataclass(frozen=True)
@@ -104,40 +98,20 @@ def _once(verdict: Callable[["Classifier"], Verdict]) -> Callable[["Classifier"]
     return cached
 
 
-def _cached_orbit(
-    cache: dict[tuple[str, Direction], ExtendedOrbitSet], engine: Expansion, xid: str, direction: Direction
-) -> ExtendedOrbitSet:
-    """``engine.orbit(xid, direction)``, kept in ``cache``.  A two-sided query
-    merges the kept one-sided runs of ``xid`` when both are kept; otherwise
-    the engine runs and its one-sided runs are not kept, since keeping them
-    raises peak memory on complexes whose verdicts never ask for them."""
-    key = (xid, direction)
-    found = cache.get(key)
-    if found is None:
-        fwd, bwd = cache.get((xid, Direction.FORWARD)), cache.get((xid, Direction.BACKWARD))
-        if direction is Direction.BOTH and fwd is not None and bwd is not None:
-            found = two_sided(fwd, bwd)
-        else:
-            found = engine.orbit(xid, direction)
-        cache[key] = found
-    return found
-
-
 class Classifier:
     """Cached per-complex classification engine.
 
     The module-level functions below are the public surface; they build a
     throwaway instance.  Report assembly and the theorem harness reuse one
-    instance so extension fixpoints, blocks and verdicts are computed once;
+    instance so extended member sets, blocks and verdicts are computed once;
     closures are kept by the complex itself (``FlowComplex.closure``).
     """
 
     def __init__(self, fc: FlowComplex):
         self.fc = fc
-        self._ext: dict[tuple[str, Direction], ExtendedOrbitSet] = {}
+        self._reach: dict[tuple[str, Direction, bool], tuple[frozenset[str], bool]] = {}
         self._block_of_members: dict[frozenset[str], frozenset[str]] = {}
         self._blocks: Optional[dict[str, frozenset[str]]] = None
-        self._gen: dict[tuple[str, Direction], ExtendedOrbitSet] = {}
         self._verdicts: dict[str, Verdict] = {}
 
     # -- cached primitives -------------------------------------------------
@@ -148,16 +122,29 @@ class Classifier:
 
     @cached_property
     def _generalized(self) -> Expansion:
-        return Expansion.admit(self.fc, generalized_saddle_sets(self.fc))
+        return Expansion.generalized(self.fc)
+
+    def reach(self, xid: str, direction: Direction, generalized: bool = False) -> tuple[frozenset[str], bool]:
+        """``(members, self_readded)`` of the plain or generalized extended
+        orbit of ``xid``, kept per query.  A two-sided query keeps only its own
+        answer, not the one-sided ones it is the union of."""
+        key = (xid, direction, generalized)
+        found = self._reach.get(key)
+        if found is None:
+            engine = self._generalized if generalized else self._plain
+            found = self._reach[key] = engine.reach(xid, direction)
+        return found
 
     def ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
-        return _cached_orbit(self._ext, self._plain, xid, direction)
+        """The plain extended orbit of ``xid`` with its rounds (not kept)."""
+        return self._plain.orbit(xid, direction)
+
+    def gen_ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
+        """The generalized extended orbit of ``xid`` with its rounds (not kept)."""
+        return self._generalized.orbit(xid, direction)
 
     def closure(self, xid: str) -> frozenset[str]:
         return self.fc.closure(xid)
-
-    def gen_ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
-        return _cached_orbit(self._gen, self._generalized, xid, direction)
 
     def _closure_of_members(self, members: frozenset[str]) -> frozenset[str]:
         found = self._block_of_members.get(members)
@@ -172,7 +159,7 @@ class Classifier:
         """Closure of the two-sided extended orbit of ``xid``, with family ids
         standing for one generic member; computed once per distinct member
         set."""
-        return self._closure_of_members(self.ext(xid, Direction.BOTH).members)
+        return self._closure_of_members(self.reach(xid, Direction.BOTH)[0])
 
     def blocks(self) -> dict[str, frozenset[str]]:
         """``block`` of every id."""
@@ -182,7 +169,7 @@ class Classifier:
 
     def extension_closed(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is a closed set."""
-        members = self.ext(xid, Direction.BOTH).members
+        members = self.reach(xid, Direction.BOTH)[0]
         return self._closure_of_members(members) <= members
 
     # -- pointwise recurrence ----------------------------------------------
@@ -220,11 +207,11 @@ class Classifier:
             # compact extended orbit, whose points re-approach themselves
             return fam.kind is FamilyKind.CLOSED_EXTENDED_REGION
         direction = Direction.FORWARD if forward else Direction.BACKWARD
-        ext = self.gen_ext(xid, direction) if generalized else self.ext(xid, direction)
-        if ext.self_readded:
+        members, self_readded = self.reach(xid, direction, generalized)
+        if self_readded:
             return True
-        for oid in sorted(ext.members):
-            if ext.added_round[oid] > 0 and xid in self.closure(oid):
+        for oid in sorted(members):
+            if oid != xid and xid in self.closure(oid):
                 return True
         return False
 
@@ -401,7 +388,7 @@ class Classifier:
         fc = self.fc
         if not self.extended_recurrent().verdict:
             raise PreconditionError("dichotomy requires an extended recurrent flow")
-        members = self.ext(xid, Direction.BOTH).members
+        members = self.reach(xid, Direction.BOTH)[0]
         closure = self._closure_of_members(members)
         if closure <= members:
             raise PreconditionError(f"extended orbit of {xid!r} is closed")

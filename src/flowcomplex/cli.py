@@ -17,7 +17,7 @@ from .classify import classification_report
 from .dot import export_dot
 from .gallery import GalleryError, build, gallery_names
 from .model import FlowComplex, FlowComplexError, validate
-from .orbits import Direction, extended_orbit, generalized_extended_orbit, generalized_saddle_sets
+from .orbits import Direction, Expansion, extended_orbit
 from .textio import ParseErrors, emit, parse
 from .theorems import THEOREM_NAMES, TheoremStatus, verify_theorems
 
@@ -88,7 +88,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     direction = _DIRECTIONS[args.direction]
     try:
         if args.generalized:
-            ext = generalized_extended_orbit(fc, args.start, direction, generalized_saddle_sets(fc))
+            ext = Expansion.generalized(fc).orbit(args.start, direction)
         else:
             ext = extended_orbit(fc, args.start, direction)
     except FlowComplexError as exc:

@@ -12,6 +12,9 @@ sets, expanding whenever a member's limit set is contained in such a set.
 Plain extension is generalized extension over the singleton saddle sets:
 both run the one fixpoint in ``Expansion``, which reads what a set adjoins
 from the complex's lazily built limit index (``FlowComplex.classes_by_limit``).
+``Expansion.orbit`` runs that fixpoint per seed and keeps each member's
+round; ``Expansion.reach`` answers members and ``self_readded`` alone from
+one condensation of the digraph of expansion sets per direction.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ class Expansion:
             for mid in fset:
                 self._holding.setdefault(mid, []).append(i)
         self._adjoined: dict[tuple[int, bool], list[str]] = {}
+        self._reached: dict[bool, list[frozenset[str]]] = {}
 
     @classmethod
     def plain(cls, fc: FlowComplex) -> "Expansion":
@@ -130,15 +134,24 @@ class Expansion:
             validate_isolated_saddle_set(fc, mset)
         return cls(fc, sorted(resolved, key=sorted))
 
+    @classmethod
+    def generalized(cls, fc: FlowComplex) -> "Expansion":
+        """Generalized extension over ``generalized_saddle_sets(fc)``, in the
+        set order ``admit`` gives; those sets are checked where they are
+        collected, so they are not admitted a second time."""
+        return cls(fc, sorted(generalized_saddle_sets(fc), key=sorted))
+
     def _adjoins(self, i: int, forward: bool) -> list[str]:
         key = (i, forward)
-        if key not in self._adjoined:
+        found = self._adjoined.get(key)
+        if found is None:
             fset = self.sets[i]
             departure = "alpha" if forward else "omega"
-            self._adjoined[key] = sorted(fset) + _classes_limiting_into(self.fc, fset, departure)
-        return self._adjoined[key]
+            found = self._adjoined[key] = sorted(fset) + _classes_limiting_into(self.fc, fset, departure)
+        return found
 
-    def _payload(self, xid: str, forward: bool) -> list[str]:
+    def _fired(self, xid: str, forward: bool) -> list[int]:
+        """The sets, in ascending order, that hold the approach-side limit of ``xid``."""
         fc = self.fc
         if xid in fc.sing_by_id:
             limits = frozenset({xid})
@@ -148,12 +161,12 @@ class Expansion:
             if ref is None:
                 return []
             limits = ref.resolved()
-        out: list[str] = []
+        fired = []
         # a set holding every limit id holds any one of them
         for i in self._holding.get(next(iter(limits), ""), ()):
             if limits <= self.sets[i]:
-                out.extend(self._adjoins(i, forward))
-        return out
+                fired.append(i)
+        return fired
 
     def _one_sided(self, start: str, forward: bool) -> ExtendedOrbitSet:
         members: set[str] = {start}
@@ -166,7 +179,8 @@ class Expansion:
             rnd += 1
             payload: list[str] = []
             for oid in sorted(frontier):
-                payload.extend(self._payload(oid, forward))
+                for i in self._fired(oid, forward):
+                    payload.extend(self._adjoins(i, forward))
             if start in payload:
                 self_readded = True
             fresh = []
@@ -188,30 +202,120 @@ class Expansion:
         )
 
     def orbit(self, start: str, direction: Direction = Direction.BOTH) -> ExtendedOrbitSet:
-        """Least fixpoint from ``start``.  The two-sided result is
-        ``two_sided`` of the forward and backward fixpoints."""
+        """Least fixpoint from ``start``.  The two-sided result is the union of
+        the forward and backward fixpoints, each member added in the earlier
+        of its two rounds (backward entries first, in insertion order)."""
         self.fc.require(start)
         direction = Direction(direction)
         if direction is not Direction.BOTH:
             return self._one_sided(start, direction is Direction.FORWARD)
-        return two_sided(self._one_sided(start, True), self._one_sided(start, False))
+        fwd, bwd = self._one_sided(start, True), self._one_sided(start, False)
+        added: dict[str, int] = dict(bwd.added_round)
+        for oid, rnd in fwd.added_round.items():
+            added[oid] = min(rnd, added.get(oid, rnd))
+        return ExtendedOrbitSet(
+            start=start,
+            direction=Direction.BOTH,
+            members=fwd.members | bwd.members,
+            added_round=added,
+            depth=max(fwd.depth, bwd.depth),
+            self_readded=fwd.self_readded or bwd.self_readded,
+        )
+
+    def _reach_table(self, forward: bool) -> list[frozenset[str]]:
+        """``M(i)`` for every set ``i``: all that any set reachable from ``i``
+        adjoins, where set ``i`` reaches set ``j`` when an id ``i`` adjoins
+        fires ``j``.  Built once per direction, one strongly connected
+        component at a time, sinks first, so the sets of a component share
+        one frozenset and each component unions its successors' tables."""
+        table = self._reached.get(forward)
+        if table is None:
+            succ = [
+                list(dict.fromkeys(j for oid in self._adjoins(i, forward) for j in self._fired(oid, forward)))
+                for i in range(len(self.sets))
+            ]
+            table = self._reached[forward] = [frozenset()] * len(self.sets)
+            comp_of = [-1] * len(self.sets)
+            for c, comp in enumerate(_strong_components(succ)):
+                for i in comp:
+                    comp_of[i] = c
+                # each component below once, however many edges lead to it
+                below = {id(table[j]): table[j] for i in comp for j in succ[i] if comp_of[j] != c}
+                reached = frozenset().union(*(self._adjoins(i, forward) for i in comp), *below.values())
+                for i in comp:
+                    table[i] = reached
+        return table
+
+    def _reach(self, start: str, forward: bool) -> tuple[frozenset[str], bool]:
+        fired = self._fired(start, forward)
+        if not fired:
+            return frozenset({start}), False
+        table = self._reach_table(forward)
+        payload = table[fired[0]].union(*(table[i] for i in fired[1:])) if len(fired) > 1 else table[fired[0]]
+        if start in payload:
+            return payload, True
+        return payload | {start}, False
+
+    def reach(self, start: str, direction: Direction = Direction.BOTH) -> tuple[frozenset[str], bool]:
+        """``(members, self_readded)`` of ``orbit(start, direction)``, without
+        its rounds: the one-sided members are ``start`` plus ``M(i)`` of every
+        set ``i`` that ``start`` fires, and ``start`` is re-added exactly when
+        one of those ``M(i)`` holds it."""
+        self.fc.require(start)
+        direction = Direction(direction)
+        if direction is not Direction.BOTH:
+            return self._reach(start, direction is Direction.FORWARD)
+        (fwd, fwd_again), (bwd, bwd_again) = self._reach(start, True), self._reach(start, False)
+        # share one side's frozenset when it holds the other
+        members = fwd if bwd <= fwd else bwd if fwd <= bwd else fwd | bwd
+        return members, fwd_again or bwd_again
 
 
-def two_sided(fwd: ExtendedOrbitSet, bwd: ExtendedOrbitSet) -> ExtendedOrbitSet:
-    """The two-sided extension from the forward and backward fixpoints of one
-    seed: the union of their members, each added in the earlier of its two
-    rounds (backward entries first, in insertion order)."""
-    added: dict[str, int] = dict(bwd.added_round)
-    for oid, rnd in fwd.added_round.items():
-        added[oid] = min(rnd, added.get(oid, rnd))
-    return ExtendedOrbitSet(
-        start=fwd.start,
-        direction=Direction.BOTH,
-        members=fwd.members | bwd.members,
-        added_round=added,
-        depth=max(fwd.depth, bwd.depth),
-        self_readded=fwd.self_readded or bwd.self_readded,
-    )
+def _strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the digraph ``i -> succ[i]``, each
+    listed after every component it reaches (Tarjan 1972, iterative)."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(len(succ)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            v, k = work[-1]
+            if k < len(succ[v]):
+                work[-1] = (v, k + 1)
+                w = succ[v][k]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    return comps
 
 
 def extended_orbit(fc: FlowComplex, start: str, direction: Direction = Direction.BOTH) -> ExtendedOrbitSet:
@@ -337,7 +441,7 @@ def extended_limit_cycles(fc: FlowComplex) -> list[LimitCycle]:
     """Non-singleton unions of closed curves inside an extended orbit that are
     the declared alpha or omega limit of an orbit class outside them."""
     plain = Expansion.plain(fc)
-    return _limit_cycles(fc, lambda mid: plain.orbit(mid, Direction.BOTH).members)
+    return _limit_cycles(fc, lambda mid: plain.reach(mid, Direction.BOTH)[0])
 
 
 def _limit_cycles(fc: FlowComplex, members: Callable[[str], frozenset[str]]) -> list[LimitCycle]:
@@ -491,14 +595,14 @@ def generalized_extended_orbit(
     return Expansion.admit(fc, saddle_sets).orbit(start, direction)
 
 
-def generalized_saddle_sets(fc: FlowComplex) -> list[SaddleSetLike]:
+def generalized_saddle_sets(fc: FlowComplex) -> list[frozenset[str]]:
     """The expansion sets used by generalized recurrence: every singleton
     saddle plus every declared set whose isolated flag is true.
 
     Declared sets are cross-checked against the computed criteria; an
     inconsistent declaration is an error.
     """
-    sets: list[SaddleSetLike] = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
+    sets = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
     for decl in fc.saddle_set_decls:
         verdict = is_saddle_set(fc, decl.members)
         if not verdict.verdict:

@@ -92,8 +92,8 @@ def _all_extended_orbits_closed(cls: Classifier) -> Optional[str]:
 
 def _sides_meet_dense(cls: Classifier, xid: str) -> bool:
     dense = frozenset(o.id for o in cls.fc.orbit_classes if o.kind is OrbitKind.LOCALLY_DENSE)
-    fwd = cls.ext(xid, Direction.FORWARD).members
-    bwd = cls.ext(xid, Direction.BACKWARD).members
+    fwd = cls.reach(xid, Direction.FORWARD)[0]
+    bwd = cls.reach(xid, Direction.BACKWARD)[0]
     return bool(fwd & dense) and bool(bwd & dense)
 
 
@@ -106,10 +106,13 @@ def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
     name = "extended-periodic-finiteness"
     fc = cls.fc
     chains = [schema for schema in fc.accumulation_schemas if schema.kind is SchemaKind.SADDLE_CHAIN]
+    compact: dict[frozenset[str], bool] = {}  # decided once per distinct member set
     found = False
     for xid in sorted(fc.all_ids):
-        members = cls.ext(xid, Direction.BOTH).members
-        if not (has_periodic_member_kinds(fc, members) and cls.extension_closed(xid)):
+        members = cls.reach(xid, Direction.BOTH)[0]
+        if members not in compact:
+            compact[members] = has_periodic_member_kinds(fc, members) and cls.extension_closed(xid)
+        if not compact[members]:
             continue
         found = True
         for schema in chains:
@@ -124,7 +127,7 @@ def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
     """An extended limit cycle forces a wandering proper orbit equal to its own extension."""
     name = "limit-cycles-force-wandering"
     fc = cls.fc
-    cycles = _limit_cycles(fc, lambda mid: cls.ext(mid, Direction.BOTH).members)
+    cycles = _limit_cycles(fc, lambda mid: cls.reach(mid, Direction.BOTH)[0])
     if not cycles:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no extended limit cycles")
     if cls.nonwandering().verdict:
@@ -132,7 +135,7 @@ def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
     for o in fc.orbit_classes:
         if o.kind is not OrbitKind.PROPER:
             continue
-        if cls.ext(o.id, Direction.BOTH).members != frozenset({o.id}):
+        if cls.reach(o.id, Direction.BOTH)[0] != frozenset({o.id}):
             continue
         if o.id not in cls.routed:
             return TheoremResult(name, TheoremStatus.HOLDS, f"wandering witness {o.id}")

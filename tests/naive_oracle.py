@@ -12,12 +12,14 @@ from typing import NamedTuple
 from flowcomplex import Direction, FlowComplex, OrbitKind, RefKind, orbit_set_closure
 
 
-def _wing(fc: FlowComplex, sid: str, forward: bool) -> set[str]:
-    out = set()
+def _wings(fc: FlowComplex, forward: bool) -> dict[str, set[str]]:
+    """The classes leaving each single singularity on the departure side, from
+    one scan of every class."""
+    out: dict[str, set[str]] = {}
     for o in fc.orbit_classes:
         ref = o.alpha if forward else o.omega
-        if ref is not None and ref.kind is RefKind.SING and ref.ids == (sid,):
-            out.add(o.id)
+        if ref is not None and ref.kind is RefKind.SING and len(ref.ids) == 1:
+            out.setdefault(ref.ids[0], set()).add(o.id)
     return out
 
 
@@ -41,6 +43,7 @@ class NaiveExtension(NamedTuple):
 
 
 def _one_sided(fc: FlowComplex, start: str, forward: bool) -> NaiveExtension:
+    wings = _wings(fc, forward)
     members = {start}
     added_round = {start: 0}
     self_readded = False
@@ -50,7 +53,7 @@ def _one_sided(fc: FlowComplex, start: str, forward: bool) -> NaiveExtension:
         for oid in members:
             sid = _limit_saddle(fc, oid, forward)
             if sid is not None:
-                payload |= {sid} | _wing(fc, sid, forward)
+                payload |= {sid} | wings.get(sid, set())
         if start in payload:
             self_readded = True
         grown = members | payload
@@ -97,11 +100,12 @@ def naive_extended_pap(fc: FlowComplex) -> tuple[bool, tuple[str, str] | None]:
 
 def expand_once(fc: FlowComplex, members: frozenset[str], forward: bool) -> frozenset[str]:
     """One expansion round applied to an arbitrary member set."""
+    wings = _wings(fc, forward)
     payload: set[str] = set(members)
     for oid in members:
         sid = _limit_saddle(fc, oid, forward)
         if sid is not None:
-            payload |= {sid} | _wing(fc, sid, forward)
+            payload |= {sid} | wings.get(sid, set())
     return frozenset(payload)
 
 

@@ -42,7 +42,7 @@ from flowcomplex import (
     verify_theorems,
 )
 from flowcomplex.orbits import Expansion, generalized_saddle_sets
-from naive_oracle import naive_extended_pap
+from naive_oracle import naive_extended_orbit, naive_extended_pap
 
 
 def _two_center_sphere():
@@ -344,22 +344,80 @@ def _orbit_fields(ext):
     return ext.start, ext.direction, ext.members, list(ext.added_round.items()), ext.depth, ext.self_readded
 
 
-def test_two_sided_extension_from_kept_runs_matches_the_engine(gallery_complexes):
-    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
-    for fc in complexes:
+def test_ext_and_gen_ext_keep_the_engines_full_provenance(gallery_complexes):
+    for fc in gallery_complexes.values():
+        cls = Classifier(fc)
         engines = {"ext": Expansion.plain(fc), "gen_ext": Expansion.admit(fc, generalized_saddle_sets(fc))}
-        one_sided_first, both_first = Classifier(fc), Classifier(fc)
         for xid in sorted(fc.all_ids):
             for query, engine in engines.items():
-                expected = {d: _orbit_fields(engine.orbit(xid, d)) for d in Direction}
-                merged, fresh = getattr(one_sided_first, query), getattr(both_first, query)
-                for d in (Direction.FORWARD, Direction.BACKWARD, Direction.BOTH):
-                    assert _orbit_fields(merged(xid, d)) == expected[d], (query, xid, d)
-                for d in (Direction.BOTH, Direction.FORWARD, Direction.BACKWARD):
-                    assert _orbit_fields(fresh(xid, d)) == expected[d], (query, xid, d)
+                for d in Direction:
+                    assert _orbit_fields(getattr(cls, query)(xid, d)) == _orbit_fields(engine.orbit(xid, d)), (query, xid, d)
 
 
-def test_report_merges_the_kept_one_sided_runs(monkeypatch):
+def _has_set_cycle(engine, forward):
+    """Whether two distinct expansion sets reach each other, where set ``i``
+    steps to every set that an id ``i`` adjoins fires."""
+    succ = [{j for oid in engine._adjoins(i, forward) for j in engine._fired(oid, forward)} for i in range(len(engine.sets))]
+    reached = []
+    for i in range(len(succ)):
+        seen, stack = set(), [i]
+        while stack:
+            for j in succ[stack.pop()] - seen:
+                seen.add(j)
+                stack.append(j)
+        reached.append(seen)
+    return any(i in reached[j] for i in range(len(succ)) for j in reached[i] if j != i)
+
+
+# three saddles on a heteroclinic cycle s1 -> s2 -> s3 -> s1 with no way
+# back along it, so each set digraph is one 3-cycle and no 2-cycle
+DIRECTED_SADDLE_CYCLE = """\
+surface genus=0 orientable=true boundary=0
+sing s1 point kind=saddle
+sing s2 point kind=saddle
+sing s3 point kind=saddle
+sing so point kind=source
+sing so2 point kind=source
+sing si point kind=sink
+sing si2 point kind=sink
+sing si3 point kind=sink
+orbit o12 proper alpha=sing:s1 omega=sing:s2
+orbit o23 proper alpha=sing:s2 omega=sing:s3
+orbit o31 proper alpha=sing:s3 omega=sing:s1
+orbit i1 proper alpha=sing:so omega=sing:s1
+orbit i2 proper alpha=sing:so omega=sing:s2
+orbit i3 proper alpha=sing:so omega=sing:s3
+orbit e1 proper alpha=sing:s1 omega=sing:si
+orbit e2 proper alpha=sing:s2 omega=sing:si
+orbit e3 proper alpha=sing:s3 omega=sing:si
+orbit r proper alpha=sing:so omega=sing:si
+orbit r2 proper alpha=sing:so2 omega=sing:si2
+orbit r3 proper alpha=sing:so2 omega=sing:si3
+"""
+
+
+def test_reach_matches_the_oracles(gallery_complexes):
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    complexes += [build("nested_saddles_disk", {"n": 40}), build("double_center_sphere", {"n": 40})]
+    complexes.append(parse(DIRECTED_SADDLE_CYCLE))
+    cyclic = {"plain": 0, "generalized": 0}
+    for fc in complexes:
+        cls = Classifier(fc)
+        generalized = Expansion.admit(fc, generalized_saddle_sets(fc))
+        for xid in sorted(fc.all_ids):
+            for d in Direction:
+                assert cls.reach(xid, d) == naive_extended_orbit(fc, xid, d), (xid, d)
+                run = generalized.orbit(xid, d)
+                assert cls.reach(xid, d, generalized=True) == (run.members, run.self_readded), (xid, d)
+        for kind, engine in (("plain", cls._plain), ("generalized", cls._generalized)):
+            cyclic[kind] += sum(_has_set_cycle(engine, forward) for forward in (True, False))
+    # set digraphs (one per complex and direction) whose condensation merges
+    # two or more sets into one component: 144 and 240 of the corpus without
+    # the directed cycle, plus its two
+    assert cyclic == {"plain": 146, "generalized": 242}
+
+
+def test_reports_and_theorems_run_no_per_seed_fixpoint(monkeypatch):
     runs = []
     one_sided = Expansion._one_sided
 
@@ -371,6 +429,6 @@ def test_report_merges_the_kept_one_sided_runs(monkeypatch):
     fc = build("nested_saddles_disk", {"n": 40})
     assert len(fc.all_ids) == 200
     classification_report(fc)
-    # extended_recurrent keeps both one-sided runs of 78 ids, and the blocks
-    # merge them; rerunning both fixpoints for every block took 712 runs
-    assert len(runs) == 556
+    verify_theorems(fc)
+    # both read member sets from the condensation (Classifier.reach)
+    assert runs == []
