@@ -26,7 +26,7 @@ from .model import (
     Shape,
     singularity_accumulation,
 )
-from .orbits import Direction, ExtendedOrbitSet, Expansion, orbit_set_closure
+from .orbits import Direction, Expansion, orbit_set_closure
 
 
 @dataclass(frozen=True)
@@ -134,14 +134,6 @@ class Classifier:
             engine = self._generalized if generalized else self._plain
             found = self._reach[key] = engine.reach(xid, direction)
         return found
-
-    def ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
-        """The plain extended orbit of ``xid`` with its rounds (not kept)."""
-        return self._plain.orbit(xid, direction)
-
-    def gen_ext(self, xid: str, direction: Direction) -> ExtendedOrbitSet:
-        """The generalized extended orbit of ``xid`` with its rounds (not kept)."""
-        return self._generalized.orbit(xid, direction)
 
     def closure(self, xid: str) -> frozenset[str]:
         return self.fc.closure(xid)
@@ -384,21 +376,32 @@ class Classifier:
                     return True
         return False
 
+    @cached_property
+    def _non_saddle_singular(self) -> frozenset[str]:
+        return frozenset(s.id for s in self.fc.singular_sets if not s.is_saddle)
+
+    @cached_property
+    def _dense_closures(self) -> frozenset[str]:
+        """The union of the closures of the locally dense classes."""
+        out: set[str] = set()
+        for o in self.fc.orbit_classes:
+            if o.kind is OrbitKind.LOCALLY_DENSE:
+                out |= self.closure(o.id)
+        return frozenset(out)
+
     def dichotomy(self, xid: str) -> DichotomyCase:
-        fc = self.fc
+        """Which case holds for the closure of a non-closed extended orbit: two
+        set tests, against sets built once per ``Classifier``."""
         if not self.extended_recurrent().verdict:
             raise PreconditionError("dichotomy requires an extended recurrent flow")
         members = self.reach(xid, Direction.BOTH)[0]
         closure = self._closure_of_members(members)
         if closure <= members:
             raise PreconditionError(f"extended orbit of {xid!r} is closed")
-        for sid in sorted(closure):
-            sing = fc.sing_by_id.get(sid)
-            if sing is not None and not sing.is_saddle:
-                return DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE
-        for o in fc.orbit_classes:
-            if o.kind is OrbitKind.LOCALLY_DENSE and (self.closure(o.id) & members):
-                return DichotomyCase.MEETS_LOCALLY_DENSE
+        if not closure.isdisjoint(self._non_saddle_singular):
+            return DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE
+        if not members.isdisjoint(self._dense_closures):
+            return DichotomyCase.MEETS_LOCALLY_DENSE
         return DichotomyCase.VIOLATION
 
 

@@ -321,27 +321,6 @@ class FlowComplex:
         return s is not None and s.is_saddle
 
 
-def _ref_sites(fc: FlowComplex) -> Iterable[tuple[str, str]]:
-    """Yield (owner id, referenced id) for every id reference in the complex."""
-    for o in fc.orbit_classes:
-        for ref in (o.alpha, o.omega):
-            if ref is not None:
-                for rid in ref.ids:
-                    yield o.id, rid
-        if o.closure_decl:
-            for rid in o.closure_decl:
-                yield o.id, rid
-    for f in fc.families:
-        for rid in f.boundary0 | f.boundary1:
-            yield f.id, rid
-    for a in fc.accumulation_schemas:
-        for rid in (*a.samples, *a.target):
-            yield a.id, rid
-    for d in fc.saddle_set_decls:
-        for rid in d.members:
-            yield d.id, rid
-
-
 def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:
     """Ids adjoined to ``xid`` by one application of the closure rule."""
     if xid in fc.sing_by_id:
@@ -435,49 +414,6 @@ def partition_orbits(fc: FlowComplex) -> Partition:
     )
 
 
-def _check_saddle_slots(fc: FlowComplex, out: list[Violation]) -> None:
-    # Each saddle owns exactly 2 stable and 2 unstable separatrix slots.
-    # A slot is filled by an orbit class whose omega (stable) or alpha
-    # (unstable) is a point reference to that saddle; a homoclinic loop
-    # fills one slot of each kind.
-    stable: dict[str, int] = {s: 0 for s in fc.saddle_ids}
-    unstable: dict[str, int] = {s: 0 for s in fc.saddle_ids}
-    for o in fc.orbit_classes:
-        for ref, slots in ((o.omega, stable), (o.alpha, unstable)):
-            if ref is not None and ref.kind is RefKind.SING and ref.ids[0] in slots:
-                slots[ref.ids[0]] += 1
-    for sid in sorted(fc.saddle_ids):
-        if stable[sid] != 2 or unstable[sid] != 2:
-            out.append(
-                Violation(
-                    sid,
-                    "saddle-slot-count",
-                    f"stable slots filled: {stable[sid]}, unstable slots filled: {unstable[sid]} (need 2 + 2)",
-                )
-            )
-
-
-def _check_limit_ref_kinds(fc: FlowComplex, out: list[Violation]) -> None:
-    # sing: names a singular set and orbit: an orbit class; set: names
-    # several ids, or one that is not singular (a lone singularity is
-    # sing:, which the slot count sees).  Unknown ids are left to the
-    # unresolved-id rule.
-    known, sing = fc.all_ids, fc.sing_by_id
-    table = {RefKind.SING: sing, RefKind.ORBIT: fc.orbit_by_id}
-    for o in fc.orbit_classes:
-        for ref in (o.alpha, o.omega):
-            if ref is None:
-                continue
-            ids = ref.ids
-            if ref.kind is RefKind.SET:
-                wrong = not ids or (len(ids) == 1 and ids[0] in sing)
-            else:
-                wrong = ids[0] not in table[ref.kind] and ids[0] in known
-            if wrong:
-                detail = f"{ref.kind.value}:{','.join(ids)} names the wrong kind of piece"
-                out.append(Violation(o.id, "limit-ref-kind", detail))
-
-
 def _poincare_hopf_applies(fc: FlowComplex) -> bool:
     if not (fc.surface.closed and fc.surface.orientable):
         return False
@@ -515,33 +451,100 @@ def _raw_limit_ids(orb: OrbitClass) -> frozenset[str]:
     return frozenset(out)
 
 
-def _check_invariant_collection(fc: FlowComplex, owner: str, ids: frozenset[str], rule: str, out: list[Violation]) -> None:
-    """An invariant collection keeps the declared limits of its members inside itself."""
-    for mid in sorted(ids):
+def _check_unresolved(owner: str, ids: Iterable[str], known: frozenset[str], out: list[Violation]) -> None:
+    for rid in ids:
+        if rid not in known:
+            out.append(Violation(owner, "unresolved-id", f"reference to unknown id {rid!r}"))
+
+
+def _escapes(fc: FlowComplex, ids: frozenset[str]) -> list[str]:
+    """An invariant collection keeps the declared limits of its members inside
+    itself: how the collection ``ids`` breaks that, one detail per member."""
+    escaping = []
+    for mid in ids:
         orb = fc.orbit_by_id.get(mid)
-        if orb is None:
+        # dense members answer for themselves through their declared closure
+        if orb is None or orb.kind is OrbitKind.LOCALLY_DENSE or orb.kind is OrbitKind.EXCEPTIONAL:
             continue
-        if orb.kind in (OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL):
-            # dense members answer for themselves through their declared closure
-            continue
-        escape = _raw_limit_ids(orb) - ids
-        if escape:
-            out.append(Violation(owner, rule, f"limits of {mid} escape to {sorted(escape)}"))
+        alpha, omega = orb.alpha, orb.omega
+        if (alpha is not None and not ids.issuperset(alpha.ids)) or (omega is not None and not ids.issuperset(omega.ids)):
+            escaping.append(mid)
+    return [f"limits of {mid} escape to {sorted(_raw_limit_ids(fc.orbit_by_id[mid]) - ids)}" for mid in sorted(escaping)]
 
 
 def validate(fc: FlowComplex) -> ValidationReport:
-    """Check every structural invariant; the report lists all violations found."""
-    out: list[Violation] = []
+    """Check every structural invariant; the report lists all violations found.
 
-    known = fc.all_ids
-    for owner, rid in _ref_sites(fc):
-        if rid not in known:
-            out.append(Violation(owner, "unresolved-id", f"reference to unknown id {rid!r}"))
+    One pass over the orbit classes applies their record-local rules and
+    gathers what the others need; the closure-based rules run only when
+    every reference resolves.  Violations are listed rule group by rule
+    group, in the order of the sections below.
+    """
+    known, sing, orbit_by_id = fc.all_ids, fc.sing_by_id, fc.orbit_by_id
+    unresolved: list[Violation] = []
+    ref_kinds: list[Violation] = []
+    kind_rules: list[Violation] = []
+    declared: list[OrbitClass] = []  # dense or exceptional classes with a declared closure
+    ld_ids: list[str] = []
+    set_refs: list[tuple[str, frozenset[str]]] = []
+    # each saddle owns exactly 2 stable and 2 unstable separatrix slots; a
+    # slot is filled by an orbit class whose omega (stable) or alpha
+    # (unstable) is a point reference to it, so a homoclinic loop fills one
+    # of each
+    slots = {sid: [0, 0] for sid in fc.saddle_ids}
+
+    for o in fc.orbit_classes:
+        oid, kind, decl = o.id, o.kind, o.closure_decl
+        for ref, slot in ((o.alpha, 1), (o.omega, 0)):
+            if ref is None:
+                continue
+            ids = ref.ids
+            if not known.issuperset(ids):
+                _check_unresolved(oid, ids, known, unresolved)
+            # sing: names a singular set and orbit: an orbit class; set: names
+            # several ids, or one that is not singular (a lone singularity is
+            # sing:, which the slot count sees); unknown ids are reported above
+            if ref.kind is RefKind.SET:
+                wrong = not ids or (len(ids) == 1 and ids[0] in sing)
+                set_refs.append((oid, ref.resolved()))
+            else:
+                first = ids[0]
+                wrong = first not in (sing if ref.kind is RefKind.SING else orbit_by_id) and first in known
+                if ref.kind is RefKind.SING and first in slots:
+                    slots[first][slot] += 1
+            if wrong:
+                detail = f"{ref.kind.value}:{','.join(ids)} names the wrong kind of piece"
+                ref_kinds.append(Violation(oid, "limit-ref-kind", detail))
+        if decl and not decl <= known:
+            _check_unresolved(oid, decl, known, unresolved)
+        if kind is OrbitKind.PROPER:
+            if o.alpha is None or o.omega is None:
+                kind_rules.append(Violation(oid, "proper-missing-limit", "proper non-closed orbits carry both limits"))
+        elif kind is OrbitKind.PERIODIC:
+            if o.alpha is not None or o.omega is not None:
+                kind_rules.append(Violation(oid, "periodic-has-limit", "periodic orbits are their own limit sets"))
+        else:
+            if kind is OrbitKind.LOCALLY_DENSE:
+                ld_ids.append(oid)
+            if not decl:
+                kind_rules.append(Violation(oid, "dense-missing-closure", "dense classes declare their closure"))
+            else:
+                declared.append(o)
+                if oid not in decl:
+                    kind_rules.append(Violation(oid, "closure-missing-self", "a closure contains the class itself"))
+
+    for f in fc.families:
+        if not (f.boundary0 <= known and f.boundary1 <= known):
+            _check_unresolved(f.id, f.boundary0 | f.boundary1, known, unresolved)
+    for a in fc.accumulation_schemas:
+        _check_unresolved(a.id, (*a.samples, *a.target), known, unresolved)
+    for d in fc.saddle_set_decls:
+        if not d.members <= known:
+            _check_unresolved(d.id, d.members, known, unresolved)
     # closure-based checks need resolvable references; everything record-local
     # still runs so the report stays complete
-    refs_ok = not out
-
-    _check_limit_ref_kinds(fc, out)
+    refs_ok = not unresolved
+    out = unresolved + ref_kinds
 
     for s in fc.singular_sets:
         if s.shape is Shape.POINT:
@@ -549,26 +552,14 @@ def validate(fc: FlowComplex) -> ValidationReport:
                 out.append(Violation(s.id, "point-missing-kind", "point singularity needs a kind"))
         elif s.kind is not None:
             out.append(Violation(s.id, "continuum-kind", "arc/circle singular sets carry no point kind"))
+    out += kind_rules
 
-    for o in fc.orbit_classes:
-        if o.kind is OrbitKind.PROPER:
-            if o.alpha is None or o.omega is None:
-                out.append(Violation(o.id, "proper-missing-limit", "proper non-closed orbits carry both limits"))
-        elif o.kind is OrbitKind.PERIODIC:
-            if o.alpha is not None or o.omega is not None:
-                out.append(Violation(o.id, "periodic-has-limit", "periodic orbits are their own limit sets"))
-        else:
-            if not o.closure_decl:
-                out.append(Violation(o.id, "dense-missing-closure", "dense classes declare their closure"))
-            elif o.id not in o.closure_decl:
-                out.append(Violation(o.id, "closure-missing-self", "a closure contains the class itself"))
-
-    # declared closures must already be closed, and locally dense classes
-    # listed together must agree on their shared minimal closure
-    ld_ids = frozenset(o.id for o in fc.orbit_classes if o.kind is OrbitKind.LOCALLY_DENSE)
-    for o in fc.orbit_classes:
-        if o.kind in (OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL) and o.closure_decl and refs_ok:
-            computed = closure_of(fc, o.id)
+    if refs_ok:
+        # declared closures must already be closed, and locally dense classes
+        # listed together must agree on their shared minimal closure
+        dense = frozenset(ld_ids)
+        for o in declared:
+            computed = fc.closure(o.id)
             if computed != o.closure_decl:
                 out.append(
                     Violation(
@@ -577,32 +568,33 @@ def validate(fc: FlowComplex) -> ValidationReport:
                         f"declared closure is not closed; closing adds {sorted(computed - o.closure_decl)}",
                     )
                 )
-        if o.kind is OrbitKind.LOCALLY_DENSE and o.closure_decl and refs_ok:
-            mine = o.closure_decl & ld_ids
-            for other in sorted(mine - {o.id}):
-                decl = fc.orbit_by_id[other].closure_decl or frozenset()
-                if decl & ld_ids != mine:
-                    out.append(
-                        Violation(
-                            o.id,
-                            "locally-dense-closure-mismatch",
-                            f"{other} does not share the same dense part of the closure",
+            if o.kind is OrbitKind.LOCALLY_DENSE:
+                mine = o.closure_decl & dense
+                for other in sorted(mine - {o.id}):
+                    if (orbit_by_id[other].closure_decl or frozenset()) & dense != mine:
+                        out.append(
+                            Violation(
+                                o.id,
+                                "locally-dense-closure-mismatch",
+                                f"{other} does not share the same dense part of the closure",
+                            )
                         )
-                    )
+        for oid, ids in set_refs:
+            out.extend(Violation(oid, "set-ref-not-invariant", detail) for detail in _escapes(fc, ids))
 
-    if refs_ok:
-        for o in fc.orbit_classes:
-            for ref in (o.alpha, o.omega):
-                if ref is not None and ref.kind is RefKind.SET:
-                    _check_invariant_collection(fc, o.id, ref.resolved(), "set-ref-not-invariant", out)
-
+    escapes: dict[frozenset[str], list[str]] = {}  # per distinct boundary: neighbours share one
     for f in fc.families:
         for bset, shrinks in f.boundaries():
             if refs_ok:
-                _check_invariant_collection(fc, f.id, bset, "family-boundary-not-invariant", out)
-            single_point = len(bset) == 1 and next(iter(bset)) in fc.sing_by_id and fc.sing_by_id[
-                next(iter(bset))
-            ].shape is Shape.POINT
+                details = escapes.get(bset)
+                if details is None:
+                    details = escapes[bset] = _escapes(fc, bset)
+                if details:
+                    out.extend(Violation(f.id, "family-boundary-not-invariant", detail) for detail in details)
+            single_point = False
+            if len(bset) == 1:
+                [bid] = bset
+                single_point = bid in sing and sing[bid].shape is Shape.POINT
             if shrinks and not single_point:
                 out.append(Violation(f.id, "shrink-boundary-not-point", "a shrinking boundary is a single point singularity"))
             if single_point and not shrinks:
@@ -615,10 +607,10 @@ def validate(fc: FlowComplex) -> ValidationReport:
         if set(a.samples) & a.target:
             out.append(Violation(a.id, "schema-target-overlap", "target must be disjoint from samples"))
         if a.kind is SchemaKind.SINGULARITY_SEQUENCE:
-            bad = [s for s in a.samples if s not in fc.sing_by_id]
+            bad = [s for s in a.samples if s not in sing]
             if bad:
                 out.append(Violation(a.id, "schema-sample-kind", f"singularity sequence samples must be singular: {bad}"))
-            nonsing = [t for t in sorted(a.target) if t not in fc.sing_by_id]
+            nonsing = [t for t in sorted(a.target) if t not in sing]
             if nonsing:
                 out.append(Violation(a.id, "schema-target-kind", f"limit of singularities must be singular: {nonsing}"))
         elif a.kind is SchemaKind.FAMILY_SEQUENCE:
@@ -626,16 +618,25 @@ def validate(fc: FlowComplex) -> ValidationReport:
             if bad:
                 out.append(Violation(a.id, "schema-sample-kind", f"family sequence samples must be families: {bad}"))
         else:  # saddle chain: a pattern of saddles and the orbits joining them
-            bad = [s for s in a.samples if not (fc.is_saddle(s) or s in fc.orbit_by_id)]
+            bad = [s for s in a.samples if not (s in fc.saddle_ids or s in orbit_by_id)]
             if bad:
                 out.append(Violation(a.id, "schema-sample-kind", f"saddle chain samples must be saddles or orbits: {bad}"))
 
     if refs_ok:
         for d in fc.saddle_set_decls:
             for mid in sorted(d.members):
-                if closure_of(fc, mid) - d.members:
+                if not fc.closure(mid) <= d.members:
                     out.append(Violation(d.id, "saddleset-not-invariant", f"closure of {mid} escapes the declared set"))
 
-    _check_saddle_slots(fc, out)
+    for sid in sorted(slots):
+        stable, unstable = slots[sid]
+        if stable != 2 or unstable != 2:
+            out.append(
+                Violation(
+                    sid,
+                    "saddle-slot-count",
+                    f"stable slots filled: {stable}, unstable slots filled: {unstable} (need 2 + 2)",
+                )
+            )
     _check_poincare_hopf(fc, out)
     return ValidationReport(tuple(out))

@@ -382,17 +382,13 @@ def has_periodic_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
     return True
 
 
-def is_periodic_extension(fc: FlowComplex, ext: ExtendedOrbitSet) -> bool:
-    """A compact extended orbit that is more than a single point: its
-    members have the kinds ``has_periodic_member_kinds`` admits, and the
-    member set is already closed.
-    """
-    return has_periodic_member_kinds(fc, ext.members) and orbit_set_is_closed(fc, ext.members)
-
-
 def is_extended_periodic(fc: FlowComplex, xid: str) -> bool:
-    """Whether the two-sided extended orbit of ``xid`` is extended periodic."""
-    return is_periodic_extension(fc, extended_orbit(fc, xid, Direction.BOTH))
+    """Whether the two-sided extended orbit of ``xid`` is extended periodic: a
+    compact extended orbit that is more than a single point, so its members
+    have the kinds ``has_periodic_member_kinds`` admits and the member set is
+    already closed."""
+    members = extended_orbit(fc, xid, Direction.BOTH).members
+    return has_periodic_member_kinds(fc, members) and orbit_set_is_closed(fc, members)
 
 
 class CycleSide(str, Enum):

@@ -26,8 +26,8 @@ is left to validation.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import (
     AccumulationSchema,
@@ -47,8 +47,6 @@ from .model import (
     SurfaceInfo,
 )
 
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 @dataclass(frozen=True)
 class ParseError:
@@ -66,232 +64,307 @@ class ParseErrors(FlowComplexError):
         super().__init__("; ".join(str(e) for e in errors))
 
 
-class _LineParser:
-    def __init__(self, lineno: int, text: str):
-        self.lineno = lineno
-        self.text = text
-        self.errors: list[ParseError] = []
-
-    def col(self, token: str) -> int:
-        pos = self.text.find(token)
-        return pos + 1 if pos >= 0 else 1
-
-    def fail(self, token: str, message: str) -> None:
-        self.errors.append(ParseError(self.lineno, self.col(token), message))
+def _column(raw: str, tokens: list[str], i: int, offset: int) -> int:
+    """1-based column of ``offset`` characters into token ``i`` of ``raw``."""
+    pos = 0
+    for tok in tokens[: i + 1]:
+        pos = raw.index(tok, pos) + len(tok)
+    return pos - len(tokens[i]) + offset + 1
 
 
-def _split_fields(lp: _LineParser, tokens: list[str], allowed: frozenset[str]) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for tok in tokens:
-        if "=" not in tok:
-            lp.fail(tok, f"expected key=value, got {tok!r}")
-            continue
-        key, value = tok.split("=", 1)
-        if key not in allowed:
-            lp.fail(tok, f"unknown field {key!r}")
-            continue
-        if key in fields:
-            lp.fail(tok, f"duplicate field {key!r}")
-            continue
-        if not value:
-            lp.fail(tok, f"empty value for {key!r}")
-            continue
-        fields[key] = value
-    return fields
+class _Reader:
+    """One document's records, seen ids and errors, read one line at a time.
 
+    A record method checks the line in ``tokens`` and appends what it
+    builds.  A failed check adds ``(token index, offset, message)`` to
+    ``pending``; ``parse`` turns those into ``ParseError``s, locating the
+    tokens only on lines that fail.  Equal reference and id-set values are
+    checked and built once and then shared.
+    """
 
-def _parse_bool(lp: _LineParser, key: str, value: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    lp.fail(value, f"{key} must be true or false")
-    return False
+    def __init__(self) -> None:
+        self.surface: SurfaceInfo | None = None
+        self.sing: list[SingularSet] = []
+        self.orbits: list[OrbitClass] = []
+        self.families: list[Family] = []
+        self.schemas: list[AccumulationSchema] = []
+        self.decls: list[SaddleSetDecl] = []
+        self.pending: list[tuple[int, int, str]] = []
+        self.tokens: list[str] = []
+        self.start = 0  # index of the line's first key=value token
+        self._refs: dict[str, LimitRef] = {}
+        self._id_sets: dict[str, frozenset[str]] = {}
 
+    def fail(self, i: int, message: str, offset: int = 0) -> None:
+        self.pending.append((i, offset, message))
 
-def _parse_int(lp: _LineParser, key: str, value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        lp.fail(value, f"{key} must be an integer")
-        return 0
-    return n
+    def fail_field(self, key: str, message: str, offset: int = 0) -> None:
+        """Fail at ``offset`` characters into the value of field ``key``: the
+        first ``key=`` token with a value, which is the one ``fields`` kept."""
+        tokens = self.tokens
+        for i in range(self.start, len(tokens)):
+            k, _, value = tokens[i].partition("=")
+            if k == key and value:
+                self.fail(i, message, len(key) + 1 + offset)
+                return
 
+    def fields(self, start: int, allowed: tuple[str, ...]) -> dict[str, str]:
+        self.start = start
+        fields: dict[str, str] = {}
+        for i, tok in enumerate(self.tokens[start:], start):
+            key, eq, value = tok.partition("=")
+            if value and key in allowed and key not in fields:
+                fields[key] = value
+            elif not eq:
+                self.fail(i, f"expected key=value, got {tok!r}")
+            elif key not in allowed:
+                self.fail(i, f"unknown field {key!r}")
+            elif key in fields:
+                self.fail(i, f"duplicate field {key!r}")
+            else:
+                self.fail(i, f"empty value for {key!r}")
+        return fields
 
-def _parse_id(lp: _LineParser, value: str) -> str:
-    if not _ID_RE.match(value):
-        lp.fail(value, f"bad identifier {value!r}")
-    return value
+    def require(self, fields: dict[str, str], keys: tuple[str, ...]) -> None:
+        """``keys`` in sorted order, so missing ones are reported in that order."""
+        for key in keys:
+            if key not in fields:
+                self.fail(0, f"{self.tokens[0]} record is missing {key}")
 
-
-def _parse_id_list(lp: _LineParser, value: str) -> tuple[str, ...]:
-    return tuple(_parse_id(lp, part) for part in value.split(","))
-
-
-def _parse_ref(lp: _LineParser, value: str) -> LimitRef | None:
-    if ":" not in value:
-        lp.fail(value, f"limit reference needs a sing:/orbit:/set: prefix, got {value!r}")
-        return None
-    prefix, rest = value.split(":", 1)
-    if prefix == "sing":
-        return LimitRef.sing(_parse_id(lp, rest))
-    if prefix == "orbit":
-        return LimitRef.orbit(_parse_id(lp, rest))
-    if prefix == "set":
-        return LimitRef.of_set(_parse_id_list(lp, rest))
-    lp.fail(value, f"unknown reference kind {prefix!r}")
-    return None
-
-
-def _enum_value(lp: _LineParser, enum_cls, value: str, what: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
+    def unknown(self, enum_cls, value: str, what: str, key: str | None = None) -> None:
+        """``value`` spells no member of ``enum_cls``: fail at token 2, or at field ``key``."""
         choices = ", ".join(e.value for e in enum_cls)
-        lp.fail(value, f"unknown {what} {value!r} (one of: {choices})")
+        message = f"unknown {what} {value!r} (one of: {choices})"
+        if key is None:
+            self.fail(2, message)
+        else:
+            self.fail_field(key, message)
+
+    def flag(self, fields: dict[str, str], key: str) -> bool:
+        value = fields.get(key)
+        if value is None or value == "false":
+            return False
+        if value == "true":
+            return True
+        self.fail_field(key, f"{key} must be true or false")
+        return False
+
+    def integer(self, fields: dict[str, str], key: str) -> int:
+        try:
+            return int(fields[key])
+        except ValueError:
+            self.fail_field(key, f"{key} must be an integer")
+            return 0
+
+    def ids(self, key: str, value: str, offset: int = 0) -> list[str] | None:
+        """The ids of the comma list ``value``, ``offset`` characters into field
+        ``key``, or None after failing at each bad one."""
+        parts = value.split(",")
+        if value.isascii() and all(map(str.isidentifier, parts)):
+            return parts
+        for part in parts:
+            if not (part.isidentifier() and part.isascii()):
+                self.fail_field(key, f"bad identifier {part!r}", offset)
+            offset += len(part) + 1
         return None
+
+    def id_set(self, key: str, value: str) -> frozenset[str] | None:
+        found = self._id_sets.get(value)
+        if found is None:
+            parts = self.ids(key, value)
+            if parts is not None:
+                found = self._id_sets[value] = frozenset(parts)
+        return found
+
+    def ref(self, key: str, value: str) -> LimitRef | None:
+        found = self._refs.get(value)
+        if found is not None:
+            return found
+        prefix, colon, rest = value.partition(":")
+        if not colon:
+            self.fail_field(key, f"limit reference needs a sing:/orbit:/set: prefix, got {value!r}")
+            return None
+        kind = RefKind._value2member_map_.get(prefix)
+        if kind is None:
+            self.fail_field(key, f"unknown reference kind {prefix!r}")
+            return None
+        if kind is RefKind.SET:
+            ids = self.ids(key, rest, 4)
+            if ids is None:
+                return None
+            found = LimitRef(kind, tuple(sorted(set(ids))))
+        elif rest.isidentifier() and rest.isascii():
+            found = LimitRef(kind, (rest,))
+        else:
+            self.fail_field(key, f"bad identifier {rest!r}", len(prefix) + 1)
+            return None
+        self._refs[value] = found
+        return found
+
+    # -- one method per record kind ------------------------------------------
+
+    def surface_record(self) -> None:
+        if self.surface is not None:
+            self.fail(0, "duplicate surface record")
+        fields = self.fields(1, ("genus", "orientable", "boundary"))
+        if len(fields) < 3:
+            self.require(fields, ("boundary", "genus", "orientable"))
+        if self.pending:
+            return
+        genus = self.integer(fields, "genus")
+        orientable = self.flag(fields, "orientable")
+        boundary = self.integer(fields, "boundary")
+        if genus < 0:
+            self.fail_field("genus", "genus must be non-negative")
+        if boundary < 0:
+            self.fail_field("boundary", "boundary must be non-negative")
+        if not self.pending:
+            self.surface = SurfaceInfo(genus, orientable, boundary)
+
+    def sing_record(self, rid: str) -> None:
+        tokens = self.tokens
+        if len(tokens) < 3:
+            self.fail(0, "sing record needs a shape")
+            return
+        shape = Shape._value2member_map_.get(tokens[2])
+        if shape is None:
+            self.unknown(Shape, tokens[2], "shape")
+        fields = self.fields(3, ("kind",))
+        kind = None
+        if shape is Shape.POINT:
+            value = fields.get("kind")
+            if value is not None:
+                kind = PointKind._value2member_map_.get(value)
+                if kind is None:
+                    self.unknown(PointKind, value, "point kind", "kind")
+            else:
+                self.fail(2, "point singularities need kind=")
+        elif "kind" in fields:
+            self.fail_field("kind", "arc/circle singular sets take no kind")
+        if not self.pending:
+            self.sing.append(SingularSet(rid, shape, kind))
+
+    def orbit_record(self, rid: str) -> None:
+        tokens = self.tokens
+        if len(tokens) < 3:
+            self.fail(0, "orbit record needs a kind")
+            return
+        kind = OrbitKind._value2member_map_.get(tokens[2])
+        if kind is None:
+            self.unknown(OrbitKind, tokens[2], "orbit kind")
+        fields = self.fields(3, ("alpha", "omega", "closure"))
+        alpha = omega = closure = None
+        if fields:
+            value = fields.get("alpha")
+            if value is not None:
+                alpha = self.ref("alpha", value)
+            value = fields.get("omega")
+            if value is not None:
+                omega = self.ref("omega", value)
+            value = fields.get("closure")
+            if value is not None:
+                closure = self.id_set("closure", value)
+        if not self.pending:
+            self.orbits.append(OrbitClass(rid, kind, alpha, omega, closure))
+
+    def family_record(self, rid: str) -> None:
+        fields = self.fields(2, ("kind", "b0", "b1", "shrinks0", "shrinks1"))
+        if not ("kind" in fields and "b0" in fields and "b1" in fields):
+            self.require(fields, ("b0", "b1", "kind"))
+        if self.pending:
+            return
+        kind = FamilyKind._value2member_map_.get(fields["kind"])
+        if kind is None:
+            self.unknown(FamilyKind, fields["kind"], "family kind", "kind")
+        b0 = self.id_set("b0", fields["b0"])
+        b1 = self.id_set("b1", fields["b1"])
+        s0 = self.flag(fields, "shrinks0")
+        s1 = self.flag(fields, "shrinks1")
+        if not self.pending:
+            self.families.append(Family(rid, kind, b0, b1, s0, s1))
+
+    def accum_record(self, rid: str) -> None:
+        fields = self.fields(2, ("kind", "samples", "target"))
+        if len(fields) < 3:
+            self.require(fields, ("kind", "samples", "target"))
+        if self.pending:
+            return
+        kind = SchemaKind._value2member_map_.get(fields["kind"])
+        if kind is None:
+            self.unknown(SchemaKind, fields["kind"], "schema kind", "kind")
+        samples = self.ids("samples", fields["samples"])
+        target = self.id_set("target", fields["target"])
+        if not self.pending:
+            self.schemas.append(AccumulationSchema(rid, kind, tuple(samples), target))
+
+    def saddleset_record(self, rid: str) -> None:
+        fields = self.fields(2, ("members", "isolated"))
+        if len(fields) < 2:
+            self.require(fields, ("isolated", "members"))
+        if self.pending:
+            return
+        members = self.id_set("members", fields["members"])
+        isolated = self.flag(fields, "isolated")
+        if not self.pending:
+            self.decls.append(SaddleSetDecl(rid, members, isolated))
 
 
 def parse(text: str) -> FlowComplex:
     """Parse a document; raises ``ParseErrors`` carrying every syntax error found."""
+    r = _Reader()
+    records = {
+        "sing": r.sing_record,
+        "orbit": r.orbit_record,
+        "family": r.family_record,
+        "accum": r.accum_record,
+        "saddleset": r.saddleset_record,
+    }
+    pending = r.pending
     errors: list[ParseError] = []
-    surface: SurfaceInfo | None = None
-    surface_seen = False
     seen_ids: dict[str, int] = {}
-    sing: list[SingularSet] = []
-    orbits: list[OrbitClass] = []
-    families: list[Family] = []
-    schemas: list[AccumulationSchema] = []
-    decls: list[SaddleSetDecl] = []
+    surface_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        lp = _LineParser(lineno, raw)
-        tokens = line.split()
+        r.tokens = tokens
         head = tokens[0]
-
         if not surface_seen and head != "surface":
-            lp.fail(head, "the first record must be a surface line")
-            surface_seen = True  # report once, keep collecting other errors
-
-        if head == "surface":
-            if surface is not None:
-                lp.fail(head, "duplicate surface record")
-            surface_seen = True
-            fields = _split_fields(lp, tokens[1:], frozenset({"genus", "orientable", "boundary"}))
-            missing = {"genus", "orientable", "boundary"} - set(fields)
-            for key in sorted(missing):
-                lp.fail(head, f"surface record is missing {key}")
-            if not lp.errors:
-                genus = _parse_int(lp, "genus", fields["genus"])
-                orientable = _parse_bool(lp, "orientable", fields["orientable"])
-                boundary = _parse_int(lp, "boundary", fields["boundary"])
-                if genus < 0:
-                    lp.fail(fields["genus"], "genus must be non-negative")
-                if boundary < 0:
-                    lp.fail(fields["boundary"], "boundary must be non-negative")
-                if not lp.errors:
-                    surface = SurfaceInfo(genus, orientable, boundary)
-            errors.extend(lp.errors)
-            continue
-
-        if head not in ("sing", "orbit", "family", "accum", "saddleset"):
-            lp.fail(head, f"unknown record kind {head!r}")
-            errors.extend(lp.errors)
-            continue
-        if len(tokens) < 2:
-            lp.fail(head, f"{head} record needs an identifier")
-            errors.extend(lp.errors)
-            continue
-        rid = _parse_id(lp, tokens[1])
-        if rid in seen_ids:
-            lp.fail(tokens[1], f"duplicate id {rid!r} (first declared on line {seen_ids[rid]})")
+            r.fail(0, "the first record must be a surface line")
+        surface_seen = True  # a misplaced surface line is reported once
+        read = records.get(head)
+        if read is not None:
+            if len(tokens) < 2:
+                r.fail(0, f"{head} record needs an identifier")
+            else:
+                rid = tokens[1]
+                if not (rid.isidentifier() and rid.isascii()):
+                    r.fail(1, f"bad identifier {rid!r}")
+                first = seen_ids.setdefault(rid, lineno)
+                if first != lineno:
+                    r.fail(1, f"duplicate id {rid!r} (first declared on line {first})")
+                read(rid)
+        elif head == "surface":
+            r.surface_record()
         else:
-            seen_ids[rid] = lineno
+            r.fail(0, f"unknown record kind {head!r}")
+        if pending:
+            errors.extend(ParseError(lineno, _column(raw, tokens, i, at), message) for i, at, message in pending)
+            pending.clear()
 
-        if head == "sing":
-            if len(tokens) < 3:
-                lp.fail(head, "sing record needs a shape")
-                errors.extend(lp.errors)
-                continue
-            shape = _enum_value(lp, Shape, tokens[2], "shape")
-            fields = _split_fields(lp, tokens[3:], frozenset({"kind"}))
-            kind = None
-            if shape is Shape.POINT:
-                if "kind" not in fields:
-                    lp.fail(tokens[2], "point singularities need kind=")
-                else:
-                    kind = _enum_value(lp, PointKind, fields["kind"], "point kind")
-            elif "kind" in fields:
-                lp.fail(fields["kind"], "arc/circle singular sets take no kind")
-            if not lp.errors and shape is not None:
-                sing.append(SingularSet(rid, shape, kind))
-
-        elif head == "orbit":
-            if len(tokens) < 3:
-                lp.fail(head, "orbit record needs a kind")
-                errors.extend(lp.errors)
-                continue
-            kind = _enum_value(lp, OrbitKind, tokens[2], "orbit kind")
-            fields = _split_fields(lp, tokens[3:], frozenset({"alpha", "omega", "closure"}))
-            alpha = _parse_ref(lp, fields["alpha"]) if "alpha" in fields else None
-            omega = _parse_ref(lp, fields["omega"]) if "omega" in fields else None
-            closure = frozenset(_parse_id_list(lp, fields["closure"])) if "closure" in fields else None
-            if not lp.errors and kind is not None:
-                orbits.append(OrbitClass(rid, kind, alpha=alpha, omega=omega, closure_decl=closure))
-
-        elif head == "family":
-            fields = _split_fields(
-                lp, tokens[2:], frozenset({"kind", "b0", "b1", "shrinks0", "shrinks1"})
-            )
-            for key in sorted({"kind", "b0", "b1"} - set(fields)):
-                lp.fail(head, f"family record is missing {key}")
-            if not lp.errors:
-                kind = _enum_value(lp, FamilyKind, fields["kind"], "family kind")
-                b0 = frozenset(_parse_id_list(lp, fields["b0"]))
-                b1 = frozenset(_parse_id_list(lp, fields["b1"]))
-                s0 = _parse_bool(lp, "shrinks0", fields["shrinks0"]) if "shrinks0" in fields else False
-                s1 = _parse_bool(lp, "shrinks1", fields["shrinks1"]) if "shrinks1" in fields else False
-                if not lp.errors and kind is not None:
-                    families.append(Family(rid, kind, b0, b1, s0, s1))
-
-        elif head == "accum":
-            fields = _split_fields(lp, tokens[2:], frozenset({"kind", "samples", "target"}))
-            for key in sorted({"kind", "samples", "target"} - set(fields)):
-                lp.fail(head, f"accum record is missing {key}")
-            if not lp.errors:
-                kind = _enum_value(lp, SchemaKind, fields["kind"], "schema kind")
-                samples = _parse_id_list(lp, fields["samples"])
-                target = frozenset(_parse_id_list(lp, fields["target"]))
-                if not lp.errors and kind is not None:
-                    schemas.append(AccumulationSchema(rid, kind, samples, target))
-
-        else:  # saddleset
-            fields = _split_fields(lp, tokens[2:], frozenset({"members", "isolated"}))
-            for key in sorted({"members", "isolated"} - set(fields)):
-                lp.fail(head, f"saddleset record is missing {key}")
-            if not lp.errors:
-                members = frozenset(_parse_id_list(lp, fields["members"]))
-                isolated = _parse_bool(lp, "isolated", fields["isolated"])
-                if not lp.errors:
-                    decls.append(SaddleSetDecl(rid, members, isolated))
-
-        errors.extend(lp.errors)
-
-    if surface is None and not any("surface" in e.message for e in errors):
+    if r.surface is None and not any("surface" in e.message for e in errors):
         errors.append(ParseError(1, 1, "missing surface record"))
     if errors:
         raise ParseErrors(errors)
-    assert surface is not None
+    by_id = attrgetter("id")
     return FlowComplex(
-        surface,
-        tuple(sorted(sing, key=lambda r: r.id)),
-        tuple(sorted(orbits, key=lambda r: r.id)),
-        tuple(sorted(families, key=lambda r: r.id)),
-        tuple(sorted(schemas, key=lambda r: r.id)),
-        tuple(sorted(decls, key=lambda r: r.id)),
+        r.surface,
+        tuple(sorted(r.sing, key=by_id)),
+        tuple(sorted(r.orbits, key=by_id)),
+        tuple(sorted(r.families, key=by_id)),
+        tuple(sorted(r.schemas, key=by_id)),
+        tuple(sorted(r.decls, key=by_id)),
     )
 
 

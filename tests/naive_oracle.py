@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from flowcomplex import Direction, FlowComplex, OrbitKind, RefKind, orbit_set_closure
+from flowcomplex import DichotomyCase, Direction, FlowComplex, OrbitKind, RefKind, closure_of, orbit_set_closure
 
 
 def _wings(fc: FlowComplex, forward: bool) -> dict[str, set[str]]:
@@ -96,6 +96,20 @@ def naive_extended_pap(fc: FlowComplex) -> tuple[bool, tuple[str, str] | None]:
             if blocks[x] & blocks[y] and blocks[x] != blocks[y]:
                 return False, (x, y)
     return True, None
+
+
+def naive_dichotomy(fc: FlowComplex, xid: str) -> DichotomyCase:
+    """The dichotomy case of a non-closed extended orbit by scans: every id of
+    its closure in sorted order, then every locally dense class."""
+    members = naive_extension(fc, xid, Direction.BOTH).members
+    for sid in sorted(orbit_set_closure(fc, members)):
+        sing = fc.sing_by_id.get(sid)
+        if sing is not None and not sing.is_saddle:
+            return DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE
+    for o in fc.orbit_classes:
+        if o.kind is OrbitKind.LOCALLY_DENSE and (closure_of(fc, o.id) & members):
+            return DichotomyCase.MEETS_LOCALLY_DENSE
+    return DichotomyCase.VIOLATION
 
 
 def expand_once(fc: FlowComplex, members: frozenset[str], forward: bool) -> frozenset[str]:

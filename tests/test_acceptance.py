@@ -33,6 +33,7 @@ from flowcomplex import (
 )
 from flowcomplex.gallery import GALLERY
 from flowcomplex.model import OrbitKind, SchemaKind, Shape
+from flowcomplex.orbits import Expansion
 
 from naive_oracle import expand_once, naive_extension
 
@@ -242,7 +243,8 @@ def test_criterion_8_symmetry_and_non_transitivity(classified, gallery_classifie
     everything = [(name, fc2, cls) for name, (fc2, cls) in gallery_classified.items()]
     everything += [(f"seed {seed}", fc2, cls) for seed, fc2, cls in classified]
     for label, fc2, cls in everything:
-        members_of = {xid: cls.ext(xid, Direction.BOTH).members for xid in fc2.all_ids}
+        engine = Expansion.plain(fc2)
+        members_of = {xid: engine.orbit(xid, Direction.BOTH).members for xid in fc2.all_ids}
         for xid, members in members_of.items():
             if xid not in members:
                 symmetry_breaks.append((label, xid, "reflexivity"))

@@ -42,7 +42,7 @@ from flowcomplex import (
     verify_theorems,
 )
 from flowcomplex.orbits import Expansion, generalized_saddle_sets
-from naive_oracle import naive_extended_orbit, naive_extended_pap
+from naive_oracle import naive_dichotomy, naive_extended_orbit, naive_extended_pap
 
 
 def _two_center_sphere():
@@ -199,6 +199,21 @@ def test_dichotomy_never_violates_on_random_sweep():
             assert dichotomy_check(fc, xid) is not DichotomyCase.VIOLATION
 
 
+def test_dichotomy_set_tests_match_the_scans(gallery_complexes):
+    flows = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    compared = set()
+    for fc in flows:
+        cls = Classifier(fc)
+        if not cls.extended_recurrent().verdict:
+            continue
+        for xid in sorted(fc.all_ids):
+            if not cls.extension_closed(xid):
+                case = cls.dichotomy(xid)
+                assert case is naive_dichotomy(fc, xid), xid
+                compared.add(case)
+    assert compared == {DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE, DichotomyCase.MEETS_LOCALLY_DENSE}
+
+
 def test_report_witnesses_accompany_false_verdicts(gallery_complexes):
     for fc in gallery_complexes.values():
         report = classification_report(fc)
@@ -338,20 +353,6 @@ def test_compact_extended_orbit_holding_a_saddle_chain_violates_finiteness():
     [result] = verify_theorems(fc, ["extended-periodic-finiteness"])
     assert result.status is TheoremStatus.VIOLATION
     assert result.detail == "h1: members hold saddle chain q"
-
-
-def _orbit_fields(ext):
-    return ext.start, ext.direction, ext.members, list(ext.added_round.items()), ext.depth, ext.self_readded
-
-
-def test_ext_and_gen_ext_keep_the_engines_full_provenance(gallery_complexes):
-    for fc in gallery_complexes.values():
-        cls = Classifier(fc)
-        engines = {"ext": Expansion.plain(fc), "gen_ext": Expansion.admit(fc, generalized_saddle_sets(fc))}
-        for xid in sorted(fc.all_ids):
-            for query, engine in engines.items():
-                for d in Direction:
-                    assert _orbit_fields(getattr(cls, query)(xid, d)) == _orbit_fields(engine.orbit(xid, d)), (query, xid, d)
 
 
 def _has_set_cycle(engine, forward):

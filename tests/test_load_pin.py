@@ -6,7 +6,8 @@ duplicated tokens, bad and undeclared ids, unknown kinds, fields and
 reference prefixes, empty values, and comments, blank lines and tabs.  One
 SHA-256 covers, per document, ``emit(parse(text))`` and the full
 ``validate`` report when it parses, or the ``(line, message)`` of every
-``ParseError`` in order when it does not.
+``ParseError`` in order when it does not.  Columns are checked by a
+property instead: each points at the offending token or value.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ MUTANTS_PER_DOCUMENT = 10
 BAD_IDS = ("9z", "a-b", "x.y", "q!", "ü1", "_", "A_9")
 ID_PART = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-LOAD_DIGEST = "c64afa28e7c3ed8558065e8da41be3bdfd0e3b9dd41fb82a61e26f89ae9198a8"
+LOAD_DIGEST = "e98fbd924a4c9a633d0e7ff4b786e7667097a4b1452c1634821db52cc923d36d"
 
 
 def _tokens(line):
@@ -227,6 +228,27 @@ def mutate(text, rng):
     return "\n".join(lines) + rng.choice(("\n", "", "\n\n"))
 
 
+def mutate_records(text, rng):
+    """Two to four well-formed mutations, or dropped records: a document that
+    parses and may break several validation rules at once."""
+    lines = text.splitlines()
+    for _ in range(rng.randrange(2, 5)):
+        if len(lines) < 2:
+            break
+        at = rng.randrange(1, len(lines))  # the surface record stays
+        roll = rng.randrange(len(SEMANTIC_MUTATIONS) + 2)
+        if roll == len(SEMANTIC_MUTATIONS):
+            del lines[at]
+            continue
+        tokens = _tokens(lines[at])
+        if roll < len(SEMANTIC_MUTATIONS):
+            SEMANTIC_MUTATIONS[roll](rng, tokens)
+        else:
+            _redirect_id(rng, tokens, lines)
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
 def corpus():
     bases = [emit(build(entry.name, None)) for entry in GALLERY]
     bases += [emit(random_complex(seed)) for seed in SEEDS]
@@ -235,6 +257,7 @@ def corpus():
         docs.append(text)
         for k in range(MUTANTS_PER_DOCUMENT):
             docs.append(mutate(text, random.Random(b * 1000 + k)))
+            docs.append(mutate_records(text, random.Random(-(b * 1000 + k))))
     return docs
 
 
@@ -274,3 +297,44 @@ def test_load_path_outputs_are_pinned():
     blob = json.dumps(records, sort_keys=True, ensure_ascii=True).encode()
     assert hashlib.sha256(blob).hexdigest() == LOAD_DIGEST
 
+
+# -- columns ------------------------------------------------------------------
+
+QUOTED = re.compile(r"'([^']*)'")
+AT_HEAD = ("record is missing", "record needs", "first record", "duplicate surface")
+AT_VALUE = ("must be true or false", "must be an integer", "must be non-negative", "take no kind")
+
+
+def column_points_at_offender(raw, err):
+    """``raw[col-1:]`` starts with the offending text the message names."""
+    at = raw[err.column - 1:]
+    if err.message == "bad identifier ''":
+        # an empty id in a list sits right after its separator
+        return raw[err.column - 2] in "=:," and (at[:1] in ("", ",", "#") or at[:1].isspace())
+    if not at or at[0].isspace():
+        return False
+    if err.message == "point singularities need kind=":
+        return at.startswith("point")
+    if any(s in err.message for s in AT_HEAD):
+        return at.startswith(raw.split()[0])
+    if any(s in err.message for s in AT_VALUE):
+        return err.column >= 2 and raw[err.column - 2] == "="
+    quoted = QUOTED.search(err.message)
+    assert quoted is not None, err.message
+    return at.startswith(quoted.group(1))
+
+
+def test_error_columns_point_at_the_offending_text():
+    seen = 0
+    for text in corpus():
+        try:
+            parse(text)
+        except ParseErrors as exc:
+            lines = text.splitlines()
+            for err in exc.errors:
+                if err.message == "missing surface record":
+                    assert (err.line, err.column) == (1, 1)
+                    continue
+                seen += 1
+                assert column_points_at_offender(lines[err.line - 1], err), (lines[err.line - 1], err)
+    assert seen > 500

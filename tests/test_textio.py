@@ -75,6 +75,21 @@ accum z kind=nope samples=a target=b
         assert err.column >= 1
 
 
+@pytest.mark.parametrize(
+    "record, message, column",
+    [
+        ("orbit os proper alpha=sing:s omega=s", "limit reference needs a sing:/orbit:/set: prefix, got 's'", 36),
+        ("sing point point kind=point", "unknown point kind 'point'", 23),
+    ],
+)
+def test_error_column_points_at_the_offending_value_not_an_earlier_match(record, message, column):
+    with pytest.raises(ParseErrors) as exc:
+        parse(f"surface genus=0 orientable=true boundary=0\n{record}\n")
+    [err] = exc.value.errors
+    assert err.message.startswith(message)
+    assert (err.line, err.column) == (2, column)
+
+
 def test_surface_must_come_first():
     with pytest.raises(ParseErrors) as exc:
         parse("sing c point kind=center\nsurface genus=0 orientable=true boundary=0\n")
