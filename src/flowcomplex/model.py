@@ -443,14 +443,6 @@ def _check_poincare_hopf(fc: FlowComplex, out: list[Violation]) -> None:
         )
 
 
-def _raw_limit_ids(orb: OrbitClass) -> frozenset[str]:
-    out: set[str] = set()
-    for ref in (orb.alpha, orb.omega):
-        if ref is not None:
-            out.update(ref.ids)
-    return frozenset(out)
-
-
 def _check_unresolved(owner: str, ids: Iterable[str], known: frozenset[str], out: list[Violation]) -> None:
     for rid in ids:
         if rid not in known:
@@ -460,16 +452,16 @@ def _check_unresolved(owner: str, ids: Iterable[str], known: frozenset[str], out
 def _escapes(fc: FlowComplex, ids: frozenset[str]) -> list[str]:
     """An invariant collection keeps the declared limits of its members inside
     itself: how the collection ``ids`` breaks that, one detail per member."""
-    escaping = []
-    for mid in ids:
+    out = []
+    for mid in sorted(ids):
         orb = fc.orbit_by_id.get(mid)
         # dense members answer for themselves through their declared closure
         if orb is None or orb.kind is OrbitKind.LOCALLY_DENSE or orb.kind is OrbitKind.EXCEPTIONAL:
             continue
-        alpha, omega = orb.alpha, orb.omega
-        if (alpha is not None and not ids.issuperset(alpha.ids)) or (omega is not None and not ids.issuperset(omega.ids)):
-            escaping.append(mid)
-    return [f"limits of {mid} escape to {sorted(_raw_limit_ids(fc.orbit_by_id[mid]) - ids)}" for mid in sorted(escaping)]
+        limits = [rid for ref in (orb.alpha, orb.omega) if ref is not None for rid in ref.ids]
+        if not ids.issuperset(limits):
+            out.append(f"limits of {mid} escape to {sorted(set(limits) - ids)}")
+    return out
 
 
 def validate(fc: FlowComplex) -> ValidationReport:
@@ -561,24 +553,14 @@ def validate(fc: FlowComplex) -> ValidationReport:
         for o in declared:
             computed = fc.closure(o.id)
             if computed != o.closure_decl:
-                out.append(
-                    Violation(
-                        o.id,
-                        "closure-decl-not-closed",
-                        f"declared closure is not closed; closing adds {sorted(computed - o.closure_decl)}",
-                    )
-                )
+                detail = f"declared closure is not closed; closing adds {sorted(computed - o.closure_decl)}"
+                out.append(Violation(o.id, "closure-decl-not-closed", detail))
             if o.kind is OrbitKind.LOCALLY_DENSE:
                 mine = o.closure_decl & dense
                 for other in sorted(mine - {o.id}):
                     if (orbit_by_id[other].closure_decl or frozenset()) & dense != mine:
-                        out.append(
-                            Violation(
-                                o.id,
-                                "locally-dense-closure-mismatch",
-                                f"{other} does not share the same dense part of the closure",
-                            )
-                        )
+                        detail = f"{other} does not share the same dense part of the closure"
+                        out.append(Violation(o.id, "locally-dense-closure-mismatch", detail))
         for oid, ids in set_refs:
             out.extend(Violation(oid, "set-ref-not-invariant", detail) for detail in _escapes(fc, ids))
 
@@ -631,12 +613,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
     for sid in sorted(slots):
         stable, unstable = slots[sid]
         if stable != 2 or unstable != 2:
-            out.append(
-                Violation(
-                    sid,
-                    "saddle-slot-count",
-                    f"stable slots filled: {stable}, unstable slots filled: {unstable} (need 2 + 2)",
-                )
-            )
+            detail = f"stable slots filled: {stable}, unstable slots filled: {unstable} (need 2 + 2)"
+            out.append(Violation(sid, "saddle-slot-count", detail))
     _check_poincare_hopf(fc, out)
     return ValidationReport(tuple(out))

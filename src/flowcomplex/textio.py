@@ -73,9 +73,9 @@ def _column(raw: str, tokens: list[str], i: int, offset: int) -> int:
 
 
 class _Reader:
-    """One document's records, seen ids and errors, read one line at a time.
+    """One document's surface, seen values and errors, read one line at a time.
 
-    A record method checks the line in ``tokens`` and appends what it
+    A record method checks the line in ``tokens`` and returns what it
     builds.  A failed check adds ``(token index, offset, message)`` to
     ``pending``; ``parse`` turns those into ``ParseError``s, locating the
     tokens only on lines that fail.  Equal reference and id-set values are
@@ -84,11 +84,6 @@ class _Reader:
 
     def __init__(self) -> None:
         self.surface: SurfaceInfo | None = None
-        self.sing: list[SingularSet] = []
-        self.orbits: list[OrbitClass] = []
-        self.families: list[Family] = []
-        self.schemas: list[AccumulationSchema] = []
-        self.decls: list[SaddleSetDecl] = []
         self.pending: list[tuple[int, int, str]] = []
         self.tokens: list[str] = []
         self.start = 0  # index of the line's first key=value token
@@ -108,7 +103,9 @@ class _Reader:
                 self.fail(i, message, len(key) + 1 + offset)
                 return
 
-    def fields(self, start: int, allowed: tuple[str, ...]) -> dict[str, str]:
+    def fields(self, start: int, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> dict[str, str]:
+        """The ``key=value`` tokens from ``start`` on; ``required`` is sorted, so
+        missing keys are reported in that order."""
         self.start = start
         fields: dict[str, str] = {}
         for i, tok in enumerate(self.tokens[start:], start):
@@ -123,22 +120,22 @@ class _Reader:
                 self.fail(i, f"duplicate field {key!r}")
             else:
                 self.fail(i, f"empty value for {key!r}")
-        return fields
-
-    def require(self, fields: dict[str, str], keys: tuple[str, ...]) -> None:
-        """``keys`` in sorted order, so missing ones are reported in that order."""
-        for key in keys:
+        for key in required:
             if key not in fields:
                 self.fail(0, f"{self.tokens[0]} record is missing {key}")
+        return fields
 
-    def unknown(self, enum_cls, value: str, what: str, key: str | None = None) -> None:
-        """``value`` spells no member of ``enum_cls``: fail at token 2, or at field ``key``."""
-        choices = ", ".join(e.value for e in enum_cls)
-        message = f"unknown {what} {value!r} (one of: {choices})"
-        if key is None:
-            self.fail(2, message)
-        else:
-            self.fail_field(key, message)
+    def enum(self, enum_cls, value: str, what: str, key: str | None = None):
+        """The member of ``enum_cls`` spelled ``value``: token 2, or field ``key``."""
+        found = enum_cls._value2member_map_.get(value)
+        if found is None:
+            choices = ", ".join(e.value for e in enum_cls)
+            message = f"unknown {what} {value!r} (one of: {choices})"
+            if key is None:
+                self.fail(2, message)
+            else:
+                self.fail_field(key, message)
+        return found
 
     def flag(self, fields: dict[str, str], key: str) -> bool:
         value = fields.get(key)
@@ -181,24 +178,19 @@ class _Reader:
         if found is not None:
             return found
         prefix, colon, rest = value.partition(":")
+        kind = RefKind._value2member_map_.get(prefix)
         if not colon:
             self.fail_field(key, f"limit reference needs a sing:/orbit:/set: prefix, got {value!r}")
-            return None
-        kind = RefKind._value2member_map_.get(prefix)
-        if kind is None:
+        elif kind is None:
             self.fail_field(key, f"unknown reference kind {prefix!r}")
-            return None
-        if kind is RefKind.SET:
+        elif kind is RefKind.SET:
             ids = self.ids(key, rest, 4)
-            if ids is None:
-                return None
-            found = LimitRef(kind, tuple(sorted(set(ids))))
+            if ids is not None:
+                found = self._refs[value] = LimitRef(kind, tuple(sorted(set(ids))))
         elif rest.isidentifier() and rest.isascii():
-            found = LimitRef(kind, (rest,))
+            found = self._refs[value] = LimitRef(kind, (rest,))
         else:
             self.fail_field(key, f"bad identifier {rest!r}", len(prefix) + 1)
-            return None
-        self._refs[value] = found
         return found
 
     # -- one method per record kind ------------------------------------------
@@ -206,119 +198,82 @@ class _Reader:
     def surface_record(self) -> None:
         if self.surface is not None:
             self.fail(0, "duplicate surface record")
-        fields = self.fields(1, ("genus", "orientable", "boundary"))
-        if len(fields) < 3:
-            self.require(fields, ("boundary", "genus", "orientable"))
+        fields = self.fields(1, ("genus", "orientable", "boundary"), ("boundary", "genus", "orientable"))
         if self.pending:
             return
         genus = self.integer(fields, "genus")
         orientable = self.flag(fields, "orientable")
         boundary = self.integer(fields, "boundary")
-        if genus < 0:
-            self.fail_field("genus", "genus must be non-negative")
-        if boundary < 0:
-            self.fail_field("boundary", "boundary must be non-negative")
+        for key, n in (("genus", genus), ("boundary", boundary)):
+            if n < 0:
+                self.fail_field(key, f"{key} must be non-negative")
         if not self.pending:
             self.surface = SurfaceInfo(genus, orientable, boundary)
 
-    def sing_record(self, rid: str) -> None:
+    def sing_record(self, rid: str) -> SingularSet | None:
         tokens = self.tokens
         if len(tokens) < 3:
-            self.fail(0, "sing record needs a shape")
-            return
-        shape = Shape._value2member_map_.get(tokens[2])
-        if shape is None:
-            self.unknown(Shape, tokens[2], "shape")
+            return self.fail(0, "sing record needs a shape")
+        shape = self.enum(Shape, tokens[2], "shape")
         fields = self.fields(3, ("kind",))
         kind = None
         if shape is Shape.POINT:
-            value = fields.get("kind")
-            if value is not None:
-                kind = PointKind._value2member_map_.get(value)
-                if kind is None:
-                    self.unknown(PointKind, value, "point kind", "kind")
+            if "kind" in fields:
+                kind = self.enum(PointKind, fields["kind"], "point kind", "kind")
             else:
                 self.fail(2, "point singularities need kind=")
         elif "kind" in fields:
             self.fail_field("kind", "arc/circle singular sets take no kind")
-        if not self.pending:
-            self.sing.append(SingularSet(rid, shape, kind))
+        return SingularSet(rid, shape, kind)
 
-    def orbit_record(self, rid: str) -> None:
+    def orbit_record(self, rid: str) -> OrbitClass | None:
         tokens = self.tokens
         if len(tokens) < 3:
-            self.fail(0, "orbit record needs a kind")
-            return
-        kind = OrbitKind._value2member_map_.get(tokens[2])
-        if kind is None:
-            self.unknown(OrbitKind, tokens[2], "orbit kind")
+            return self.fail(0, "orbit record needs a kind")
+        kind = self.enum(OrbitKind, tokens[2], "orbit kind")
         fields = self.fields(3, ("alpha", "omega", "closure"))
-        alpha = omega = closure = None
-        if fields:
-            value = fields.get("alpha")
-            if value is not None:
-                alpha = self.ref("alpha", value)
-            value = fields.get("omega")
-            if value is not None:
-                omega = self.ref("omega", value)
-            value = fields.get("closure")
-            if value is not None:
-                closure = self.id_set("closure", value)
-        if not self.pending:
-            self.orbits.append(OrbitClass(rid, kind, alpha, omega, closure))
+        alpha, omega, closure = fields.get("alpha"), fields.get("omega"), fields.get("closure")
+        return OrbitClass(
+            rid,
+            kind,
+            alpha and self.ref("alpha", alpha),
+            omega and self.ref("omega", omega),
+            closure and self.id_set("closure", closure),
+        )
 
-    def family_record(self, rid: str) -> None:
-        fields = self.fields(2, ("kind", "b0", "b1", "shrinks0", "shrinks1"))
-        if not ("kind" in fields and "b0" in fields and "b1" in fields):
-            self.require(fields, ("b0", "b1", "kind"))
+    def family_record(self, rid: str) -> Family | None:
+        fields = self.fields(2, ("kind", "b0", "b1", "shrinks0", "shrinks1"), ("b0", "b1", "kind"))
         if self.pending:
-            return
-        kind = FamilyKind._value2member_map_.get(fields["kind"])
-        if kind is None:
-            self.unknown(FamilyKind, fields["kind"], "family kind", "kind")
-        b0 = self.id_set("b0", fields["b0"])
-        b1 = self.id_set("b1", fields["b1"])
-        s0 = self.flag(fields, "shrinks0")
-        s1 = self.flag(fields, "shrinks1")
-        if not self.pending:
-            self.families.append(Family(rid, kind, b0, b1, s0, s1))
+            return None
+        return Family(
+            rid,
+            self.enum(FamilyKind, fields["kind"], "family kind", "kind"),
+            self.id_set("b0", fields["b0"]),
+            self.id_set("b1", fields["b1"]),
+            self.flag(fields, "shrinks0"),
+            self.flag(fields, "shrinks1"),
+        )
 
-    def accum_record(self, rid: str) -> None:
-        fields = self.fields(2, ("kind", "samples", "target"))
-        if len(fields) < 3:
-            self.require(fields, ("kind", "samples", "target"))
+    def accum_record(self, rid: str) -> AccumulationSchema | None:
+        fields = self.fields(2, ("kind", "samples", "target"), ("kind", "samples", "target"))
         if self.pending:
-            return
-        kind = SchemaKind._value2member_map_.get(fields["kind"])
-        if kind is None:
-            self.unknown(SchemaKind, fields["kind"], "schema kind", "kind")
-        samples = self.ids("samples", fields["samples"])
-        target = self.id_set("target", fields["target"])
-        if not self.pending:
-            self.schemas.append(AccumulationSchema(rid, kind, tuple(samples), target))
+            return None
+        kind = self.enum(SchemaKind, fields["kind"], "schema kind", "kind")
+        samples = self.ids("samples", fields["samples"]) or ()
+        return AccumulationSchema(rid, kind, tuple(samples), self.id_set("target", fields["target"]))
 
-    def saddleset_record(self, rid: str) -> None:
-        fields = self.fields(2, ("members", "isolated"))
-        if len(fields) < 2:
-            self.require(fields, ("isolated", "members"))
+    def saddleset_record(self, rid: str) -> SaddleSetDecl | None:
+        fields = self.fields(2, ("members", "isolated"), ("isolated", "members"))
         if self.pending:
-            return
-        members = self.id_set("members", fields["members"])
-        isolated = self.flag(fields, "isolated")
-        if not self.pending:
-            self.decls.append(SaddleSetDecl(rid, members, isolated))
+            return None
+        return SaddleSetDecl(rid, self.id_set("members", fields["members"]), self.flag(fields, "isolated"))
 
 
 def parse(text: str) -> FlowComplex:
     """Parse a document; raises ``ParseErrors`` carrying every syntax error found."""
     r = _Reader()
-    records = {
-        "sing": r.sing_record,
-        "orbit": r.orbit_record,
-        "family": r.family_record,
-        "accum": r.accum_record,
-        "saddleset": r.saddleset_record,
-    }
+    # record head -> its reader and what it built, in FlowComplex field order
+    records = {head: (getattr(r, f"{head}_record"), []) for head in ("sing", "orbit", "family", "accum", "saddleset")}
     pending = r.pending
     errors: list[ParseError] = []
     seen_ids: dict[str, int] = {}
@@ -333,8 +288,8 @@ def parse(text: str) -> FlowComplex:
         if not surface_seen and head != "surface":
             r.fail(0, "the first record must be a surface line")
         surface_seen = True  # a misplaced surface line is reported once
-        read = records.get(head)
-        if read is not None:
+        entry = records.get(head)
+        if entry is not None:
             if len(tokens) < 2:
                 r.fail(0, f"{head} record needs an identifier")
             else:
@@ -344,7 +299,9 @@ def parse(text: str) -> FlowComplex:
                 first = seen_ids.setdefault(rid, lineno)
                 if first != lineno:
                     r.fail(1, f"duplicate id {rid!r} (first declared on line {first})")
-                read(rid)
+                record = entry[0](rid)
+                if not pending:
+                    entry[1].append(record)
         elif head == "surface":
             r.surface_record()
         else:
@@ -358,14 +315,7 @@ def parse(text: str) -> FlowComplex:
     if errors:
         raise ParseErrors(errors)
     by_id = attrgetter("id")
-    return FlowComplex(
-        r.surface,
-        tuple(sorted(r.sing, key=by_id)),
-        tuple(sorted(r.orbits, key=by_id)),
-        tuple(sorted(r.families, key=by_id)),
-        tuple(sorted(r.schemas, key=by_id)),
-        tuple(sorted(r.decls, key=by_id)),
-    )
+    return FlowComplex(r.surface, *(tuple(sorted(built, key=by_id)) for _, built in records.values()))
 
 
 def _emit_ref(ref: LimitRef) -> str:
