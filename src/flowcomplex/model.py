@@ -449,19 +449,18 @@ def _check_unresolved(owner: str, ids: Iterable[str], known: frozenset[str], out
             out.append(Violation(owner, "unresolved-id", f"reference to unknown id {rid!r}"))
 
 
-def _escapes(fc: FlowComplex, ids: frozenset[str]) -> list[str]:
+def _escapes(limits: dict[str, tuple[str, ...]], ids: frozenset[str]) -> list[str]:
     """An invariant collection keeps the declared limits of its members inside
-    itself: how the collection ``ids`` breaks that, one detail per member."""
-    out = []
-    for mid in sorted(ids):
-        orb = fc.orbit_by_id.get(mid)
-        # dense members answer for themselves through their declared closure
-        if orb is None or orb.kind is OrbitKind.LOCALLY_DENSE or orb.kind is OrbitKind.EXCEPTIONAL:
-            continue
-        limits = [rid for ref in (orb.alpha, orb.omega) if ref is not None for rid in ref.ids]
-        if not ids.issuperset(limits):
-            out.append(f"limits of {mid} escape to {sorted(set(limits) - ids)}")
-    return out
+    itself: how the collection ``ids`` breaks that, one detail per member.
+    ``limits`` holds the limit ids of every class that is not dense (dense
+    members answer for themselves through their declared closure)."""
+    escaping = []
+    for mid in ids:
+        if mid in limits and not ids.issuperset(limits[mid]):
+            escaping.append(mid)
+    if not escaping:
+        return escaping
+    return [f"limits of {mid} escape to {sorted(set(limits[mid]) - ids)}" for mid in sorted(escaping)]
 
 
 def validate(fc: FlowComplex) -> ValidationReport:
@@ -479,6 +478,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
     declared: list[OrbitClass] = []  # dense or exceptional classes with a declared closure
     ld_ids: list[str] = []
     set_refs: list[tuple[str, frozenset[str]]] = []
+    limits: dict[str, tuple[str, ...]] = {}  # limit ids of each class that is not dense
     # each saddle owns exactly 2 stable and 2 unstable separatrix slots; a
     # slot is filled by an orbit class whose omega (stable) or alpha
     # (unstable) is a point reference to it, so a homoclinic loop fills one
@@ -486,8 +486,8 @@ def validate(fc: FlowComplex) -> ValidationReport:
     slots = {sid: [0, 0] for sid in fc.saddle_ids}
 
     for o in fc.orbit_classes:
-        oid, kind, decl = o.id, o.kind, o.closure_decl
-        for ref, slot in ((o.alpha, 1), (o.omega, 0)):
+        oid, kind, decl, alpha, omega = o.id, o.kind, o.closure_decl, o.alpha, o.omega
+        for ref, slot in ((alpha, 1), (omega, 0)):
             if ref is None:
                 continue
             ids = ref.ids
@@ -509,12 +509,13 @@ def validate(fc: FlowComplex) -> ValidationReport:
                 ref_kinds.append(Violation(oid, "limit-ref-kind", detail))
         if decl and not decl <= known:
             _check_unresolved(oid, decl, known, unresolved)
-        if kind is OrbitKind.PROPER:
-            if o.alpha is None or o.omega is None:
+        if kind is OrbitKind.PROPER or kind is OrbitKind.PERIODIC:
+            limits[oid] = (alpha.ids if alpha is not None else ()) + (omega.ids if omega is not None else ())
+            if kind is OrbitKind.PERIODIC:
+                if alpha is not None or omega is not None:
+                    kind_rules.append(Violation(oid, "periodic-has-limit", "periodic orbits are their own limit sets"))
+            elif alpha is None or omega is None:
                 kind_rules.append(Violation(oid, "proper-missing-limit", "proper non-closed orbits carry both limits"))
-        elif kind is OrbitKind.PERIODIC:
-            if o.alpha is not None or o.omega is not None:
-                kind_rules.append(Violation(oid, "periodic-has-limit", "periodic orbits are their own limit sets"))
         else:
             if kind is OrbitKind.LOCALLY_DENSE:
                 ld_ids.append(oid)
@@ -562,7 +563,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
                         detail = f"{other} does not share the same dense part of the closure"
                         out.append(Violation(o.id, "locally-dense-closure-mismatch", detail))
         for oid, ids in set_refs:
-            out.extend(Violation(oid, "set-ref-not-invariant", detail) for detail in _escapes(fc, ids))
+            out.extend(Violation(oid, "set-ref-not-invariant", detail) for detail in _escapes(limits, ids))
 
     escapes: dict[frozenset[str], list[str]] = {}  # per distinct boundary: neighbours share one
     for f in fc.families:
@@ -570,7 +571,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
             if refs_ok:
                 details = escapes.get(bset)
                 if details is None:
-                    details = escapes[bset] = _escapes(fc, bset)
+                    details = escapes[bset] = _escapes(limits, bset)
                 if details:
                     out.extend(Violation(f.id, "family-boundary-not-invariant", detail) for detail in details)
             single_point = False

@@ -384,9 +384,7 @@ def has_periodic_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
 
 def is_extended_periodic(fc: FlowComplex, xid: str) -> bool:
     """Whether the two-sided extended orbit of ``xid`` is extended periodic: a
-    compact extended orbit that is more than a single point, so its members
-    have the kinds ``has_periodic_member_kinds`` admits and the member set is
-    already closed."""
+    closed member set of the kinds ``has_periodic_member_kinds`` admits."""
     members = extended_orbit(fc, xid, Direction.BOTH).members
     return has_periodic_member_kinds(fc, members) and orbit_set_is_closed(fc, members)
 

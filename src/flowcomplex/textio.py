@@ -19,9 +19,9 @@ Record shapes::
     saddleset ssp members=pp isolated=true
 
 Limit references are ``sing:<id>``, ``orbit:<id>`` or ``set:<id,id,...>``.
-Syntax errors carry line and column and are all collected in one pass;
-whether references resolve, and name the kind of piece their prefix says,
-is left to validation.
+Syntax errors carry the line and the column of the offending token or
+value, and are all collected in one pass; whether references resolve, and
+name the kind of piece their prefix says, is left to validation.
 """
 
 from __future__ import annotations
