@@ -242,7 +242,7 @@ def test_criterion_8_symmetry_and_non_transitivity(classified, gallery_classifie
     symmetry_breaks = []
     everything = [(name, fc2, cls) for name, (fc2, cls) in gallery_classified.items()]
     everything += [(f"seed {seed}", fc2, cls) for seed, fc2, cls in classified]
-    for label, fc2, cls in everything:
+    for label, fc2, _ in everything:
         engine = Expansion.plain(fc2)
         members_of = {xid: engine.orbit(xid, Direction.BOTH).members for xid in fc2.all_ids}
         for xid, members in members_of.items():
