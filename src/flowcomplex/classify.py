@@ -5,7 +5,9 @@ verdicts carry a witness (an id set plus the rule that fired) whenever they
 are negative, so reports are auditable.  A shared per-complex cache keeps
 repeated extension and closure queries cheap when a full report or the
 theorem harness is assembled: verdicts and checks read extended orbits as
-member sets (``Classifier.reach``), never as per-seed fixpoint runs.
+member sets (``Classifier.reach``), never as per-seed fixpoint runs, and a
+fact of the member set alone is decided once per distinct extended orbit
+(``Classifier.leads``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .model import (
     Shape,
     singularity_accumulation,
 )
-from .orbits import Direction, Expansion, orbit_set_closure
+from .orbits import Direction, Expansion, has_periodic_member_kinds, orbit_set_closure
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,10 @@ class Classifier:
     The module-level functions below are the public surface; they build a
     throwaway instance.  Report assembly and the theorem harness reuse one
     instance so extended member sets, blocks and verdicts are computed once;
-    closures are kept by the complex itself (``FlowComplex.closure``).
+    closures are kept by the complex itself (``FlowComplex.closure``).  Scans
+    for a witness run over ``ids``, or over ``leads`` when what they test
+    depends on the two-sided member set alone: the first failing lead is
+    then the first failing id.
     """
 
     def __init__(self, fc: FlowComplex):
@@ -135,8 +140,23 @@ class Classifier:
             found = self._reach[key] = engine.reach(xid, direction)
         return found
 
-    def closure(self, xid: str) -> frozenset[str]:
-        return self.fc.closure(xid)
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        """Every id, sorted: the order in which witnesses are searched."""
+        return tuple(sorted(self.fc.all_ids))
+
+    @cached_property
+    def leads(self) -> tuple[str, ...]:
+        """One id per distinct two-sided extended orbit, the least id whose
+        extended orbit it is, in ascending order."""
+        seen: set[frozenset[str]] = set()
+        out = []
+        for xid in self.ids:
+            members = self.reach(xid, Direction.BOTH)[0]
+            if members not in seen:
+                seen.add(members)
+                out.append(xid)
+        return tuple(out)
 
     def _closure_of_members(self, members: frozenset[str]) -> frozenset[str]:
         found = self._block_of_members.get(members)
@@ -154,15 +174,21 @@ class Classifier:
         return self._closure_of_members(self.reach(xid, Direction.BOTH)[0])
 
     def blocks(self) -> dict[str, frozenset[str]]:
-        """``block`` of every id."""
+        """``block`` of every lead, in lead order."""
         if self._blocks is None:
-            self._blocks = {xid: self.block(xid) for xid in self.fc.all_ids}
+            self._blocks = {xid: self.block(xid) for xid in self.leads}
         return self._blocks
 
     def extension_closed(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is a closed set."""
         members = self.reach(xid, Direction.BOTH)[0]
         return self._closure_of_members(members) <= members
+
+    def extended_periodic(self, xid: str) -> bool:
+        """Whether the two-sided extended orbit of ``xid`` is compact: a closed
+        member set of the kinds ``has_periodic_member_kinds`` admits."""
+        members = self.reach(xid, Direction.BOTH)[0]
+        return has_periodic_member_kinds(self.fc, members) and self._closure_of_members(members) <= members
 
     # -- pointwise recurrence ----------------------------------------------
 
@@ -203,43 +229,34 @@ class Classifier:
         if self_readded:
             return True
         for oid in sorted(members):
-            if oid != xid and xid in self.closure(oid):
+            if oid != xid and xid in fc.closure(oid):
                 return True
         return False
 
     # -- flow-level verdicts -------------------------------------------------
 
-    def _universe(self) -> list[str]:
-        return sorted(self.fc.all_ids)
-
     @_once
     def recurrent_flow(self) -> Verdict:
-        for xid in self._universe():
+        for xid in self.ids:
             if not (self.positively_recurrent(xid) and self.negatively_recurrent(xid)):
                 return Verdict(False, Witness((xid,), "non-recurrent-point"))
         return Verdict(True)
 
-    @_once
-    def extended_recurrent(self) -> Verdict:
-        for xid in self._universe():
-            for forward in (True, False):
-                if not self.extended_recurrent_point(xid, forward):
-                    rule = "not-extended-positively-recurrent" if forward else "not-extended-negatively-recurrent"
-                    return Verdict(False, Witness((xid,), rule))
+    def _every_point_extended_recurrent(self, generalized: bool) -> Verdict:
+        kind = "generalized" if generalized else "extended"
+        for xid in self.ids:
+            for forward, side in ((True, "positively"), (False, "negatively")):
+                if not self.extended_recurrent_point(xid, forward, generalized):
+                    return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
         return Verdict(True)
 
     @_once
+    def extended_recurrent(self) -> Verdict:
+        return self._every_point_extended_recurrent(generalized=False)
+
+    @_once
     def generalized_recurrent(self) -> Verdict:
-        for xid in self._universe():
-            for forward in (True, False):
-                if not self.extended_recurrent_point(xid, forward, generalized=True):
-                    rule = (
-                        "not-generalized-positively-recurrent"
-                        if forward
-                        else "not-generalized-negatively-recurrent"
-                    )
-                    return Verdict(False, Witness((xid,), rule))
-        return Verdict(True)
+        return self._every_point_extended_recurrent(generalized=True)
 
     @cached_property
     def routed(self) -> frozenset[str]:
@@ -250,7 +267,7 @@ class Classifier:
         out: set[str] = set()
         for o in fc.orbit_classes:
             if o.kind in (OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL):
-                out |= self.closure(o.id)
+                out |= fc.closure(o.id)
         for fam in fc.families:
             if fam.kind is FamilyKind.PERIODIC_ANNULUS:
                 out |= fam.boundary0 | fam.boundary1
@@ -276,12 +293,12 @@ class Classifier:
         the ids that two distinct blocks hold.  The witness is the first
         overlapping pair of ids in sorted order: the least lead of a block
         holding a marked id, then the least lead of another block meeting it
-        (every partner of that first id is larger than it).
+        (every partner of that first id is larger than it).  The least id of
+        a block is the lead of its own extended orbit.
         """
-        blocks = self.blocks()
         lead: dict[frozenset[str], str] = {}
-        for xid in self._universe():
-            lead.setdefault(blocks[xid], xid)
+        for xid, block in self.blocks().items():
+            lead.setdefault(block, xid)
         owner: dict[str, str] = {}
         shared: set[str] = set()
         for block, x in lead.items():
@@ -381,13 +398,14 @@ class Classifier:
         return frozenset(s.id for s in self.fc.singular_sets if not s.is_saddle)
 
     @cached_property
+    def dense_ids(self) -> frozenset[str]:
+        """The locally dense classes."""
+        return frozenset(o.id for o in self.fc.orbit_classes if o.kind is OrbitKind.LOCALLY_DENSE)
+
+    @cached_property
     def _dense_closures(self) -> frozenset[str]:
         """The union of the closures of the locally dense classes."""
-        out: set[str] = set()
-        for o in self.fc.orbit_classes:
-            if o.kind is OrbitKind.LOCALLY_DENSE:
-                out |= self.closure(o.id)
-        return frozenset(out)
+        return frozenset().union(*(self.fc.closure(oid) for oid in sorted(self.dense_ids)))
 
     def dichotomy(self, xid: str) -> DichotomyCase:
         """Which case holds for the closure of a non-closed extended orbit: two
@@ -422,6 +440,10 @@ def is_extended_positively_recurrent(fc: FlowComplex, xid: str) -> bool:
 
 def is_extended_negatively_recurrent(fc: FlowComplex, xid: str) -> bool:
     return Classifier(fc).extended_recurrent_point(xid, forward=False)
+
+
+def is_extended_periodic(fc: FlowComplex, xid: str) -> bool:
+    return Classifier(fc).extended_periodic(xid)
 
 
 def is_recurrent(fc: FlowComplex) -> Verdict:

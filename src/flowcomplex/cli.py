@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 validation violations (or other domain errors),
-2 parse errors in the input document, 3 a theorem violation found by
-``verify``.  Unknown flags are argparse errors.
+Exit codes: 0 success, 1 validation violations (or other domain errors,
+reported by ``main`` as ``error: ...``), 2 parse errors in the input
+document, 3 a theorem violation found by ``verify``.  Unknown flags are
+argparse errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .classify import classification_report
 from .dot import export_dot
-from .gallery import GalleryError, build, gallery_names
+from .gallery import build, gallery_names
 from .model import FlowComplex, FlowComplexError, validate
 from .orbits import Direction, Expansion, extended_orbit
 from .textio import ParseErrors, emit, parse
@@ -65,12 +66,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    fc = _load_valid(args.file)
-    try:
-        report = classification_report(fc)
-    except FlowComplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    report = classification_report(_load_valid(args.file))
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
         return EXIT_OK
@@ -86,14 +82,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_orbit(args: argparse.Namespace) -> int:
     fc = _load_valid(args.file)
     direction = _DIRECTIONS[args.direction]
-    try:
-        if args.generalized:
-            ext = Expansion.generalized(fc).orbit(args.start, direction)
-        else:
-            ext = extended_orbit(fc, args.start, direction)
-    except FlowComplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.generalized:
+        ext = Expansion.generalized(fc).orbit(args.start, direction)
+    else:
+        ext = extended_orbit(fc, args.start, direction)
     print(f"start: {ext.start}")
     print(f"direction: {direction.value}")
     print(f"depth: {ext.depth}")
@@ -117,11 +109,7 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"error: parameter {key} must be an integer", file=sys.stderr)
             return EXIT_INVALID
-    try:
-        fc = build(args.name, params)
-    except GalleryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    fc = build(args.name, params)
     Path(args.out).write_text(emit(fc), encoding="utf-8")
     return EXIT_OK
 
@@ -132,11 +120,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         names = None
     else:
         names = [t.strip() for t in args.theorems.split(",") if t.strip()]
-    try:
-        results = verify_theorems(fc, names)
-    except (FlowComplexError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    results = verify_theorems(fc, names)
     if args.json:
         payload = [
             {"theorem": r.theorem, "status": r.status.value, "detail": r.detail} for r in results
@@ -155,13 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     fc = _load_valid(args.file)
-    overlay = None
-    if args.overlay is not None:
-        try:
-            overlay = extended_orbit(fc, args.overlay, Direction.BOTH)
-        except FlowComplexError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+    overlay = None if args.overlay is None else extended_orbit(fc, args.overlay, Direction.BOTH)
     print(export_dot(fc, overlay), end="")
     return EXIT_OK
 
@@ -214,7 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except FlowComplexError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

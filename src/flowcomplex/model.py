@@ -264,10 +264,6 @@ class FlowComplex:
         return {f.id: f for f in self.families}
 
     @cached_property
-    def schema_by_id(self) -> Mapping[str, AccumulationSchema]:
-        return {a.id: a for a in self.accumulation_schemas}
-
-    @cached_property
     def decl_by_id(self) -> Mapping[str, SaddleSetDecl]:
         return {d.id: d for d in self.saddle_set_decls}
 
@@ -308,9 +304,6 @@ class FlowComplex:
     @cached_property
     def saddle_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.singular_sets if s.is_saddle)
-
-    def has(self, xid: str) -> bool:
-        return xid in self.all_ids
 
     def require(self, xid: str) -> None:
         if xid not in self.all_ids:
@@ -508,7 +501,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
                 detail = f"{ref.kind.value}:{','.join(ids)} names the wrong kind of piece"
                 ref_kinds.append(Violation(oid, "limit-ref-kind", detail))
         if decl and not decl <= known:
-            _check_unresolved(oid, decl, known, unresolved)
+            _check_unresolved(oid, sorted(decl), known, unresolved)
         if kind is OrbitKind.PROPER or kind is OrbitKind.PERIODIC:
             limits[oid] = (alpha.ids if alpha is not None else ()) + (omega.ids if omega is not None else ())
             if kind is OrbitKind.PERIODIC:
@@ -528,12 +521,12 @@ def validate(fc: FlowComplex) -> ValidationReport:
 
     for f in fc.families:
         if not (f.boundary0 <= known and f.boundary1 <= known):
-            _check_unresolved(f.id, f.boundary0 | f.boundary1, known, unresolved)
+            _check_unresolved(f.id, sorted(f.boundary0 | f.boundary1), known, unresolved)
     for a in fc.accumulation_schemas:
-        _check_unresolved(a.id, (*a.samples, *a.target), known, unresolved)
+        _check_unresolved(a.id, (*a.samples, *sorted(a.target)), known, unresolved)
     for d in fc.saddle_set_decls:
         if not d.members <= known:
-            _check_unresolved(d.id, d.members, known, unresolved)
+            _check_unresolved(d.id, sorted(d.members), known, unresolved)
     # closure-based checks need resolvable references; everything record-local
     # still runs so the report stays complete
     refs_ok = not unresolved

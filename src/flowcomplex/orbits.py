@@ -382,13 +382,6 @@ def has_periodic_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
     return True
 
 
-def is_extended_periodic(fc: FlowComplex, xid: str) -> bool:
-    """Whether the two-sided extended orbit of ``xid`` is extended periodic: a
-    closed member set of the kinds ``has_periodic_member_kinds`` admits."""
-    members = extended_orbit(fc, xid, Direction.BOTH).members
-    return has_periodic_member_kinds(fc, members) and orbit_set_is_closed(fc, members)
-
-
 class CycleSide(str, Enum):
     ALPHA = "alpha"
     OMEGA = "omega"
@@ -461,14 +454,12 @@ def _limit_cycles(fc: FlowComplex, members: Callable[[str], frozenset[str]]) -> 
         contained = any(gamma <= members(mid) for mid in sorted(gamma))
         if not contained:
             continue
-        witnesses: list[tuple[str, CycleSide]] = []
-        for o in fc.orbit_classes:
-            if o.id in gamma:
-                continue
-            if o.alpha is not None and o.alpha.resolved() == gamma:
-                witnesses.append((o.id, CycleSide.ALPHA))
-            if o.omega is not None and o.omega.resolved() == gamma:
-                witnesses.append((o.id, CycleSide.OMEGA))
+        witnesses = [
+            (oid, side)
+            for side in CycleSide
+            for limit, oid in fc.classes_by_limit.get((side.value, min(gamma)), ())
+            if limit == gamma and oid not in gamma
+        ]
         if witnesses:
             wid, side = min(witnesses)
             results.append(LimitCycle(cycle=gamma, witness=wid, side=side))

@@ -2,9 +2,11 @@
 
 Each check evaluates its hypothesis on the complex; when the hypothesis
 fails the check is inapplicable (never counted as holding), and when it
-holds the conclusion is re-derived from the classifier operations.  A
-violation entry is a counterexample report and should never occur on a
-sound complex.
+holds the conclusion is re-derived from the classifier operations.  Every
+fact about extended orbits comes from one ``Classifier``: checks that test
+the two-sided member set alone scan its ``leads``, one id per distinct
+extended orbit.  A violation entry is a counterexample report and should
+never occur on a sound complex.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from typing import Callable, Iterable, Optional
 from .model import (
     FlowComplex,
     OrbitKind,
+    PreconditionError,
     SchemaKind,
     Shape,
     singularity_accumulation,
 )
 from .classify import Classifier, DichotomyCase
-from .orbits import Direction, _limit_cycles, has_periodic_member_kinds
+from .orbits import Direction, _limit_cycles
 
 
 class TheoremStatus(str, Enum):
@@ -55,10 +58,6 @@ def is_non_identical(fc: FlowComplex) -> bool:
     return bool(fc.orbit_classes) or bool(fc.families)
 
 
-def _has_locally_dense(fc: FlowComplex) -> bool:
-    return any(o.kind is OrbitKind.LOCALLY_DENSE for o in fc.orbit_classes)
-
-
 def _block_with_infinite_singularities(cls: Classifier) -> Optional[str]:
     """An extended-orbit closure swallowing a whole saddle chain holds
     infinitely many saddles."""
@@ -66,8 +65,8 @@ def _block_with_infinite_singularities(cls: Classifier) -> Optional[str]:
     for schema in cls.fc.accumulation_schemas:
         if schema.kind is not SchemaKind.SADDLE_CHAIN:
             continue
-        for xid in sorted(cls.fc.all_ids):
-            if set(schema.samples) <= blocks[xid]:
+        for xid, block in blocks.items():
+            if block.issuperset(schema.samples):
                 return xid
     return None
 
@@ -84,17 +83,11 @@ def _dense_closure_swallows_singularity_sequence(cls: Classifier) -> Optional[st
 
 
 def _all_extended_orbits_closed(cls: Classifier) -> Optional[str]:
-    for xid in sorted(cls.fc.all_ids):
+    """The first id whose extended orbit is not closed, if any."""
+    for xid in cls.leads:
         if not cls.extension_closed(xid):
             return xid
     return None
-
-
-def _sides_meet_dense(cls: Classifier, xid: str) -> bool:
-    dense = frozenset(o.id for o in cls.fc.orbit_classes if o.kind is OrbitKind.LOCALLY_DENSE)
-    fwd = cls.reach(xid, Direction.FORWARD)[0]
-    bwd = cls.reach(xid, Direction.BACKWARD)[0]
-    return bool(fwd & dense) and bool(bwd & dense)
 
 
 # -- individual checks --------------------------------------------------------
@@ -104,19 +97,15 @@ def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
     """A compact extended orbit consists of finitely many proper orbits and
     saddles, so its members never hold a whole (infinite) saddle chain."""
     name = "extended-periodic-finiteness"
-    fc = cls.fc
-    chains = [schema for schema in fc.accumulation_schemas if schema.kind is SchemaKind.SADDLE_CHAIN]
-    compact: dict[frozenset[str], bool] = {}  # decided once per distinct member set
+    chains = [schema for schema in cls.fc.accumulation_schemas if schema.kind is SchemaKind.SADDLE_CHAIN]
     found = False
-    for xid in sorted(fc.all_ids):
-        members = cls.reach(xid, Direction.BOTH)[0]
-        if members not in compact:
-            compact[members] = has_periodic_member_kinds(fc, members) and cls.extension_closed(xid)
-        if not compact[members]:
+    for xid in cls.leads:
+        if not cls.extended_periodic(xid):
             continue
         found = True
+        members = cls.reach(xid, Direction.BOTH)[0]
         for schema in chains:
-            if set(schema.samples) <= members:
+            if members.issuperset(schema.samples):
                 return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: members hold saddle chain {schema.id}")
     if not found:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no compact extended orbits")
@@ -156,17 +145,16 @@ def check_dichotomy(cls: Classifier) -> TheoremResult:
     """Non-closed extended orbits either trail into a non-saddle singularity
     or meet the closure of a locally dense orbit."""
     name = "nonclosed-orbit-dichotomy"
-    fc = cls.fc
     if not cls.extended_recurrent().verdict:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not extended recurrent")
-    checked = 0
-    for xid in sorted(fc.all_ids):
+    checked = False
+    for xid in cls.leads:
         if cls.extension_closed(xid):
             continue
-        checked += 1
+        checked = True
         if cls.dichotomy(xid) is DichotomyCase.VIOLATION:
             return TheoremResult(name, TheoremStatus.VIOLATION, f"neither disjunct holds at {xid}")
-    if checked == 0:
+    if not checked:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "every extended orbit is closed")
     return TheoremResult(name, TheoremStatus.HOLDS)
 
@@ -239,13 +227,14 @@ def check_regular_orbit_closure_dichotomy(cls: Classifier) -> TheoremResult:
     """For regular non-wandering flows each extended orbit is closed or both
     of its one-sided extensions reach locally dense orbits."""
     name = "regular-orbit-closure-dichotomy"
-    fc = cls.fc
     if not (cls.nonwandering().verdict and cls.regular().verdict):
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
-    for xid in sorted(fc.all_ids):
+    dense = cls.dense_ids
+    for xid in cls.ids:
         if cls.extension_closed(xid):
             continue
-        if not _sides_meet_dense(cls, xid):
+        # the one-sided reaches differ between ids of one extended orbit
+        if any(cls.reach(xid, d)[0].isdisjoint(dense) for d in (Direction.FORWARD, Direction.BACKWARD)):
             return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: open extension missing a dense side")
     return TheoremResult(name, TheoremStatus.HOLDS)
 
@@ -255,7 +244,7 @@ def check_closed_extended_orbit_equivalence(cls: Classifier) -> TheoremResult:
     blocks, and all extended orbits closed are one property."""
     name = "closed-extended-orbit-equivalence"
     fc = cls.fc
-    if _has_locally_dense(fc) or not is_non_identical(fc):
+    if cls.dense_ids or not is_non_identical(fc):
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
     p1 = cls.extended_pap().verdict
     p2 = (
@@ -293,7 +282,7 @@ def check_genus_zero_equivalence(cls: Classifier) -> TheoremResult:
         and is_non_identical(fc)
         and has_finitely_many_singularities(fc)
         and has_no_schemas(fc)
-        and not _has_locally_dense(fc)
+        and not cls.dense_ids
     )
     if not applicable:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
@@ -334,6 +323,6 @@ def verify_theorems(fc: FlowComplex, names: Optional[Iterable] = None) -> list[T
     wanted = set(THEOREM_NAMES) if names is None else set(names)
     unknown = wanted - set(THEOREM_NAMES)
     if unknown:
-        raise ValueError(f"unknown theorem names: {sorted(unknown)}")
+        raise PreconditionError(f"unknown theorem names: {sorted(unknown)}")
     cls = Classifier(fc)
     return [check(cls) for name, check in THEOREM_CHECKS if name in wanted]

@@ -41,7 +41,8 @@ from flowcomplex import (
     random_complex,
     verify_theorems,
 )
-from flowcomplex.orbits import Expansion, generalized_saddle_sets
+from flowcomplex.orbits import Expansion, generalized_saddle_sets, has_periodic_member_kinds, orbit_set_closure
+from flowcomplex.theorems import _all_extended_orbits_closed, _block_with_infinite_singularities
 from naive_oracle import naive_dichotomy, naive_extended_orbit, naive_extended_pap
 
 
@@ -433,3 +434,41 @@ def test_reports_and_theorems_run_no_per_seed_fixpoint(monkeypatch):
     verify_theorems(fc)
     # both read member sets from the condensation (Classifier.reach)
     assert runs == []
+
+
+def test_lead_scans_match_the_per_id_scans(gallery_complexes):
+    """Scans over ``Classifier.leads`` give the answers of scans over every
+    id, with member sets from the per-seed fixpoint as the reference."""
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    complexes += [build("nested_saddles_disk", {"n": 40}), build("double_center_sphere", {"n": 40})]
+    found = {"open": 0, "chain": 0, "overlap": 0, "periodic": 0}
+    for fc in complexes:
+        cls = Classifier(fc)
+        plain = Expansion.plain(fc)
+        ids = sorted(fc.all_ids)
+        members = {xid: plain.orbit(xid).members for xid in ids}
+        blocks = {xid: orbit_set_closure(fc, members[xid]) for xid in ids}
+        open_id = next((x for x in ids if not blocks[x] <= members[x]), None)
+        assert _all_extended_orbits_closed(cls) == open_id
+        chains = [s for s in fc.accumulation_schemas if s.kind is SchemaKind.SADDLE_CHAIN]
+        chain_id = next((x for s in chains for x in ids if set(s.samples) <= blocks[x]), None)
+        assert _block_with_infinite_singularities(cls) == chain_id
+        pair = next(
+            (
+                (x, y)
+                for i, x in enumerate(ids)
+                for y in ids[i + 1 :]
+                if blocks[x] != blocks[y] and not blocks[x].isdisjoint(blocks[y])
+            ),
+            None,
+        )
+        witness = cls.extended_pap().witness
+        assert (witness.ids if witness else None) == pair
+        for xid in ids:
+            periodic = has_periodic_member_kinds(fc, members[xid]) and blocks[xid] <= members[xid]
+            assert cls.extended_periodic(xid) == periodic, xid
+            found["periodic"] += periodic
+        found["open"] += open_id is not None
+        found["chain"] += chain_id is not None
+        found["overlap"] += pair is not None
+    assert all(found.values()), found

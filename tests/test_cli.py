@@ -12,6 +12,13 @@ from flowcomplex import build, cli, emit
 
 SUBCOMMANDS = ("validate", "classify", "orbit", "gallery", "verify", "export-dot")
 BROKEN = "surface genus=0 orientable=true boundary=0\nsing ??? point kind=center\n"
+# a family boundary naming three undeclared ids: a set-valued field
+GHOSTS = """\
+surface genus=0 orientable=true boundary=0
+sing c1 point kind=center
+sing c2 point kind=center
+family f1 kind=annulus b0=c1,ghost1,ghost2,ghost3 b1=c2
+"""
 
 
 def _in_process(argv):
@@ -76,3 +83,50 @@ def test_shared_parser_prints_the_help_of_a_fresh_one(monkeypatch):
         rc, out, err = _in_process(argv)
         assert (rc, err) == (0, ""), argv
         assert out == _fresh_parser(argv), argv
+
+
+def test_domain_errors_print_one_line_and_exit_1(tmp_path):
+    good = tmp_path / "hd.fc"
+    good.write_text(emit(build("halfdisk_sphere", None)))
+    cases = [
+        (["orbit", str(good), "--start", "nope"], "error: 'nope'\n"),
+        (["orbit", str(good), "--start", "nope", "--generalized"], "error: 'nope'\n"),
+        (["export-dot", str(good), "--overlay", "nope"], "error: 'nope'\n"),
+        (["verify", str(good), "--theorems", "bogus"], "error: unknown theorem names: ['bogus']\n"),
+        (
+            ["gallery", "--name", "halfdisk_sphere", "--param", "zz=3", "--out", str(tmp_path / "out.fc")],
+            "error: halfdisk_sphere does not take parameters ['zz']\n",
+        ),
+    ]
+    for argv, err in cases:
+        assert _in_process(argv) == (1, "", err), argv
+
+
+def _run_with_hash_seed(argv, seed):
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowcomplex.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONHASHSEED": str(seed)},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_outputs_do_not_depend_on_the_string_hash(tmp_path):
+    ghosts = tmp_path / "ghosts.fc"
+    ghosts.write_text(GHOSTS)
+    doc = tmp_path / "dc.fc"
+    doc.write_text(emit(build("double_center_sphere", None)))
+    cases = [
+        (["validate", str(ghosts)], (1, 2, 3, 4)),
+        (["classify", str(doc), "--json"], (1, 2)),
+        (["verify", str(doc), "--json"], (1, 2)),
+    ]
+    results = {}
+    for argv, seeds in cases:
+        outputs = {_run_with_hash_seed(argv, seed) for seed in seeds}
+        assert len(outputs) == 1, argv
+        results[argv[0]] = outputs.pop()
+    rc, out, _ = results["validate"]
+    assert rc == 1
+    assert [line.split("'")[1] for line in out.splitlines() if "unknown id" in line] == ["ghost1", "ghost2", "ghost3"]
