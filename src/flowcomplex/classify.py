@@ -114,10 +114,11 @@ class Classifier:
 
     def __init__(self, fc: FlowComplex):
         self.fc = fc
-        self._reach: dict[tuple[str, Direction, bool], tuple[frozenset[str], bool]] = {}
+        self._reach: dict[tuple[str, Direction, Expansion], tuple[frozenset[str], bool]] = {}
         self._block_of_members: dict[frozenset[str], frozenset[str]] = {}
         self._blocks: Optional[dict[str, frozenset[str]]] = None
         self._verdicts: dict[str, Verdict] = {}
+        self._not_recurrent: dict[Expansion, Optional[tuple[str, str]]] = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -127,16 +128,20 @@ class Classifier:
 
     @cached_property
     def _generalized(self) -> Expansion:
-        return Expansion.generalized(self.fc)
+        """The generalized engine, or the plain one itself when no declared
+        set is admitted: the two then have the same expansion sets.  The
+        declarations are checked either way."""
+        engine = Expansion.generalized(self.fc)
+        return self._plain if engine.sets == self._plain.sets else engine
 
     def reach(self, xid: str, direction: Direction, generalized: bool = False) -> tuple[frozenset[str], bool]:
         """``(members, self_readded)`` of the plain or generalized extended
-        orbit of ``xid``, kept per query.  A two-sided query keeps only its own
-        answer, not the one-sided ones it is the union of."""
-        key = (xid, direction, generalized)
+        orbit of ``xid``, kept per query and engine.  A two-sided query keeps
+        only its own answer, not the one-sided ones it is the union of."""
+        engine = self._generalized if generalized else self._plain
+        key = (xid, direction, engine)
         found = self._reach.get(key)
         if found is None:
-            engine = self._generalized if generalized else self._plain
             found = self._reach[key] = engine.reach(xid, direction)
         return found
 
@@ -242,13 +247,30 @@ class Classifier:
                 return Verdict(False, Witness((xid,), "non-recurrent-point"))
         return Verdict(True)
 
+    def _first_not_recurrent(self, generalized: bool) -> Optional[tuple[str, str]]:
+        """The first ``(id, side)`` whose point is not extended recurrent over
+        the plain or generalized engine; scanned once per engine, so the
+        generalized verdict reuses the plain scan when the engines are one."""
+        engine = self._generalized if generalized else self._plain
+        if engine not in self._not_recurrent:
+            self._not_recurrent[engine] = next(
+                (
+                    (xid, side)
+                    for xid in self.ids
+                    for forward, side in ((True, "positively"), (False, "negatively"))
+                    if not self.extended_recurrent_point(xid, forward, generalized)
+                ),
+                None,
+            )
+        return self._not_recurrent[engine]
+
     def _every_point_extended_recurrent(self, generalized: bool) -> Verdict:
+        failure = self._first_not_recurrent(generalized)
+        if failure is None:
+            return Verdict(True)
+        xid, side = failure
         kind = "generalized" if generalized else "extended"
-        for xid in self.ids:
-            for forward, side in ((True, "positively"), (False, "negatively")):
-                if not self.extended_recurrent_point(xid, forward, generalized):
-                    return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
-        return Verdict(True)
+        return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
 
     @_once
     def extended_recurrent(self) -> Verdict:

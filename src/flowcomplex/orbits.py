@@ -111,7 +111,9 @@ class Expansion:
             for mid in fset:
                 self._holding.setdefault(mid, []).append(i)
         self._adjoined: dict[tuple[int, bool], list[str]] = {}
-        self._reached: dict[bool, list[frozenset[str]]] = {}
+        self._reached: dict[bool, tuple[list[int], list[frozenset[str]]]] = {}
+        self._unions: dict[tuple[bool, tuple[int, ...]], frozenset[str]] = {}
+        self._pairs: dict[tuple[frozenset[str], frozenset[str]], frozenset[str]] = {}
 
     @classmethod
     def plain(cls, fc: FlowComplex) -> "Expansion":
@@ -222,53 +224,76 @@ class Expansion:
             self_readded=fwd.self_readded or bwd.self_readded,
         )
 
-    def _reach_table(self, forward: bool) -> list[frozenset[str]]:
-        """``M(i)`` for every set ``i``: all that any set reachable from ``i``
-        adjoins, where set ``i`` reaches set ``j`` when an id ``i`` adjoins
-        fires ``j``.  Built once per direction, one strongly connected
-        component at a time, sinks first, so the sets of a component share
-        one frozenset and each component unions its successors' tables."""
+    def _reach_table(self, forward: bool) -> tuple[list[int], list[frozenset[str]]]:
+        """The component of every set, and the row ``M(c)`` of every
+        component: all that any set reachable from ``c`` adjoins, where set
+        ``i`` reaches set ``j`` when an id ``i`` adjoins fires ``j``.  Built
+        once per direction, one strongly connected component at a time,
+        sinks first, so each component unions its successors' rows."""
         table = self._reached.get(forward)
         if table is None:
             succ = [
                 list(dict.fromkeys(j for oid in self._adjoins(i, forward) for j in self._fired(oid, forward)))
                 for i in range(len(self.sets))
             ]
-            table = self._reached[forward] = [frozenset()] * len(self.sets)
             comp_of = [-1] * len(self.sets)
+            rows: list[frozenset[str]] = []
             for c, comp in enumerate(_strong_components(succ)):
                 for i in comp:
                     comp_of[i] = c
                 # each component below once, however many edges lead to it
-                below = {id(table[j]): table[j] for i in comp for j in succ[i] if comp_of[j] != c}
-                reached = frozenset().union(*(self._adjoins(i, forward) for i in comp), *below.values())
-                for i in comp:
-                    table[i] = reached
+                below = {comp_of[j] for i in comp for j in succ[i]} - {c}
+                adjoined = (self._adjoins(i, forward) for i in comp)
+                rows.append(frozenset().union(*adjoined, *(rows[d] for d in below)))
+            table = self._reached[forward] = (comp_of, rows)
         return table
 
-    def _reach(self, start: str, forward: bool) -> tuple[frozenset[str], bool]:
+    def _payload(self, start: str, forward: bool) -> Optional[frozenset[str]]:
+        """All that the sets ``start`` fires reach on one side: the row of
+        their component, or the union of their components' rows, kept per
+        distinct set of rows.  ``None`` when ``start`` fires nothing."""
         fired = self._fired(start, forward)
         if not fired:
-            return frozenset({start}), False
-        table = self._reach_table(forward)
-        payload = table[fired[0]].union(*(table[i] for i in fired[1:])) if len(fired) > 1 else table[fired[0]]
-        if start in payload:
-            return payload, True
-        return payload | {start}, False
+            return None
+        comp_of, rows = self._reach_table(forward)
+        if len(fired) == 1:
+            return rows[comp_of[fired[0]]]
+        key = (forward, tuple(sorted({comp_of[i] for i in fired})))
+        found = self._unions.get(key)
+        if found is None:
+            found = self._unions[key] = frozenset().union(*(rows[c] for c in key[1]))
+        return found
+
+    def _union(self, fwd: frozenset[str], bwd: frozenset[str]) -> frozenset[str]:
+        """The two-sided payload of a pair of one-sided ones, kept per pair:
+        a side's own frozenset when it holds the other."""
+        found = self._pairs[(fwd, bwd)] = fwd if bwd <= fwd else bwd if fwd <= bwd else fwd | bwd
+        return found
 
     def reach(self, start: str, direction: Direction = Direction.BOTH) -> tuple[frozenset[str], bool]:
         """``(members, self_readded)`` of ``orbit(start, direction)``, without
-        its rounds: the one-sided members are ``start`` plus ``M(i)`` of every
-        set ``i`` that ``start`` fires, and ``start`` is re-added exactly when
-        one of those ``M(i)`` holds it."""
+        its rounds: the members are ``start`` plus the payload of each
+        queried side, and ``start`` is re-added exactly when a payload holds
+        it.  Ids that fire the same rows share one payload frozenset, and two
+        payloads are joined once per pair."""
         self.fc.require(start)
         direction = Direction(direction)
-        if direction is not Direction.BOTH:
-            return self._reach(start, direction is Direction.FORWARD)
-        (fwd, fwd_again), (bwd, bwd_again) = self._reach(start, True), self._reach(start, False)
-        # share one side's frozenset when it holds the other
-        members = fwd if bwd <= fwd else bwd if fwd <= bwd else fwd | bwd
-        return members, fwd_again or bwd_again
+        fwd = self._payload(start, True) if direction is not Direction.BACKWARD else None
+        bwd = self._payload(start, False) if direction is not Direction.FORWARD else None
+        if fwd is None:
+            payload = bwd
+        elif bwd is None:
+            payload = fwd
+        else:
+            # shared frozensets keep their hashes, so the pair is a cheap key
+            payload = self._pairs.get((fwd, bwd))
+            if payload is None:
+                payload = self._union(fwd, bwd)
+        if payload is None:
+            return frozenset({start}), False
+        if start in payload:
+            return payload, True
+        return payload | {start}, False
 
 
 def _strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -9,6 +9,7 @@ from flowcomplex import (
     Family,
     FamilyKind,
     FlowComplex,
+    InvalidSaddleSetError,
     LimitRef,
     OrbitClass,
     OrbitKind,
@@ -20,6 +21,8 @@ from flowcomplex import (
     SurfaceInfo,
     TheoremStatus,
     UnknownIdError,
+    Verdict,
+    Witness,
     build,
     classification_report,
     dichotomy_check,
@@ -39,6 +42,7 @@ from flowcomplex import (
     orbit_set_is_closed,
     parse,
     random_complex,
+    validate,
     verify_theorems,
 )
 from flowcomplex.orbits import Expansion, generalized_saddle_sets, has_periodic_member_kinds, orbit_set_closure
@@ -213,6 +217,36 @@ def test_dichotomy_set_tests_match_the_scans(gallery_complexes):
                 assert case is naive_dichotomy(fc, xid), xid
                 compared.add(case)
     assert compared == {DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE, DichotomyCase.MEETS_LOCALLY_DENSE}
+
+
+# genus2_mixed with a saddle chain through s1 and c1 that accumulates on the
+# degenerate point o: the closure of every open extended orbit holds o, and
+# its members meet the closure of the locally dense class g11
+CHAIN_INTO_DENSE_REGION = """\
+surface genus=2 orientable=true boundary=0
+sing o point kind=other
+sing s1 point kind=saddle
+sing s2 point kind=saddle
+orbit a2 proper alpha=sing:s2 omega=sing:s1
+orbit c1 proper alpha=sing:s1 omega=sing:s2
+orbit c2 proper alpha=sing:s1 omega=sing:s2
+orbit g11 dense closure=c1,c2,g11,s1,s2,u1,w1
+orbit u1 dense alpha=sing:s2 closure=c1,c2,g11,s1,s2,u1,w1
+orbit w1 dense omega=sing:s1 closure=c1,c2,g11,s1,s2,u1,w1
+family f2 kind=annulus b0=a2,c1,s1,s2 b1=a2,c2,s1,s2
+accum chain kind=saddle_chain samples=s1,c1 target=o
+"""
+
+
+def test_dichotomy_tests_both_firing_give_the_singularity_case():
+    fc = parse(CHAIN_INTO_DENSE_REGION)
+    assert validate(fc).ok
+    cls = Classifier(fc)
+    assert cls.extended_recurrent().verdict
+    members = cls.reach("c1", Direction.BOTH)[0]
+    assert not cls.extension_closed("c1")
+    assert "o" in cls.block("c1") and not members.isdisjoint(cls._dense_closures)
+    assert cls.dichotomy("c1") is naive_dichotomy(fc, "c1") is DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE
 
 
 def test_report_witnesses_accompany_false_verdicts(gallery_complexes):
@@ -472,3 +506,66 @@ def test_lead_scans_match_the_per_id_scans(gallery_complexes):
         found["chain"] += chain_id is not None
         found["overlap"] += pair is not None
     assert all(found.values()), found
+
+
+def _generalized_scan(fc):
+    """The first ``(id, side)`` that is not generalized recurrent, by per-seed
+    fixpoints over a freshly built generalized engine."""
+    engine = Expansion.generalized(fc)
+    for xid in sorted(fc.all_ids):
+        for direction, side in ((Direction.FORWARD, "positively"), (Direction.BACKWARD, "negatively")):
+            recurrent = is_positively_recurrent if direction is Direction.FORWARD else is_negatively_recurrent
+            if recurrent(fc, xid):
+                continue
+            fam = fc.family_by_id.get(xid)
+            if fam is not None:
+                if fam.kind is FamilyKind.CLOSED_EXTENDED_REGION:
+                    continue
+                return xid, side
+            run = engine.orbit(xid, direction)
+            if run.self_readded or any(xid in fc.closure(oid) for oid in run.members - {xid}):
+                continue
+            return xid, side
+    return None
+
+
+def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_complexes):
+    """With no declared set admitted the classifier answers generalized
+    recurrence on its plain engine; the verdict, witness and rule match a
+    scan over the generalized engine built on its own."""
+    named = list(gallery_complexes.items()) + [(f"seed {seed}", random_complex(seed)) for seed in range(1000)]
+    named += [(f"{name} n=40", build(name, {"n": 40})) for name in ("nested_saddles_disk", "double_center_sphere")]
+    branches = {"reused": [], "separate": []}
+    verdicts = {"reused": set(), "separate": set()}
+    for name, fc in named:
+        cls = Classifier(fc)
+        verdict = cls.generalized_recurrent()
+        branch = "reused" if cls._generalized is cls._plain else "separate"
+        assert (branch == "reused") == (Expansion.generalized(fc).sets == Expansion.plain(fc).sets), name
+        branches[branch].append(name)
+        verdicts[branch].add(verdict.verdict)
+        failure = _generalized_scan(fc)
+        if failure is None:
+            assert verdict == Verdict(True), name
+        else:
+            xid, side = failure
+            assert verdict == Verdict(False, Witness((xid,), f"not-generalized-{side}-recurrent")), name
+    # halfdisk_sphere and 47 sweep seeds admit a declared set
+    assert "halfdisk_sphere" in branches["separate"]
+    assert (len(branches["reused"]), len(branches["separate"])) == (963, 48)
+    assert verdicts == {"reused": {True, False}, "separate": {True}}
+
+
+def test_declared_saddle_sets_are_checked_on_every_complex():
+    # every point is recurrent, so no verdict needs an extended orbit; the
+    # generalized verdict still learns whether its engine is the plain one
+    fc = parse(
+        "surface genus=0 orientable=true boundary=0\n"
+        "sing c1 point kind=center\nsing c2 point kind=center\n"
+        "family f kind=annulus b0=c1 b1=c2 shrinks0=true shrinks1=true\n"
+        "saddleset q members=c1 isolated=true\n"
+    )
+    assert validate(fc).ok
+    assert is_extended_recurrent(fc).verdict
+    with pytest.raises(InvalidSaddleSetError, match="'q' fails the saddle-set criterion"):
+        classification_report(fc)

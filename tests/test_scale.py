@@ -1,0 +1,78 @@
+"""Classification and the theorem harness on gallery flows of about 10^4
+ids (``SCALE_DOCUMENTS`` in ``tests/test_golden.py``), where the naive
+oracles cannot run: a pinned output digest, the harness itself, sampled
+per-seed fixpoints, and how often two-sided reaches are decided."""
+
+from __future__ import annotations
+
+import pytest
+
+from flowcomplex import Classifier, Direction, TheoremStatus, build, classification_report, verify_theorems
+from flowcomplex.orbits import Expansion
+from test_golden import SCALE_DIGEST, SCALE_DOCUMENTS, digest
+
+
+@pytest.fixture(scope="module")
+def scale():
+    """Each scale document with its report and theorem results."""
+    out = []
+    for name, n in SCALE_DOCUMENTS:
+        fc = build(name, {"n": n})
+        out.append((fc, classification_report(fc), verify_theorems(fc)))
+    return out
+
+
+def test_scale_output_digest_is_pinned(scale):
+    assert digest((report, results) for _, report, results in scale) == SCALE_DIGEST
+
+
+def test_no_theorem_is_violated_at_scale(scale):
+    for fc, _, results in scale:
+        assert 9900 < len(fc.all_ids) < 10100
+        violated = [r.theorem for r in results if r.status is TheoremStatus.VIOLATION]
+        assert violated == []
+
+
+def test_reach_matches_the_per_seed_fixpoint_at_scale(scale):
+    for fc, _, _ in scale:
+        cls = Classifier(fc)
+        plain = Expansion.plain(fc)
+        for xid in sorted(fc.all_ids)[::97]:
+            fwd, bwd = plain.orbit(xid, Direction.FORWARD), plain.orbit(xid, Direction.BACKWARD)
+            assert cls.reach(xid, Direction.FORWARD) == (fwd.members, fwd.self_readded), xid
+            assert cls.reach(xid, Direction.BACKWARD) == (bwd.members, bwd.self_readded), xid
+            # orbit(xid, BOTH) is the union of these two runs
+            both = (fwd.members | bwd.members, fwd.self_readded or bwd.self_readded)
+            assert cls.reach(xid, Direction.BOTH) == both, xid
+
+
+def test_two_sided_reach_is_decided_once_per_row_pair(scale, monkeypatch):
+    """Ids whose forward and backward payloads are the same shared rows share
+    one decision (subset test or union) and one frozenset, however many ids
+    they are."""
+    decided = []
+    union = Expansion._union
+
+    def counted(self, fwd, bwd):
+        decided.append((id(fwd), id(bwd)))
+        return union(self, fwd, bwd)
+
+    monkeypatch.setattr(Expansion, "_union", counted)
+    counts = []
+    for fc, _, _ in scale:
+        decided.clear()
+        engine = Expansion.plain(fc)
+        ids = sorted(fc.all_ids)
+        answers = {xid: engine.reach(xid, Direction.BOTH)[0] for xid in ids}
+        pairs: dict[tuple[int, int], list[str]] = {}
+        for xid in ids:
+            fwd, bwd = engine._payload(xid, True), engine._payload(xid, False)
+            if fwd is not None and bwd is not None:
+                pairs.setdefault((id(fwd), id(bwd)), []).append(xid)
+        assert sorted(decided) == sorted(pairs)
+        for sharing in pairs.values():
+            inside = [answers[xid] for xid in sharing if xid in answers[xid]]
+            assert len({id(members) for members in inside}) <= 1
+        counts.append((len(decided), sum(map(len, pairs.values()))))
+    # (two-sided decisions, ids firing on both sides) per document
+    assert counts == [(1, 5997), (1660, 4980)]
