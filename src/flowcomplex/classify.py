@@ -118,7 +118,6 @@ class Classifier:
         self._block_of_members: dict[frozenset[str], frozenset[str]] = {}
         self._blocks: Optional[dict[str, frozenset[str]]] = None
         self._verdicts: dict[str, Verdict] = {}
-        self._not_recurrent: dict[Expansion, Optional[tuple[str, str]]] = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -129,8 +128,9 @@ class Classifier:
     @cached_property
     def _generalized(self) -> Expansion:
         """The generalized engine, or the plain one itself when no declared
-        set is admitted: the two then have the same expansion sets.  The
-        declarations are checked either way."""
+        set is admitted: the two then have the same expansion sets.  Built
+        at the first generalized reach, which checks the declarations
+        whichever engine is kept."""
         engine = Expansion.generalized(self.fc)
         return self._plain if engine.sets == self._plain.sets else engine
 
@@ -247,30 +247,13 @@ class Classifier:
                 return Verdict(False, Witness((xid,), "non-recurrent-point"))
         return Verdict(True)
 
-    def _first_not_recurrent(self, generalized: bool) -> Optional[tuple[str, str]]:
-        """The first ``(id, side)`` whose point is not extended recurrent over
-        the plain or generalized engine; scanned once per engine, so the
-        generalized verdict reuses the plain scan when the engines are one."""
-        engine = self._generalized if generalized else self._plain
-        if engine not in self._not_recurrent:
-            self._not_recurrent[engine] = next(
-                (
-                    (xid, side)
-                    for xid in self.ids
-                    for forward, side in ((True, "positively"), (False, "negatively"))
-                    if not self.extended_recurrent_point(xid, forward, generalized)
-                ),
-                None,
-            )
-        return self._not_recurrent[engine]
-
     def _every_point_extended_recurrent(self, generalized: bool) -> Verdict:
-        failure = self._first_not_recurrent(generalized)
-        if failure is None:
-            return Verdict(True)
-        xid, side = failure
         kind = "generalized" if generalized else "extended"
-        return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
+        for xid in self.ids:
+            for forward, side in ((True, "positively"), (False, "negatively")):
+                if not self.extended_recurrent_point(xid, forward, generalized):
+                    return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
+        return Verdict(True)
 
     @_once
     def extended_recurrent(self) -> Verdict:

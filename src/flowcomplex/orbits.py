@@ -112,7 +112,6 @@ class Expansion:
                 self._holding.setdefault(mid, []).append(i)
         self._adjoined: dict[tuple[int, bool], list[str]] = {}
         self._reached: dict[bool, tuple[list[int], list[frozenset[str]]]] = {}
-        self._unions: dict[tuple[bool, tuple[int, ...]], frozenset[str]] = {}
         self._pairs: dict[tuple[frozenset[str], frozenset[str]], frozenset[str]] = {}
 
     @classmethod
@@ -250,19 +249,15 @@ class Expansion:
 
     def _payload(self, start: str, forward: bool) -> Optional[frozenset[str]]:
         """All that the sets ``start`` fires reach on one side: the row of
-        their component, or the union of their components' rows, kept per
-        distinct set of rows.  ``None`` when ``start`` fires nothing."""
+        their component, or the union of their components' rows.  ``None``
+        when ``start`` fires nothing."""
         fired = self._fired(start, forward)
         if not fired:
             return None
         comp_of, rows = self._reach_table(forward)
         if len(fired) == 1:
             return rows[comp_of[fired[0]]]
-        key = (forward, tuple(sorted({comp_of[i] for i in fired})))
-        found = self._unions.get(key)
-        if found is None:
-            found = self._unions[key] = frozenset().union(*(rows[c] for c in key[1]))
-        return found
+        return frozenset().union(*(rows[comp_of[i]] for i in fired))
 
     def _union(self, fwd: frozenset[str], bwd: frozenset[str]) -> frozenset[str]:
         """The two-sided payload of a pair of one-sided ones, kept per pair:
@@ -274,7 +269,7 @@ class Expansion:
         """``(members, self_readded)`` of ``orbit(start, direction)``, without
         its rounds: the members are ``start`` plus the payload of each
         queried side, and ``start`` is re-added exactly when a payload holds
-        it.  Ids that fire the same rows share one payload frozenset, and two
+        it.  Ids that fire one and the same row share its frozenset, and two
         payloads are joined once per pair."""
         self.fc.require(start)
         direction = Direction(direction)

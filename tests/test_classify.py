@@ -536,13 +536,17 @@ def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_co
     named = list(gallery_complexes.items()) + [(f"seed {seed}", random_complex(seed)) for seed in range(1000)]
     named += [(f"{name} n=40", build(name, {"n": 40})) for name in ("nested_saddles_disk", "double_center_sphere")]
     branches = {"reused": [], "separate": []}
+    built = {"reused": 0, "separate": 0}
     verdicts = {"reused": set(), "separate": set()}
     for name, fc in named:
         cls = Classifier(fc)
         verdict = cls.generalized_recurrent()
+        # the engine is built only when some point needs a generalized reach
+        needed = "_generalized" in vars(cls)
         branch = "reused" if cls._generalized is cls._plain else "separate"
         assert (branch == "reused") == (Expansion.generalized(fc).sets == Expansion.plain(fc).sets), name
         branches[branch].append(name)
+        built[branch] += needed
         verdicts[branch].add(verdict.verdict)
         failure = _generalized_scan(fc)
         if failure is None:
@@ -553,12 +557,14 @@ def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_co
     # halfdisk_sphere and 47 sweep seeds admit a declared set
     assert "halfdisk_sphere" in branches["separate"]
     assert (len(branches["reused"]), len(branches["separate"])) == (963, 48)
+    assert built == {"reused": 563, "separate": 48}
     assert verdicts == {"reused": {True, False}, "separate": {True}}
 
 
-def test_declared_saddle_sets_are_checked_on_every_complex():
-    # every point is recurrent, so no verdict needs an extended orbit; the
-    # generalized verdict still learns whether its engine is the plain one
+def test_generalized_engine_is_built_at_the_first_generalized_reach():
+    # every point is recurrent, so no verdict needs an extended orbit and the
+    # declared set, which fails the saddle-set criterion, is not checked
+    # until a generalized extended orbit is asked for
     fc = parse(
         "surface genus=0 orientable=true boundary=0\n"
         "sing c1 point kind=center\nsing c2 point kind=center\n"
@@ -566,6 +572,9 @@ def test_declared_saddle_sets_are_checked_on_every_complex():
         "saddleset q members=c1 isolated=true\n"
     )
     assert validate(fc).ok
-    assert is_extended_recurrent(fc).verdict
+    cls = Classifier(fc)
+    assert cls.generalized_recurrent().verdict
+    assert "_generalized" not in vars(cls)
+    assert classification_report(fc).generalized_recurrent.verdict
     with pytest.raises(InvalidSaddleSetError, match="'q' fails the saddle-set criterion"):
-        classification_report(fc)
+        cls.reach("c1", Direction.FORWARD, generalized=True)
