@@ -4,12 +4,14 @@ from flowcomplex import (
     GALLERY,
     AccumulationSchema,
     Classifier,
+    CycleSide,
     DichotomyCase,
     Direction,
     Family,
     FamilyKind,
     FlowComplex,
     InvalidSaddleSetError,
+    LimitCycle,
     LimitRef,
     OrbitClass,
     OrbitKind,
@@ -26,6 +28,8 @@ from flowcomplex import (
     build,
     classification_report,
     dichotomy_check,
+    emit,
+    extended_limit_cycles,
     extended_orbit,
     is_extended_center,
     is_extended_negatively_recurrent,
@@ -451,6 +455,37 @@ def test_reach_matches_the_oracles(gallery_complexes):
     # two or more sets into one component: 144 and 240 of the corpus without
     # the directed cycle, plus its two
     assert cyclic == {"plain": 146, "generalized": 242}
+
+
+def test_limit_cycle_of_saddle_connections():
+    # sp winds onto the heteroclinic cycle, which is a closed curve of three
+    # saddles and three arcs, and lies in the extended orbit of each of them
+    fc = parse(DIRECTED_SADDLE_CYCLE + "orbit sp proper alpha=sing:so2 omega=set:o12,o23,o31,s1,s2,s3\n")
+    assert validate(fc).ok
+    cycle = frozenset({"s1", "s2", "s3", "o12", "o23", "o31"})
+    assert extended_limit_cycles(fc) == [LimitCycle(cycle=cycle, witness="sp", side=CycleSide.OMEGA)]
+    results = verify_theorems(fc)
+    assert not any(r.status is TheoremStatus.VIOLATION for r in results)
+    wandering = {r.theorem: r for r in results}["limit-cycles-force-wandering"]
+    assert (wandering.status, wandering.detail) == (TheoremStatus.HOLDS, "wandering witness r")
+
+
+def test_ids_that_fire_two_expansion_sets():
+    # the declared set eye holds the homoclinic loop of nsd1, so nsd1 and
+    # both loop arcs fire {nsd1} and eye on either side, and their payload is
+    # the union of two rows
+    fc = parse(emit(build("double_center_sphere", {"n": 1})) + "saddleset eye members=nli1,nlo1,nsd1 isolated=true\n")
+    assert validate(fc).ok
+    assert not any(r.status is TheoremStatus.VIOLATION for r in verify_theorems(fc))
+    cls = Classifier(fc)
+    engine = Expansion.generalized(fc)
+    twice = {(xid, forward) for xid in fc.all_ids for forward in (True, False) if len(engine._fired(xid, forward)) == 2}
+    assert twice == {(xid, forward) for xid in ("nli1", "nlo1", "nsd1") for forward in (True, False)}
+    for xid in sorted(fc.all_ids):
+        for d in Direction:
+            run = engine.orbit(xid, d)
+            assert cls.reach(xid, d, generalized=True) == (run.members, run.self_readded), (xid, d)
+    assert cls.reach("nlo1", Direction.FORWARD, generalized=True)[0] == frozenset({"nli1", "nlo1", "nsd1"})
 
 
 def test_reports_and_theorems_run_no_per_seed_fixpoint(monkeypatch):
