@@ -24,11 +24,12 @@ from .model import (
     PointKind,
     PreconditionError,
     REGULAR_KINDS,
+    RefKind,
     SchemaKind,
     Shape,
     singularity_accumulation,
 )
-from .orbits import Direction, Expansion, has_periodic_member_kinds, orbit_set_closure
+from .orbits import CycleSide, Direction, Expansion, LimitCycle, has_periodic_member_kinds, orbit_set_closure
 
 
 @dataclass(frozen=True)
@@ -427,6 +428,73 @@ class Classifier:
             return DichotomyCase.MEETS_LOCALLY_DENSE
         return DichotomyCase.VIOLATION
 
+    # -- limit cycles ---------------------------------------------------------
+
+    def limit_cycles(self) -> list[LimitCycle]:
+        """Unions of closed curves, other than a single singularity, that lie
+        inside an extended orbit and are the declared alpha or omega limit of
+        an orbit class outside them."""
+        fc = self.fc
+        candidates: set[frozenset[str]] = set()
+        for o in fc.orbit_classes:
+            for ref in (o.alpha, o.omega):
+                if ref is None:
+                    continue
+                if ref.kind is RefKind.SET:
+                    candidates.add(ref.resolved())
+                elif ref.kind is RefKind.ORBIT:
+                    target = fc.orbit_by_id.get(ref.ids[0])
+                    if target is not None and target.kind is OrbitKind.PERIODIC:
+                        candidates.add(frozenset(ref.ids))
+        results: list[LimitCycle] = []
+        for gamma in sorted(candidates, key=sorted):
+            if len(gamma) == 1 and next(iter(gamma)) in fc.sing_by_id:
+                continue
+            if not _is_closed_curve_union(fc, gamma):
+                continue
+            if not any(gamma <= self.reach(mid, Direction.BOTH)[0] for mid in sorted(gamma)):
+                continue
+            witnesses = [
+                (oid, side)
+                for side in CycleSide
+                for limit, oid in fc.classes_by_limit.get((side.value, min(gamma)), ())
+                if limit == gamma and oid not in gamma
+            ]
+            if witnesses:
+                wid, side = min(witnesses)
+                results.append(LimitCycle(cycle=gamma, witness=wid, side=side))
+        return results
+
+
+def _is_closed_curve_union(fc: FlowComplex, ids: frozenset[str]) -> bool:
+    # periodic orbits stand alone; proper arcs must concatenate through the
+    # saddles of the set into circles (balanced in/out degree at each saddle)
+    indeg: dict[str, int] = {}
+    outdeg: dict[str, int] = {}
+    for mid in ids:
+        if fc.is_saddle(mid):
+            indeg.setdefault(mid, 0)
+            outdeg.setdefault(mid, 0)
+            continue
+        orb = fc.orbit_by_id.get(mid)
+        if orb is None:
+            return False
+        if orb.kind is OrbitKind.PERIODIC:
+            continue
+        if orb.kind is not OrbitKind.PROPER:
+            return False
+        for ref, deg in ((orb.alpha, outdeg), (orb.omega, indeg)):
+            if ref is None or ref.kind is not RefKind.SING:
+                return False
+            end = ref.ids[0]
+            if end not in ids or not fc.is_saddle(end):
+                return False
+            deg[end] = deg.get(end, 0) + 1
+    for sid in indeg:
+        if indeg[sid] != outdeg[sid] or indeg[sid] < 1:
+            return False
+    return True
+
 
 # -- public functions --------------------------------------------------------
 
@@ -481,6 +549,10 @@ def is_extended_center(fc: FlowComplex, sid: str) -> bool:
 
 def is_generalized_recurrent(fc: FlowComplex) -> Verdict:
     return Classifier(fc).generalized_recurrent()
+
+
+def extended_limit_cycles(fc: FlowComplex) -> list[LimitCycle]:
+    return Classifier(fc).limit_cycles()
 
 
 def dichotomy_check(fc: FlowComplex, xid: str) -> DichotomyCase:

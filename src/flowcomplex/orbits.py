@@ -21,22 +21,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
     FamilyKind,
     FlowComplex,
-    FlowComplexError,
     OrbitKind,
     PreconditionError,
-    RefKind,
     SchemaKind,
     Shape,
 )
 
 
-class InvalidSaddleSetError(FlowComplexError, ValueError):
-    """A declared saddle set fails the admission conditions."""
+class InvalidSaddleSetError(PreconditionError):
+    """A saddle set fails the admission conditions; one that is not
+    invariant-closed fails before the saddle-set tests can run."""
 
 
 class Direction(str, Enum):
@@ -414,78 +413,6 @@ class LimitCycle:
     side: CycleSide
 
 
-def _is_closed_curve_union(fc: FlowComplex, ids: frozenset[str]) -> bool:
-    # periodic orbits stand alone; proper arcs must concatenate through the
-    # saddles of the set into circles (balanced in/out degree at each saddle)
-    indeg: dict[str, int] = {}
-    outdeg: dict[str, int] = {}
-    for mid in ids:
-        if fc.is_saddle(mid):
-            indeg.setdefault(mid, 0)
-            outdeg.setdefault(mid, 0)
-            continue
-        orb = fc.orbit_by_id.get(mid)
-        if orb is None:
-            return False
-        if orb.kind is OrbitKind.PERIODIC:
-            continue
-        if orb.kind is not OrbitKind.PROPER:
-            return False
-        for ref, deg in ((orb.alpha, outdeg), (orb.omega, indeg)):
-            if ref is None or ref.kind is not RefKind.SING:
-                return False
-            end = ref.ids[0]
-            if end not in ids or not fc.is_saddle(end):
-                return False
-            deg[end] = deg.get(end, 0) + 1
-    for sid in indeg:
-        if indeg[sid] != outdeg[sid] or indeg[sid] < 1:
-            return False
-    return True
-
-
-def extended_limit_cycles(fc: FlowComplex) -> list[LimitCycle]:
-    """Non-singleton unions of closed curves inside an extended orbit that are
-    the declared alpha or omega limit of an orbit class outside them."""
-    plain = Expansion.plain(fc)
-    return _limit_cycles(fc, lambda mid: plain.reach(mid, Direction.BOTH)[0])
-
-
-def _limit_cycles(fc: FlowComplex, members: Callable[[str], frozenset[str]]) -> list[LimitCycle]:
-    """``extended_limit_cycles`` with ``members(xid)`` giving the two-sided
-    extended orbit of ``xid``, so a caller can answer from its own cache."""
-    candidates: set[frozenset[str]] = set()
-    for o in fc.orbit_classes:
-        for ref in (o.alpha, o.omega):
-            if ref is None:
-                continue
-            if ref.kind is RefKind.SET:
-                candidates.add(ref.resolved())
-            elif ref.kind is RefKind.ORBIT:
-                target = fc.orbit_by_id.get(ref.ids[0])
-                if target is not None and target.kind is OrbitKind.PERIODIC:
-                    candidates.add(frozenset(ref.ids))
-    results: list[LimitCycle] = []
-    for gamma in sorted(candidates, key=sorted):
-        if len(gamma) == 1 and next(iter(gamma)) in fc.sing_by_id:
-            continue
-        if not _is_closed_curve_union(fc, gamma):
-            continue
-        contained = any(gamma <= members(mid) for mid in sorted(gamma))
-        if not contained:
-            continue
-        witnesses = [
-            (oid, side)
-            for side in CycleSide
-            for limit, oid in fc.classes_by_limit.get((side.value, min(gamma)), ())
-            if limit == gamma and oid not in gamma
-        ]
-        if witnesses:
-            wid, side = min(witnesses)
-            results.append(LimitCycle(cycle=gamma, witness=wid, side=side))
-    return results
-
-
 @dataclass(frozen=True)
 class SaddleSetVerdict:
     verdict: bool
@@ -497,7 +424,7 @@ def _require_invariant_closed(fc: FlowComplex, members: frozenset[str]) -> None:
         fc.require(mid)
         escape = fc.closure(mid) - members
         if escape:
-            raise PreconditionError(f"set is not invariant-closed: closure of {mid} adds {sorted(escape)}")
+            raise InvalidSaddleSetError(f"set is not invariant-closed: closure of {mid} adds {sorted(escape)}")
 
 
 def _escapes(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
@@ -573,10 +500,6 @@ def validate_isolated_saddle_set(fc: FlowComplex, members: Iterable[str]) -> Non
     mset = frozenset(members)
     if len(mset) == 1 and fc.is_saddle(next(iter(mset))):
         return
-    try:
-        _require_invariant_closed(fc, mset)
-    except PreconditionError as exc:
-        raise InvalidSaddleSetError(str(exc)) from exc
     if not is_saddle_set(fc, mset).verdict:
         raise InvalidSaddleSetError(f"{sorted(mset)} fails the saddle-set criterion")
     if not is_isolated(fc, mset):

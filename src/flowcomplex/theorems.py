@@ -24,7 +24,7 @@ from .model import (
     singularity_accumulation,
 )
 from .classify import Classifier, DichotomyCase
-from .orbits import Direction, _limit_cycles
+from .orbits import Direction
 
 
 class TheoremStatus(str, Enum):
@@ -116,8 +116,7 @@ def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
     """An extended limit cycle forces a wandering proper orbit equal to its own extension."""
     name = "limit-cycles-force-wandering"
     fc = cls.fc
-    cycles = _limit_cycles(fc, lambda mid: cls.reach(mid, Direction.BOTH)[0])
-    if not cycles:
+    if not cls.limit_cycles():
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no extended limit cycles")
     if cls.nonwandering().verdict:
         return TheoremResult(name, TheoremStatus.VIOLATION, "limit cycles present but no wandering point")

@@ -18,6 +18,7 @@ from flowcomplex import (
     SingularSet,
     SurfaceInfo,
     build,
+    emit,
     extended_limit_cycles,
     extended_orbit,
     generalized_extended_orbit,
@@ -26,11 +27,14 @@ from flowcomplex import (
     is_isolated,
     is_saddle_set,
     orbit_set_is_closed,
+    parse,
     random_complex,
     stable_set,
     unstable_set,
+    validate,
     validate_isolated_saddle_set,
 )
+from flowcomplex.orbits import Expansion
 
 from naive_oracle import expand_once, naive_extended_orbit, naive_extension, reachability_members
 
@@ -235,6 +239,21 @@ def test_saddle_set_requires_invariant_closed_input(gallery_complexes):
     fc = gallery_complexes["genus2_mixed"]
     with pytest.raises(PreconditionError):
         is_saddle_set(fc, {"c1"})  # closure escapes to the saddles
+    with pytest.raises(PreconditionError):
+        is_isolated(fc, {"c1"})
+
+
+def test_every_admission_path_rejects_a_set_that_is_not_invariant_closed(gallery_complexes):
+    # validate flags the declaration; the library calls below skip validate
+    fc = parse(emit(gallery_complexes["genus2_mixed"]) + "saddleset q members=c1 isolated=true\n")
+    assert [v.rule for v in validate(fc).violations] == ["saddleset-not-invariant"]
+    message = r"set is not invariant-closed: closure of c1 adds \['s1', 's2'\]"
+    with pytest.raises(InvalidSaddleSetError, match=message):
+        validate_isolated_saddle_set(fc, {"c1"})
+    with pytest.raises(InvalidSaddleSetError, match=message):
+        Expansion.admit(fc, ["q"])
+    with pytest.raises(InvalidSaddleSetError, match=message):
+        generalized_saddle_sets(fc)
 
 
 def test_monotone_fixpoint_on_fixtures(gallery_complexes):
