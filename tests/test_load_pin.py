@@ -8,6 +8,12 @@ SHA-256 covers, per document, ``emit(parse(text))`` and the full
 ``validate`` report when it parses, or the ``(line, message)`` of every
 ``ParseError`` in order when it does not.  Columns are checked by a
 property instead: each points at the offending token or value.
+
+A change that means to alter the load path's output re-pins the digest: run
+``python3 tests/test_load_pin.py`` from the repository root (with ``src``
+on ``PYTHONPATH``), check the changed outputs, paste the printed
+``LOAD_DIGEST`` line over the one below and say in ``CHANGES.md`` why it
+moved.
 """
 
 import hashlib
@@ -288,14 +294,18 @@ def load_record(text):
     return {"emit": emit(fc), "report": _canonical_report(validate(fc).violations)}
 
 
+def load_digest(records):
+    blob = json.dumps(records, sort_keys=True, ensure_ascii=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 def test_load_path_outputs_are_pinned():
     records = [load_record(text) for text in corpus()]
     parsed = sum("emit" in r for r in records)
     invalid = sum(bool(r.get("report")) for r in records)
     # the corpus reaches all three outcomes
     assert 0 < invalid < parsed < len(records)
-    blob = json.dumps(records, sort_keys=True, ensure_ascii=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == LOAD_DIGEST
+    assert load_digest(records) == LOAD_DIGEST
 
 
 # -- columns ------------------------------------------------------------------
@@ -338,3 +348,7 @@ def test_error_columns_point_at_the_offending_text():
                 seen += 1
                 assert column_points_at_offender(lines[err.line - 1], err), (lines[err.line - 1], err)
     assert seen > 500
+
+
+if __name__ == "__main__":
+    print(f'LOAD_DIGEST = "{load_digest([load_record(text) for text in corpus()])}"')

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from flowcomplex import (
+    AccumulationSchema,
     Family,
     FamilyKind,
     FlowComplex,
@@ -8,6 +11,9 @@ from flowcomplex import (
     OrbitClass,
     OrbitKind,
     PointKind,
+    RefKind,
+    SaddleSetDecl,
+    SchemaKind,
     Shape,
     SingularSet,
     SizeParams,
@@ -341,3 +347,60 @@ def test_mutated_singularity_kind_is_rejected():
     report = validate(mutated)
     assert not report.ok
     assert "poincare-hopf" in report.rules()
+
+
+# -- record semantics -----------------------------------------------------------
+
+# (class, positional arguments with every field given, the defaulted fields
+# left out, what they default to)
+RECORDS = [
+    (SingularSet, ("s", Shape.POINT, PointKind.SADDLE), 2, {"kind": None}),
+    (
+        OrbitClass,
+        ("o", OrbitKind.LOCALLY_DENSE, LimitRef.sing("s"), LimitRef.of_set(["o", "s"]), frozenset({"o", "s"})),
+        2,
+        {"alpha": None, "omega": None, "closure_decl": None},
+    ),
+    (Family, ("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"a"}), frozenset({"b"}), True, True), 4, {"shrinks0": False, "shrinks1": False}),
+    (AccumulationSchema, ("c", SchemaKind.SADDLE_CHAIN, ("p", "q"), frozenset({"t"})), 4, {}),
+    (SaddleSetDecl, ("d", frozenset({"s"}), True), 3, {}),
+    (LimitRef, (RefKind.SET, ("a", "b")), 2, {}),
+]
+
+
+@pytest.mark.parametrize("cls, args, required, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_frozen_dataclasses(cls, args, required, defaults):
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert len(names) == len(args)
+    record = cls(*args)
+    by_keyword = cls(**dict(zip(names, args)))
+    assert record == by_keyword and hash(record) == hash(by_keyword)
+    assert repr(record) == repr(by_keyword) == f"{cls.__name__}({', '.join(f'{n}={a!r}' for n, a in zip(names, args))})"
+    assert [getattr(record, n) for n in names] == list(args)
+    # equality is per class and per field
+    assert record != cls(*args[:-1], None) and record != (*args,)
+
+    short = cls(*args[:required])
+    assert {n: getattr(short, n) for n in names[required:]} == defaults
+    assert short == cls(**dict(zip(names[:required], args[:required])))
+    with pytest.raises(TypeError):
+        cls(*args[: required - 1])
+    with pytest.raises(TypeError):
+        cls(*args, None)
+
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.extra = 1
+
+    changed = dataclasses.replace(record, **{names[0]: "z"})
+    assert type(changed) is cls and changed != record
+    assert getattr(changed, names[0]) == "z" and [getattr(changed, n) for n in names[1:]] == list(args[1:])
+    assert dataclasses.replace(record) == record
+    assert [(f.name, f.default) for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING] == list(
+        defaults.items()
+    )
+    assert dataclasses.astuple(record) == tuple(dataclasses.astuple(a) if dataclasses.is_dataclass(a) else a for a in args)

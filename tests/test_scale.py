@@ -1,13 +1,23 @@
 """Classification and the theorem harness on gallery flows of about 10^4
 ids (``SCALE_DOCUMENTS`` in ``tests/test_golden.py``), where the naive
-oracles cannot run: a pinned output digest, the harness itself, sampled
-per-seed fixpoints, and how often two-sided reaches are decided."""
+oracles cannot run: a pinned output digest, the round trip through the text
+format, the harness itself, sampled per-seed fixpoints, and how often
+two-sided reaches are decided."""
 
 from __future__ import annotations
 
 import pytest
 
-from flowcomplex import Classifier, Direction, TheoremStatus, build, classification_report, verify_theorems
+from flowcomplex import (
+    Classifier,
+    Direction,
+    TheoremStatus,
+    build,
+    classification_report,
+    emit,
+    parse,
+    verify_theorems,
+)
 from flowcomplex.orbits import Expansion
 from test_golden import SCALE_DIGEST, SCALE_DOCUMENTS, digest
 
@@ -24,6 +34,11 @@ def scale():
 
 def test_scale_output_digest_is_pinned(scale):
     assert digest((report, results) for _, report, results in scale) == SCALE_DIGEST
+
+
+def test_round_trip_at_scale(scale):
+    for fc, _, _ in scale:
+        assert parse(emit(fc)) == fc
 
 
 def test_no_theorem_is_violated_at_scale(scale):

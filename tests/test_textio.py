@@ -6,8 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcomplex import (
+    AccumulationSchema,
     Direction,
+    Family,
+    FamilyKind,
+    LimitRef,
+    OrbitClass,
+    OrbitKind,
     ParseErrors,
+    PointKind,
+    SaddleSetDecl,
+    SchemaKind,
+    Shape,
+    SingularSet,
     build,
     emit,
     export_dot,
@@ -37,6 +48,11 @@ def test_round_trip_on_gallery(gallery_complexes):
         again = parse(text)
         assert again == fc, name
         assert emit(again) == text, name
+
+
+def test_round_trip_at_scale():
+    fc = build("comb_torus", {"n": 640})
+    assert parse(emit(fc)) == fc
 
 
 def test_round_trip_on_random_complexes():
@@ -88,6 +104,131 @@ def test_error_column_points_at_the_offending_value_not_an_earlier_match(record,
     [err] = exc.value.errors
     assert err.message.startswith(message)
     assert (err.line, err.column) == (2, column)
+
+
+# Every way a record line can be off, each pinned as the (line, column,
+# message) of every error in order.  Each document is the surface line,
+# then these lines.
+LINE_ERRORS = [
+    ("orbit o proper alpha=sing:a alpha=sing:b omega=sing:a", [(2, 29, "duplicate field 'alpha'")]),
+    ("orbit o proper alpha=sing:a omega=sing:a colour=red", [(2, 42, "unknown field 'colour'")]),
+    (
+        "orbit o proper alpha=sing:a novalue omega=sing:a =x",
+        [(2, 29, "expected key=value, got 'novalue'"), (2, 50, "unknown field ''")],
+    ),
+    ("family f kind=annulus b0= b1=c", [(2, 23, "empty value for 'b0'"), (2, 1, "family record is missing b0")]),
+    ("orbit o dense closure=", [(2, 15, "empty value for 'closure'")]),
+    ("family f kind=annulus b0=a b1=b shrinks0=maybe", [(2, 42, "shrinks0 must be true or false")]),
+    (
+        "family f kind=annulus kind=region b0=a b1=b shrinks1=true shrinks1=false",
+        [(2, 23, "duplicate field 'kind'"), (2, 59, "duplicate field 'shrinks1'")],
+    ),
+    ("family f kind=disk b0=a", [(2, 1, "family record is missing b1")]),
+    ("family f kind=annulus b0=a=b b1=c", [(2, 26, "bad identifier 'a=b'")]),
+    ("sing x point kind=saddle extra=1", [(2, 26, "unknown field 'extra'")]),
+    ("sing x point kind=saddle kind=sink", [(2, 26, "duplicate field 'kind'")]),
+    ("sing x point", [(2, 8, "point singularities need kind=")]),
+    ("sing x arc kind=center", [(2, 17, "arc/circle singular sets take no kind")]),
+    (
+        "sing x blob kind=center",
+        [(2, 8, "unknown shape 'blob' (one of: point, arc, circle)"), (2, 18, "arc/circle singular sets take no kind")],
+    ),
+    ("sing x", [(2, 1, "sing record needs a shape")]),
+    ("sing 9z point kind=center", [(2, 6, "bad identifier '9z'")]),
+    ("sing 9z point kind=center extra=1", [(2, 6, "bad identifier '9z'"), (2, 27, "unknown field 'extra'")]),
+    ("sing point point kind=point", [(2, 23, "unknown point kind 'point' (one of: center, saddle, sink, source, other)")]),
+    ("orbit o proper alpha=set:a,9z,,b omega=sing:a", [(2, 28, "bad identifier '9z'"), (2, 31, "bad identifier ''")]),
+    ("orbit o proper alpha=set: omega=set:a,a", [(2, 26, "bad identifier ''")]),
+    ("orbit o proper alpha=orbit:9z omega=orbit:", [(2, 28, "bad identifier '9z'"), (2, 43, "bad identifier ''")]),
+    ("orbit o proper alpha=sing:a:b omega=sing:a", [(2, 27, "bad identifier 'a:b'")]),
+    (
+        "orbit o proper alpha=pt:a omega=a",
+        [(2, 22, "unknown reference kind 'pt'"), (2, 33, "limit reference needs a sing:/orbit:/set: prefix, got 'a'")],
+    ),
+    ("orbit o wiggly alpha=sing:a", [(2, 9, "unknown orbit kind 'wiggly' (one of: periodic, proper, dense, exceptional)")]),
+    ("orbit o", [(2, 1, "orbit record needs a kind")]),
+    ("orbit o dense closure=o,x.y,a-b", [(2, 25, "bad identifier 'x.y'"), (2, 29, "bad identifier 'a-b'")]),
+    (
+        "sing x point kind=wobbly # a trailing comment",
+        [(2, 19, "unknown point kind 'wobbly' (one of: center, saddle, sink, source, other)")],
+    ),
+    ("sing x point kind=center extra=1#cut", [(2, 26, "unknown field 'extra'")]),
+    (
+        "sing\tx\tpoint\tkind=bogus\textra",
+        [(2, 25, "expected key=value, got 'extra'"), (2, 19, "unknown point kind 'bogus' (one of: center, saddle, sink, source, other)")],
+    ),
+    ("orbit\to\tproper\talpha=sing:a\tomega=sing:9z", [(2, 40, "bad identifier '9z'")]),
+    (
+        "accum c kind=chain samples=a,,b target=t",
+        [(2, 14, "unknown schema kind 'chain' (one of: saddle_chain, sing_seq, family_seq)"), (2, 30, "bad identifier ''")],
+    ),
+    ("accum c samples=a", [(2, 1, "accum record is missing kind"), (2, 1, "accum record is missing target")]),
+    ("saddleset d members=s isolated=maybe", [(2, 32, "isolated must be true or false")]),
+    ("saddleset d members=s,9z isolated=true isolated=false", [(2, 40, "duplicate field 'isolated'")]),
+    ("surface genus=0 orientable=true boundary=0", [(2, 1, "duplicate surface record")]),
+    ("blob x y", [(2, 1, "unknown record kind 'blob'")]),
+    (
+        "# a comment\n\nsing x point kind=center\nsing x point kind=center # again",
+        [(5, 6, "duplicate id 'x' (first declared on line 4)")],
+    ),
+    (
+        "sing x point kind=center\norbit x\tperiodic\nfamily f kind=annulus b0=x b1=x shrinks0=yes",
+        [(3, 7, "duplicate id 'x' (first declared on line 2)"), (4, 42, "shrinks0 must be true or false")],
+    ),
+    # a reference or id list seen on an earlier line, then on a line that is off
+    (
+        "orbit o proper alpha=sing:a omega=sing:a\n"
+        "orbit p proper alpha=sing:a omega=sing:a extra=1\n"
+        "orbit q proper alpha=pt:a omega=pt:a",
+        [(3, 42, "unknown field 'extra'"), (4, 22, "unknown reference kind 'pt'"), (4, 33, "unknown reference kind 'pt'")],
+    ),
+    (
+        "family f kind=annulus b0=a,b b1=c\nfamily g kind=annulus b0=a,b b1=c,9z",
+        [(3, 35, "bad identifier '9z'")],
+    ),
+]
+
+
+@pytest.mark.parametrize("lines, errors", LINE_ERRORS)
+def test_line_errors_are_pinned(lines, errors):
+    with pytest.raises(ParseErrors) as exc:
+        parse(f"surface genus=0 orientable=true boundary=0\n{lines}\n")
+    assert [(e.line, e.column, e.message) for e in exc.value.errors] == errors
+
+
+# Well-formed lines, with fields in any order, comments and tabs, and what
+# each builds.
+LINE_RECORDS = [
+    ("sing x point kind=saddle # a trailing comment", SingularSet("x", Shape.POINT, PointKind.SADDLE)),
+    ("sing x point kind=saddle#cut", SingularSet("x", Shape.POINT, PointKind.SADDLE)),
+    ("sing\tx\tarc", SingularSet("x", Shape.ARC)),
+    ("  sing  x   circle  ", SingularSet("x", Shape.CIRCLE)),
+    (
+        "orbit o proper alpha=orbit:p omega=set:b,a,b",
+        OrbitClass("o", OrbitKind.PROPER, LimitRef.orbit("p"), LimitRef.of_set(["a", "b"])),
+    ),
+    (
+        "orbit\to\tdense\tomega=sing:s closure=s,o alpha=orbit:o",
+        OrbitClass("o", OrbitKind.LOCALLY_DENSE, LimitRef.orbit("o"), LimitRef.sing("s"), frozenset({"o", "s"})),
+    ),
+    ("orbit o periodic", OrbitClass("o", OrbitKind.PERIODIC)),
+    (
+        "family f b1=b,a kind=region shrinks1=false b0=c shrinks0=true",
+        Family("f", FamilyKind.CLOSED_EXTENDED_REGION, frozenset({"c"}), frozenset({"a", "b"}), True, False),
+    ),
+    (
+        "accum c target=t kind=family_seq samples=b,a,b",
+        AccumulationSchema("c", SchemaKind.FAMILY_SEQUENCE, ("b", "a", "b"), frozenset({"t"})),
+    ),
+    ("saddleset d isolated=false members=s,s", SaddleSetDecl("d", frozenset({"s"}), False)),
+]
+
+
+@pytest.mark.parametrize("line, record", LINE_RECORDS)
+def test_well_formed_lines_build_their_record(line, record):
+    fc = parse(f"surface genus=0 orientable=true boundary=0\n{line}\n")
+    built = (*fc.singular_sets, *fc.orbit_classes, *fc.families, *fc.accumulation_schemas, *fc.saddle_set_decls)
+    assert built == (record,)
 
 
 def test_surface_must_come_first():
