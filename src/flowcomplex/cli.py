@@ -33,7 +33,7 @@ _DIRECTIONS = {"fwd": Direction.FORWARD, "bwd": Direction.BACKWARD, "both": Dire
 def _load(path: str) -> FlowComplex:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
     try:

@@ -86,9 +86,9 @@ class SurfaceInfo:
 
     def __post_init__(self) -> None:
         if self.genus < 0:
-            raise ValueError("genus must be non-negative")
+            raise PreconditionError("genus must be non-negative")
         if self.boundary_components < 0:
-            raise ValueError("boundary_components must be non-negative")
+            raise PreconditionError("boundary_components must be non-negative")
 
     @property
     def closed(self) -> bool:
@@ -247,7 +247,7 @@ class FlowComplex:
         seen: set[str] = set()
         for rec in (*sing, *orb, *fam, *acc, *dec):
             if rec.id in seen:
-                raise ValueError(f"duplicate id {rec.id!r}")
+                raise PreconditionError(f"duplicate id {rec.id!r}")
             seen.add(rec.id)
         return cls(surface, sing, orb, fam, acc, dec)
 

@@ -88,7 +88,14 @@ def test_shared_parser_prints_the_help_of_a_fresh_one(monkeypatch):
 def test_domain_errors_print_one_line_and_exit_1(tmp_path):
     good = tmp_path / "hd.fc"
     good.write_text(emit(build("halfdisk_sphere", None)))
+    undecodable = tmp_path / "latin1.fc"
+    undecodable.write_bytes(b"surface genus=0 orientable=true boundary=0\n# caf\xe9\n")
     cases = [
+        (
+            ["classify", str(undecodable)],
+            "error: 'utf-8' codec can't decode byte 0xe9 in position 48: invalid continuation byte\n",
+        ),
+        (["verify", str(tmp_path / "missing.fc")], f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.fc'}'\n"),
         (["orbit", str(good), "--start", "nope"], "error: 'nope'\n"),
         (["orbit", str(good), "--start", "nope", "--generalized"], "error: 'nope'\n"),
         (["export-dot", str(good), "--overlay", "nope"], "error: 'nope'\n"),

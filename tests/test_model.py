@@ -11,6 +11,7 @@ from flowcomplex import (
     OrbitClass,
     OrbitKind,
     PointKind,
+    PreconditionError,
     RefKind,
     SaddleSetDecl,
     SchemaKind,
@@ -31,6 +32,23 @@ from flowcomplex import (
 
 def _sphere(**kwargs):
     return FlowComplex.build(SurfaceInfo(0, True, 0), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SurfaceInfo(-1, True, 0), "genus must be non-negative"),
+        (lambda: SurfaceInfo(0, True, -1), "boundary_components must be non-negative"),
+        (
+            lambda: _sphere(singular_sets=[SingularSet("x", Shape.ARC)], orbit_classes=[OrbitClass("x", OrbitKind.PERIODIC)]),
+            "duplicate id 'x'",
+        ),
+    ],
+    ids=["negative-genus", "negative-boundary", "duplicate-id"],
+)
+def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
+    with pytest.raises(PreconditionError, match=message):
+        make()
 
 
 def test_gallery_fixtures_validate(gallery_complexes):
