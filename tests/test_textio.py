@@ -175,6 +175,22 @@ LINE_ERRORS = [
         "sing x point kind=center\norbit x\tperiodic\nfamily f kind=annulus b0=x b1=x shrinks0=yes",
         [(3, 7, "duplicate id 'x' (first declared on line 2)"), (4, 42, "shrinks0 must be true or false")],
     ),
+    # a line whose id is off: family, accum and saddleset lines check no
+    # further than their fields, orbit lines check their references too
+    ("family 9z kind=annulus b0=x.y b1=b", [(2, 8, "bad identifier '9z'")]),
+    (
+        "family f kind=annulus b0=x.y b1=b\nfamily f kind=annulus b0=x.y b1=b",
+        [(2, 26, "bad identifier 'x.y'"), (3, 8, "duplicate id 'f' (first declared on line 2)")],
+    ),
+    ("accum 9z kind=sing_seq samples=a,,b target=t", [(2, 7, "bad identifier '9z'")]),
+    ("saddleset 9z members=x.y isolated=true", [(2, 11, "bad identifier '9z'")]),
+    ("orbit 9z proper alpha=pt:a omega=sing:b", [(2, 7, "bad identifier '9z'"), (2, 23, "unknown reference kind 'pt'")]),
+    ("orbit o proper alpha= omega=sing:a", [(2, 16, "empty value for 'alpha'")]),
+    ("family f kind=annulus b0=a,b b1=c shrinks0=true shrinks0=true", [(2, 49, "duplicate field 'shrinks0'")]),
+    (
+        "family f kind=annulus b0=a,b b1= shrinks1=true",
+        [(2, 30, "empty value for 'b1'"), (2, 1, "family record is missing b1")],
+    ),
     # a reference or id list seen on an earlier line, then on a line that is off
     (
         "orbit o proper alpha=sing:a omega=sing:a\n"
@@ -219,6 +235,10 @@ LINE_RECORDS = [
     (
         "accum c target=t kind=family_seq samples=b,a,b",
         AccumulationSchema("c", SchemaKind.FAMILY_SEQUENCE, ("b", "a", "b"), frozenset({"t"})),
+    ),
+    (
+        "family f kind=annulus b0=a,b b1=c shrinks1=true shrinks0=false",
+        Family("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"a", "b"}), frozenset({"c"}), False, True),
     ),
     ("saddleset d isolated=false members=s,s", SaddleSetDecl("d", frozenset({"s"}), False)),
 ]
