@@ -72,14 +72,24 @@ def _column(raw: str, tokens: list[str], i: int, offset: int) -> int:
     return pos - len(tokens[i]) + offset + 1
 
 
+# what the fast paths of ``_Reader`` look up: whole ``kind=`` tokens, and orbit kinds
+_POINT_KINDS = {f"kind={k.value}": k for k in PointKind}
+_FAMILY_KINDS = {f"kind={k.value}": k for k in FamilyKind}
+_ORBIT_KINDS = OrbitKind._value2member_map_
+
+
 class _Reader:
     """One document's surface, seen values and errors, read one line at a time.
 
     A record method checks the line in ``tokens`` and returns what it
-    builds.  A failed check adds ``(token index, offset, message)`` to
-    ``pending``; ``parse`` turns those into ``ParseError``s, locating the
-    tokens only on lines that fail.  Equal reference and id-set values are
-    checked and built once and then shared.
+    builds.  A point ``sing`` line, an ``orbit`` line with ``alpha=`` and
+    ``omega=`` only, and a ``family`` line, each with its fields in the
+    order ``emit`` writes them, are read at the known positions of those
+    fields; any other line, valid or not, goes through ``fields`` and the
+    helpers after it, which report what is off.  A failed check adds ``(token index, offset,
+    message)`` to ``pending``; ``parse`` turns those into ``ParseError``s,
+    locating the tokens only on lines that fail.  Equal reference and id-set
+    values are checked and built once and then shared.
     """
 
     def __init__(self) -> None:
@@ -212,6 +222,9 @@ class _Reader:
 
     def sing_record(self, rid: str) -> SingularSet | None:
         tokens = self.tokens
+        kind = _POINT_KINDS.get(tokens[3]) if len(tokens) == 4 and tokens[2] == "point" else None
+        if kind is not None:
+            return SingularSet(rid, Shape.POINT, kind)
         if len(tokens) < 3:
             return self.fail(0, "sing record needs a shape")
         shape = self.enum(Shape, tokens[2], "shape")
@@ -228,6 +241,13 @@ class _Reader:
 
     def orbit_record(self, rid: str) -> OrbitClass | None:
         tokens = self.tokens
+        if len(tokens) == 5:
+            kind = _ORBIT_KINDS.get(tokens[2])
+            a_key, _, alpha = tokens[3].partition("=")
+            o_key, _, omega = tokens[4].partition("=")
+            if kind is not None and a_key == "alpha" and o_key == "omega" and alpha and omega:
+                self.start = 3
+                return OrbitClass(rid, kind, self.ref("alpha", alpha), self.ref("omega", omega))
         if len(tokens) < 3:
             return self.fail(0, "orbit record needs a kind")
         kind = self.enum(OrbitKind, tokens[2], "orbit kind")
@@ -242,6 +262,16 @@ class _Reader:
         )
 
     def family_record(self, rid: str) -> Family | None:
+        tokens = self.tokens
+        if 5 <= len(tokens) <= 7 and not self.pending:
+            kind = _FAMILY_KINDS.get(tokens[2])
+            b0_key, _, b0 = tokens[3].partition("=")
+            b1_key, _, b1 = tokens[4].partition("=")
+            flags = tokens[5:]
+            shrinks0, shrinks1 = "shrinks0=true" in flags, "shrinks1=true" in flags
+            if kind is not None and b0_key == "b0" and b1_key == "b1" and b0 and b1 and len(flags) == shrinks0 + shrinks1:
+                self.start = 2
+                return Family(rid, kind, self.id_set("b0", b0), self.id_set("b1", b1), shrinks0, shrinks1)
         fields = self.fields(2, ("kind", "b0", "b1", "shrinks0", "shrinks1"), ("b0", "b1", "kind"))
         if self.pending:
             return None
