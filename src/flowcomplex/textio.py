@@ -86,10 +86,11 @@ class _Reader:
     ``omega=`` only, and a ``family`` line, each with its fields in the
     order ``emit`` writes them, are read at the known positions of those
     fields; any other line, valid or not, goes through ``fields`` and the
-    helpers after it, which report what is off.  A failed check adds ``(token index, offset,
-    message)`` to ``pending``; ``parse`` turns those into ``ParseError``s,
-    locating the tokens only on lines that fail.  Equal reference and id-set
-    values are checked and built once and then shared.
+    helpers after it, which report what is off.  A failed check adds
+    ``(token index, offset, message)`` to ``pending``; ``parse`` turns those
+    into ``ParseError``s, locating the tokens only on lines that fail.
+    Equal reference and id-set values are checked and built once and then
+    shared.
     """
 
     def __init__(self) -> None:
@@ -246,7 +247,7 @@ class _Reader:
             a_key, _, alpha = tokens[3].partition("=")
             o_key, _, omega = tokens[4].partition("=")
             if kind is not None and a_key == "alpha" and o_key == "omega" and alpha and omega:
-                self.start = 3
+                self.start = 3  # as ``fields`` would set it, for ``fail_field`` on a bad reference
                 return OrbitClass(rid, kind, self.ref("alpha", alpha), self.ref("omega", omega))
         if len(tokens) < 3:
             return self.fail(0, "orbit record needs a kind")
@@ -263,13 +264,21 @@ class _Reader:
 
     def family_record(self, rid: str) -> Family | None:
         tokens = self.tokens
+        # a family line that has failed already is checked no further than its fields
         if 5 <= len(tokens) <= 7 and not self.pending:
             kind = _FAMILY_KINDS.get(tokens[2])
             b0_key, _, b0 = tokens[3].partition("=")
             b1_key, _, b1 = tokens[4].partition("=")
             flags = tokens[5:]
             shrinks0, shrinks1 = "shrinks0=true" in flags, "shrinks1=true" in flags
-            if kind is not None and b0_key == "b0" and b1_key == "b1" and b0 and b1 and len(flags) == shrinks0 + shrinks1:
+            if (
+                kind is not None
+                and b0_key == "b0"
+                and b1_key == "b1"
+                and b0
+                and b1
+                and len(flags) == shrinks0 + shrinks1  # each flag token is one of the two, once
+            ):
                 self.start = 2
                 return Family(rid, kind, self.id_set("b0", b0), self.id_set("b1", b1), shrinks0, shrinks1)
         fields = self.fields(2, ("kind", "b0", "b1", "shrinks0", "shrinks1"), ("b0", "b1", "kind"))
