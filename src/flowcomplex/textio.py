@@ -271,14 +271,9 @@ class _Reader:
             b1_key, _, b1 = tokens[4].partition("=")
             flags = tokens[5:]
             shrinks0, shrinks1 = "shrinks0=true" in flags, "shrinks1=true" in flags
-            if (
-                kind is not None
-                and b0_key == "b0"
-                and b1_key == "b1"
-                and b0
-                and b1
-                and len(flags) == shrinks0 + shrinks1  # each flag token is one of the two, once
-            ):
+            bounds = b0_key == "b0" and b1_key == "b1" and b0 and b1
+            # every flag token is one of the two, each at most once
+            if kind is not None and bounds and len(flags) == shrinks0 + shrinks1:
                 self.start = 2
                 return Family(rid, kind, self.id_set("b0", b0), self.id_set("b1", b1), shrinks0, shrinks1)
         fields = self.fields(2, ("kind", "b0", "b1", "shrinks0", "shrinks1"), ("b0", "b1", "kind"))
