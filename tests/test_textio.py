@@ -50,7 +50,7 @@ def test_round_trip_on_gallery(gallery_complexes):
         assert emit(again) == text, name
 
 
-def test_round_trip_at_scale():
+def test_round_trip_on_the_wide_comb():
     fc = build("comb_torus", {"n": 640})
     assert parse(emit(fc)) == fc
 
