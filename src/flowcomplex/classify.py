@@ -5,9 +5,9 @@ verdicts carry a witness (an id set plus the rule that fired) whenever they
 are negative, so reports are auditable.  A shared per-complex cache keeps
 repeated extension and closure queries cheap when a full report or the
 theorem harness is assembled: verdicts and checks read extended orbits as
-member sets (``Classifier.reach``), never as per-seed fixpoint runs, and a
-fact of the member set alone is decided once per distinct extended orbit
-(``Classifier.leads``).
+member sets from per-side payload tables (``Classifier.reach``), never as
+per-seed fixpoint runs, and a fact of the member set alone is decided once
+per distinct extended orbit (``Classifier.leads``).
 """
 
 from __future__ import annotations
@@ -115,7 +115,9 @@ class Classifier:
 
     def __init__(self, fc: FlowComplex):
         self.fc = fc
-        self._reach: dict[tuple[str, Direction, Expansion], tuple[frozenset[str], bool]] = {}
+        # per engine and direction: the payload table of each queried side, and the answers
+        self._views: dict[tuple[Expansion, Direction], tuple[dict, dict, dict[str, tuple[frozenset[str], bool]]]] = {}
+        self._pairs: dict[tuple[frozenset[str], frozenset[str]], frozenset[str]] = {}
         self._block_of_members: dict[frozenset[str], frozenset[str]] = {}
         self._blocks: Optional[dict[str, frozenset[str]]] = None
         self._verdicts: dict[str, Verdict] = {}
@@ -137,13 +139,31 @@ class Classifier:
 
     def reach(self, xid: str, direction: Direction, generalized: bool = False) -> tuple[frozenset[str], bool]:
         """``(members, self_readded)`` of the plain or generalized extended
-        orbit of ``xid``, kept per query and engine.  A two-sided query keeps
-        only its own answer, not the one-sided ones it is the union of."""
+        orbit of ``xid``, kept per query and engine: ``xid`` plus the payload
+        of each queried side, re-added exactly when a payload holds it."""
         engine = self._generalized if generalized else self._plain
-        key = (xid, direction, engine)
-        found = self._reach.get(key)
+        view = self._views.get((engine, direction))
+        if view is None:
+            direction = Direction(direction)
+            fwd_table = engine.payloads(True) if direction is not Direction.BACKWARD else {}
+            bwd_table = engine.payloads(False) if direction is not Direction.FORWARD else {}
+            view = self._views[(engine, direction)] = (fwd_table, bwd_table, {})
+        fwd_table, bwd_table, answers = view
+        found = answers.get(xid)
         if found is None:
-            found = self._reach[key] = engine.reach(xid, direction)
+            self.fc.require(xid)
+            fwd, bwd = fwd_table.get(xid), bwd_table.get(xid)
+            if fwd is not None and bwd is not None:
+                # shared frozensets keep their hashes, so the pair is a cheap key
+                fwd = self._pairs.get((fwd, bwd)) or self._union(fwd, bwd)
+            # a payload is never empty
+            payload = fwd or bwd or frozenset()
+            found = answers[xid] = (payload, True) if xid in payload else (payload | {xid}, False)
+        return found
+
+    def _union(self, fwd: frozenset[str], bwd: frozenset[str]) -> frozenset[str]:
+        """The join of two one-sided payloads, kept per pair: a side itself when it holds the other."""
+        found = self._pairs[(fwd, bwd)] = fwd if bwd <= fwd else bwd if fwd <= bwd else fwd | bwd
         return found
 
     @cached_property

@@ -13,8 +13,8 @@ Plain extension is generalized extension over the singleton saddle sets:
 both run the one fixpoint in ``Expansion``, which reads what a set adjoins
 from the complex's lazily built limit index (``FlowComplex.classes_by_limit``).
 ``Expansion.orbit`` runs that fixpoint per seed and keeps each member's
-round; ``Expansion.reach`` answers members and ``self_readded`` alone from
-one condensation of the digraph of expansion sets per direction.
+round, for the ``orbit`` command; ``Classifier`` reads members alone from
+``Expansion.payloads``, which fills every id's one-sided payload at once.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ class Direction(str, Enum):
     FORWARD = "fwd"
     BACKWARD = "bwd"
     BOTH = "both"
+
+    @classmethod
+    def _missing_(cls, value: object) -> "Direction":
+        raise PreconditionError(f"{value!r} is not a direction: use fwd, bwd or both")
 
 
 SEED_ROUND = 0
@@ -110,8 +114,7 @@ class Expansion:
             for mid in fset:
                 self._holding.setdefault(mid, []).append(i)
         self._adjoined: dict[tuple[int, bool], list[str]] = {}
-        self._reached: dict[bool, tuple[list[int], list[frozenset[str]]]] = {}
-        self._pairs: dict[tuple[frozenset[str], frozenset[str]], frozenset[str]] = {}
+        self._payloads: dict[bool, dict[str, frozenset[str]]] = {}
 
     @classmethod
     def plain(cls, fc: FlowComplex) -> "Expansion":
@@ -222,72 +225,48 @@ class Expansion:
             self_readded=fwd.self_readded or bwd.self_readded,
         )
 
-    def _reach_table(self, forward: bool) -> tuple[list[int], list[frozenset[str]]]:
-        """The component of every set, and the row ``M(c)`` of every
-        component: all that any set reachable from ``c`` adjoins, where set
-        ``i`` reaches set ``j`` when an id ``i`` adjoins fires ``j``.  Built
-        once per direction, one strongly connected component at a time,
-        sinks first, so each component unions its successors' rows."""
-        table = self._reached.get(forward)
-        if table is None:
-            succ = [
-                list(dict.fromkeys(j for oid in self._adjoins(i, forward) for j in self._fired(oid, forward)))
-                for i in range(len(self.sets))
-            ]
-            comp_of = [-1] * len(self.sets)
-            rows: list[frozenset[str]] = []
-            for c, comp in enumerate(_strong_components(succ)):
-                for i in comp:
-                    comp_of[i] = c
-                # each component below once, however many edges lead to it
-                below = {comp_of[j] for i in comp for j in succ[i]} - {c}
-                adjoined = (self._adjoins(i, forward) for i in comp)
-                rows.append(frozenset().union(*adjoined, *(rows[d] for d in below)))
-            table = self._reached[forward] = (comp_of, rows)
-        return table
+    def _firing_map(self, forward: bool) -> dict[str, list[int]]:
+        """``_fired(xid, forward)`` of every id that fires a set, in one sweep of
+        the sets: its singular members and the classes limiting into it."""
+        fc = self.fc
+        approach = "omega" if forward else "alpha"
+        fired: dict[str, list[int]] = {}
+        for i, fset in enumerate(self.sets):
+            for lid in fset:
+                if lid in fc.sing_by_id:
+                    fired.setdefault(lid, []).append(i)
+                # each class is listed under the least id of its limit only
+                for limit, oid in fc.classes_by_limit.get((approach, lid), ()):
+                    if limit <= fset:
+                        fired.setdefault(oid, []).append(i)
+        return fired
 
-    def _payload(self, start: str, forward: bool) -> Optional[frozenset[str]]:
-        """All that the sets ``start`` fires reach on one side: the row of
-        their component, or the union of their components' rows.  ``None``
-        when ``start`` fires nothing."""
-        fired = self._fired(start, forward)
-        if not fired:
-            return None
-        comp_of, rows = self._reach_table(forward)
-        if len(fired) == 1:
-            return rows[comp_of[fired[0]]]
-        return frozenset().union(*(rows[comp_of[i]] for i in fired))
-
-    def _union(self, fwd: frozenset[str], bwd: frozenset[str]) -> frozenset[str]:
-        """The two-sided payload of a pair of one-sided ones, kept per pair:
-        a side's own frozenset when it holds the other."""
-        found = self._pairs[(fwd, bwd)] = fwd if bwd <= fwd else bwd if fwd <= bwd else fwd | bwd
+    def payloads(self, forward: bool) -> dict[str, frozenset[str]]:
+        """Every firing id's one-sided payload: all that the sets it fires
+        reach, where set ``i`` reaches ``j`` when an id ``i`` adjoins fires ``j``.
+        Built once per side from one condensation of that digraph, sinks
+        first; ids that fire one component share its row."""
+        if forward in self._payloads or not self.sets:
+            return self._payloads.get(forward, {})
+        fired = self._firing_map(forward)
+        succ = [
+            list(dict.fromkeys(j for oid in self._adjoins(i, forward) for j in fired.get(oid, ())))
+            for i in range(len(self.sets))
+        ]
+        comp_of = [-1] * len(self.sets)
+        rows: list[frozenset[str]] = []
+        for c, comp in enumerate(_strong_components(succ)):
+            for i in comp:
+                comp_of[i] = c
+            # each component below once, however many edges lead to it
+            below = {comp_of[j] for i in comp for j in succ[i]} - {c}
+            adjoined = (self._adjoins(i, forward) for i in comp)
+            rows.append(frozenset().union(*adjoined, *(rows[d] for d in below)))
+        found = self._payloads[forward] = {
+            xid: rows[comp_of[sets[0]]] if len(sets) == 1 else frozenset().union(*(rows[comp_of[i]] for i in sets))
+            for xid, sets in fired.items()
+        }
         return found
-
-    def reach(self, start: str, direction: Direction = Direction.BOTH) -> tuple[frozenset[str], bool]:
-        """``(members, self_readded)`` of ``orbit(start, direction)``, without
-        its rounds: the members are ``start`` plus the payload of each
-        queried side, and ``start`` is re-added exactly when a payload holds
-        it.  Ids that fire one and the same row share its frozenset, and two
-        payloads are joined once per pair."""
-        self.fc.require(start)
-        direction = Direction(direction)
-        fwd = self._payload(start, True) if direction is not Direction.BACKWARD else None
-        bwd = self._payload(start, False) if direction is not Direction.FORWARD else None
-        if fwd is None:
-            payload = bwd
-        elif bwd is None:
-            payload = fwd
-        else:
-            # shared frozensets keep their hashes, so the pair is a cheap key
-            payload = self._pairs.get((fwd, bwd))
-            if payload is None:
-                payload = self._union(fwd, bwd)
-        if payload is None:
-            return frozenset({start}), False
-        if start in payload:
-            return payload, True
-        return payload | {start}, False
 
 
 def _strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -132,7 +132,8 @@ class _Reader:
             else:
                 self.fail(i, f"empty value for {key!r}")
         for key in required:
-            if key not in fields:
+            # an empty value is reported where it stands, not again as missing
+            if key not in fields and f"{key}=" not in self.tokens[start:]:
                 self.fail(0, f"{self.tokens[0]} record is missing {key}")
         return fields
 
@@ -236,7 +237,7 @@ class _Reader:
                 kind = self.enum(PointKind, fields["kind"], "point kind", "kind")
             else:
                 self.fail(2, "point singularities need kind=")
-        elif "kind" in fields:
+        elif shape is not None and "kind" in fields:
             self.fail_field("kind", "arc/circle singular sets take no kind")
         return SingularSet(rid, shape, kind)
 

@@ -1,3 +1,6 @@
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
 from flowcomplex import (
@@ -27,10 +30,12 @@ from flowcomplex import (
     Witness,
     build,
     classification_report,
+    cli,
     dichotomy_check,
     emit,
     extended_limit_cycles,
     extended_orbit,
+    generalized_extended_orbit,
     is_extended_center,
     is_extended_negatively_recurrent,
     is_extended_pap,
@@ -470,11 +475,17 @@ def test_limit_cycle_of_saddle_connections():
     assert (wandering.status, wandering.detail) == (TheoremStatus.HOLDS, "wandering witness r")
 
 
+def _eye_document():
+    """double_center_sphere n=1 with a declared set eye holding the homoclinic
+    loop of nsd1."""
+    return parse(emit(build("double_center_sphere", {"n": 1})) + "saddleset eye members=nli1,nlo1,nsd1 isolated=true\n")
+
+
 def test_ids_that_fire_two_expansion_sets():
     # the declared set eye holds the homoclinic loop of nsd1, so nsd1 and
     # both loop arcs fire {nsd1} and eye on either side, and their payload is
     # the union of two rows
-    fc = parse(emit(build("double_center_sphere", {"n": 1})) + "saddleset eye members=nli1,nlo1,nsd1 isolated=true\n")
+    fc = _eye_document()
     assert validate(fc).ok
     assert not any(r.status is TheoremStatus.VIOLATION for r in verify_theorems(fc))
     cls = Classifier(fc)
@@ -486,6 +497,52 @@ def test_ids_that_fire_two_expansion_sets():
             run = engine.orbit(xid, d)
             assert cls.reach(xid, d, generalized=True) == (run.members, run.self_readded), (xid, d)
     assert cls.reach("nlo1", Direction.FORWARD, generalized=True)[0] == frozenset({"nli1", "nlo1", "nsd1"})
+
+
+def test_bulk_firing_map_matches_the_per_id_firing(gallery_complexes):
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    complexes += [parse(DIRECTED_SADDLE_CYCLE), _eye_document()]
+    for fc in complexes:
+        for engine in (Expansion.plain(fc), Expansion.generalized(fc)):
+            for forward in (True, False):
+                per_id = {xid: engine._fired(xid, forward) for xid in sorted(fc.all_ids)}
+                assert engine._firing_map(forward) == {xid: sets for xid, sets in per_id.items() if sets}
+
+
+def test_only_the_classifier_builds_payload_tables(gallery_complexes, tmp_path, monkeypatch):
+    built = []
+    firing_map = Expansion._firing_map
+
+    def counted(self, forward):
+        built.append((self, forward))
+        return firing_map(self, forward)
+
+    monkeypatch.setattr(Expansion, "_firing_map", counted)
+    for name, fc in gallery_complexes.items():
+        sets = generalized_saddle_sets(fc)
+        path = tmp_path / f"{name}.fc"
+        path.write_text(emit(fc))
+        for xid in sorted(fc.all_ids):
+            for d in Direction:
+                extended_orbit(fc, xid, d)
+                generalized_extended_orbit(fc, xid, d, sets)
+                Expansion.generalized(fc).orbit(xid, d)
+            with redirect_stdout(io.StringIO()):
+                for argv in (["orbit", str(path), "--start", xid], ["orbit", str(path), "--start", xid, "--generalized"]):
+                    assert cli.main(argv) == 0
+                assert cli.main(["export-dot", str(path), "--overlay", xid]) == 0
+    assert built == []
+    # a report builds each side of an engine once, and nothing for an engine
+    # without expansion sets: halfdisk_sphere has no saddle
+    fc = gallery_complexes["halfdisk_sphere"]
+    cls = Classifier(fc)
+    cls.report()
+    for xid in sorted(fc.all_ids):
+        for d in Direction:
+            cls.reach(xid, d)
+            cls.reach(xid, d, generalized=True)
+    assert cls._plain.sets == [] and cls._generalized.sets
+    assert sorted((engine is cls._generalized, forward) for engine, forward in built) == [(True, False), (True, True)]
 
 
 def test_reports_and_theorems_run_no_per_seed_fixpoint(monkeypatch):

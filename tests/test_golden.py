@@ -14,8 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterable
 
+import flowcomplex
 from flowcomplex import (
     GALLERY,
     ClassificationReport,
@@ -67,6 +72,24 @@ def scale_digest() -> str:
 
 def test_output_digest_is_pinned():
     assert output_digest() == GOLDEN_DIGEST
+
+
+def test_digests_do_not_depend_on_the_string_hash():
+    """Both digests, each computed by this file as a script under
+    ``PYTHONHASHSEED`` 0 and 4242; the two runs go side by side."""
+    src = str(Path(flowcomplex.__file__).resolve().parent.parent)
+    runs = [
+        subprocess.Popen(
+            [sys.executable, __file__],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+        )
+        for seed in (0, 4242)
+    ]
+    for run in runs:
+        out, _ = run.communicate(timeout=300)
+        assert (run.returncode, out) == (0, f'GOLDEN_DIGEST = "{GOLDEN_DIGEST}"\nSCALE_DIGEST = "{SCALE_DIGEST}"\n')
 
 
 if __name__ == "__main__":

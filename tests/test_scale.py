@@ -66,22 +66,24 @@ def test_two_sided_reach_is_decided_once_per_row_pair(scale, monkeypatch):
     one decision (subset test or union) and one frozenset, however many ids
     they are."""
     decided = []
-    union = Expansion._union
+    union = Classifier._union
 
     def counted(self, fwd, bwd):
         decided.append((id(fwd), id(bwd)))
         return union(self, fwd, bwd)
 
-    monkeypatch.setattr(Expansion, "_union", counted)
+    monkeypatch.setattr(Classifier, "_union", counted)
     counts = []
     for fc, _, _ in scale:
         decided.clear()
-        engine = Expansion.plain(fc)
+        cls = Classifier(fc)
         ids = sorted(fc.all_ids)
-        answers = {xid: engine.reach(xid, Direction.BOTH)[0] for xid in ids}
+        answers = {xid: cls.reach(xid, Direction.BOTH)[0] for xid in ids}
+        # the tables those answers were read from
+        fwd_table, bwd_table = cls._plain.payloads(True), cls._plain.payloads(False)
         pairs: dict[tuple[int, int], list[str]] = {}
         for xid in ids:
-            fwd, bwd = engine._payload(xid, True), engine._payload(xid, False)
+            fwd, bwd = fwd_table.get(xid), bwd_table.get(xid)
             if fwd is not None and bwd is not None:
                 pairs.setdefault((id(fwd), id(bwd)), []).append(xid)
         assert sorted(decided) == sorted(pairs)

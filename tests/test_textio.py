@@ -116,7 +116,10 @@ LINE_ERRORS = [
         "orbit o proper alpha=sing:a novalue omega=sing:a =x",
         [(2, 29, "expected key=value, got 'novalue'"), (2, 50, "unknown field ''")],
     ),
-    ("family f kind=annulus b0= b1=c", [(2, 23, "empty value for 'b0'"), (2, 1, "family record is missing b0")]),
+    ("family f kind=annulus b0= b1=c", [(2, 23, "empty value for 'b0'")]),
+    ("accum c kind=sing_seq samples= target=t", [(2, 23, "empty value for 'samples'")]),
+    ("saddleset d members= isolated=true", [(2, 13, "empty value for 'members'")]),
+    ("surface genus= orientable=true boundary=0", [(2, 1, "duplicate surface record"), (2, 9, "empty value for 'genus'")]),
     ("orbit o dense closure=", [(2, 15, "empty value for 'closure'")]),
     ("family f kind=annulus b0=a b1=b shrinks0=maybe", [(2, 42, "shrinks0 must be true or false")]),
     (
@@ -129,10 +132,7 @@ LINE_ERRORS = [
     ("sing x point kind=saddle kind=sink", [(2, 26, "duplicate field 'kind'")]),
     ("sing x point", [(2, 8, "point singularities need kind=")]),
     ("sing x arc kind=center", [(2, 17, "arc/circle singular sets take no kind")]),
-    (
-        "sing x blob kind=center",
-        [(2, 8, "unknown shape 'blob' (one of: point, arc, circle)"), (2, 18, "arc/circle singular sets take no kind")],
-    ),
+    ("sing x blob kind=center", [(2, 8, "unknown shape 'blob' (one of: point, arc, circle)")]),
     ("sing x", [(2, 1, "sing record needs a shape")]),
     ("sing 9z point kind=center", [(2, 6, "bad identifier '9z'")]),
     ("sing 9z point kind=center extra=1", [(2, 6, "bad identifier '9z'"), (2, 27, "unknown field 'extra'")]),
@@ -187,10 +187,7 @@ LINE_ERRORS = [
     ("orbit 9z proper alpha=pt:a omega=sing:b", [(2, 7, "bad identifier '9z'"), (2, 23, "unknown reference kind 'pt'")]),
     ("orbit o proper alpha= omega=sing:a", [(2, 16, "empty value for 'alpha'")]),
     ("family f kind=annulus b0=a,b b1=c shrinks0=true shrinks0=true", [(2, 49, "duplicate field 'shrinks0'")]),
-    (
-        "family f kind=annulus b0=a,b b1= shrinks1=true",
-        [(2, 30, "empty value for 'b1'"), (2, 1, "family record is missing b1")],
-    ),
+    ("family f kind=annulus b0=a,b b1= shrinks1=true", [(2, 30, "empty value for 'b1'")]),
     # a reference or id list seen on an earlier line, then on a line that is off
     (
         "orbit o proper alpha=sing:a omega=sing:a\n"
