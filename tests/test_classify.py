@@ -497,6 +497,15 @@ def test_ids_that_fire_two_expansion_sets():
             run = engine.orbit(xid, d)
             assert cls.reach(xid, d, generalized=True) == (run.members, run.self_readded), (xid, d)
     assert cls.reach("nlo1", Direction.FORWARD, generalized=True)[0] == frozenset({"nli1", "nlo1", "nsd1"})
+    # two sets that share only a periodic orbit, which fires nothing, so
+    # neither row reaches the other: x's payload needs both
+    fc = parse(
+        "surface genus=0 orientable=true boundary=0\nsing c point kind=center\n"
+        "orbit p periodic\norbit q periodic\norbit x proper alpha=sing:c omega=orbit:p\n"
+    )
+    engine = Expansion(fc, [frozenset({"p"}), frozenset({"p", "q"})])
+    assert engine.payloads(True) == {"x": frozenset({"p", "q"})}
+    assert engine.orbit("x", Direction.FORWARD).members == frozenset({"p", "q", "x"})
 
 
 def test_bulk_firing_map_matches_the_per_id_firing(gallery_complexes):
