@@ -556,19 +556,23 @@ def test_only_the_classifier_builds_payload_tables(gallery_complexes, tmp_path, 
 
 def test_reports_and_theorems_run_no_per_seed_fixpoint(monkeypatch):
     runs = []
-    one_sided = Expansion._one_sided
+    for name in ("_one_sided", "_fired"):
+        method = getattr(Expansion, name)
 
-    def counted(self, start, forward):
-        runs.append((start, forward))
-        return one_sided(self, start, forward)
+        def counted(self, start, forward, method=method):
+            runs.append((method.__name__, start, forward))
+            return method(self, start, forward)
 
-    monkeypatch.setattr(Expansion, "_one_sided", counted)
+        monkeypatch.setattr(Expansion, name, counted)
     fc = build("nested_saddles_disk", {"n": 40})
     assert len(fc.all_ids) == 200
     classification_report(fc)
     verify_theorems(fc)
-    # both read member sets from the condensation (Classifier.reach)
+    # both read member sets from the bulk payload tables (Classifier.reach)
     assert runs == []
+    # the counters see the per-seed fixpoint
+    Expansion.plain(fc).orbit(sorted(fc.saddle_ids)[0], Direction.FORWARD)
+    assert {name for name, _, _ in runs} == {"_one_sided", "_fired"}
 
 
 def test_lead_scans_match_the_per_id_scans(gallery_complexes):

@@ -87,9 +87,13 @@ def test_digests_do_not_depend_on_the_string_hash():
         )
         for seed in (0, 4242)
     ]
-    for run in runs:
-        out, _ = run.communicate(timeout=300)
-        assert (run.returncode, out) == (0, f'GOLDEN_DIGEST = "{GOLDEN_DIGEST}"\nSCALE_DIGEST = "{SCALE_DIGEST}"\n')
+    try:
+        outputs = [(run.communicate(timeout=300)[0], run.returncode) for run in runs]
+    finally:
+        for run in runs:
+            run.kill()  # a no-op for a run that has ended
+    for out, returncode in outputs:
+        assert (returncode, out) == (0, f'GOLDEN_DIGEST = "{GOLDEN_DIGEST}"\nSCALE_DIGEST = "{SCALE_DIGEST}"\n')
 
 
 if __name__ == "__main__":
