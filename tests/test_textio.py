@@ -117,9 +117,6 @@ LINE_ERRORS = [
         [(2, 29, "expected key=value, got 'novalue'"), (2, 50, "unknown field ''")],
     ),
     ("family f kind=annulus b0= b1=c", [(2, 23, "empty value for 'b0'")]),
-    ("accum c kind=sing_seq samples= target=t", [(2, 23, "empty value for 'samples'")]),
-    ("saddleset d members= isolated=true", [(2, 13, "empty value for 'members'")]),
-    ("surface genus= orientable=true boundary=0", [(2, 1, "duplicate surface record"), (2, 9, "empty value for 'genus'")]),
     ("orbit o dense closure=", [(2, 15, "empty value for 'closure'")]),
     ("family f kind=annulus b0=a b1=b shrinks0=maybe", [(2, 42, "shrinks0 must be true or false")]),
     (
@@ -199,6 +196,10 @@ LINE_ERRORS = [
         "family f kind=annulus b0=a,b b1=c\nfamily g kind=annulus b0=a,b b1=c,9z",
         [(3, 35, "bad identifier '9z'")],
     ),
+    # an empty value on each record kind that takes a list or a number
+    ("accum c kind=sing_seq samples= target=t", [(2, 23, "empty value for 'samples'")]),
+    ("saddleset d members= isolated=true", [(2, 13, "empty value for 'members'")]),
+    ("surface genus= orientable=true boundary=0", [(2, 1, "duplicate surface record"), (2, 9, "empty value for 'genus'")]),
 ]
 
 
