@@ -4,10 +4,12 @@ Every decision is a pure function of a validated flow complex.  Flow-level
 verdicts carry a witness (an id set plus the rule that fired) whenever they
 are negative, so reports are auditable.  A shared per-complex cache keeps
 repeated extension and closure queries cheap when a full report or the
-theorem harness is assembled: verdicts and checks read extended orbits as
-member sets from per-side payload tables (``Classifier.reach``), never as
-per-seed fixpoint runs, and a fact of the member set alone is decided once
-per distinct extended orbit (``Classifier.leads``).
+theorem harness is assembled.  Verdicts and checks never run the per-seed
+fixpoint: recurrence reads one-sided payloads from the engines' tables
+(``Classifier.payload``), everything else reads the plain two-sided extended
+orbit of each id from one table built from them (``Classifier.members``),
+and a fact of the member set alone is decided once per distinct extended
+orbit (``Classifier.leads``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .model import (
     Shape,
     singularity_accumulation,
 )
-from .orbits import CycleSide, Direction, Expansion, LimitCycle, has_periodic_member_kinds, orbit_set_closure
+from .orbits import CycleSide, Expansion, LimitCycle, has_periodic_member_kinds, orbit_set_closure
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,14 @@ def _once(verdict: Callable[["Classifier"], Verdict]) -> Callable[["Classifier"]
     return cached
 
 
+_EMPTY: frozenset[str] = frozenset()
+
+
+def _join(fwd: frozenset[str], bwd: frozenset[str]) -> frozenset[str]:
+    """The union of two one-sided payloads: a side itself when it holds the other."""
+    return fwd if bwd <= fwd else bwd if fwd <= bwd else fwd | bwd
+
+
 class Classifier:
     """Cached per-complex classification engine.
 
@@ -115,9 +125,6 @@ class Classifier:
 
     def __init__(self, fc: FlowComplex):
         self.fc = fc
-        # per engine and direction: the payload table of each queried side, and the answers
-        self._views: dict[tuple[Expansion, Direction], tuple[dict, dict, dict[str, tuple[frozenset[str], bool]]]] = {}
-        self._pairs: dict[tuple[frozenset[str], frozenset[str]], frozenset[str]] = {}
         self._block_of_members: dict[frozenset[str], frozenset[str]] = {}
         self._blocks: Optional[dict[str, frozenset[str]]] = None
         self._verdicts: dict[str, Verdict] = {}
@@ -132,39 +139,41 @@ class Classifier:
     def _generalized(self) -> Expansion:
         """The generalized engine, or the plain one itself when no declared
         set is admitted: the two then have the same expansion sets.  Built
-        at the first generalized reach, which checks the declarations
-        whichever engine is kept."""
+        at the first generalized payload query, which checks the
+        declarations whichever engine is kept."""
         engine = Expansion.generalized(self.fc)
         return self._plain if engine.sets == self._plain.sets else engine
 
-    def reach(self, xid: str, direction: Direction, generalized: bool = False) -> tuple[frozenset[str], bool]:
-        """``(members, self_readded)`` of the plain or generalized extended
-        orbit of ``xid``, kept per query and engine: ``xid`` plus the payload
-        of each queried side, re-added exactly when a payload holds it."""
+    def payload(self, xid: str, forward: bool, generalized: bool = False) -> frozenset[str]:
+        """What the one-sided extension of ``xid`` adds to it, from the engine's
+        table: empty if ``xid`` fires no set, holding ``xid`` if it is re-added."""
+        self.fc.require(xid)
         engine = self._generalized if generalized else self._plain
-        view = self._views.get((engine, direction))
-        if view is None:
-            direction = Direction(direction)
-            fwd_table = engine.payloads(True) if direction is not Direction.BACKWARD else {}
-            bwd_table = engine.payloads(False) if direction is not Direction.FORWARD else {}
-            view = self._views[(engine, direction)] = (fwd_table, bwd_table, {})
-        fwd_table, bwd_table, answers = view
-        found = answers.get(xid)
-        if found is None:
+        return engine.payloads(forward).get(xid, _EMPTY)
+
+    def members(self, xid: str) -> frozenset[str]:
+        """The plain two-sided extended orbit of ``xid``."""
+        if xid not in self._members:
             self.fc.require(xid)
+        return self._members[xid]
+
+    @cached_property
+    def _members(self) -> dict[str, frozenset[str]]:
+        """``members`` of every id, in ``ids`` order: ``xid`` plus the join of
+        its two payloads.  Each distinct pair of rows is joined once, and the
+        ids inside a join share it."""
+        fwd_table, bwd_table = self._plain.payloads(True), self._plain.payloads(False)
+        joins: dict[tuple[frozenset[str], frozenset[str]], frozenset[str]] = {}
+        out = {}
+        for xid in self.ids:
             fwd, bwd = fwd_table.get(xid), bwd_table.get(xid)
             if fwd is not None and bwd is not None:
-                # shared frozensets keep their hashes, so the pair is a cheap key
-                fwd = self._pairs.get((fwd, bwd)) or self._union(fwd, bwd)
+                # shared rows keep their hashes, so the pair is a cheap key
+                fwd = joins.get((fwd, bwd)) or joins.setdefault((fwd, bwd), _join(fwd, bwd))
             # a payload is never empty
-            payload = fwd or bwd or frozenset()
-            found = answers[xid] = (payload, True) if xid in payload else (payload | {xid}, False)
-        return found
-
-    def _union(self, fwd: frozenset[str], bwd: frozenset[str]) -> frozenset[str]:
-        """The join of two one-sided payloads, kept per pair: a side itself when it holds the other."""
-        found = self._pairs[(fwd, bwd)] = fwd if bwd <= fwd else bwd if fwd <= bwd else fwd | bwd
-        return found
+            payload = fwd or bwd or _EMPTY
+            out[xid] = payload if xid in payload else payload | {xid}
+        return out
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -175,14 +184,10 @@ class Classifier:
     def leads(self) -> tuple[str, ...]:
         """One id per distinct two-sided extended orbit, the least id whose
         extended orbit it is, in ascending order."""
-        seen: set[frozenset[str]] = set()
-        out = []
-        for xid in self.ids:
-            members = self.reach(xid, Direction.BOTH)[0]
-            if members not in seen:
-                seen.add(members)
-                out.append(xid)
-        return tuple(out)
+        first: dict[frozenset[str], str] = {}
+        for xid, members in self._members.items():
+            first.setdefault(members, xid)
+        return tuple(first.values())
 
     def _closure_of_members(self, members: frozenset[str]) -> frozenset[str]:
         found = self._block_of_members.get(members)
@@ -197,7 +202,7 @@ class Classifier:
         """Closure of the two-sided extended orbit of ``xid``, with family ids
         standing for one generic member; computed once per distinct member
         set."""
-        return self._closure_of_members(self.reach(xid, Direction.BOTH)[0])
+        return self._closure_of_members(self.members(xid))
 
     def blocks(self) -> dict[str, frozenset[str]]:
         """``block`` of every lead, in lead order."""
@@ -207,13 +212,13 @@ class Classifier:
 
     def extension_closed(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is a closed set."""
-        members = self.reach(xid, Direction.BOTH)[0]
+        members = self.members(xid)
         return self._closure_of_members(members) <= members
 
     def extended_periodic(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is compact: a closed
         member set of the kinds ``has_periodic_member_kinds`` admits."""
-        members = self.reach(xid, Direction.BOTH)[0]
+        members = self.members(xid)
         return has_periodic_member_kinds(self.fc, members) and self._closure_of_members(members) <= members
 
     # -- pointwise recurrence ----------------------------------------------
@@ -250,14 +255,8 @@ class Classifier:
             # a closed-extended-orbit region declares that each member is a
             # compact extended orbit, whose points re-approach themselves
             return fam.kind is FamilyKind.CLOSED_EXTENDED_REGION
-        direction = Direction.FORWARD if forward else Direction.BACKWARD
-        members, self_readded = self.reach(xid, direction, generalized)
-        if self_readded:
-            return True
-        for oid in sorted(members):
-            if oid != xid and xid in fc.closure(oid):
-                return True
-        return False
+        payload = self.payload(xid, forward, generalized)
+        return xid in payload or any(xid in fc.closure(oid) for oid in sorted(payload))
 
     # -- flow-level verdicts -------------------------------------------------
 
@@ -438,7 +437,7 @@ class Classifier:
         set tests, against sets built once per ``Classifier``."""
         if not self.extended_recurrent().verdict:
             raise PreconditionError("dichotomy requires an extended recurrent flow")
-        members = self.reach(xid, Direction.BOTH)[0]
+        members = self.members(xid)
         closure = self._closure_of_members(members)
         if closure <= members:
             raise PreconditionError(f"extended orbit of {xid!r} is closed")
@@ -472,7 +471,7 @@ class Classifier:
                 continue
             if not _is_closed_curve_union(fc, gamma):
                 continue
-            if not any(gamma <= self.reach(mid, Direction.BOTH)[0] for mid in sorted(gamma)):
+            if not any(gamma <= self.members(mid) for mid in sorted(gamma)):
                 continue
             witnesses = [
                 (oid, side)

@@ -27,8 +27,6 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_THEOREM = 3
 
-_DIRECTIONS = {"fwd": Direction.FORWARD, "bwd": Direction.BACKWARD, "both": Direction.BOTH}
-
 
 def _load(path: str) -> FlowComplex:
     try:
@@ -81,7 +79,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
     fc = _load_valid(args.file)
-    direction = _DIRECTIONS[args.direction]
+    direction = Direction(args.direction)
     if args.generalized:
         ext = Expansion.generalized(fc).orbit(args.start, direction)
     else:
@@ -166,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="compute an extended orbit")
     p.add_argument("file")
     p.add_argument("--start", required=True)
-    p.add_argument("--direction", choices=sorted(_DIRECTIONS), default="both")
+    p.add_argument("--direction", choices=sorted(d.value for d in Direction), default="both")
     p.add_argument("--generalized", action="store_true")
     p.set_defaults(fn=_cmd_orbit)
 

@@ -20,6 +20,7 @@ from .model import (
     OrbitClass,
     OrbitKind,
     PointKind,
+    PreconditionError,
     SchemaKind,
     Shape,
     SingularSet,
@@ -41,6 +42,14 @@ class SizeParams:
     max_depth: int = 2
     max_repeats: int = 4
     profile: str = "any"
+
+    def __post_init__(self) -> None:
+        if self.max_depth < 0:
+            raise PreconditionError("max_depth must be non-negative")
+        if self.max_repeats < 1:
+            raise PreconditionError("max_repeats must be at least 1")
+        if self.profile != "any" and self.profile not in _TEMPLATES:
+            raise PreconditionError(f"unknown profile {self.profile!r}")
 
 
 class _Builder:
@@ -243,10 +252,5 @@ _ANY_MIX = (
 def random_complex(seed: int, size: SizeParams = SizeParams()) -> FlowComplex:
     """Deterministic-in-seed valid complex drawn from the template mix."""
     rng = random.Random(seed)
-    if size.profile == "any":
-        template = rng.choice(_ANY_MIX)
-    else:
-        if size.profile not in _TEMPLATES:
-            raise ValueError(f"unknown profile {size.profile!r}")
-        template = size.profile
+    template = rng.choice(_ANY_MIX) if size.profile == "any" else size.profile
     return _TEMPLATES[template](rng, size)

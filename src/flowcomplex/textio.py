@@ -345,7 +345,7 @@ def parse(text: str) -> FlowComplex:
             errors.extend(ParseError(lineno, _column(raw, tokens, i, at), message) for i, at, message in pending)
             pending.clear()
 
-    if r.surface is None and not any("surface" in e.message for e in errors):
+    if r.surface is None and not errors:
         errors.append(ParseError(1, 1, "missing surface record"))
     if errors:
         raise ParseErrors(errors)

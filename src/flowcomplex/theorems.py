@@ -24,7 +24,6 @@ from .model import (
     singularity_accumulation,
 )
 from .classify import Classifier, DichotomyCase
-from .orbits import Direction
 
 
 class TheoremStatus(str, Enum):
@@ -103,7 +102,7 @@ def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
         if not cls.extended_periodic(xid):
             continue
         found = True
-        members = cls.reach(xid, Direction.BOTH)[0]
+        members = cls.members(xid)
         for schema in chains:
             if members.issuperset(schema.samples):
                 return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: members hold saddle chain {schema.id}")
@@ -123,7 +122,7 @@ def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
     for o in fc.orbit_classes:
         if o.kind is not OrbitKind.PROPER:
             continue
-        if cls.reach(o.id, Direction.BOTH)[0] != frozenset({o.id}):
+        if cls.members(o.id) != frozenset({o.id}):
             continue
         if o.id not in cls.routed:
             return TheoremResult(name, TheoremStatus.HOLDS, f"wandering witness {o.id}")
@@ -232,8 +231,8 @@ def check_regular_orbit_closure_dichotomy(cls: Classifier) -> TheoremResult:
     for xid in cls.ids:
         if cls.extension_closed(xid):
             continue
-        # the one-sided reaches differ between ids of one extended orbit
-        if any(cls.reach(xid, d)[0].isdisjoint(dense) for d in (Direction.FORWARD, Direction.BACKWARD)):
+        # the one-sided payloads differ between ids of one extended orbit
+        if xid not in dense and any(cls.payload(xid, forward).isdisjoint(dense) for forward in (True, False)):
             return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: open extension missing a dense side")
     return TheoremResult(name, TheoremStatus.HOLDS)
 

@@ -59,6 +59,18 @@ from flowcomplex.theorems import _all_extended_orbits_closed, _block_with_infini
 from naive_oracle import naive_dichotomy, naive_extended_orbit, naive_extended_pap
 
 
+def classifier_orbit(cls, xid, direction, generalized=False):
+    """``(members, self_readded)`` of an extended orbit, from the two queries
+    of ``Classifier``: a one-sided payload plus its seed, the plain two-sided
+    ``members``, or the seed and both generalized payloads."""
+    if direction is not Direction.BOTH:
+        payload = cls.payload(xid, direction is Direction.FORWARD, generalized)
+        return payload | {xid}, xid in payload
+    fwd, bwd = cls.payload(xid, True, generalized), cls.payload(xid, False, generalized)
+    members = fwd | bwd | {xid} if generalized else cls.members(xid)
+    return members, xid in fwd or xid in bwd
+
+
 def _two_center_sphere():
     return FlowComplex.build(
         SurfaceInfo(0, True, 0),
@@ -252,7 +264,7 @@ def test_dichotomy_tests_both_firing_give_the_singularity_case():
     assert validate(fc).ok
     cls = Classifier(fc)
     assert cls.extended_recurrent().verdict
-    members = cls.reach("c1", Direction.BOTH)[0]
+    members = cls.members("c1")
     assert not cls.extension_closed("c1")
     assert "o" in cls.block("c1") and not members.isdisjoint(cls._dense_closures)
     assert cls.dichotomy("c1") is naive_dichotomy(fc, "c1") is DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE
@@ -451,9 +463,9 @@ def test_reach_matches_the_oracles(gallery_complexes):
         generalized = Expansion.admit(fc, generalized_saddle_sets(fc))
         for xid in sorted(fc.all_ids):
             for d in Direction:
-                assert cls.reach(xid, d) == naive_extended_orbit(fc, xid, d), (xid, d)
+                assert classifier_orbit(cls, xid, d) == naive_extended_orbit(fc, xid, d), (xid, d)
                 run = generalized.orbit(xid, d)
-                assert cls.reach(xid, d, generalized=True) == (run.members, run.self_readded), (xid, d)
+                assert classifier_orbit(cls, xid, d, generalized=True) == (run.members, run.self_readded), (xid, d)
         for kind, engine in (("plain", cls._plain), ("generalized", cls._generalized)):
             cyclic[kind] += sum(_has_set_cycle(engine, forward) for forward in (True, False))
     # set digraphs (one per complex and direction) whose condensation merges
@@ -495,8 +507,8 @@ def test_ids_that_fire_two_expansion_sets():
     for xid in sorted(fc.all_ids):
         for d in Direction:
             run = engine.orbit(xid, d)
-            assert cls.reach(xid, d, generalized=True) == (run.members, run.self_readded), (xid, d)
-    assert cls.reach("nlo1", Direction.FORWARD, generalized=True)[0] == frozenset({"nli1", "nlo1", "nsd1"})
+            assert classifier_orbit(cls, xid, d, generalized=True) == (run.members, run.self_readded), (xid, d)
+    assert cls.payload("nlo1", True, generalized=True) == frozenset({"nli1", "nlo1", "nsd1"})
     # two sets that share only a periodic orbit, which fires nothing, so
     # neither row reaches the other: x's payload needs both
     fc = parse(
@@ -547,9 +559,10 @@ def test_only_the_classifier_builds_payload_tables(gallery_complexes, tmp_path, 
     cls = Classifier(fc)
     cls.report()
     for xid in sorted(fc.all_ids):
-        for d in Direction:
-            cls.reach(xid, d)
-            cls.reach(xid, d, generalized=True)
+        cls.members(xid)
+        for forward in (True, False):
+            cls.payload(xid, forward)
+            cls.payload(xid, forward, generalized=True)
     assert cls._plain.sets == [] and cls._generalized.sets
     assert sorted((engine is cls._generalized, forward) for engine, forward in built) == [(True, False), (True, True)]
 
@@ -568,7 +581,7 @@ def test_reports_and_theorems_run_no_per_seed_fixpoint(monkeypatch):
     assert len(fc.all_ids) == 200
     classification_report(fc)
     verify_theorems(fc)
-    # both read member sets from the bulk payload tables (Classifier.reach)
+    # both read the bulk payload tables (Classifier.members and payload)
     assert runs == []
     # the counters see the per-seed fixpoint
     Expansion.plain(fc).orbit(sorted(fc.saddle_ids)[0], Direction.FORWARD)
@@ -646,7 +659,7 @@ def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_co
     for name, fc in named:
         cls = Classifier(fc)
         verdict = cls.generalized_recurrent()
-        # the engine is built only when some point needs a generalized reach
+        # the engine is built only when some point needs a generalized payload
         needed = "_generalized" in vars(cls)
         branch = "reused" if cls._generalized is cls._plain else "separate"
         assert (branch == "reused") == (Expansion.generalized(fc).sets == Expansion.plain(fc).sets), name
@@ -682,4 +695,20 @@ def test_generalized_engine_is_built_at_the_first_generalized_reach():
     assert "_generalized" not in vars(cls)
     assert classification_report(fc).generalized_recurrent.verdict
     with pytest.raises(InvalidSaddleSetError, match="'q' fails the saddle-set criterion"):
-        cls.reach("c1", Direction.FORWARD, generalized=True)
+        cls.payload("c1", True, generalized=True)
+
+
+def test_unknown_ids_raise_from_both_queries(gallery_complexes):
+    # an unknown id is neither a silent empty payload nor a bare KeyError,
+    # whether or not a report has built the tables
+    fc = gallery_complexes["halfdisk_sphere"]
+    for report_first in (False, True):
+        cls = Classifier(fc)
+        if report_first:
+            cls.report()
+        with pytest.raises(UnknownIdError, match="ghost"):
+            cls.members("ghost")
+        for forward in (True, False):
+            for generalized in (False, True):
+                with pytest.raises(UnknownIdError, match="ghost"):
+                    cls.payload("ghost", forward, generalized)

@@ -3,6 +3,7 @@ import pytest
 from flowcomplex import (
     GALLERY,
     GalleryError,
+    PreconditionError,
     SizeParams,
     build,
     classification_report,
@@ -76,3 +77,18 @@ def test_random_profiles():
         random_complex(0, SizeParams(profile="moebius"))
     fc = random_complex(5, SizeParams(profile="torus-irrational"))
     assert fc.surface.genus == 1
+
+
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"profile": "bogus"}, "unknown profile 'bogus'"),
+        ({"max_depth": -1}, "max_depth must be non-negative"),
+        ({"max_repeats": 0}, "max_repeats must be at least 1"),
+    ],
+)
+def test_size_params_are_checked_on_construction(knobs, message):
+    # each would otherwise fail inside the generator with a bare ValueError
+    # on some seeds, or at the first call
+    with pytest.raises(PreconditionError, match=message):
+        SizeParams(**knobs)

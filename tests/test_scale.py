@@ -2,7 +2,7 @@
 ids (``SCALE_DOCUMENTS`` in ``tests/test_golden.py``), where the naive
 oracles cannot run: a pinned output digest, the round trip through the text
 format, the harness itself, sampled per-seed fixpoints, and how often
-two-sided reaches are decided."""
+two-sided extended orbits are joined."""
 
 from __future__ import annotations
 
@@ -14,11 +14,13 @@ from flowcomplex import (
     TheoremStatus,
     build,
     classification_report,
+    classify,
     emit,
     parse,
     verify_theorems,
 )
 from flowcomplex.orbits import Expansion
+from test_classify import classifier_orbit
 from test_golden import SCALE_DIGEST, SCALE_DOCUMENTS, digest
 
 
@@ -54,11 +56,11 @@ def test_reach_matches_the_per_seed_fixpoint_at_scale(scale):
         plain = Expansion.plain(fc)
         for xid in sorted(fc.all_ids)[::97]:
             fwd, bwd = plain.orbit(xid, Direction.FORWARD), plain.orbit(xid, Direction.BACKWARD)
-            assert cls.reach(xid, Direction.FORWARD) == (fwd.members, fwd.self_readded), xid
-            assert cls.reach(xid, Direction.BACKWARD) == (bwd.members, bwd.self_readded), xid
+            assert classifier_orbit(cls, xid, Direction.FORWARD) == (fwd.members, fwd.self_readded), xid
+            assert classifier_orbit(cls, xid, Direction.BACKWARD) == (bwd.members, bwd.self_readded), xid
             # orbit(xid, BOTH) is the union of these two runs
             both = (fwd.members | bwd.members, fwd.self_readded or bwd.self_readded)
-            assert cls.reach(xid, Direction.BOTH) == both, xid
+            assert classifier_orbit(cls, xid, Direction.BOTH) == both, xid
 
 
 def test_two_sided_reach_is_decided_once_per_row_pair(scale, monkeypatch):
@@ -66,19 +68,19 @@ def test_two_sided_reach_is_decided_once_per_row_pair(scale, monkeypatch):
     one decision (subset test or union) and one frozenset, however many ids
     they are."""
     decided = []
-    union = Classifier._union
+    join = classify._join
 
-    def counted(self, fwd, bwd):
+    def counted(fwd, bwd):
         decided.append((id(fwd), id(bwd)))
-        return union(self, fwd, bwd)
+        return join(fwd, bwd)
 
-    monkeypatch.setattr(Classifier, "_union", counted)
+    monkeypatch.setattr(classify, "_join", counted)
     counts = []
     for fc, _, _ in scale:
         decided.clear()
         cls = Classifier(fc)
         ids = sorted(fc.all_ids)
-        answers = {xid: cls.reach(xid, Direction.BOTH)[0] for xid in ids}
+        answers = {xid: cls.members(xid) for xid in ids}
         # the tables those answers were read from
         fwd_table, bwd_table = cls._plain.payloads(True), cls._plain.payloads(False)
         pairs: dict[tuple[int, int], list[str]] = {}

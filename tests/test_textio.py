@@ -255,6 +255,28 @@ def test_surface_must_come_first():
     assert any("first record" in e.message for e in exc.value.errors)
 
 
+# documents without a usable surface record: only a document with no error
+# at all is missing one
+DOCUMENT_ERRORS = [
+    ("", [(1, 1, "missing surface record")]),
+    ("# a comment\n\n", [(1, 1, "missing surface record")]),
+    ("surface genus=x orientable=true boundary=0\n", [(1, 15, "genus must be an integer")]),
+    ("surface genus=0 orientable=true boundary=0 x=1\n", [(1, 44, "unknown field 'x'")]),
+    ("surface genus= orientable=true boundary=0\n", [(1, 9, "empty value for 'genus'")]),
+    (
+        "sing c point kind=center\nsurface genus=0 orientable=true boundary=0\n",
+        [(1, 1, "the first record must be a surface line")],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, errors", DOCUMENT_ERRORS)
+def test_document_errors_are_pinned(text, errors):
+    with pytest.raises(ParseErrors) as exc:
+        parse(text)
+    assert [(e.line, e.column, e.message) for e in exc.value.errors] == errors
+
+
 def test_reference_errors_are_deferred_to_validation():
     text = """\
 surface genus=1 orientable=true boundary=0
