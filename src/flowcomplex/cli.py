@@ -108,7 +108,11 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
             print(f"error: parameter {key} must be an integer", file=sys.stderr)
             return EXIT_INVALID
     fc = build(args.name, params)
-    Path(args.out).write_text(emit(fc), encoding="utf-8")
+    try:
+        Path(args.out).write_text(emit(fc), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     return EXIT_OK
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import FlowComplex, PointKind, RefKind, Shape
+from .model import FlowComplex, PointKind, PreconditionError, RefKind, Shape
 from .orbits import ExtendedOrbitSet
 
 _POINT_SHAPES = {
@@ -23,6 +23,8 @@ def export_dot(fc: FlowComplex, overlay: Optional[ExtendedOrbitSet] = None) -> s
     mark = overlay.members if overlay is not None else frozenset()
     lines = ["digraph flow_complex {", '  rankdir="LR";']
     for s in sorted(fc.singular_sets, key=lambda r: r.id):
+        if s.shape is Shape.POINT and s.kind is None:
+            raise PreconditionError(f"point singularity {s.id!r} has no kind")
         shape = _POINT_SHAPES[s.kind] if s.shape is Shape.POINT else "box"
         label = s.kind.value if s.shape is Shape.POINT else s.shape.value
         attrs = [f"shape={shape}", f'label="{s.id}\\n{label}"']

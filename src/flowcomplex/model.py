@@ -29,6 +29,9 @@ class FlowComplexError(Exception):
 class UnknownIdError(FlowComplexError, KeyError):
     """An identifier does not resolve to any declared piece."""
 
+    def __str__(self) -> str:  # not KeyError's bare quoted key
+        return f"unknown id {self.args[0]!r}"
+
 
 class PreconditionError(FlowComplexError, ValueError):
     """An operation was called outside its stated precondition."""

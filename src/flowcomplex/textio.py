@@ -39,6 +39,7 @@ from .model import (
     OrbitClass,
     OrbitKind,
     PointKind,
+    PreconditionError,
     RefKind,
     SaddleSetDecl,
     SchemaKind,
@@ -86,9 +87,11 @@ class _Reader:
     ``omega=`` only, and a ``family`` line, each with its fields in the
     order ``emit`` writes them, are read at the known positions of those
     fields; any other line, valid or not, goes through ``fields`` and the
-    helpers after it, which report what is off.  A failed check adds
-    ``(token index, offset, message)`` to ``pending``; ``parse`` turns those
-    into ``ParseError``s, locating the tokens only on lines that fail.
+    helpers after it, which report what is off (an absent field reads None).
+    Every field present is checked, so a missing field does not hide a bad
+    value elsewhere on the line.  A failed check adds ``(token index, offset,
+    message)`` to ``pending``; ``parse`` turns those into ``ParseError``s,
+    locating the tokens only on lines that fail.
     Equal reference and id-set values are checked and built once and then
     shared.
     """
@@ -137,10 +140,10 @@ class _Reader:
                 self.fail(0, f"{self.tokens[0]} record is missing {key}")
         return fields
 
-    def enum(self, enum_cls, value: str, what: str, key: str | None = None):
+    def enum(self, enum_cls, value: str | None, what: str, key: str | None = None):
         """The member of ``enum_cls`` spelled ``value``: token 2, or field ``key``."""
         found = enum_cls._value2member_map_.get(value)
-        if found is None:
+        if found is None and value is not None:
             choices = ", ".join(e.value for e in enum_cls)
             message = f"unknown {what} {value!r} (one of: {choices})"
             if key is None:
@@ -158,16 +161,18 @@ class _Reader:
         self.fail_field(key, f"{key} must be true or false")
         return False
 
-    def integer(self, fields: dict[str, str], key: str) -> int:
+    def integer(self, fields: dict[str, str], key: str) -> int | None:
         try:
-            return int(fields[key])
+            return int(fields[key]) if key in fields else None
         except ValueError:
             self.fail_field(key, f"{key} must be an integer")
-            return 0
+            return None
 
-    def ids(self, key: str, value: str, offset: int = 0) -> list[str] | None:
+    def ids(self, key: str, value: str | None, offset: int = 0) -> list[str] | None:
         """The ids of the comma list ``value``, ``offset`` characters into field
         ``key``, or None after failing at each bad one."""
+        if value is None:
+            return None
         parts = value.split(",")
         if value.isascii() and all(map(str.isidentifier, parts)):
             return parts
@@ -177,7 +182,7 @@ class _Reader:
             offset += len(part) + 1
         return None
 
-    def id_set(self, key: str, value: str) -> frozenset[str] | None:
+    def id_set(self, key: str, value: str | None) -> frozenset[str] | None:
         found = self._id_sets.get(value)
         if found is None:
             parts = self.ids(key, value)
@@ -211,13 +216,11 @@ class _Reader:
         if self.surface is not None:
             self.fail(0, "duplicate surface record")
         fields = self.fields(1, ("genus", "orientable", "boundary"), ("boundary", "genus", "orientable"))
-        if self.pending:
-            return
         genus = self.integer(fields, "genus")
         orientable = self.flag(fields, "orientable")
         boundary = self.integer(fields, "boundary")
         for key, n in (("genus", genus), ("boundary", boundary)):
-            if n < 0:
+            if n is not None and n < 0:
                 self.fail_field(key, f"{key} must be non-negative")
         if not self.pending:
             self.surface = SurfaceInfo(genus, orientable, boundary)
@@ -265,8 +268,7 @@ class _Reader:
 
     def family_record(self, rid: str) -> Family | None:
         tokens = self.tokens
-        # a family line that has failed already is checked no further than its fields
-        if 5 <= len(tokens) <= 7 and not self.pending:
+        if 5 <= len(tokens) <= 7:
             kind = _FAMILY_KINDS.get(tokens[2])
             b0_key, _, b0 = tokens[3].partition("=")
             b1_key, _, b1 = tokens[4].partition("=")
@@ -278,30 +280,24 @@ class _Reader:
                 self.start = 2
                 return Family(rid, kind, self.id_set("b0", b0), self.id_set("b1", b1), shrinks0, shrinks1)
         fields = self.fields(2, ("kind", "b0", "b1", "shrinks0", "shrinks1"), ("b0", "b1", "kind"))
-        if self.pending:
-            return None
         return Family(
             rid,
-            self.enum(FamilyKind, fields["kind"], "family kind", "kind"),
-            self.id_set("b0", fields["b0"]),
-            self.id_set("b1", fields["b1"]),
+            self.enum(FamilyKind, fields.get("kind"), "family kind", "kind"),
+            self.id_set("b0", fields.get("b0")),
+            self.id_set("b1", fields.get("b1")),
             self.flag(fields, "shrinks0"),
             self.flag(fields, "shrinks1"),
         )
 
     def accum_record(self, rid: str) -> AccumulationSchema | None:
         fields = self.fields(2, ("kind", "samples", "target"), ("kind", "samples", "target"))
-        if self.pending:
-            return None
-        kind = self.enum(SchemaKind, fields["kind"], "schema kind", "kind")
-        samples = self.ids("samples", fields["samples"]) or ()
-        return AccumulationSchema(rid, kind, tuple(samples), self.id_set("target", fields["target"]))
+        kind = self.enum(SchemaKind, fields.get("kind"), "schema kind", "kind")
+        samples = self.ids("samples", fields.get("samples")) or ()
+        return AccumulationSchema(rid, kind, tuple(samples), self.id_set("target", fields.get("target")))
 
     def saddleset_record(self, rid: str) -> SaddleSetDecl | None:
         fields = self.fields(2, ("members", "isolated"), ("isolated", "members"))
-        if self.pending:
-            return None
-        return SaddleSetDecl(rid, self.id_set("members", fields["members"]), self.flag(fields, "isolated"))
+        return SaddleSetDecl(rid, self.id_set("members", fields.get("members")), self.flag(fields, "isolated"))
 
 
 def parse(text: str) -> FlowComplex:
@@ -369,6 +365,8 @@ def emit(fc: FlowComplex) -> str:
     lines = [f"surface genus={s.genus} orientable={str(s.orientable).lower()} boundary={s.boundary_components}"]
     for sg in sorted(fc.singular_sets, key=lambda r: r.id):
         if sg.shape is Shape.POINT:
+            if sg.kind is None:
+                raise PreconditionError(f"point singularity {sg.id!r} has no kind")
             lines.append(f"sing {sg.id} point kind={sg.kind.value}")
         else:
             lines.append(f"sing {sg.id} {sg.shape.value}")

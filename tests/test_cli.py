@@ -96,13 +96,17 @@ def test_domain_errors_print_one_line_and_exit_1(tmp_path):
             "error: 'utf-8' codec can't decode byte 0xe9 in position 48: invalid continuation byte\n",
         ),
         (["verify", str(tmp_path / "missing.fc")], f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.fc'}'\n"),
-        (["orbit", str(good), "--start", "nope"], "error: 'nope'\n"),
-        (["orbit", str(good), "--start", "nope", "--generalized"], "error: 'nope'\n"),
-        (["export-dot", str(good), "--overlay", "nope"], "error: 'nope'\n"),
+        (["orbit", str(good), "--start", "nope"], "error: unknown id 'nope'\n"),
+        (["orbit", str(good), "--start", "nope", "--generalized"], "error: unknown id 'nope'\n"),
+        (["export-dot", str(good), "--overlay", "nope"], "error: unknown id 'nope'\n"),
         (["verify", str(good), "--theorems", "bogus"], "error: unknown theorem names: ['bogus']\n"),
         (
             ["gallery", "--name", "halfdisk_sphere", "--param", "zz=3", "--out", str(tmp_path / "out.fc")],
             "error: halfdisk_sphere does not take parameters ['zz']\n",
+        ),
+        (
+            ["gallery", "--name", "comb_torus", "--out", str(tmp_path)],
+            f"error: [Errno 21] Is a directory: '{tmp_path}'\n",
         ),
     ]
     for argv, err in cases:

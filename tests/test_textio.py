@@ -10,15 +10,18 @@ from flowcomplex import (
     Direction,
     Family,
     FamilyKind,
+    FlowComplex,
     LimitRef,
     OrbitClass,
     OrbitKind,
     ParseErrors,
     PointKind,
+    PreconditionError,
     SaddleSetDecl,
     SchemaKind,
     Shape,
     SingularSet,
+    SurfaceInfo,
     build,
     emit,
     export_dot,
@@ -123,7 +126,10 @@ LINE_ERRORS = [
         "family f kind=annulus kind=region b0=a b1=b shrinks1=true shrinks1=false",
         [(2, 23, "duplicate field 'kind'"), (2, 59, "duplicate field 'shrinks1'")],
     ),
-    ("family f kind=disk b0=a", [(2, 1, "family record is missing b1")]),
+    (
+        "family f kind=disk b0=a",
+        [(2, 1, "family record is missing b1"), (2, 15, "unknown family kind 'disk' (one of: annulus, region)")],
+    ),
     ("family f kind=annulus b0=a=b b1=c", [(2, 26, "bad identifier 'a=b'")]),
     ("sing x point kind=saddle extra=1", [(2, 26, "unknown field 'extra'")]),
     ("sing x point kind=saddle kind=sink", [(2, 26, "duplicate field 'kind'")]),
@@ -161,7 +167,10 @@ LINE_ERRORS = [
     ),
     ("accum c samples=a", [(2, 1, "accum record is missing kind"), (2, 1, "accum record is missing target")]),
     ("saddleset d members=s isolated=maybe", [(2, 32, "isolated must be true or false")]),
-    ("saddleset d members=s,9z isolated=true isolated=false", [(2, 40, "duplicate field 'isolated'")]),
+    (
+        "saddleset d members=s,9z isolated=true isolated=false",
+        [(2, 40, "duplicate field 'isolated'"), (2, 23, "bad identifier '9z'")],
+    ),
     ("surface genus=0 orientable=true boundary=0", [(2, 1, "duplicate surface record")]),
     ("blob x y", [(2, 1, "unknown record kind 'blob'")]),
     (
@@ -172,15 +181,19 @@ LINE_ERRORS = [
         "sing x point kind=center\norbit x\tperiodic\nfamily f kind=annulus b0=x b1=x shrinks0=yes",
         [(3, 7, "duplicate id 'x' (first declared on line 2)"), (4, 42, "shrinks0 must be true or false")],
     ),
-    # a line whose id is off: family, accum and saddleset lines check no
-    # further than their fields, orbit lines check their references too
-    ("family 9z kind=annulus b0=x.y b1=b", [(2, 8, "bad identifier '9z'")]),
+    # a line whose id is off: every record kind still checks each of its
+    # fields, so the id error comes first and the field errors follow
+    ("family 9z kind=annulus b0=x.y b1=b", [(2, 8, "bad identifier '9z'"), (2, 27, "bad identifier 'x.y'")]),
     (
         "family f kind=annulus b0=x.y b1=b\nfamily f kind=annulus b0=x.y b1=b",
-        [(2, 26, "bad identifier 'x.y'"), (3, 8, "duplicate id 'f' (first declared on line 2)")],
+        [
+            (2, 26, "bad identifier 'x.y'"),
+            (3, 8, "duplicate id 'f' (first declared on line 2)"),
+            (3, 26, "bad identifier 'x.y'"),
+        ],
     ),
-    ("accum 9z kind=sing_seq samples=a,,b target=t", [(2, 7, "bad identifier '9z'")]),
-    ("saddleset 9z members=x.y isolated=true", [(2, 11, "bad identifier '9z'")]),
+    ("accum 9z kind=sing_seq samples=a,,b target=t", [(2, 7, "bad identifier '9z'"), (2, 34, "bad identifier ''")]),
+    ("saddleset 9z members=x.y isolated=true", [(2, 11, "bad identifier '9z'"), (2, 22, "bad identifier 'x.y'")]),
     ("orbit 9z proper alpha=pt:a omega=sing:b", [(2, 7, "bad identifier '9z'"), (2, 23, "unknown reference kind 'pt'")]),
     ("orbit o proper alpha= omega=sing:a", [(2, 16, "empty value for 'alpha'")]),
     ("family f kind=annulus b0=a,b b1=c shrinks0=true shrinks0=true", [(2, 49, "duplicate field 'shrinks0'")]),
@@ -200,6 +213,19 @@ LINE_ERRORS = [
     ("accum c kind=sing_seq samples= target=t", [(2, 23, "empty value for 'samples'")]),
     ("saddleset d members= isolated=true", [(2, 13, "empty value for 'members'")]),
     ("surface genus= orientable=true boundary=0", [(2, 1, "duplicate surface record"), (2, 9, "empty value for 'genus'")]),
+    # a missing field, then a bad value elsewhere on the same line
+    (
+        "family f kind=annulus b0=a shrinks0=maybe",
+        [(2, 1, "family record is missing b1"), (2, 37, "shrinks0 must be true or false")],
+    ),
+    (
+        "accum c kind=chain samples=a",
+        [
+            (2, 1, "accum record is missing target"),
+            (2, 14, "unknown schema kind 'chain' (one of: saddle_chain, sing_seq, family_seq)"),
+        ],
+    ),
+    ("saddleset d isolated=maybe", [(2, 1, "saddleset record is missing members"), (2, 22, "isolated must be true or false")]),
 ]
 
 
@@ -267,6 +293,19 @@ DOCUMENT_ERRORS = [
         "sing c point kind=center\nsurface genus=0 orientable=true boundary=0\n",
         [(1, 1, "the first record must be a surface line")],
     ),
+    # a missing field, then bad values elsewhere on the same line
+    (
+        "surface genus=0 orientable=maybe\n",
+        [(1, 1, "surface record is missing boundary"), (1, 28, "orientable must be true or false")],
+    ),
+    (
+        "surface genus=x orientable=maybe\n",
+        [
+            (1, 1, "surface record is missing boundary"),
+            (1, 15, "genus must be an integer"),
+            (1, 28, "orientable must be true or false"),
+        ],
+    ),
 ]
 
 
@@ -320,6 +359,14 @@ def test_export_dot_overlay_matches_members(gallery_complexes):
 def test_export_dot_deterministic(gallery_complexes):
     fc = gallery_complexes["comb_torus"]
     assert export_dot(fc) == export_dot(fc)
+
+
+def test_a_point_with_no_kind_is_a_precondition_error():
+    # ``build`` accepts it; ``validate`` reports it as point-missing-kind
+    fc = FlowComplex.build(SurfaceInfo(0, True, 0), singular_sets=[SingularSet("x", Shape.POINT, None)])
+    for write in (emit, export_dot):
+        with pytest.raises(PreconditionError, match="point singularity 'x' has no kind"):
+            write(fc)
 
 
 # -- command-line surface ------------------------------------------------------
