@@ -114,10 +114,10 @@ def _join(fwd: frozenset[str], bwd: frozenset[str]) -> frozenset[str]:
 class Classifier:
     """Cached per-complex classification engine.
 
-    The module-level functions below are the public surface; they build a
-    throwaway instance.  Report assembly and the theorem harness reuse one
-    instance so extended member sets, blocks and verdicts are computed once;
-    closures are kept by the complex itself (``FlowComplex.closure``).  Scans
+    Every per-point and per-flow question is a method; ask them all of one
+    instance, as report assembly and the theorem harness do, so extended
+    member sets, blocks and verdicts are computed once per complex; closures
+    are kept by the complex itself (``FlowComplex.closure``).  Scans
     for a witness run over ``ids``, or over ``leads`` when what they test
     depends on the two-sided member set alone: the first failing lead is
     then the first failing id.
@@ -189,7 +189,11 @@ class Classifier:
             first.setdefault(members, xid)
         return tuple(first.values())
 
-    def _closure_of_members(self, members: frozenset[str]) -> frozenset[str]:
+    def block(self, xid: str) -> frozenset[str]:
+        """Closure of the two-sided extended orbit of ``xid``, with family ids
+        standing for one generic member; computed once per distinct member
+        set."""
+        members = self.members(xid)
         found = self._block_of_members.get(members)
         if found is None:
             found = orbit_set_closure(self.fc, members)
@@ -197,12 +201,6 @@ class Classifier:
                 found = members  # a closed member set is its own block: keep one copy
             self._block_of_members[members] = found
         return found
-
-    def block(self, xid: str) -> frozenset[str]:
-        """Closure of the two-sided extended orbit of ``xid``, with family ids
-        standing for one generic member; computed once per distinct member
-        set."""
-        return self._closure_of_members(self.members(xid))
 
     def blocks(self) -> dict[str, frozenset[str]]:
         """``block`` of every lead, in lead order."""
@@ -212,14 +210,13 @@ class Classifier:
 
     def extension_closed(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is a closed set."""
-        members = self.members(xid)
-        return self._closure_of_members(members) <= members
+        return self.block(xid) <= self.members(xid)
 
     def extended_periodic(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is compact: a closed
         member set of the kinds ``has_periodic_member_kinds`` admits."""
         members = self.members(xid)
-        return has_periodic_member_kinds(self.fc, members) and self._closure_of_members(members) <= members
+        return has_periodic_member_kinds(self.fc, members) and self.block(xid) <= members
 
     # -- pointwise recurrence ----------------------------------------------
 
@@ -438,7 +435,7 @@ class Classifier:
         if not self.extended_recurrent().verdict:
             raise PreconditionError("dichotomy requires an extended recurrent flow")
         members = self.members(xid)
-        closure = self._closure_of_members(members)
+        closure = self.block(xid)
         if closure <= members:
             raise PreconditionError(f"extended orbit of {xid!r} is closed")
         if not closure.isdisjoint(self._non_saddle_singular):
@@ -513,69 +510,6 @@ def _is_closed_curve_union(fc: FlowComplex, ids: frozenset[str]) -> bool:
         if indeg[sid] != outdeg[sid] or indeg[sid] < 1:
             return False
     return True
-
-
-# -- public functions --------------------------------------------------------
-
-
-def is_positively_recurrent(fc: FlowComplex, xid: str) -> bool:
-    return Classifier(fc).positively_recurrent(xid)
-
-
-def is_negatively_recurrent(fc: FlowComplex, xid: str) -> bool:
-    return Classifier(fc).negatively_recurrent(xid)
-
-
-def is_extended_positively_recurrent(fc: FlowComplex, xid: str) -> bool:
-    return Classifier(fc).extended_recurrent_point(xid, forward=True)
-
-
-def is_extended_negatively_recurrent(fc: FlowComplex, xid: str) -> bool:
-    return Classifier(fc).extended_recurrent_point(xid, forward=False)
-
-
-def is_extended_periodic(fc: FlowComplex, xid: str) -> bool:
-    return Classifier(fc).extended_periodic(xid)
-
-
-def is_recurrent(fc: FlowComplex) -> Verdict:
-    return Classifier(fc).recurrent_flow()
-
-
-def is_extended_recurrent(fc: FlowComplex) -> Verdict:
-    return Classifier(fc).extended_recurrent()
-
-
-def is_nonwandering(fc: FlowComplex) -> Verdict:
-    return Classifier(fc).nonwandering()
-
-
-def is_extended_pap(fc: FlowComplex) -> Verdict:
-    return Classifier(fc).extended_pap()
-
-
-def is_extended_r_closed(fc: FlowComplex) -> Verdict:
-    return Classifier(fc).extended_r_closed()
-
-
-def is_regular(fc: FlowComplex) -> bool:
-    return Classifier(fc).regular().verdict
-
-
-def is_extended_center(fc: FlowComplex, sid: str) -> bool:
-    return Classifier(fc).extended_center(sid)
-
-
-def is_generalized_recurrent(fc: FlowComplex) -> Verdict:
-    return Classifier(fc).generalized_recurrent()
-
-
-def extended_limit_cycles(fc: FlowComplex) -> list[LimitCycle]:
-    return Classifier(fc).limit_cycles()
-
-
-def dichotomy_check(fc: FlowComplex, xid: str) -> DichotomyCase:
-    return Classifier(fc).dichotomy(xid)
 
 
 def classification_report(fc: FlowComplex) -> ClassificationReport:

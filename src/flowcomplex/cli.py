@@ -30,7 +30,7 @@ EXIT_THEOREM = 3
 
 def _load(path: str) -> FlowComplex:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)

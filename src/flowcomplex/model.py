@@ -241,17 +241,28 @@ class FlowComplex:
         accumulation_schemas: Iterable[AccumulationSchema] = (),
         saddle_set_decls: Iterable[SaddleSetDecl] = (),
     ) -> "FlowComplex":
-        """Construct with records sorted by id; duplicate ids are rejected."""
+        """Construct with records sorted by id; duplicate ids and required
+        fields left ``None`` are rejected."""
         sing = tuple(sorted(singular_sets, key=lambda r: r.id))
         orb = tuple(sorted(orbit_classes, key=lambda r: r.id))
         fam = tuple(sorted(families, key=lambda r: r.id))
         acc = tuple(sorted(accumulation_schemas, key=lambda r: r.id))
         dec = tuple(sorted(saddle_set_decls, key=lambda r: r.id))
         seen: set[str] = set()
-        for rec in (*sing, *orb, *fam, *acc, *dec):
-            if rec.id in seen:
-                raise PreconditionError(f"duplicate id {rec.id!r}")
-            seen.add(rec.id)
+        for records, required in (
+            (sing, ("shape",)),
+            (orb, ("kind",)),
+            (fam, ("kind", "boundary0", "boundary1")),
+            (acc, ("kind", "samples", "target")),
+            (dec, ("members", "isolated")),
+        ):
+            for rec in records:
+                if rec.id in seen:
+                    raise PreconditionError(f"duplicate id {rec.id!r}")
+                seen.add(rec.id)
+                for name in required:
+                    if getattr(rec, name) is None:
+                        raise PreconditionError(f"{rec.id!r} has no {name}")
         return cls(surface, sing, orb, fam, acc, dec)
 
     @cached_property

@@ -488,8 +488,8 @@ def validate_isolated_saddle_set(fc: FlowComplex, members: Iterable[str]) -> Non
 def generalized_extended_orbit(
     fc: FlowComplex,
     start: str,
-    direction: Direction = Direction.BOTH,
-    saddle_sets: Iterable[SaddleSetLike] = (),
+    direction: Direction,
+    saddle_sets: Iterable[SaddleSetLike],
 ) -> ExtendedOrbitSet:
     """Extension fixpoint with single saddles replaced by the given isolated
     saddle sets (declared set ids, or explicit id collections).

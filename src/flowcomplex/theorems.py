@@ -319,6 +319,8 @@ THEOREM_NAMES: tuple[str, ...] = tuple(name for name, _ in THEOREM_CHECKS)
 def verify_theorems(fc: FlowComplex, names: Optional[Iterable] = None) -> list[TheoremResult]:
     """Run the harness; results are sorted by theorem name."""
     wanted = set(THEOREM_NAMES) if names is None else set(names)
+    if not wanted:
+        raise PreconditionError("no theorem names given")
     unknown = wanted - set(THEOREM_NAMES)
     if unknown:
         raise PreconditionError(f"unknown theorem names: {sorted(unknown)}")

@@ -31,23 +31,9 @@ from flowcomplex import (
     build,
     classification_report,
     cli,
-    dichotomy_check,
     emit,
-    extended_limit_cycles,
     extended_orbit,
     generalized_extended_orbit,
-    is_extended_center,
-    is_extended_negatively_recurrent,
-    is_extended_pap,
-    is_extended_periodic,
-    is_extended_positively_recurrent,
-    is_extended_r_closed,
-    is_extended_recurrent,
-    is_generalized_recurrent,
-    is_negatively_recurrent,
-    is_nonwandering,
-    is_positively_recurrent,
-    is_regular,
     orbit_set_is_closed,
     parse,
     random_complex,
@@ -85,42 +71,40 @@ def _two_center_sphere():
 
 
 def test_pointwise_recurrence_rules(gallery_complexes):
-    limit_cycle = gallery_complexes["sphere_limit_cycle"]
-    assert is_positively_recurrent(limit_cycle, "g")
-    meridian = gallery_complexes["sphere_meridian"]
-    assert not is_positively_recurrent(meridian, "m")
-    genus2 = gallery_complexes["genus2_mixed"]
-    assert is_positively_recurrent(genus2, "g11")
+    assert Classifier(gallery_complexes["sphere_limit_cycle"]).positively_recurrent("g")
+    assert not Classifier(gallery_complexes["sphere_meridian"]).positively_recurrent("m")
+    genus2 = Classifier(gallery_complexes["genus2_mixed"])
+    assert genus2.positively_recurrent("g11")
     # a semi-proper dense leaf is recurrent only on its unpinned side
-    assert is_positively_recurrent(genus2, "u1")
-    assert not is_negatively_recurrent(genus2, "u1")
-    assert is_negatively_recurrent(genus2, "w1")
-    assert not is_positively_recurrent(genus2, "w1")
+    assert genus2.positively_recurrent("u1")
+    assert not genus2.negatively_recurrent("u1")
+    assert genus2.negatively_recurrent("w1")
+    assert not genus2.positively_recurrent("w1")
 
 
 def test_extended_pointwise_recurrence(gallery_complexes):
-    meridian = gallery_complexes["sphere_meridian"]
-    assert not is_extended_positively_recurrent(meridian, "m")
-    genus2 = gallery_complexes["genus2_mixed"]
-    assert is_extended_positively_recurrent(genus2, "a2")
-    assert is_extended_negatively_recurrent(genus2, "a2")
-    assert is_extended_negatively_recurrent(genus2, "u1")
-    assert is_extended_positively_recurrent(genus2, "s1")
+    meridian = Classifier(gallery_complexes["sphere_meridian"])
+    assert not meridian.extended_recurrent_point("m", forward=True)
+    genus2 = Classifier(gallery_complexes["genus2_mixed"])
+    assert genus2.extended_recurrent_point("a2", forward=True)
+    assert genus2.extended_recurrent_point("a2", forward=False)
+    assert genus2.extended_recurrent_point("u1", forward=False)
+    assert genus2.extended_recurrent_point("s1", forward=True)
 
 
 def test_extended_recurrent_verdicts(gallery_complexes):
-    assert is_extended_recurrent(gallery_complexes["genus2_mixed"]).verdict
-    assert is_extended_recurrent(gallery_complexes["genus2_double_irrational"]).verdict
-    verdict = is_extended_recurrent(gallery_complexes["sphere_meridian"])
+    assert Classifier(gallery_complexes["genus2_mixed"]).extended_recurrent().verdict
+    assert Classifier(gallery_complexes["genus2_double_irrational"]).extended_recurrent().verdict
+    verdict = Classifier(gallery_complexes["sphere_meridian"]).extended_recurrent()
     assert not verdict.verdict
     assert verdict.witness is not None and verdict.witness.ids == ("m",)
 
 
 def test_nonwandering_verdicts(gallery_complexes):
-    assert is_nonwandering(gallery_complexes["sphere_meridian"]).verdict
-    cycle = is_nonwandering(gallery_complexes["sphere_limit_cycle"])
+    assert Classifier(gallery_complexes["sphere_meridian"]).nonwandering().verdict
+    cycle = Classifier(gallery_complexes["sphere_limit_cycle"]).nonwandering()
     assert not cycle.verdict and cycle.witness.ids[0] in ("u", "w")
-    assert not is_nonwandering(gallery_complexes["halfdisk_sphere"]).verdict
+    assert not Classifier(gallery_complexes["halfdisk_sphere"]).nonwandering().verdict
 
 
 def test_family_sequence_route_makes_pinched_circle_nonwandering():
@@ -154,75 +138,75 @@ def test_family_sequence_route_makes_pinched_circle_nonwandering():
     with_route = build_torus(True)
     without_route = build_torus(False)
     assert validate(with_route).ok and validate(without_route).ok
-    assert is_nonwandering(with_route).verdict
-    assert not is_nonwandering(without_route).verdict
+    assert Classifier(with_route).nonwandering().verdict
+    assert not Classifier(without_route).nonwandering().verdict
 
 
 def test_extended_pap_verdicts(gallery_complexes):
-    double_irr = is_extended_pap(gallery_complexes["genus2_double_irrational"])
+    double_irr = Classifier(gallery_complexes["genus2_double_irrational"]).extended_pap()
     assert not double_irr.verdict
     assert double_irr.witness is not None and double_irr.witness.rule == "block-overlap"
-    assert is_extended_pap(_two_center_sphere()).verdict
-    assert is_extended_pap(gallery_complexes["double_center_sphere"]).verdict
+    assert Classifier(_two_center_sphere()).extended_pap().verdict
+    assert Classifier(gallery_complexes["double_center_sphere"]).extended_pap().verdict
 
 
 def test_extended_r_closed_verdicts(gallery_complexes):
-    assert is_extended_r_closed(gallery_complexes["double_center_sphere"]).verdict
-    assert not is_extended_r_closed(gallery_complexes["genus2_double_irrational"]).verdict
-    assert is_extended_r_closed(_two_center_sphere()).verdict
+    assert Classifier(gallery_complexes["double_center_sphere"]).extended_r_closed().verdict
+    assert not Classifier(gallery_complexes["genus2_double_irrational"]).extended_r_closed().verdict
+    assert Classifier(_two_center_sphere()).extended_r_closed().verdict
 
 
 def test_regularity(gallery_complexes):
-    assert is_regular(gallery_complexes["genus2_mixed"])
-    assert not is_regular(gallery_complexes["sphere_meridian"])
-    assert not is_regular(gallery_complexes["nested_saddles_disk"])
-    assert not is_regular(gallery_complexes["halfdisk_sphere"])
+    assert Classifier(gallery_complexes["genus2_mixed"]).regular().verdict
+    assert not Classifier(gallery_complexes["sphere_meridian"]).regular().verdict
+    assert not Classifier(gallery_complexes["nested_saddles_disk"]).regular().verdict
+    assert not Classifier(gallery_complexes["halfdisk_sphere"]).regular().verdict
 
 
 def test_extended_center(gallery_complexes):
-    dc = gallery_complexes["double_center_sphere"]
-    assert is_extended_center(dc, "nec1")   # a plain center
-    assert is_extended_center(dc, "pn")     # shrinking boundary of compact extended orbits
-    assert is_extended_center(dc, "ps")
-    plus = gallery_complexes["plus_saddle"]
-    assert not is_extended_center(plus, "s")
+    dc = Classifier(gallery_complexes["double_center_sphere"])
+    assert dc.extended_center("nec1")   # a plain center
+    assert dc.extended_center("pn")     # shrinking boundary of compact extended orbits
+    assert dc.extended_center("ps")
+    assert not Classifier(gallery_complexes["plus_saddle"]).extended_center("s")
     with pytest.raises(PreconditionError):
-        is_extended_center(gallery_complexes["halfdisk_sphere"], "seg")
+        Classifier(gallery_complexes["halfdisk_sphere"]).extended_center("seg")
 
 
 def test_generalized_recurrence(gallery_complexes):
-    assert is_generalized_recurrent(gallery_complexes["halfdisk_sphere"]).verdict
-    comb = is_generalized_recurrent(gallery_complexes["comb_torus"])
+    assert Classifier(gallery_complexes["halfdisk_sphere"]).generalized_recurrent().verdict
+    comb = Classifier(gallery_complexes["comb_torus"]).generalized_recurrent()
     assert not comb.verdict and comb.witness.ids == ("z0",)
     # extended recurrence implies generalized recurrence
     for name in ("genus2_mixed", "genus2_double_irrational", "nested_saddles_disk", "double_center_sphere"):
-        assert is_generalized_recurrent(gallery_complexes[name]).verdict, name
+        assert Classifier(gallery_complexes[name]).generalized_recurrent().verdict, name
 
 
 def test_dichotomy_cases(gallery_complexes):
-    assert dichotomy_check(gallery_complexes["genus2_mixed"], "c1") is DichotomyCase.MEETS_LOCALLY_DENSE
-    nested = gallery_complexes["nested_saddles_disk"]
-    assert dichotomy_check(nested, "a1") is DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE
+    assert Classifier(gallery_complexes["genus2_mixed"]).dichotomy("c1") is DichotomyCase.MEETS_LOCALLY_DENSE
+    nested = Classifier(gallery_complexes["nested_saddles_disk"])
+    assert nested.dichotomy("a1") is DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE
 
 
 def test_dichotomy_preconditions(gallery_complexes):
     with pytest.raises(PreconditionError):
-        dichotomy_check(gallery_complexes["sphere_meridian"], "m")  # not extended recurrent
+        Classifier(gallery_complexes["sphere_meridian"]).dichotomy("m")  # not extended recurrent
     with pytest.raises(PreconditionError):
-        dichotomy_check(gallery_complexes["double_center_sphere"], "nlo1")  # closed extension
+        Classifier(gallery_complexes["double_center_sphere"]).dichotomy("nlo1")  # closed extension
 
 
 def test_dichotomy_never_violates_on_random_sweep():
     for seed in range(300):
         fc = random_complex(seed)
-        if not is_extended_recurrent(fc).verdict:
+        cls = Classifier(fc)
+        if not cls.extended_recurrent().verdict:
             continue
         from flowcomplex import Direction, extended_orbit, orbit_set_is_closed
 
         for xid in sorted(fc.all_ids):
             if orbit_set_is_closed(fc, extended_orbit(fc, xid, Direction.BOTH).members):
                 continue
-            assert dichotomy_check(fc, xid) is not DichotomyCase.VIOLATION
+            assert cls.dichotomy(xid) is not DichotomyCase.VIOLATION
 
 
 def test_dichotomy_set_tests_match_the_scans(gallery_complexes):
@@ -316,7 +300,7 @@ def test_five_way_equivalence_positive_case():
         results = {r.theorem: r for r in verify_theorems(fc, ["genus-zero-equivalence"])}
         res = results["genus-zero-equivalence"]
         assert res.status is TheoremStatus.HOLDS
-        if is_extended_r_closed(fc).verdict:
+        if Classifier(fc).extended_r_closed().verdict:
             seen_true = True
     assert seen_true
 
@@ -405,7 +389,7 @@ def test_compact_extended_orbit_holding_a_saddle_chain_violates_finiteness():
         ],
         accumulation_schemas=[AccumulationSchema("q", SchemaKind.SADDLE_CHAIN, ("s",), frozenset({"s"}))],
     )
-    assert is_extended_periodic(fc, "h1")
+    assert Classifier(fc).extended_periodic("h1")
     [result] = verify_theorems(fc, ["extended-periodic-finiteness"])
     assert result.status is TheoremStatus.VIOLATION
     assert result.detail == "h1: members hold saddle chain q"
@@ -480,7 +464,7 @@ def test_limit_cycle_of_saddle_connections():
     fc = parse(DIRECTED_SADDLE_CYCLE + "orbit sp proper alpha=sing:so2 omega=set:o12,o23,o31,s1,s2,s3\n")
     assert validate(fc).ok
     cycle = frozenset({"s1", "s2", "s3", "o12", "o23", "o31"})
-    assert extended_limit_cycles(fc) == [LimitCycle(cycle=cycle, witness="sp", side=CycleSide.OMEGA)]
+    assert Classifier(fc).limit_cycles() == [LimitCycle(cycle=cycle, witness="sp", side=CycleSide.OMEGA)]
     results = verify_theorems(fc)
     assert not any(r.status is TheoremStatus.VIOLATION for r in results)
     wandering = {r.theorem: r for r in results}["limit-cycles-force-wandering"]
@@ -630,10 +614,11 @@ def _generalized_scan(fc):
     """The first ``(id, side)`` that is not generalized recurrent, by per-seed
     fixpoints over a freshly built generalized engine."""
     engine = Expansion.generalized(fc)
+    cls = Classifier(fc)
     for xid in sorted(fc.all_ids):
         for direction, side in ((Direction.FORWARD, "positively"), (Direction.BACKWARD, "negatively")):
-            recurrent = is_positively_recurrent if direction is Direction.FORWARD else is_negatively_recurrent
-            if recurrent(fc, xid):
+            recurrent = cls.positively_recurrent if direction is Direction.FORWARD else cls.negatively_recurrent
+            if recurrent(xid):
                 continue
             fam = fc.family_by_id.get(xid)
             if fam is not None:

@@ -100,6 +100,8 @@ def test_domain_errors_print_one_line_and_exit_1(tmp_path):
         (["orbit", str(good), "--start", "nope", "--generalized"], "error: unknown id 'nope'\n"),
         (["export-dot", str(good), "--overlay", "nope"], "error: unknown id 'nope'\n"),
         (["verify", str(good), "--theorems", "bogus"], "error: unknown theorem names: ['bogus']\n"),
+        (["verify", str(good), "--theorems", ","], "error: no theorem names given\n"),
+        (["verify", str(good), "--theorems", " "], "error: no theorem names given\n"),
         (
             ["gallery", "--name", "halfdisk_sphere", "--param", "zz=3", "--out", str(tmp_path / "out.fc")],
             "error: halfdisk_sphere does not take parameters ['zz']\n",
@@ -111,6 +113,12 @@ def test_domain_errors_print_one_line_and_exit_1(tmp_path):
     ]
     for argv, err in cases:
         assert _in_process(argv) == (1, "", err), argv
+
+
+def test_a_file_with_a_byte_order_mark_loads(tmp_path):
+    doc = tmp_path / "bom.fc"
+    doc.write_bytes(b"\xef\xbb\xbf" + emit(build("halfdisk_sphere", None)).encode("utf-8"))
+    assert _in_process(["validate", str(doc)]) == (0, "ok\n", "")
 
 
 def _run_with_hash_seed(argv, seed):

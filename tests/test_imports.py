@@ -19,3 +19,14 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_every_export_resolves_once():
+    """``__all__`` names each public name once, every one resolves, and
+    ``from flowcomplex import *`` runs."""
+    names = flowcomplex.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(flowcomplex, name)] == []
+    namespace: dict = {}
+    exec("from flowcomplex import *", namespace)
+    assert set(names) <= set(namespace)

@@ -51,6 +51,38 @@ def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
         make()
 
 
+# one record of each type that ``build`` accepts, under its keyword there
+VALID_RECORDS = {
+    "singular_sets": SingularSet("r", Shape.POINT, PointKind.CENTER),
+    "orbit_classes": OrbitClass("r", OrbitKind.PERIODIC),
+    "families": Family("r", FamilyKind.PERIODIC_ANNULUS, frozenset({"r"}), frozenset({"r"})),
+    "accumulation_schemas": AccumulationSchema("r", SchemaKind.SADDLE_CHAIN, ("r",), frozenset({"r"})),
+    "saddle_set_decls": SaddleSetDecl("r", frozenset({"r"}), False),
+}
+
+
+@pytest.mark.parametrize(
+    "keyword, field",
+    [
+        ("singular_sets", "shape"),
+        ("orbit_classes", "kind"),
+        ("families", "kind"),
+        ("families", "boundary0"),
+        ("families", "boundary1"),
+        ("accumulation_schemas", "kind"),
+        ("accumulation_schemas", "samples"),
+        ("accumulation_schemas", "target"),
+        ("saddle_set_decls", "members"),
+        ("saddle_set_decls", "isolated"),
+    ],
+)
+def test_build_rejects_a_required_field_left_none(keyword, field):
+    _sphere(**{keyword: [VALID_RECORDS[keyword]]})
+    record = dataclasses.replace(VALID_RECORDS[keyword], **{field: None})
+    with pytest.raises(PreconditionError, match=f"^'r' has no {field}$"):
+        _sphere(**{keyword: [record]})
+
+
 def test_gallery_fixtures_validate(gallery_complexes):
     for name, fc in gallery_complexes.items():
         report = validate(fc)

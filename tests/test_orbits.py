@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcomplex import (
+    Classifier,
     CycleSide,
     Direction,
     Family,
@@ -19,11 +20,9 @@ from flowcomplex import (
     SurfaceInfo,
     build,
     emit,
-    extended_limit_cycles,
     extended_orbit,
     generalized_extended_orbit,
     generalized_saddle_sets,
-    is_extended_periodic,
     is_isolated,
     is_saddle_set,
     orbit_set_is_closed,
@@ -120,7 +119,7 @@ def test_direction_accepts_plain_strings(gallery_complexes):
     unknown = [
         lambda: extended_orbit(fc, "a", "sideways"),
         lambda: plain.orbit("a", "sideways"),
-        lambda: generalized_extended_orbit(fc, "a", "sideways"),
+        lambda: generalized_extended_orbit(fc, "a", "sideways", ()),
     ]
     for query in unknown:
         # PreconditionError is a ValueError, as Direction("sideways") raises
@@ -128,34 +127,43 @@ def test_direction_accepts_plain_strings(gallery_complexes):
             query()
 
 
+def test_generalized_extended_orbit_takes_its_saddle_sets(gallery_complexes):
+    # with no sets given it would expand nothing, so it takes none by default
+    fc = gallery_complexes["plus_saddle"]
+    for args in (("a",), ("a", Direction.BOTH)):
+        with pytest.raises(TypeError):
+            generalized_extended_orbit(fc, *args)
+    gen = generalized_extended_orbit(fc, "a", Direction.BOTH, generalized_saddle_sets(fc))
+    assert gen.members == extended_orbit(fc, "a", Direction.BOTH).members == {"a", "c", "d", "s"}
+
+
 def test_extended_periodic_eye(gallery_complexes):
-    fc = gallery_complexes["double_center_sphere"]
-    assert is_extended_periodic(fc, "nlo1")
-    assert is_extended_periodic(fc, "nsd1")
+    cls = Classifier(gallery_complexes["double_center_sphere"])
+    assert cls.extended_periodic("nlo1")
+    assert cls.extended_periodic("nsd1")
 
 
 def test_extended_periodic_rejects_dense_members(gallery_complexes):
-    fc = gallery_complexes["genus2_mixed"]
-    assert not is_extended_periodic(fc, "c1")
+    assert not Classifier(gallery_complexes["genus2_mixed"]).extended_periodic("c1")
 
 
 def test_extended_periodic_rejects_singletons(gallery_complexes):
-    fc = gallery_complexes["sphere_meridian"]
-    assert not is_extended_periodic(fc, "q")
+    cls = Classifier(gallery_complexes["sphere_meridian"])
+    assert not cls.extended_periodic("q")
     # a periodic orbit alone is compact and not a point
-    assert is_extended_periodic(fc, "fn")
+    assert cls.extended_periodic("fn")
 
 
 def test_truncated_chain_is_not_closed(gallery_complexes):
     fc = gallery_complexes["nested_saddles_disk"]
     ext = extended_orbit(fc, "a1", Direction.BOTH)
     assert not orbit_set_is_closed(fc, ext.members)
-    assert not is_extended_periodic(fc, "a1")
+    assert not Classifier(fc).extended_periodic("a1")
 
 
 def test_limit_cycle_detection(gallery_complexes):
     fc = gallery_complexes["sphere_limit_cycle"]
-    cycles = extended_limit_cycles(fc)
+    cycles = Classifier(fc).limit_cycles()
     assert len(cycles) == 1
     assert cycles[0].cycle == frozenset({"g"})
     sides = set()
@@ -170,12 +178,12 @@ def test_limit_cycle_detection(gallery_complexes):
 def test_no_limit_cycles_in_nonwandering_gallery(gallery_complexes):
     for name in ("sphere_meridian", "genus2_mixed", "genus2_double_irrational", "nested_saddles_disk",
                  "double_center_sphere", "comb_torus"):
-        assert extended_limit_cycles(gallery_complexes[name]) == []
+        assert Classifier(gallery_complexes[name]).limit_cycles() == []
 
 
 def test_no_refs_means_no_cycles():
     fc = FlowComplex.build(SurfaceInfo(1, True, 0), orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC)])
-    assert extended_limit_cycles(fc) == []
+    assert Classifier(fc).limit_cycles() == []
 
 
 def test_generalized_with_singleton_saddles_matches_extended(gallery_complexes):
