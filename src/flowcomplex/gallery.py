@@ -381,13 +381,13 @@ class GalleryEntry:
 GALLERY: tuple[GalleryEntry, ...] = (
     GalleryEntry(
         "sphere_meridian",
-        lambda: sphere_meridian(),
+        sphere_meridian,
         expected={"non_wandering": True, "extended_recurrent": False, "regular": False},
         note="degenerate equatorial fixed point splitting two hemispheres of circles",
     ),
     GalleryEntry(
         "genus2_mixed",
-        lambda: genus2_mixed(),
+        genus2_mixed,
         expected={"extended_recurrent": True, "recurrent": False, "non_wandering": True, "regular": True},
         note="dense and periodic torus sides joined by a two-saddle junction circle",
     ),
@@ -400,7 +400,7 @@ GALLERY: tuple[GalleryEntry, ...] = (
     ),
     GalleryEntry(
         "genus2_double_irrational",
-        lambda: genus2_double_irrational(),
+        genus2_double_irrational,
         expected={"extended_recurrent": True, "extended_pap": False, "non_wandering": True, "regular": True},
         note="two dense torus sides joined by a two-saddle junction circle",
     ),
@@ -413,19 +413,19 @@ GALLERY: tuple[GalleryEntry, ...] = (
     ),
     GalleryEntry(
         "sphere_limit_cycle",
-        lambda: sphere_limit_cycle(),
+        sphere_limit_cycle,
         expected={"non_wandering": False, "extended_recurrent": False},
         note="attracting-repelling periodic orbit between a source and a sink",
     ),
     GalleryEntry(
         "plus_saddle",
-        lambda: plus_saddle(),
+        plus_saddle,
         expected={"non_wandering": False},
         note="single hyperbolic saddle in a gradient-like sphere flow",
     ),
     GalleryEntry(
         "halfdisk_sphere",
-        lambda: halfdisk_sphere(),
+        halfdisk_sphere,
         expected={"non_wandering": False, "generalized_recurrent": True, "extended_recurrent": False},
         note="fixed diameter with transit half-disks and a pasted center disk",
     ),
@@ -455,5 +455,8 @@ def build(name: str, params: Mapping[str, int] | None = None) -> FlowComplex:
     unknown = set(params) - set(entry.params)
     if unknown:
         raise GalleryError(f"{name} does not take parameters {sorted(unknown)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise GalleryError(f"{name} parameter {key!r} must be an int, not {value!r}")
     merged = {**entry.params, **params}
     return entry.build(**merged)

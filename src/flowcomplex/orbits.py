@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import (
     FamilyKind,
@@ -93,9 +93,6 @@ def stable_set(fc: FlowComplex, sid: str) -> frozenset[str]:
     return frozenset(_classes_limiting_into(fc, frozenset({sid}), "omega"))
 
 
-SaddleSetLike = Union[str, frozenset, set, tuple]
-
-
 class Expansion:
     """The extension fixpoint over a fixed, admitted list of expansion sets.
 
@@ -122,20 +119,25 @@ class Expansion:
         return cls(fc, [frozenset({sid}) for sid in sorted(fc.saddle_ids)])
 
     @classmethod
-    def admit(cls, fc: FlowComplex, saddle_sets: Iterable[SaddleSetLike]) -> "Expansion":
-        """Resolve declared set ids and check every set for admission."""
-        resolved: list[frozenset[str]] = []
-        for item in saddle_sets:
+    def admit(cls, fc: FlowComplex, sets: Iterable[Iterable[str]]) -> "Expansion":
+        """The admission rule for expansion sets given as id collections: a
+        single saddle passes (the degenerate case the generalization
+        extends), and any other set must pass ``is_saddle_set`` and
+        ``is_isolated``.  Declared sets are admitted through ``generalized``."""
+        admitted: list[frozenset[str]] = []
+        for item in sets:
             if isinstance(item, str):
-                decl = fc.decl_by_id.get(item)
-                if decl is None:
-                    raise InvalidSaddleSetError(f"no declared saddle set named {item!r}")
-                resolved.append(decl.members)
-            else:
-                resolved.append(frozenset(item))
-        for mset in resolved:
-            validate_isolated_saddle_set(fc, mset)
-        return cls(fc, sorted(resolved, key=sorted))
+                raise InvalidSaddleSetError(
+                    f"{item!r} is not an id collection: declared sets are admitted through Expansion.generalized"
+                )
+            mset = frozenset(item)
+            if not _single_saddle(fc, mset):
+                if not is_saddle_set(fc, mset).verdict:
+                    raise InvalidSaddleSetError(f"{sorted(mset)} fails the saddle-set criterion")
+                if not is_isolated(fc, mset):
+                    raise InvalidSaddleSetError(f"{sorted(mset)} is not isolated from minimal sets")
+            admitted.append(mset)
+        return cls(fc, sorted(admitted, key=sorted))
 
     @classmethod
     def generalized(cls, fc: FlowComplex) -> "Expansion":
@@ -358,11 +360,6 @@ def orbit_set_closure(fc: FlowComplex, members: Iterable[str]) -> frozenset[str]
     return frozenset(out)
 
 
-def orbit_set_is_closed(fc: FlowComplex, members: Iterable[str]) -> bool:
-    mset = frozenset(members)
-    return orbit_set_closure(fc, mset) <= mset
-
-
 def has_periodic_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
     """The member kinds of a compact extended orbit that is more than a
     single point: proper orbits, periodic orbits, saddles, or family bundles
@@ -469,53 +466,26 @@ def is_isolated(fc: FlowComplex, members: Iterable[str]) -> bool:
     return True
 
 
-def validate_isolated_saddle_set(fc: FlowComplex, members: Iterable[str]) -> None:
-    """Admission check for a set used in generalized extension.
-
-    A single saddle point is always admitted (the degenerate case the
-    generalization extends); other sets must pass both the saddle-set
-    criterion and the isolation check.
-    """
-    mset = frozenset(members)
-    if len(mset) == 1 and fc.is_saddle(next(iter(mset))):
-        return
-    if not is_saddle_set(fc, mset).verdict:
-        raise InvalidSaddleSetError(f"{sorted(mset)} fails the saddle-set criterion")
-    if not is_isolated(fc, mset):
-        raise InvalidSaddleSetError(f"{sorted(mset)} is not isolated from minimal sets")
-
-
-def generalized_extended_orbit(
-    fc: FlowComplex,
-    start: str,
-    direction: Direction,
-    saddle_sets: Iterable[SaddleSetLike],
-) -> ExtendedOrbitSet:
-    """Extension fixpoint with single saddles replaced by the given isolated
-    saddle sets (declared set ids, or explicit id collections).
-
-    Expansion triggers when a member's limit set on the approach side is
-    contained in one of the sets; the whole set and every class whose
-    departure-side limit is contained in it are then adjoined.
-    """
-    fc.require(start)
-    return Expansion.admit(fc, saddle_sets).orbit(start, direction)
+def _single_saddle(fc: FlowComplex, members: frozenset[str]) -> bool:
+    return len(members) == 1 and fc.is_saddle(next(iter(members)))
 
 
 def generalized_saddle_sets(fc: FlowComplex) -> list[frozenset[str]]:
     """The expansion sets used by generalized recurrence: every singleton
     saddle plus every declared set whose isolated flag is true.
 
-    Declared sets are cross-checked against the computed criteria; an
-    inconsistent declaration is an error.
+    Each declaration is judged by ``Expansion.admit``'s rule: the saddle-set
+    criterion is waived for a single saddle, and the isolated flag must
+    equal ``is_isolated``; an inconsistent declaration is an error.
     """
     sets = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
     for decl in fc.saddle_set_decls:
-        verdict = is_saddle_set(fc, decl.members)
-        if not verdict.verdict:
+        single = _single_saddle(fc, decl.members)
+        if not single and not is_saddle_set(fc, decl.members).verdict:
             raise InvalidSaddleSetError(f"declared set {decl.id!r} fails the saddle-set criterion")
         if is_isolated(fc, decl.members) != decl.isolated:
             raise InvalidSaddleSetError(f"declared set {decl.id!r} has an inconsistent isolated flag")
-        if decl.isolated:
+        # a single saddle is already listed as its own singleton
+        if decl.isolated and not single:
             sets.append(decl.members)
     return sets

@@ -44,6 +44,10 @@ class SizeParams:
     profile: str = "any"
 
     def __post_init__(self) -> None:
+        for key in ("max_depth", "max_repeats"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PreconditionError(f"{key} must be an int, not {value!r}")
         if self.max_depth < 0:
             raise PreconditionError("max_depth must be non-negative")
         if self.max_repeats < 1:

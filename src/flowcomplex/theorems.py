@@ -318,6 +318,8 @@ THEOREM_NAMES: tuple[str, ...] = tuple(name for name, _ in THEOREM_CHECKS)
 
 def verify_theorems(fc: FlowComplex, names: Optional[Iterable] = None) -> list[TheoremResult]:
     """Run the harness; results are sorted by theorem name."""
+    if isinstance(names, str):
+        raise PreconditionError(f"theorem names must be a collection of names, not the string {names!r}")
     wanted = set(THEOREM_NAMES) if names is None else set(names)
     if not wanted:
         raise PreconditionError("no theorem names given")

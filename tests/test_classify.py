@@ -33,8 +33,6 @@ from flowcomplex import (
     cli,
     emit,
     extended_orbit,
-    generalized_extended_orbit,
-    orbit_set_is_closed,
     parse,
     random_complex,
     validate,
@@ -201,10 +199,8 @@ def test_dichotomy_never_violates_on_random_sweep():
         cls = Classifier(fc)
         if not cls.extended_recurrent().verdict:
             continue
-        from flowcomplex import Direction, extended_orbit, orbit_set_is_closed
-
         for xid in sorted(fc.all_ids):
-            if orbit_set_is_closed(fc, extended_orbit(fc, xid, Direction.BOTH).members):
+            if is_extended_closed(fc, xid):
                 continue
             assert cls.dichotomy(xid) is not DichotomyCase.VIOLATION
 
@@ -280,6 +276,15 @@ def test_theorem_harness_limit_cycle(gallery_complexes):
     assert by_name["genus-zero-equivalence"].status is TheoremStatus.HOLDS
 
 
+def test_theorem_names_must_be_a_collection(gallery_complexes):
+    # a bare string would otherwise be read as a set of one-letter names
+    fc = gallery_complexes["genus2_mixed"]
+    with pytest.raises(PreconditionError, match="not the string 'regularity-equivalence'"):
+        verify_theorems(fc, "regularity-equivalence")
+    [result] = verify_theorems(fc, ["regularity-equivalence"])
+    assert result.theorem == "regularity-equivalence"
+
+
 def test_theorem_harness_on_double_center(gallery_complexes):
     results = {r.theorem: r for r in verify_theorems(gallery_complexes["double_center_sphere"])}
     for name in (
@@ -334,7 +339,8 @@ def test_extended_pap_matches_the_pairwise_oracle():
 
 
 def is_extended_closed(fc, xid):
-    return orbit_set_is_closed(fc, extended_orbit(fc, xid, Direction.BOTH).members)
+    members = extended_orbit(fc, xid, Direction.BOTH).members
+    return orbit_set_closure(fc, members) <= members
 
 
 def test_extended_recurrent_is_decided_once_per_classifier(gallery_complexes, monkeypatch):
@@ -524,13 +530,13 @@ def test_only_the_classifier_builds_payload_tables(gallery_complexes, tmp_path, 
 
     monkeypatch.setattr(Expansion, "_firing_map", counted)
     for name, fc in gallery_complexes.items():
-        sets = generalized_saddle_sets(fc)
+        admitted = Expansion.admit(fc, generalized_saddle_sets(fc))
         path = tmp_path / f"{name}.fc"
         path.write_text(emit(fc))
         for xid in sorted(fc.all_ids):
             for d in Direction:
                 extended_orbit(fc, xid, d)
-                generalized_extended_orbit(fc, xid, d, sets)
+                admitted.orbit(xid, d)
                 Expansion.generalized(fc).orbit(xid, d)
             with redirect_stdout(io.StringIO()):
                 for argv in (["orbit", str(path), "--start", xid], ["orbit", str(path), "--start", xid, "--generalized"]):

@@ -49,6 +49,12 @@ def test_unknown_entry_and_bad_params():
         build("sphere_meridian", {"n": 3})
 
 
+@pytest.mark.parametrize("value", ["3", 2.5, True, None])
+def test_gallery_sizes_must_be_ints(value):
+    with pytest.raises(GalleryError, match=f"comb_torus parameter 'n' must be an int, not {value!r}"):
+        build("comb_torus", {"n": value})
+
+
 def test_smallest_truncations_build():
     assert validate(build("nested_saddles_disk", {"n": 2})).ok
     assert validate(build("comb_torus", {"n": 2})).ok
@@ -85,10 +91,12 @@ def test_random_profiles():
         ({"profile": "bogus"}, "unknown profile 'bogus'"),
         ({"max_depth": -1}, "max_depth must be non-negative"),
         ({"max_repeats": 0}, "max_repeats must be at least 1"),
+        ({"max_depth": "2"}, "max_depth must be an int, not '2'"),
+        ({"max_repeats": 2.5}, "max_repeats must be an int, not 2.5"),
     ],
 )
 def test_size_params_are_checked_on_construction(knobs, message):
     # each would otherwise fail inside the generator with a bare ValueError
-    # on some seeds, or at the first call
+    # or TypeError on some seeds, or at the first call
     with pytest.raises(PreconditionError, match=message):
         SizeParams(**knobs)

@@ -4,6 +4,7 @@ import pytest
 
 from flowcomplex import (
     AccumulationSchema,
+    Expansion,
     Family,
     FamilyKind,
     FlowComplex,
@@ -22,7 +23,6 @@ from flowcomplex import (
     UnknownIdError,
     closure_of,
     extended_orbit,
-    generalized_extended_orbit,
     parse,
     partition_orbits,
     random_complex,
@@ -210,7 +210,7 @@ def test_one_id_set_reference_to_a_singularity_is_rejected():
     assert [(v.id, v.rule) for v in report.violations] == [("x", "limit-ref-kind")]
     for direction in ("fwd", "bwd", "both"):
         plain = extended_orbit(fc, "x", direction)
-        gen = generalized_extended_orbit(fc, "x", direction, [frozenset({"s"})])
+        gen = Expansion.admit(fc, [{"s"}]).orbit("x", direction)
         assert (plain.members, plain.added_round, plain.depth) == (gen.members, gen.added_round, gen.depth)
 
 

@@ -1,3 +1,6 @@
+import io
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from flowcomplex import (
     Classifier,
     CycleSide,
     Direction,
+    Expansion,
     Family,
     FamilyKind,
     FlowComplex,
@@ -19,21 +23,19 @@ from flowcomplex import (
     SingularSet,
     SurfaceInfo,
     build,
+    cli,
     emit,
     extended_orbit,
-    generalized_extended_orbit,
     generalized_saddle_sets,
     is_isolated,
     is_saddle_set,
-    orbit_set_is_closed,
     parse,
     random_complex,
     stable_set,
     unstable_set,
     validate,
-    validate_isolated_saddle_set,
 )
-from flowcomplex.orbits import Expansion
+from flowcomplex.orbits import orbit_set_closure
 
 from naive_oracle import expand_once, naive_extended_orbit, naive_extension, reachability_members
 
@@ -119,7 +121,7 @@ def test_direction_accepts_plain_strings(gallery_complexes):
     unknown = [
         lambda: extended_orbit(fc, "a", "sideways"),
         lambda: plain.orbit("a", "sideways"),
-        lambda: generalized_extended_orbit(fc, "a", "sideways", ()),
+        lambda: Expansion.admit(fc, ()).orbit("a", "sideways"),
     ]
     for query in unknown:
         # PreconditionError is a ValueError, as Direction("sideways") raises
@@ -130,10 +132,9 @@ def test_direction_accepts_plain_strings(gallery_complexes):
 def test_generalized_extended_orbit_takes_its_saddle_sets(gallery_complexes):
     # with no sets given it would expand nothing, so it takes none by default
     fc = gallery_complexes["plus_saddle"]
-    for args in (("a",), ("a", Direction.BOTH)):
-        with pytest.raises(TypeError):
-            generalized_extended_orbit(fc, *args)
-    gen = generalized_extended_orbit(fc, "a", Direction.BOTH, generalized_saddle_sets(fc))
+    with pytest.raises(TypeError):
+        Expansion.admit(fc)
+    gen = Expansion.admit(fc, generalized_saddle_sets(fc)).orbit("a", Direction.BOTH)
     assert gen.members == extended_orbit(fc, "a", Direction.BOTH).members == {"a", "c", "d", "s"}
 
 
@@ -157,7 +158,7 @@ def test_extended_periodic_rejects_singletons(gallery_complexes):
 def test_truncated_chain_is_not_closed(gallery_complexes):
     fc = gallery_complexes["nested_saddles_disk"]
     ext = extended_orbit(fc, "a1", Direction.BOTH)
-    assert not orbit_set_is_closed(fc, ext.members)
+    assert not orbit_set_closure(fc, ext.members) <= ext.members
     assert not Classifier(fc).extended_periodic("a1")
 
 
@@ -188,11 +189,11 @@ def test_no_refs_means_no_cycles():
 
 def test_generalized_with_singleton_saddles_matches_extended(gallery_complexes):
     for fc in gallery_complexes.values():
-        singletons = [frozenset({s}) for s in sorted(fc.saddle_ids)]
+        singletons = Expansion.admit(fc, [{s} for s in sorted(fc.saddle_ids)])
         for xid in sorted(fc.all_ids):
             for direction in (Direction.FORWARD, Direction.BACKWARD, Direction.BOTH):
                 plain = extended_orbit(fc, xid, direction)
-                gen = generalized_extended_orbit(fc, xid, direction, singletons)
+                gen = singletons.orbit(xid, direction)
                 assert gen.members == plain.members, (xid, direction)
                 assert gen.self_readded == plain.self_readded, (xid, direction)
                 assert (gen.added_round, gen.depth) == (plain.added_round, plain.depth), (xid, direction)
@@ -200,17 +201,17 @@ def test_generalized_with_singleton_saddles_matches_extended(gallery_complexes):
 
 def test_generalized_halfdisk_covers_both_half_disks(gallery_complexes):
     fc = gallery_complexes["halfdisk_sphere"]
-    sets = generalized_saddle_sets(fc)
+    engine = Expansion.admit(fc, generalized_saddle_sets(fc))
     for start in ("rp", "lp", "rb", "lb"):
-        fwd = generalized_extended_orbit(fc, start, Direction.FORWARD, sets)
-        bwd = generalized_extended_orbit(fc, start, Direction.BACKWARD, sets)
+        fwd = engine.orbit(start, Direction.FORWARD)
+        bwd = engine.orbit(start, Direction.BACKWARD)
         assert fwd.members == bwd.members == frozenset({"rp", "rb", "lp", "lb", "pp", "pm"})
         assert fwd.self_readded and bwd.self_readded
 
 
 def test_generalized_comb_has_no_opening(gallery_complexes):
     fc = gallery_complexes["comb_torus"]
-    ext = generalized_extended_orbit(fc, "z0", Direction.BOTH, generalized_saddle_sets(fc))
+    ext = Expansion.admit(fc, generalized_saddle_sets(fc)).orbit("z0", Direction.BOTH)
     assert ext.members == frozenset({"z0"})
     assert ext.depth == 0
 
@@ -245,10 +246,48 @@ def test_isolation_verdicts(gallery_complexes):
 
 def test_invalid_saddle_set_is_an_error(gallery_complexes):
     fc = gallery_complexes["comb_torus"]
-    with pytest.raises(InvalidSaddleSetError):
-        validate_isolated_saddle_set(fc, {"q0"})
-    with pytest.raises(InvalidSaddleSetError):
-        generalized_extended_orbit(fc, "z0", Direction.BOTH, [frozenset({"q0"})])
+    with pytest.raises(InvalidSaddleSetError, match=r"\['q0'\] is not isolated from minimal sets"):
+        Expansion.admit(fc, [frozenset({"q0"})])
+    # a bare string is a name, not a set: declared sets are admitted
+    # through Expansion.generalized, which checks their flags
+    with pytest.raises(InvalidSaddleSetError, match="'q' is not an id collection"):
+        Expansion.admit(fc, ["q"])
+    with pytest.raises(InvalidSaddleSetError, match="'ss0' is not an id collection"):
+        Expansion.admit(fc, ["ss0"])
+
+
+def test_a_declared_single_saddle_is_admitted(tmp_path):
+    # the degenerate case: a single saddle passes without the saddle-set
+    # criterion, whether it is given as a set or declared
+    fc = parse(emit(build("plus_saddle")) + "saddleset x members=s isolated=true\n")
+    assert validate(fc).ok
+    assert not is_saddle_set(fc, {"s"}).verdict
+    assert generalized_saddle_sets(fc) == [frozenset({"s"})]
+    plain = extended_orbit(fc, "a", Direction.BOTH)
+    for engine in (Expansion.admit(fc, [{"s"}]), Expansion.generalized(fc)):
+        assert engine.orbit("a", Direction.BOTH) == plain
+    path = tmp_path / "plus.fc"
+    path.write_text(emit(fc))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["classify", str(path)]) == 0
+        assert cli.main(["orbit", str(path), "--start", "a", "--generalized"]) == 0
+
+
+def test_admission_agrees_with_the_declarations(gallery_complexes):
+    # a declared set is listed exactly when it passes admission on its own
+    flows = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    outcomes = set()
+    for fc in flows:
+        listed = generalized_saddle_sets(fc)
+        for decl in fc.saddle_set_decls:
+            try:
+                Expansion.admit(fc, [decl.members])
+                admitted = True
+            except InvalidSaddleSetError:
+                admitted = False
+            assert admitted == (decl.members in listed), decl
+            outcomes.add(admitted)
+    assert outcomes == {True, False}
 
 
 def test_saddle_set_requires_invariant_closed_input(gallery_complexes):
@@ -265,11 +304,11 @@ def test_every_admission_path_rejects_a_set_that_is_not_invariant_closed(gallery
     assert [v.rule for v in validate(fc).violations] == ["saddleset-not-invariant"]
     message = r"set is not invariant-closed: closure of c1 adds \['s1', 's2'\]"
     with pytest.raises(InvalidSaddleSetError, match=message):
-        validate_isolated_saddle_set(fc, {"c1"})
-    with pytest.raises(InvalidSaddleSetError, match=message):
-        Expansion.admit(fc, ["q"])
+        Expansion.admit(fc, [{"c1"}])
     with pytest.raises(InvalidSaddleSetError, match=message):
         generalized_saddle_sets(fc)
+    with pytest.raises(InvalidSaddleSetError, match=message):
+        Expansion.generalized(fc)
 
 
 def test_monotone_fixpoint_on_fixtures(gallery_complexes):
