@@ -18,7 +18,6 @@ from .model import (
     LimitRef,
     OrbitClass,
     OrbitKind,
-    Partition,
     PointKind,
     PreconditionError,
     RefKind,
@@ -31,16 +30,13 @@ from .model import (
     ValidationReport,
     Violation,
     closure_of,
-    partition_orbits,
     validate,
 )
 from .orbits import (
-    CycleSide,
     Direction,
     Expansion,
     ExtendedOrbitSet,
     InvalidSaddleSetError,
-    LimitCycle,
     extended_orbit,
     generalized_saddle_sets,
     is_isolated,
@@ -52,7 +48,9 @@ from .orbits import (
 from .classify import (
     ClassificationReport,
     Classifier,
+    CycleSide,
     DichotomyCase,
+    LimitCycle,
     Verdict,
     Witness,
     classification_report,
@@ -95,7 +93,6 @@ __all__ = [
     "OrbitKind",
     "ParseError",
     "ParseErrors",
-    "Partition",
     "PointKind",
     "PreconditionError",
     "RefKind",
@@ -127,7 +124,6 @@ __all__ = [
     "is_saddle_set",
     "orbit_set_closure",
     "parse",
-    "partition_orbits",
     "random_complex",
     "stable_set",
     "unstable_set",

@@ -14,10 +14,10 @@ orbit (``Classifier.leads``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, wraps
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional, TypeVar
 
 from .model import (
     FamilyKind,
@@ -31,7 +31,7 @@ from .model import (
     Shape,
     singularity_accumulation,
 )
-from .orbits import CycleSide, Expansion, LimitCycle, has_periodic_member_kinds, orbit_set_closure
+from .orbits import Expansion, orbit_set_closure
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,7 @@ class ClassificationReport:
     regular: Verdict
     generalized_recurrent: Verdict
 
-    FIELDS = (
-        "non_wandering",
-        "recurrent",
-        "extended_recurrent",
-        "extended_pap",
-        "extended_r_closed",
-        "regular",
-        "generalized_recurrent",
-    )
+    FIELDS: ClassVar[tuple[str, ...]]  # the field names in order, set below the class
 
     def as_dict(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
@@ -83,22 +75,40 @@ class ClassificationReport:
         return out
 
 
+ClassificationReport.FIELDS = tuple(f.name for f in fields(ClassificationReport))
+
+
 class DichotomyCase(str, Enum):
     NON_SADDLE_SINGULARITY_IN_CLOSURE = "NonSaddleSingularityInClosure"
     MEETS_LOCALLY_DENSE = "MeetsLocallyDense"
     VIOLATION = "Violation"
 
 
-def _once(verdict: Callable[["Classifier"], Verdict]) -> Callable[["Classifier"], Verdict]:
-    """Decide a flow-level verdict once per ``Classifier``: it is a pure
-    function of the immutable complex."""
-    name = verdict.__name__
+class CycleSide(str, Enum):
+    ALPHA = "alpha"
+    OMEGA = "omega"
 
-    @wraps(verdict)
-    def cached(self: "Classifier") -> Verdict:
-        if name not in self._verdicts:
-            self._verdicts[name] = verdict(self)
-        return self._verdicts[name]
+
+@dataclass(frozen=True)
+class LimitCycle:
+    cycle: frozenset[str]
+    witness: str
+    side: CycleSide
+
+
+T = TypeVar("T")
+
+
+def _once(answer: Callable[["Classifier"], T]) -> Callable[["Classifier"], T]:
+    """Compute a flow-level answer once per ``Classifier``, as a pure function of the
+    immutable complex; the method stays a plain function, which the benchmark's tracer wraps."""
+    name = answer.__name__
+
+    @wraps(answer)
+    def cached(self: "Classifier") -> T:
+        if name not in self._answers:
+            self._answers[name] = answer(self)
+        return self._answers[name]
 
     return cached
 
@@ -109,6 +119,22 @@ _EMPTY: frozenset[str] = frozenset()
 def _join(fwd: frozenset[str], bwd: frozenset[str]) -> frozenset[str]:
     """The union of two one-sided payloads: a side itself when it holds the other."""
     return fwd if bwd <= fwd else bwd if fwd <= bwd else fwd | bwd
+
+
+def has_periodic_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
+    """The member kinds of a compact extended orbit that is more than a
+    single point: proper orbits, periodic orbits, saddles, or family bundles
+    of such, and not one point singularity alone."""
+    if len(members) == 1 and fc.is_saddle(next(iter(members))):
+        return False
+    for mid in members:
+        if fc.is_saddle(mid) or mid in fc.family_by_id:
+            continue
+        if mid in fc.sing_by_id:
+            return False
+        if fc.orbit_by_id[mid].kind not in (OrbitKind.PERIODIC, OrbitKind.PROPER):
+            return False
+    return True
 
 
 class Classifier:
@@ -126,8 +152,7 @@ class Classifier:
     def __init__(self, fc: FlowComplex):
         self.fc = fc
         self._block_of_members: dict[frozenset[str], frozenset[str]] = {}
-        self._blocks: Optional[dict[str, frozenset[str]]] = None
-        self._verdicts: dict[str, Verdict] = {}
+        self._answers: dict[str, object] = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -202,11 +227,10 @@ class Classifier:
             self._block_of_members[members] = found
         return found
 
+    @_once
     def blocks(self) -> dict[str, frozenset[str]]:
         """``block`` of every lead, in lead order."""
-        if self._blocks is None:
-            self._blocks = {xid: self.block(xid) for xid in self.leads}
-        return self._blocks
+        return {xid: self.block(xid) for xid in self.leads}
 
     def extension_closed(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is a closed set."""

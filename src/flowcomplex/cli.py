@@ -19,7 +19,7 @@ from .dot import export_dot
 from .gallery import build, gallery_names
 from .model import FlowComplex, FlowComplexError, validate
 from .orbits import Direction, Expansion, extended_orbit
-from .textio import ParseErrors, emit, parse
+from .textio import ParseErrors, emit, parse, parse_int
 from .theorems import THEOREM_NAMES, TheoremStatus, verify_theorems
 
 EXIT_OK = 0
@@ -103,7 +103,7 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
             return EXIT_INVALID
         key, value = item.split("=", 1)
         try:
-            params[key] = int(value)
+            params[key] = parse_int(value)
         except ValueError:
             print(f"error: parameter {key} must be an integer", file=sys.stderr)
             return EXIT_INVALID

@@ -88,10 +88,14 @@ class SurfaceInfo:
     boundary_components: int
 
     def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise PreconditionError("genus must be non-negative")
-        if self.boundary_components < 0:
-            raise PreconditionError("boundary_components must be non-negative")
+        for key in ("genus", "boundary_components"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PreconditionError(f"{key} must be an int, not {value!r}")
+            if value < 0:
+                raise PreconditionError(f"{key} must be non-negative")
+        if not isinstance(self.orientable, bool):
+            raise PreconditionError(f"orientable must be a bool, not {self.orientable!r}")
 
     @property
     def closed(self) -> bool:
@@ -278,10 +282,6 @@ class FlowComplex:
         return {f.id: f for f in self.families}
 
     @cached_property
-    def decl_by_id(self) -> Mapping[str, SaddleSetDecl]:
-        return {d.id: d for d in self.saddle_set_decls}
-
-    @cached_property
     def classes_by_limit(self) -> Mapping[tuple[str, str], list[tuple[frozenset[str], str]]]:
         """Orbit classes indexed by their resolved alpha and omega limits.
 
@@ -379,46 +379,6 @@ def singularity_accumulation(fc: FlowComplex) -> Optional[AccumulationSchema]:
         if schema.kind in (SchemaKind.SADDLE_CHAIN, SchemaKind.SINGULARITY_SEQUENCE):
             return schema
     return None
-
-
-@dataclass(frozen=True)
-class Partition:
-    """The five-way split of ids by dynamical role."""
-
-    singular: frozenset[str]
-    periodic: frozenset[str]
-    locally_dense: frozenset[str]
-    exceptional: frozenset[str]
-    proper: frozenset[str]
-
-    def as_dict(self) -> dict[str, frozenset[str]]:
-        return {
-            "singular": self.singular,
-            "periodic": self.periodic,
-            "locally_dense": self.locally_dense,
-            "exceptional": self.exceptional,
-            "proper": self.proper,
-        }
-
-
-def partition_orbits(fc: FlowComplex) -> Partition:
-    """Split all dynamical ids into singular / periodic / dense / exceptional / proper.
-
-    Family ids land in the periodic bucket: a periodic annulus is a bundle
-    of periodic orbits, and a closed-extended-orbit region is a bundle of
-    compact invariant sets represented the same way.
-    """
-    by_kind: dict[OrbitKind, set[str]] = {k: set() for k in OrbitKind}
-    for o in fc.orbit_classes:
-        by_kind[o.kind].add(o.id)
-    periodic = set(by_kind[OrbitKind.PERIODIC]) | set(fc.family_by_id)
-    return Partition(
-        singular=frozenset(fc.sing_by_id),
-        periodic=frozenset(periodic),
-        locally_dense=frozenset(by_kind[OrbitKind.LOCALLY_DENSE]),
-        exceptional=frozenset(by_kind[OrbitKind.EXCEPTIONAL]),
-        proper=frozenset(by_kind[OrbitKind.PROPER]),
-    )
 
 
 def _poincare_hopf_applies(fc: FlowComplex) -> bool:

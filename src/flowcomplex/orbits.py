@@ -29,7 +29,6 @@ from .model import (
     OrbitKind,
     PreconditionError,
     SchemaKind,
-    Shape,
 )
 
 
@@ -125,12 +124,17 @@ class Expansion:
         extends), and any other set must pass ``is_saddle_set`` and
         ``is_isolated``.  Declared sets are admitted through ``generalized``."""
         admitted: list[frozenset[str]] = []
+        if not isinstance(sets, Iterable):
+            raise InvalidSaddleSetError(f"{sets!r} is not a collection of id collections")
         for item in sets:
             if isinstance(item, str):
                 raise InvalidSaddleSetError(
                     f"{item!r} is not an id collection: declared sets are admitted through Expansion.generalized"
                 )
-            mset = frozenset(item)
+            try:
+                mset = frozenset(item)
+            except TypeError:
+                raise InvalidSaddleSetError(f"{item!r} is not an id collection") from None
             if not _single_saddle(fc, mset):
                 if not is_saddle_set(fc, mset).verdict:
                     raise InvalidSaddleSetError(f"{sorted(mset)} fails the saddle-set criterion")
@@ -358,35 +362,6 @@ def orbit_set_closure(fc: FlowComplex, members: Iterable[str]) -> frozenset[str]
                     out.update(member_closure(fc, tid))
                 changed = True
     return frozenset(out)
-
-
-def has_periodic_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
-    """The member kinds of a compact extended orbit that is more than a
-    single point: proper orbits, periodic orbits, saddles, or family bundles
-    of such, and not one point singularity alone."""
-    only = next(iter(members)) if len(members) == 1 else None
-    if only is not None and only in fc.sing_by_id and fc.sing_by_id[only].shape is Shape.POINT:
-        return False
-    for mid in members:
-        if fc.is_saddle(mid) or mid in fc.family_by_id:
-            continue
-        if mid in fc.sing_by_id:
-            return False
-        if fc.orbit_by_id[mid].kind not in (OrbitKind.PERIODIC, OrbitKind.PROPER):
-            return False
-    return True
-
-
-class CycleSide(str, Enum):
-    ALPHA = "alpha"
-    OMEGA = "omega"
-
-
-@dataclass(frozen=True)
-class LimitCycle:
-    cycle: frozenset[str]
-    witness: str
-    side: CycleSide
 
 
 @dataclass(frozen=True)

@@ -255,6 +255,11 @@ _ANY_MIX = (
 
 def random_complex(seed: int, size: SizeParams = SizeParams()) -> FlowComplex:
     """Deterministic-in-seed valid complex drawn from the template mix."""
+    # random.Random(None) seeds from the operating system
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise PreconditionError(f"seed must be an int, not {seed!r}")
+    if not isinstance(size, SizeParams):
+        raise PreconditionError(f"size must be a SizeParams, not {size!r}")
     rng = random.Random(seed)
     template = rng.choice(_ANY_MIX) if size.profile == "any" else size.profile
     return _TEMPLATES[template](rng, size)

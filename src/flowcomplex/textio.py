@@ -65,6 +65,14 @@ class ParseErrors(FlowComplexError):
         super().__init__("; ".join(str(e) for e in errors))
 
 
+def parse_int(text: str) -> int:
+    """``int(text)`` for ASCII digits after an optional ``-`` only; ``1_0`` and ``+1`` raise ``ValueError``."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _column(raw: str, tokens: list[str], i: int, offset: int) -> int:
     """1-based column of ``offset`` characters into token ``i`` of ``raw``."""
     pos = 0
@@ -163,7 +171,7 @@ class _Reader:
 
     def integer(self, fields: dict[str, str], key: str) -> int | None:
         try:
-            return int(fields[key]) if key in fields else None
+            return parse_int(fields[key]) if key in fields else None
         except ValueError:
             self.fail_field(key, f"{key} must be an integer")
             return None

@@ -48,10 +48,6 @@ def has_finitely_many_singularities(fc: FlowComplex) -> bool:
     return all(s.shape is Shape.POINT for s in fc.singular_sets) and singularity_accumulation(fc) is None
 
 
-def has_no_schemas(fc: FlowComplex) -> bool:
-    return not fc.accumulation_schemas
-
-
 def is_non_identical(fc: FlowComplex) -> bool:
     """The flow moves something: at least one orbit class or family."""
     return bool(fc.orbit_classes) or bool(fc.families)
@@ -260,7 +256,7 @@ def check_finite_singularity_rclosed_equivalence(cls: Classifier) -> TheoremResu
     R-closedness and the decomposition property coincide."""
     name = "finite-singularity-rclosed-equivalence"
     fc = cls.fc
-    if not (has_no_schemas(fc) and has_finitely_many_singularities(fc)):
+    if fc.accumulation_schemas or not has_finitely_many_singularities(fc):
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "accumulating structure present")
     r = cls.extended_r_closed().verdict
     p = cls.extended_pap().verdict
@@ -279,7 +275,7 @@ def check_genus_zero_equivalence(cls: Classifier) -> TheoremResult:
         fc.surface.genus == 0
         and is_non_identical(fc)
         and has_finitely_many_singularities(fc)
-        and has_no_schemas(fc)
+        and not fc.accumulation_schemas
         and not cls.dense_ids
     )
     if not applicable:

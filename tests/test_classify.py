@@ -38,7 +38,8 @@ from flowcomplex import (
     validate,
     verify_theorems,
 )
-from flowcomplex.orbits import Expansion, generalized_saddle_sets, has_periodic_member_kinds, orbit_set_closure
+from flowcomplex.classify import has_periodic_member_kinds
+from flowcomplex.orbits import Expansion, generalized_saddle_sets, orbit_set_closure
 from flowcomplex.theorems import _all_extended_orbits_closed, _block_with_infinite_singularities
 from naive_oracle import naive_dichotomy, naive_extended_orbit, naive_extended_pap
 

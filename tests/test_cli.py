@@ -110,6 +110,19 @@ def test_domain_errors_print_one_line_and_exit_1(tmp_path):
             ["gallery", "--name", "comb_torus", "--out", str(tmp_path)],
             f"error: [Errno 21] Is a directory: '{tmp_path}'\n",
         ),
+        # a parameter is ASCII decimal, as in a document
+        (
+            ["gallery", "--name", "comb_torus", "--param", "n=1_0", "--out", str(tmp_path / "out.fc")],
+            "error: parameter n must be an integer\n",
+        ),
+        (
+            ["gallery", "--name", "comb_torus", "--param", "n=+3", "--out", str(tmp_path / "out.fc")],
+            "error: parameter n must be an integer\n",
+        ),
+        (
+            ["gallery", "--name", "comb_torus", "--param", "n=-1", "--out", str(tmp_path / "out.fc")],
+            "error: comb_torus needs n >= 2\n",
+        ),
     ]
     for argv, err in cases:
         assert _in_process(argv) == (1, "", err), argv

@@ -72,6 +72,21 @@ def test_random_complex_deterministic_in_seed():
     assert random_complex(0, SizeParams(profile="sphere")) == random_complex(0, SizeParams(profile="sphere"))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # random.Random(None) would seed from the operating system
+        ((None,), "seed must be an int, not None"),
+        (((1, 2),), r"seed must be an int, not \(1, 2\)"),
+        ((True,), "seed must be an int, not True"),
+        ((1, None), "size must be a SizeParams, not None"),
+    ],
+)
+def test_random_complex_takes_an_int_seed_and_size_params(args, message):
+    with pytest.raises(PreconditionError, match=message):
+        random_complex(*args)
+
+
 def test_random_complex_validates_across_seeds():
     for seed in range(250):
         fc = random_complex(seed)

@@ -24,7 +24,6 @@ from flowcomplex import (
     closure_of,
     extended_orbit,
     parse,
-    partition_orbits,
     random_complex,
     validate,
 )
@@ -43,8 +42,13 @@ def _sphere(**kwargs):
             lambda: _sphere(singular_sets=[SingularSet("x", Shape.ARC)], orbit_classes=[OrbitClass("x", OrbitKind.PERIODIC)]),
             "duplicate id 'x'",
         ),
+        # each would build, then emit text that parse rejects, or fail with a bare TypeError
+        (lambda: SurfaceInfo(0, "yes", 0), "orientable must be a bool, not 'yes'"),
+        (lambda: SurfaceInfo(0, True, 1.5), "boundary_components must be an int, not 1.5"),
+        (lambda: SurfaceInfo("0", True, 0), "genus must be an int, not '0'"),
+        (lambda: SurfaceInfo(True, True, 0), "genus must be an int, not True"),
     ],
-    ids=["negative-genus", "negative-boundary", "duplicate-id"],
+    ids=["negative-genus", "negative-boundary", "duplicate-id", "str-orientable", "float-boundary", "str-genus", "bool-genus"],
 )
 def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
     with pytest.raises(PreconditionError, match=message):
@@ -346,36 +350,6 @@ def test_closure_idempotent_on_fixtures_and_random(gallery_complexes):
             cl = closure_of(fc, xid)
             expanded = frozenset().union(*(closure_of(fc, y) for y in cl))
             assert expanded == cl
-
-
-def test_partition_sphere_meridian(gallery_complexes):
-    part = partition_orbits(gallery_complexes["sphere_meridian"])
-    assert part.singular == frozenset({"q", "n", "s"})
-    assert part.periodic == frozenset({"fn", "fs"})
-    assert part.proper == frozenset({"m"})
-    assert part.locally_dense == frozenset()
-    assert part.exceptional == frozenset()
-
-
-def test_partition_lone_periodic_orbit():
-    fc = FlowComplex.build(SurfaceInfo(1, True, 0), orbit_classes=[OrbitClass("it", OrbitKind.PERIODIC)])
-    part = partition_orbits(fc)
-    assert part.periodic == frozenset({"it"})
-    assert not (part.singular | part.proper | part.locally_dense | part.exceptional)
-
-
-def test_partition_genus2_has_no_exceptional_orbits(gallery_complexes):
-    assert partition_orbits(gallery_complexes["genus2_mixed"]).exceptional == frozenset()
-
-
-def test_partition_is_disjoint_cover(gallery_complexes):
-    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(100)]
-    for fc in complexes:
-        part = partition_orbits(fc)
-        buckets = list(part.as_dict().values())
-        union = frozenset().union(*buckets)
-        assert union == fc.all_ids
-        assert sum(len(b) for b in buckets) == len(union)
 
 
 def test_generator_respects_poincare_hopf_on_closed_regular_surfaces():

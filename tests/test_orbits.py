@@ -254,6 +254,10 @@ def test_invalid_saddle_set_is_an_error(gallery_complexes):
         Expansion.admit(fc, ["q"])
     with pytest.raises(InvalidSaddleSetError, match="'ss0' is not an id collection"):
         Expansion.admit(fc, ["ss0"])
+    with pytest.raises(InvalidSaddleSetError, match="^None is not an id collection$"):
+        Expansion.admit(fc, [None])
+    with pytest.raises(InvalidSaddleSetError, match="^5 is not a collection of id collections$"):
+        Expansion.admit(fc, 5)
 
 
 def test_a_declared_single_saddle_is_admitted(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -226,6 +227,14 @@ LINE_ERRORS = [
         ],
     ),
     ("saddleset d isolated=maybe", [(2, 1, "saddleset record is missing members"), (2, 22, "isolated must be true or false")]),
+    # an integer field is ASCII decimal with an optional leading minus
+    ("surface genus=1_0 orientable=true boundary=0", [(2, 1, "duplicate surface record"), (2, 15, "genus must be an integer")]),
+    ("surface genus=\u0663 orientable=true boundary=0", [(2, 1, "duplicate surface record"), (2, 15, "genus must be an integer")]),
+    ("surface genus=0 orientable=true boundary=+1", [(2, 1, "duplicate surface record"), (2, 42, "boundary must be an integer")]),
+    (
+        "surface genus=-1 orientable=true boundary=-",
+        [(2, 1, "duplicate surface record"), (2, 43, "boundary must be an integer"), (2, 15, "genus must be non-negative")],
+    ),
 ]
 
 
@@ -359,6 +368,23 @@ def test_export_dot_overlay_matches_members(gallery_complexes):
 def test_export_dot_deterministic(gallery_complexes):
     fc = gallery_complexes["comb_torus"]
     assert export_dot(fc) == export_dot(fc)
+
+
+# SHA-256 over the DOT text of every gallery entry and of random_complex
+# seeds 0..199, each without an overlay and then with the two-sided extended
+# orbit of each of its ids, in sorted order.  A change that means to alter
+# DOT output re-pins it and says why in CHANGES.md.
+DOT_DIGEST = "454a8faccdd0a21a41fc134ae5f73248cfc67782eea7be3bf384c8739c38499e"
+
+
+def test_export_dot_output_is_pinned(gallery_complexes):
+    h = hashlib.sha256()
+    for fc in [*gallery_complexes.values(), *(random_complex(seed) for seed in range(200))]:
+        overlays = [None, *(extended_orbit(fc, xid, Direction.BOTH) for xid in sorted(fc.all_ids))]
+        for overlay in overlays:
+            h.update(export_dot(fc, overlay).encode("utf-8"))
+            h.update(b"\0")
+    assert h.hexdigest() == DOT_DIGEST
 
 
 def test_a_point_with_no_kind_is_a_precondition_error():
