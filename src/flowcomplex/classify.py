@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, wraps
-from typing import Callable, ClassVar, Optional, TypeVar
+from typing import Callable, ClassVar, Collection, Optional, TypeVar
 
 from .model import (
     FamilyKind,
@@ -31,7 +31,7 @@ from .model import (
     Shape,
     singularity_accumulation,
 )
-from .orbits import Expansion, orbit_set_closure
+from .orbits import Expansion, member_closure, orbit_set_closure, require_side
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def _join(fwd: frozenset[str], bwd: frozenset[str]) -> frozenset[str]:
     return fwd if bwd <= fwd else bwd if fwd <= bwd else fwd | bwd
 
 
-def has_periodic_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
+def has_periodic_member_kinds(fc: FlowComplex, members: Collection[str]) -> bool:
     """The member kinds of a compact extended orbit that is more than a
     single point: proper orbits, periodic orbits, saddles, or family bundles
     of such, and not one point singularity alone."""
@@ -137,21 +137,27 @@ def has_periodic_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
     return True
 
 
+def _re_approaches(fc: FlowComplex, xid: str, payload: frozenset[str]) -> bool:
+    """Whether a one-sided extension brings ``xid`` back: its payload holds
+    ``xid`` or a piece whose closure does."""
+    return xid in payload or any(xid in fc.closure(oid) for oid in sorted(payload))
+
+
 class Classifier:
     """Cached per-complex classification engine.
 
     Every per-point and per-flow question is a method; ask them all of one
     instance, as report assembly and the theorem harness do, so extended
     member sets, blocks and verdicts are computed once per complex; closures
-    are kept by the complex itself (``FlowComplex.closure``).  Scans
-    for a witness run over ``ids``, or over ``leads`` when what they test
-    depends on the two-sided member set alone: the first failing lead is
-    then the first failing id.
+    are kept by the complex itself (``FlowComplex.closure``).  Flow-level
+    scans read sets built once per complex: the ids that are not recurrent
+    on each side, the ``blocks`` of the ``leads`` (one id per distinct
+    extended orbit), and the leads whose extended orbit is open or compact.
+    The first failing lead is then the first failing id.
     """
 
     def __init__(self, fc: FlowComplex):
         self.fc = fc
-        self._block_of_members: dict[frozenset[str], frozenset[str]] = {}
         self._answers: dict[str, object] = {}
 
     # -- cached primitives -------------------------------------------------
@@ -172,77 +178,150 @@ class Classifier:
     def payload(self, xid: str, forward: bool, generalized: bool = False) -> frozenset[str]:
         """What the one-sided extension of ``xid`` adds to it, from the engine's
         table: empty if ``xid`` fires no set, holding ``xid`` if it is re-added."""
+        require_side(forward)
         self.fc.require(xid)
         engine = self._generalized if generalized else self._plain
         return engine.payloads(forward).get(xid, _EMPTY)
 
     def members(self, xid: str) -> frozenset[str]:
         """The plain two-sided extended orbit of ``xid``."""
-        if xid not in self._members:
+        found = self._members.get(xid)
+        if found is None:
             self.fc.require(xid)
-        return self._members[xid]
+            found = frozenset((xid,))
+        return found
 
     @cached_property
     def _members(self) -> dict[str, frozenset[str]]:
-        """``members`` of every id, in ``ids`` order: ``xid`` plus the join of
-        its two payloads.  Each distinct pair of rows is joined once, and the
-        ids inside a join share it."""
+        """``members`` of every id with a payload on some side, in id order:
+        ``xid`` plus the join of its two payloads.  Each distinct pair of rows
+        is joined once, and the ids inside a join share it.  Every other id is
+        alone in its extended orbit."""
         fwd_table, bwd_table = self._plain.payloads(True), self._plain.payloads(False)
         joins: dict[tuple[frozenset[str], frozenset[str]], frozenset[str]] = {}
         out = {}
-        for xid in self.ids:
+        for xid in sorted(fwd_table.keys() | bwd_table.keys()):
             fwd, bwd = fwd_table.get(xid), bwd_table.get(xid)
             if fwd is not None and bwd is not None:
                 # shared rows keep their hashes, so the pair is a cheap key
                 fwd = joins.get((fwd, bwd)) or joins.setdefault((fwd, bwd), _join(fwd, bwd))
-            # a payload is never empty
-            payload = fwd or bwd or _EMPTY
+            payload = fwd or bwd
             out[xid] = payload if xid in payload else payload | {xid}
         return out
 
     @cached_property
-    def ids(self) -> tuple[str, ...]:
-        """Every id, sorted: the order in which witnesses are searched."""
-        return tuple(sorted(self.fc.all_ids))
+    def _lead_of_members(self) -> dict[frozenset[str], str]:
+        """The lead of each distinct extended orbit with a payload: its least id."""
+        first: dict[frozenset[str], str] = {}
+        for xid, members in self._members.items():
+            first.setdefault(members, xid)
+        return first
+
+    def _lead(self, xid: str) -> str:
+        members = self._members.get(xid)
+        if members is None:
+            self.fc.require(xid)
+            return xid
+        return self._lead_of_members[members]
 
     @cached_property
     def leads(self) -> tuple[str, ...]:
         """One id per distinct two-sided extended orbit, the least id whose
-        extended orbit it is, in ascending order."""
-        first: dict[frozenset[str], str] = {}
-        for xid, members in self._members.items():
-            first.setdefault(members, xid)
-        return tuple(first.values())
+        extended orbit it is, in ascending order.  An id alone in its extended
+        orbit leads it: no other id's extended orbit is ``{xid}``."""
+        alone = self.fc.all_ids.difference(self._members)
+        return tuple(sorted(alone.union(self._lead_of_members.values())))
 
     def block(self, xid: str) -> frozenset[str]:
         """Closure of the two-sided extended orbit of ``xid``, with family ids
-        standing for one generic member; computed once per distinct member
-        set."""
-        members = self.members(xid)
-        found = self._block_of_members.get(members)
-        if found is None:
-            found = orbit_set_closure(self.fc, members)
-            if found == members:
-                found = members  # a closed member set is its own block: keep one copy
-            self._block_of_members[members] = found
-        return found
+        standing for one generic member."""
+        return self.blocks()[self._lead(xid)]
 
     @_once
     def blocks(self) -> dict[str, frozenset[str]]:
-        """``block`` of every lead, in lead order."""
-        return {xid: self.block(xid) for xid in self.leads}
+        """``block`` of every lead, in lead order.  A lead alone in its
+        extended orbit has its own closure as its block (``member_closure``),
+        unless the complex declares a saddle chain, whose rule
+        ``orbit_set_closure`` applies."""
+        fc, members_of = self.fc, self._members
+        out = {}
+        for xid in self.leads:
+            members = members_of.get(xid)
+            if members is None:
+                out[xid] = orbit_set_closure(fc, (xid,)) if fc.saddle_chains else member_closure(fc, xid)
+                continue
+            block = orbit_set_closure(fc, members)
+            # a closed member set is its own block: keep one copy
+            out[xid] = members if block == members else block
+        return out
+
+    @cached_property
+    def open_leads(self) -> frozenset[str]:
+        """The leads whose extended orbit is not a closed set.  The block of a
+        lead alone in its extended orbit holds the lead, so it is closed when
+        its block has one id."""
+        members_of = self._members
+        out = []
+        for xid, block in self.blocks().items():
+            members = members_of.get(xid)
+            if len(block) > 1 if members is None else not block <= members:
+                out.append(xid)
+        return frozenset(out)
+
+    @cached_property
+    def open_ids(self) -> tuple[str, ...]:
+        """Every id whose extended orbit is not a closed set, sorted."""
+        members_of, lead_of, opened = self._members, self._lead_of_members, self.open_leads
+        return tuple(sorted(x for x in self.fc.all_ids if (lead_of[members_of[x]] if x in members_of else x) in opened))
+
+    @cached_property
+    def periodic_leads(self) -> frozenset[str]:
+        """The leads whose extended orbit is compact: a closed member set of
+        the kinds ``has_periodic_member_kinds`` admits."""
+        fc, members_of, opened = self.fc, self._members, self.open_leads
+        return frozenset(
+            xid for xid in self.leads if xid not in opened and has_periodic_member_kinds(fc, members_of.get(xid) or (xid,))
+        )
 
     def extension_closed(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is a closed set."""
-        return self.block(xid) <= self.members(xid)
+        return self._lead(xid) not in self.open_leads
 
     def extended_periodic(self, xid: str) -> bool:
-        """Whether the two-sided extended orbit of ``xid`` is compact: a closed
-        member set of the kinds ``has_periodic_member_kinds`` admits."""
-        members = self.members(xid)
-        return has_periodic_member_kinds(self.fc, members) and self.block(xid) <= members
+        """Whether the two-sided extended orbit of ``xid`` is compact."""
+        return self._lead(xid) in self.periodic_leads
 
     # -- pointwise recurrence ----------------------------------------------
+
+    @cached_property
+    def _not_recurrent(self) -> tuple[frozenset[str], frozenset[str]]:
+        """The ids that are not positively recurrent, and those that are not
+        negatively recurrent, from the records: proper orbits, dense or
+        exceptional classes with an end pinned to a limit on that side, and
+        families other than periodic annuli.  Singular sets and periodic
+        orbits come back on both sides."""
+        fc = self.fc
+        both = {f.id for f in fc.families if f.kind is not FamilyKind.PERIODIC_ANNULUS}
+        pos, neg = set(), set()
+        for o in fc.orbit_classes:
+            if o.kind is OrbitKind.PROPER:
+                both.add(o.id)
+            elif o.kind is not OrbitKind.PERIODIC:
+                # dense classes come back on the side whose end is not pinned to a limit
+                if o.omega is not None:
+                    pos.add(o.id)
+                if o.alpha is not None:
+                    neg.add(o.id)
+        return frozenset(both | pos), frozenset(both | neg)
+
+    @cached_property
+    def _scan_ids(self) -> tuple[str, ...]:
+        """The ids an extended recurrence scan visits, sorted: those that are
+        not recurrent on some side, other than families.  Such a family is a
+        closed-extended-orbit region, which declares that each member is a
+        compact extended orbit, whose points re-approach themselves."""
+        pos, neg = self._not_recurrent
+        return tuple(sorted((pos | neg).difference(self.fc.family_by_id)))
 
     def positively_recurrent(self, xid: str) -> bool:
         return self._recurrent(xid, forward=True)
@@ -251,58 +330,53 @@ class Classifier:
         return self._recurrent(xid, forward=False)
 
     def _recurrent(self, xid: str, forward: bool) -> bool:
-        fc = self.fc
-        fc.require(xid)
-        if xid in fc.sing_by_id:
-            return True
-        fam = fc.family_by_id.get(xid)
-        if fam is not None:
-            return fam.kind is FamilyKind.PERIODIC_ANNULUS
-        orb = fc.orbit_by_id[xid]
-        if orb.kind is OrbitKind.PERIODIC:
-            return True
-        if orb.kind is OrbitKind.PROPER:
-            return False
-        # dense classes come back on the side whose end is not pinned to a limit
-        pinned = orb.omega if forward else orb.alpha
-        return pinned is None
+        require_side(forward)
+        self.fc.require(xid)
+        return xid not in self._not_recurrent[0 if forward else 1]
 
     def extended_recurrent_point(self, xid: str, forward: bool, generalized: bool = False) -> bool:
-        fc = self.fc
-        if self._recurrent(xid, forward):
+        if self._recurrent(xid, forward) or xid in self.fc.family_by_id:
             return True
-        fam = fc.family_by_id.get(xid)
-        if fam is not None:
-            # a closed-extended-orbit region declares that each member is a
-            # compact extended orbit, whose points re-approach themselves
-            return fam.kind is FamilyKind.CLOSED_EXTENDED_REGION
-        payload = self.payload(xid, forward, generalized)
-        return xid in payload or any(xid in fc.closure(oid) for oid in sorted(payload))
+        return _re_approaches(self.fc, xid, self.payload(xid, forward, generalized))
 
     # -- flow-level verdicts -------------------------------------------------
 
     @_once
     def recurrent_flow(self) -> Verdict:
-        for xid in self.ids:
-            if not (self.positively_recurrent(xid) and self.negatively_recurrent(xid)):
-                return Verdict(False, Witness((xid,), "non-recurrent-point"))
+        pos, neg = self._not_recurrent
+        if pos or neg:
+            return Verdict(False, Witness((min(pos | neg),), "non-recurrent-point"))
         return Verdict(True)
 
-    def _every_point_extended_recurrent(self, generalized: bool) -> Verdict:
-        kind = "generalized" if generalized else "extended"
-        for xid in self.ids:
-            for forward, side in ((True, "positively"), (False, "negatively")):
-                if not self.extended_recurrent_point(xid, forward, generalized):
+    def _extended_scan(self, engine: Expansion, kind: str) -> Verdict:
+        """The first point that is not ``kind`` recurrent, positive side first,
+        with payloads read from ``engine``'s tables."""
+        fc = self.fc
+        pos, neg = self._not_recurrent
+        for xid in self._scan_ids:
+            for forward, side, failing in ((True, "positively", pos), (False, "negatively", neg)):
+                if xid in failing and not _re_approaches(fc, xid, engine.payloads(forward).get(xid, _EMPTY)):
                     return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
         return Verdict(True)
 
     @_once
     def extended_recurrent(self) -> Verdict:
-        return self._every_point_extended_recurrent(generalized=False)
+        return self._extended_scan(self._plain, "extended")
 
     @_once
     def generalized_recurrent(self) -> Verdict:
-        return self._every_point_extended_recurrent(generalized=True)
+        """The generalized engine is built at the first point the scan visits,
+        which checks the declarations.  When it is the plain engine, the
+        verdict is the extended one with its rule renamed."""
+        if not self._scan_ids:
+            return Verdict(True)
+        if self._generalized is not self._plain:
+            return self._extended_scan(self._generalized, "generalized")
+        verdict = self.extended_recurrent()
+        if verdict.witness is None:
+            return verdict
+        rule = verdict.witness.rule.replace("not-extended-", "not-generalized-", 1)
+        return Verdict(False, Witness(verdict.witness.ids, rule))
 
     @cached_property
     def routed(self) -> frozenset[str]:
@@ -368,27 +442,31 @@ class Classifier:
         block must absorb the target together with whatever all sample
         blocks share.
         """
-        for fam in self.fc.families:
+        fc, blocks, lead = self.fc, self.blocks(), self._lead
+        # neighbouring families share a boundary: once it passes, it passes for each
+        passed: set[frozenset[str]] = set()
+        for fam in fc.families:
             for bset, shrinks in fam.boundaries():
-                if shrinks:
+                if shrinks or bset in passed:
                     continue
                 for bid in sorted(bset):
-                    sing = self.fc.sing_by_id.get(bid)
+                    sing = fc.sing_by_id.get(bid)
                     if sing is not None and sing.shape is not Shape.POINT:
                         return Witness((fam.id, bid), "continuum-in-limit")
-                    if not bset <= self.block(bid):
+                    if not bset <= blocks[lead(bid)]:
                         return Witness((fam.id, bid), "family-boundary-not-absorbed")
-        for schema in self.fc.accumulation_schemas:
+                passed.add(bset)
+        for schema in fc.accumulation_schemas:
             # what every instance's block carries along persists in the limit;
             # a single declared instance gives no evidence of a shared part
             shared: frozenset[str] = frozenset()
             if len(schema.samples) >= 2:
-                shared = self.block(schema.samples[0])
+                shared = blocks[lead(schema.samples[0])]
                 for sid in schema.samples[1:]:
-                    shared = shared & self.block(sid)
+                    shared = shared & blocks[lead(sid)]
             limit = schema.target | shared
             for tid in sorted(schema.target):
-                if not limit <= self.block(tid):
+                if not limit <= blocks[lead(tid)]:
                     return Witness((schema.id, tid), "schema-limit-not-absorbed")
         return None
 

@@ -245,29 +245,33 @@ class FlowComplex:
         accumulation_schemas: Iterable[AccumulationSchema] = (),
         saddle_set_decls: Iterable[SaddleSetDecl] = (),
     ) -> "FlowComplex":
-        """Construct with records sorted by id; duplicate ids and required
-        fields left ``None`` are rejected."""
-        sing = tuple(sorted(singular_sets, key=lambda r: r.id))
-        orb = tuple(sorted(orbit_classes, key=lambda r: r.id))
-        fam = tuple(sorted(families, key=lambda r: r.id))
-        acc = tuple(sorted(accumulation_schemas, key=lambda r: r.id))
-        dec = tuple(sorted(saddle_set_decls, key=lambda r: r.id))
+        """Construct with records sorted by id; an argument of the wrong type,
+        duplicate ids and required fields left ``None`` are rejected."""
+        if not isinstance(surface, SurfaceInfo):
+            raise PreconditionError(f"surface must be a SurfaceInfo, not {surface!r}")
         seen: set[str] = set()
-        for records, required in (
-            (sing, ("shape",)),
-            (orb, ("kind",)),
-            (fam, ("kind", "boundary0", "boundary1")),
-            (acc, ("kind", "samples", "target")),
-            (dec, ("members", "isolated")),
+        groups = []
+        for argument, records, record_type, required in (
+            ("singular_sets", singular_sets, SingularSet, ("shape",)),
+            ("orbit_classes", orbit_classes, OrbitClass, ("kind",)),
+            ("families", families, Family, ("kind", "boundary0", "boundary1")),
+            ("accumulation_schemas", accumulation_schemas, AccumulationSchema, ("kind", "samples", "target")),
+            ("saddle_set_decls", saddle_set_decls, SaddleSetDecl, ("members", "isolated")),
         ):
+            if not isinstance(records, Iterable) or isinstance(records, str):
+                raise PreconditionError(f"{argument} must be a collection of {record_type.__name__} records, not {records!r}")
+            records = tuple(records)
             for rec in records:
+                if not isinstance(rec, record_type) or not isinstance(rec.id, str):
+                    raise PreconditionError(f"{argument} must hold {record_type.__name__} records with string ids, not {rec!r}")
                 if rec.id in seen:
                     raise PreconditionError(f"duplicate id {rec.id!r}")
                 seen.add(rec.id)
                 for name in required:
                     if getattr(rec, name) is None:
                         raise PreconditionError(f"{rec.id!r} has no {name}")
-        return cls(surface, sing, orb, fam, acc, dec)
+            groups.append(tuple(sorted(records, key=lambda r: r.id)))
+        return cls(surface, *groups)
 
     @cached_property
     def sing_by_id(self) -> Mapping[str, SingularSet]:
@@ -319,6 +323,11 @@ class FlowComplex:
     def saddle_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.singular_sets if s.is_saddle)
 
+    @cached_property
+    def saddle_chains(self) -> tuple[AccumulationSchema, ...]:
+        """The saddle-chain schemas, in id order."""
+        return tuple(a for a in self.accumulation_schemas if a.kind is SchemaKind.SADDLE_CHAIN)
+
     def require(self, xid: str) -> None:
         if xid not in self.all_ids:
             raise UnknownIdError(xid)
@@ -359,16 +368,19 @@ def closure_of(fc: FlowComplex, xid: str) -> frozenset[str]:
     transitively closed.
     """
     fc.require(xid)
+    step = _closure_step(fc, xid)
+    if fc.sing_by_id.keys() >= step:
+        # singular sets are closed, so one step closes the set
+        return step | {xid}
     out: set[str] = {xid}
-    frontier = [xid]
+    frontier = [step]
     while frontier:
-        yid = frontier.pop()
-        for zid in _closure_step(fc, yid):
+        for zid in frontier.pop():
             if zid not in out:
                 if zid not in fc.all_ids:
                     raise UnknownIdError(zid)
                 out.add(zid)
-                frontier.append(zid)
+                frontier.append(_closure_step(fc, zid))
     return frozenset(out)
 
 

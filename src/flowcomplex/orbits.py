@@ -50,6 +50,14 @@ class Direction(str, Enum):
 SEED_ROUND = 0
 
 
+def require_side(forward: object) -> None:
+    """A one-sided query names its side by a bool: any other value, such as
+    the direction name "bwd", would be read by its truth and answer for the
+    forward side."""
+    if not isinstance(forward, bool):
+        raise PreconditionError(f"forward must be a bool, not {forward!r}")
+
+
 @dataclass(frozen=True)
 class ExtendedOrbitSet:
     """Result of the extension fixpoint from a single seed.
@@ -252,6 +260,7 @@ class Expansion:
         reach, where set ``i`` reaches ``j`` when an id ``i`` adjoins fires ``j``.
         Built once per side from one condensation of that digraph, sinks
         first; ids that fire one component share its row."""
+        require_side(forward)
         if forward in self._payloads or not self.sets:
             return self._payloads.get(forward, {})
         fired = self._firing_map(forward)
@@ -348,20 +357,15 @@ def orbit_set_closure(fc: FlowComplex, members: Iterable[str]) -> frozenset[str]
     object continues down the infinite chain, so its closure picks up the
     declared target.
     """
-    out: set[str] = set()
-    for mid in members:
-        out.update(member_closure(fc, mid))
-    changed = True
+    out = frozenset().union(*(member_closure(fc, mid) for mid in members))
+    changed = bool(fc.saddle_chains)
     while changed:
         changed = False
-        for schema in fc.accumulation_schemas:
-            if schema.kind is not SchemaKind.SADDLE_CHAIN:
-                continue
-            if set(schema.samples) <= out and not schema.target <= out:
-                for tid in schema.target:
-                    out.update(member_closure(fc, tid))
+        for schema in fc.saddle_chains:
+            if out.issuperset(schema.samples) and not schema.target <= out:
+                out = out.union(*(member_closure(fc, tid) for tid in schema.target))
                 changed = True
-    return frozenset(out)
+    return out
 
 
 @dataclass(frozen=True)

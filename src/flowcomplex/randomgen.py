@@ -52,6 +52,8 @@ class SizeParams:
             raise PreconditionError("max_depth must be non-negative")
         if self.max_repeats < 1:
             raise PreconditionError("max_repeats must be at least 1")
+        if not isinstance(self.profile, str):
+            raise PreconditionError(f"profile must be a string, not {self.profile!r}")
         if self.profile != "any" and self.profile not in _TEMPLATES:
             raise PreconditionError(f"unknown profile {self.profile!r}")
 

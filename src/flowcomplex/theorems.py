@@ -56,11 +56,8 @@ def is_non_identical(fc: FlowComplex) -> bool:
 def _block_with_infinite_singularities(cls: Classifier) -> Optional[str]:
     """An extended-orbit closure swallowing a whole saddle chain holds
     infinitely many saddles."""
-    blocks = cls.blocks()
-    for schema in cls.fc.accumulation_schemas:
-        if schema.kind is not SchemaKind.SADDLE_CHAIN:
-            continue
-        for xid, block in blocks.items():
+    for schema in cls.fc.saddle_chains:
+        for xid, block in cls.blocks().items():
             if block.issuperset(schema.samples):
                 return xid
     return None
@@ -79,8 +76,16 @@ def _dense_closure_swallows_singularity_sequence(cls: Classifier) -> Optional[st
 
 def _all_extended_orbits_closed(cls: Classifier) -> Optional[str]:
     """The first id whose extended orbit is not closed, if any."""
-    for xid in cls.leads:
-        if not cls.extension_closed(xid):
+    return min(cls.open_leads, default=None)
+
+
+def _open_extension_missing_dense_side(cls: Classifier) -> Optional[str]:
+    """The first id whose extended orbit is not closed and that is not locally
+    dense itself, with a one-sided payload holding no locally dense class,
+    if any.  The one-sided payloads differ between ids of one extended orbit."""
+    dense = cls.dense_ids
+    for xid in cls.open_ids:
+        if xid not in dense and any(cls.payload(xid, forward).isdisjoint(dense) for forward in (True, False)):
             return xid
     return None
 
@@ -92,18 +97,15 @@ def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
     """A compact extended orbit consists of finitely many proper orbits and
     saddles, so its members never hold a whole (infinite) saddle chain."""
     name = "extended-periodic-finiteness"
-    chains = [schema for schema in cls.fc.accumulation_schemas if schema.kind is SchemaKind.SADDLE_CHAIN]
-    found = False
-    for xid in cls.leads:
-        if not cls.extended_periodic(xid):
-            continue
-        found = True
-        members = cls.members(xid)
-        for schema in chains:
-            if members.issuperset(schema.samples):
-                return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: members hold saddle chain {schema.id}")
-    if not found:
+    if not cls.periodic_leads:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no compact extended orbits")
+    chains = cls.fc.saddle_chains
+    if chains:
+        for xid in sorted(cls.periodic_leads):
+            members = cls.members(xid)
+            for schema in chains:
+                if members.issuperset(schema.samples):
+                    return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: members hold saddle chain {schema.id}")
     return TheoremResult(name, TheoremStatus.HOLDS)
 
 
@@ -118,7 +120,7 @@ def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
     for o in fc.orbit_classes:
         if o.kind is not OrbitKind.PROPER:
             continue
-        if cls.members(o.id) != frozenset({o.id}):
+        if len(cls.members(o.id)) > 1:
             continue
         if o.id not in cls.routed:
             return TheoremResult(name, TheoremStatus.HOLDS, f"wandering witness {o.id}")
@@ -141,15 +143,11 @@ def check_dichotomy(cls: Classifier) -> TheoremResult:
     name = "nonclosed-orbit-dichotomy"
     if not cls.extended_recurrent().verdict:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not extended recurrent")
-    checked = False
-    for xid in cls.leads:
-        if cls.extension_closed(xid):
-            continue
-        checked = True
+    if not cls.open_leads:
+        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "every extended orbit is closed")
+    for xid in sorted(cls.open_leads):
         if cls.dichotomy(xid) is DichotomyCase.VIOLATION:
             return TheoremResult(name, TheoremStatus.VIOLATION, f"neither disjunct holds at {xid}")
-    if not checked:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "every extended orbit is closed")
     return TheoremResult(name, TheoremStatus.HOLDS)
 
 
@@ -223,13 +221,9 @@ def check_regular_orbit_closure_dichotomy(cls: Classifier) -> TheoremResult:
     name = "regular-orbit-closure-dichotomy"
     if not (cls.nonwandering().verdict and cls.regular().verdict):
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
-    dense = cls.dense_ids
-    for xid in cls.ids:
-        if cls.extension_closed(xid):
-            continue
-        # the one-sided payloads differ between ids of one extended orbit
-        if xid not in dense and any(cls.payload(xid, forward).isdisjoint(dense) for forward in (True, False)):
-            return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: open extension missing a dense side")
+    bad = _open_extension_missing_dense_side(cls)
+    if bad is not None:
+        return TheoremResult(name, TheoremStatus.VIOLATION, f"{bad}: open extension missing a dense side")
     return TheoremResult(name, TheoremStatus.HOLDS)
 
 
@@ -316,7 +310,13 @@ def verify_theorems(fc: FlowComplex, names: Optional[Iterable] = None) -> list[T
     """Run the harness; results are sorted by theorem name."""
     if isinstance(names, str):
         raise PreconditionError(f"theorem names must be a collection of names, not the string {names!r}")
-    wanted = set(THEOREM_NAMES) if names is None else set(names)
+    if names is not None and not isinstance(names, Iterable):
+        raise PreconditionError(f"theorem names must be a collection of names, not {names!r}")
+    names = THEOREM_NAMES if names is None else tuple(names)
+    bad = [name for name in names if not isinstance(name, str)]
+    if bad:
+        raise PreconditionError(f"theorem names must be strings, not {bad[0]!r}")
+    wanted = set(names)
     if not wanted:
         raise PreconditionError("no theorem names given")
     unknown = wanted - set(THEOREM_NAMES)

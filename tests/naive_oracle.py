@@ -7,9 +7,23 @@ no sharing with the library's optimized code paths.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
-from flowcomplex import DichotomyCase, Direction, FlowComplex, OrbitKind, RefKind, closure_of, orbit_set_closure
+from flowcomplex import (
+    Classifier,
+    DichotomyCase,
+    Direction,
+    FamilyKind,
+    FlowComplex,
+    OrbitKind,
+    RefKind,
+    SchemaKind,
+    Verdict,
+    Witness,
+    closure_of,
+    orbit_set_closure,
+)
+from flowcomplex.classify import has_periodic_member_kinds
 
 
 def _wings(fc: FlowComplex, forward: bool) -> dict[str, set[str]]:
@@ -146,3 +160,119 @@ def reachability_members(fc: FlowComplex, start: str, forward: bool) -> frozense
                 seen.add(nxt)
                 stack.append(nxt)
     return frozenset(seen)
+
+
+# -- per-id scans ---------------------------------------------------------------
+#
+# The flow-level scans as they were written before the classifier decided
+# them by set algebra: each id asked one at a time, in sorted order.  Member
+# sets and one-sided payloads are read through a ``Classifier`` (its tables
+# are checked against ``naive_extension`` elsewhere), so these run at 10^4
+# ids; pass one that the classifier under test does not share.
+
+
+def naive_recurrent(fc: FlowComplex, xid: str, forward: bool) -> bool:
+    """Pointwise recurrence of one piece, from its kind."""
+    if xid in fc.sing_by_id:
+        return True
+    fam = fc.family_by_id.get(xid)
+    if fam is not None:
+        return fam.kind is FamilyKind.PERIODIC_ANNULUS
+    orb = fc.orbit_by_id[xid]
+    if orb.kind is OrbitKind.PERIODIC:
+        return True
+    if orb.kind is OrbitKind.PROPER:
+        return False
+    return (orb.omega if forward else orb.alpha) is None
+
+
+def naive_recurrent_flow(fc: FlowComplex) -> Verdict:
+    for xid in sorted(fc.all_ids):
+        if not (naive_recurrent(fc, xid, True) and naive_recurrent(fc, xid, False)):
+            return Verdict(False, Witness((xid,), "non-recurrent-point"))
+    return Verdict(True)
+
+
+def naive_extended_recurrent(ref: Classifier, generalized: bool) -> Verdict:
+    """The first id and side, positive side first, that is not recurrent and
+    whose one-sided extension brings it back neither itself nor through the
+    closure of a piece it adds."""
+    fc = ref.fc
+    kind = "generalized" if generalized else "extended"
+    for xid in sorted(fc.all_ids):
+        for forward, side in ((True, "positively"), (False, "negatively")):
+            if naive_recurrent(fc, xid, forward):
+                continue
+            fam = fc.family_by_id.get(xid)
+            if fam is not None:
+                if fam.kind is FamilyKind.CLOSED_EXTENDED_REGION:
+                    continue
+            else:
+                payload = ref.payload(xid, forward, generalized)
+                if xid in payload or any(xid in closure_of(fc, oid) for oid in payload):
+                    continue
+            return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
+    return Verdict(True)
+
+
+def naive_orbit_set_closure(fc: FlowComplex, members: Iterable[str]) -> frozenset[str]:
+    """The closure of a member set: each member's own closure (a family stands
+    for one closed member), then every declared saddle chain whose samples
+    lie inside pulls in the closure of its target, until nothing changes."""
+    def member(mid: str) -> frozenset[str]:
+        return frozenset({mid}) if mid in fc.family_by_id else closure_of(fc, mid)
+
+    out: set[str] = set()
+    for mid in members:
+        out |= member(mid)
+    changed = True
+    while changed:
+        changed = False
+        for schema in fc.accumulation_schemas:
+            if schema.kind is SchemaKind.SADDLE_CHAIN and set(schema.samples) <= out and not schema.target <= out:
+                for tid in schema.target:
+                    out |= member(tid)
+                changed = True
+    return frozenset(out)
+
+
+def naive_blocks(ref: Classifier) -> dict[str, frozenset[str]]:
+    """The block of each distinct extended orbit, keyed by its least id, in id
+    order."""
+    leads: dict[frozenset[str], str] = {}
+    for xid in sorted(ref.fc.all_ids):
+        leads.setdefault(ref.members(xid), xid)
+    return {xid: naive_orbit_set_closure(ref.fc, members) for members, xid in leads.items()}
+
+
+def naive_periodic_leads(ref: Classifier) -> list[str]:
+    """The leads, in id order, whose extended orbit is compact."""
+    return [
+        xid
+        for xid, block in naive_blocks(ref).items()
+        if has_periodic_member_kinds(ref.fc, ref.members(xid)) and block <= ref.members(xid)
+    ]
+
+
+def naive_open_ids(ref: Classifier) -> list[str]:
+    """Every id, in sorted order, whose extended orbit is not closed; each
+    distinct member set is closed once."""
+    closed: dict[frozenset[str], bool] = {}
+    out = []
+    for xid in sorted(ref.fc.all_ids):
+        members = ref.members(xid)
+        if members not in closed:
+            closed[members] = naive_orbit_set_closure(ref.fc, members) <= members
+        if not closed[members]:
+            out.append(xid)
+    return out
+
+
+def naive_open_extension_missing_dense_side(ref: Classifier) -> Optional[str]:
+    """The first id with a non-closed extended orbit, not locally dense itself,
+    one of whose one-sided payloads holds no locally dense class."""
+    dense = {o.id for o in ref.fc.orbit_classes if o.kind is OrbitKind.LOCALLY_DENSE}
+    for xid in naive_open_ids(ref):
+        if xid not in dense and any(ref.payload(xid, forward).isdisjoint(dense) for forward in (True, False)):
+            return xid
+    return None

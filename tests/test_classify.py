@@ -40,8 +40,23 @@ from flowcomplex import (
 )
 from flowcomplex.classify import has_periodic_member_kinds
 from flowcomplex.orbits import Expansion, generalized_saddle_sets, orbit_set_closure
-from flowcomplex.theorems import _all_extended_orbits_closed, _block_with_infinite_singularities
-from naive_oracle import naive_dichotomy, naive_extended_orbit, naive_extended_pap
+from flowcomplex.theorems import (
+    _all_extended_orbits_closed,
+    _block_with_infinite_singularities,
+    _open_extension_missing_dense_side,
+)
+from naive_oracle import (
+    naive_blocks,
+    naive_dichotomy,
+    naive_extended_orbit,
+    naive_extended_pap,
+    naive_extended_recurrent,
+    naive_open_extension_missing_dense_side,
+    naive_open_ids,
+    naive_periodic_leads,
+    naive_recurrent,
+    naive_recurrent_flow,
+)
 
 
 def classifier_orbit(cls, xid, direction, generalized=False):
@@ -284,6 +299,30 @@ def test_theorem_names_must_be_a_collection(gallery_complexes):
         verify_theorems(fc, "regularity-equivalence")
     [result] = verify_theorems(fc, ["regularity-equivalence"])
     assert result.theorem == "regularity-equivalence"
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [([["x"]], r"theorem names must be strings, not \['x'\]"), (5, "theorem names must be a collection of names, not 5")],
+)
+def test_theorem_names_that_are_not_strings_are_an_error(gallery_complexes, names, message):
+    # each would otherwise fail with a bare TypeError
+    with pytest.raises(PreconditionError, match=message):
+        verify_theorems(gallery_complexes["genus2_mixed"], names)
+
+
+def test_sides_must_be_bools(gallery_complexes):
+    # the direction name "bwd" is truthy: it would answer for the forward side
+    fc = gallery_complexes["genus2_mixed"]
+    cls = Classifier(fc)
+    for side in ("bwd", 1, None):
+        with pytest.raises(PreconditionError, match="forward must be a bool"):
+            cls.payload("c1", side)
+        with pytest.raises(PreconditionError, match="forward must be a bool"):
+            cls.extended_recurrent_point("c1", side)
+        with pytest.raises(PreconditionError, match="forward must be a bool"):
+            cls._plain.payloads(side)
+    assert set(cls._plain._payloads) <= {True, False}
 
 
 def test_theorem_harness_on_double_center(gallery_complexes):
@@ -704,3 +743,44 @@ def test_unknown_ids_raise_from_both_queries(gallery_complexes):
             for generalized in (False, True):
                 with pytest.raises(UnknownIdError, match="ghost"):
                     cls.payload("ghost", forward, generalized)
+
+
+def set_scans_match_the_per_id_scans(fc):
+    """Assert that every scan decided by set algebra gives the verdict and
+    witness of its per-id reference; return which references found a
+    failure, so a corpus can show that each one discriminates."""
+    cls, ref = Classifier(fc), Classifier(fc)
+    report = cls.report()
+    ids = sorted(fc.all_ids)
+    assert [cls.positively_recurrent(x) for x in ids] == [naive_recurrent(fc, x, True) for x in ids]
+    assert [cls.negatively_recurrent(x) for x in ids] == [naive_recurrent(fc, x, False) for x in ids]
+    assert report.recurrent == naive_recurrent_flow(fc)
+    assert report.extended_recurrent == naive_extended_recurrent(ref, generalized=False)
+    assert report.generalized_recurrent == naive_extended_recurrent(ref, generalized=True)
+    blocks = naive_blocks(ref)
+    assert list(cls.blocks().items()) == list(blocks.items())
+    assert cls.leads == tuple(blocks)
+    periodic = naive_periodic_leads(ref)
+    assert sorted(cls.periodic_leads) == periodic
+    open_ids = naive_open_ids(ref)
+    assert list(cls.open_ids) == open_ids
+    missing = naive_open_extension_missing_dense_side(ref)
+    assert _open_extension_missing_dense_side(cls) == missing
+    return {
+        "not recurrent": not report.recurrent.verdict,
+        "not extended recurrent": not report.extended_recurrent.verdict,
+        "not generalized recurrent": not report.generalized_recurrent.verdict,
+        "compact": bool(periodic),
+        "open": bool(open_ids),
+        "missing dense side": missing is not None,
+    }
+
+
+def test_set_scans_match_the_per_id_scans(gallery_complexes):
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    complexes += [build(name, {"n": 40}) for name in ("nested_saddles_disk", "double_center_sphere")]
+    found = {}
+    for fc in complexes:
+        for what, failed in set_scans_match_the_per_id_scans(fc).items():
+            found[what] = found.get(what, 0) + failed
+    assert all(found.values()), found

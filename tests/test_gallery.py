@@ -108,6 +108,7 @@ def test_random_profiles():
         ({"max_repeats": 0}, "max_repeats must be at least 1"),
         ({"max_depth": "2"}, "max_depth must be an int, not '2'"),
         ({"max_repeats": 2.5}, "max_repeats must be an int, not 2.5"),
+        ({"profile": ["x"]}, r"profile must be a string, not \['x'\]"),
     ],
 )
 def test_size_params_are_checked_on_construction(knobs, message):

@@ -47,12 +47,43 @@ def _sphere(**kwargs):
         (lambda: SurfaceInfo(0, True, 1.5), "boundary_components must be an int, not 1.5"),
         (lambda: SurfaceInfo("0", True, 0), "genus must be an int, not '0'"),
         (lambda: SurfaceInfo(True, True, 0), "genus must be an int, not True"),
+        # each would build and fail later with an AttributeError, or fail with a bare TypeError
+        (lambda: FlowComplex.build(None), "surface must be a SurfaceInfo, not None"),
+        (lambda: _sphere(singular_sets=["ab"]), "singular_sets must hold SingularSet records with string ids, not 'ab'"),
+        (lambda: _sphere(families=[OrbitClass("p", OrbitKind.PERIODIC)]), "families must hold Family records"),
+        (lambda: _sphere(orbit_classes=None), "orbit_classes must be a collection of OrbitClass records, not None"),
+        (lambda: _sphere(orbit_classes="p"), "orbit_classes must be a collection of OrbitClass records, not 'p'"),
+        (
+            lambda: _sphere(singular_sets=[SingularSet("a", Shape.ARC), SingularSet(7, Shape.ARC)]),
+            "singular_sets must hold SingularSet records with string ids, not SingularSet[(]id=7",
+        ),
     ],
-    ids=["negative-genus", "negative-boundary", "duplicate-id", "str-orientable", "float-boundary", "str-genus", "bool-genus"],
+    ids=[
+        "negative-genus",
+        "negative-boundary",
+        "duplicate-id",
+        "str-orientable",
+        "float-boundary",
+        "str-genus",
+        "bool-genus",
+        "none-surface",
+        "str-record",
+        "record-of-another-type",
+        "none-records",
+        "str-records",
+        "int-id",
+    ],
 )
 def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
     with pytest.raises(PreconditionError, match=message):
         make()
+
+
+def test_build_takes_records_from_any_iterable():
+    records = [SingularSet("b", Shape.POINT, PointKind.CENTER), SingularSet("a", Shape.POINT, PointKind.CENTER)]
+    built = _sphere(singular_sets=(rec for rec in records))
+    assert built == _sphere(singular_sets=records)
+    assert [s.id for s in built.singular_sets] == ["a", "b"]
 
 
 # one record of each type that ``build`` accepts, under its keyword there

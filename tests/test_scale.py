@@ -20,7 +20,7 @@ from flowcomplex import (
     verify_theorems,
 )
 from flowcomplex.orbits import Expansion
-from test_classify import classifier_orbit
+from test_classify import classifier_orbit, set_scans_match_the_per_id_scans
 from test_golden import SCALE_DIGEST, SCALE_DOCUMENTS, digest
 
 
@@ -95,3 +95,43 @@ def test_two_sided_reach_is_decided_once_per_row_pair(scale, monkeypatch):
         counts.append((len(decided), sum(map(len, pairs.values()))))
     # (two-sided decisions, ids firing on both sides) per document
     assert counts == [(1, 5997), (1660, 4980)]
+
+
+def test_set_scans_match_the_per_id_scans_at_scale(scale):
+    for fc, _, _ in scale:
+        set_scans_match_the_per_id_scans(fc)
+
+
+@pytest.mark.parametrize("name, n, chains", [("comb_torus", 3333, 0), ("nested_saddles_disk", 2000, 1)])
+def test_reports_and_theorems_make_no_per_id_scan(name, n, chains, monkeypatch):
+    """A report plus every theorem check asks no per-point recurrence question
+    and, without saddle chains, closes no member set of a lone lead one at a
+    time: the calls are counted, not timed."""
+    calls = {"_recurrent": 0, "extended_recurrent_point": 0}
+    for method_name in calls:
+        method = getattr(Classifier, method_name)
+
+        def counted(self, *args, method=method, **kwargs):
+            calls[method.__name__] += 1
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(Classifier, method_name, counted)
+    sizes = []
+    closure = classify.orbit_set_closure
+
+    def counted_closure(fc, members):
+        members = tuple(members)
+        sizes.append(len(members))
+        return closure(fc, members)
+
+    monkeypatch.setattr(classify, "orbit_set_closure", counted_closure)
+    fc = build(name, {"n": n})
+    assert len(fc.saddle_chains) == chains and 9900 < len(fc.all_ids) < 10100
+    classification_report(fc)
+    verify_theorems(fc)
+    assert calls == {"_recurrent": 0, "extended_recurrent_point": 0}
+    # a saddle chain's rule still closes each lone lead's member set
+    assert (1 in sizes) == bool(chains)
+    # the counters see a per-id query
+    Classifier(fc).extended_recurrent_point(sorted(fc.all_ids)[0], True)
+    assert calls == {"_recurrent": 1, "extended_recurrent_point": 1}
