@@ -20,15 +20,21 @@ from functools import cached_property, wraps
 from typing import Callable, ClassVar, Collection, Optional, TypeVar
 
 from .model import (
-    FamilyKind,
+    DENSE_KINDS,
+    FAMILY_SEQUENCE,
     FlowComplex,
-    OrbitKind,
+    LOCALLY_DENSE,
+    ORBIT_REF,
+    PERIODIC,
+    PERIODIC_ANNULUS,
+    POINT,
+    PROPER,
     PointKind,
     PreconditionError,
     REGULAR_KINDS,
-    RefKind,
-    SchemaKind,
-    Shape,
+    SET_REF,
+    SING_REF,
+    require_complex,
     singularity_accumulation,
 )
 from .orbits import Expansion, member_closure, orbit_set_closure, require_side
@@ -132,7 +138,7 @@ def has_periodic_member_kinds(fc: FlowComplex, members: Collection[str]) -> bool
             continue
         if mid in fc.sing_by_id:
             return False
-        if fc.orbit_by_id[mid].kind not in (OrbitKind.PERIODIC, OrbitKind.PROPER):
+        if fc.orbit_by_id[mid].kind not in (PERIODIC, PROPER):
             return False
     return True
 
@@ -157,6 +163,7 @@ class Classifier:
     """
 
     def __init__(self, fc: FlowComplex):
+        require_complex(fc, "Classifier")
         self.fc = fc
         self._answers: dict[str, object] = {}
 
@@ -185,11 +192,8 @@ class Classifier:
 
     def members(self, xid: str) -> frozenset[str]:
         """The plain two-sided extended orbit of ``xid``."""
-        found = self._members.get(xid)
-        if found is None:
-            self.fc.require(xid)
-            found = frozenset((xid,))
-        return found
+        self.fc.require(xid)
+        return self._members.get(xid) or frozenset((xid,))
 
     @cached_property
     def _members(self) -> dict[str, frozenset[str]]:
@@ -241,14 +245,17 @@ class Classifier:
     def blocks(self) -> dict[str, frozenset[str]]:
         """``block`` of every lead, in lead order.  A lead alone in its
         extended orbit has its own closure as its block (``member_closure``),
-        unless the complex declares a saddle chain, whose rule
-        ``orbit_set_closure`` applies."""
-        fc, members_of = self.fc, self._members
+        unless that closure holds the samples of a saddle chain, whose rule
+        ``orbit_set_closure`` then applies."""
+        fc, members_of, chains = self.fc, self._members, self.fc.saddle_chains
         out = {}
         for xid in self.leads:
             members = members_of.get(xid)
             if members is None:
-                out[xid] = orbit_set_closure(fc, (xid,)) if fc.saddle_chains else member_closure(fc, xid)
+                closure = member_closure(fc, xid)
+                if chains and any(closure.issuperset(schema.samples) for schema in chains):
+                    closure = orbit_set_closure(fc, (xid,))
+                out[xid] = closure
                 continue
             block = orbit_set_closure(fc, members)
             # a closed member set is its own block: keep one copy
@@ -301,12 +308,12 @@ class Classifier:
         families other than periodic annuli.  Singular sets and periodic
         orbits come back on both sides."""
         fc = self.fc
-        both = {f.id for f in fc.families if f.kind is not FamilyKind.PERIODIC_ANNULUS}
+        both = {f.id for f in fc.families if f.kind is not PERIODIC_ANNULUS}
         pos, neg = set(), set()
         for o in fc.orbit_classes:
-            if o.kind is OrbitKind.PROPER:
+            if o.kind is PROPER:
                 both.add(o.id)
-            elif o.kind is not OrbitKind.PERIODIC:
+            elif o.kind is not PERIODIC:
                 # dense classes come back on the side whose end is not pinned to a limit
                 if o.omega is not None:
                     pos.add(o.id)
@@ -386,13 +393,13 @@ class Classifier:
         fc = self.fc
         out: set[str] = set()
         for o in fc.orbit_classes:
-            if o.kind in (OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL):
+            if o.kind in DENSE_KINDS:
                 out |= fc.closure(o.id)
         for fam in fc.families:
-            if fam.kind is FamilyKind.PERIODIC_ANNULUS:
+            if fam.kind is PERIODIC_ANNULUS:
                 out |= fam.boundary0 | fam.boundary1
         for schema in fc.accumulation_schemas:
-            if schema.kind is SchemaKind.FAMILY_SEQUENCE:
+            if schema.kind is FAMILY_SEQUENCE:
                 out |= schema.target
         return frozenset(out)
 
@@ -401,7 +408,7 @@ class Classifier:
         """Every proper non-closed class needs a declared route into the
         closure of the recurrent part; there is no benefit of the doubt."""
         for o in self.fc.orbit_classes:
-            if o.kind is OrbitKind.PROPER and o.id not in self.routed:
+            if o.kind is PROPER and o.id not in self.routed:
                 return Verdict(False, Witness((o.id,), "wandering-proper-class"))
         return Verdict(True)
 
@@ -451,7 +458,7 @@ class Classifier:
                     continue
                 for bid in sorted(bset):
                     sing = fc.sing_by_id.get(bid)
-                    if sing is not None and sing.shape is not Shape.POINT:
+                    if sing is not None and sing.shape is not POINT:
                         return Witness((fam.id, bid), "continuum-in-limit")
                     if not bset <= blocks[lead(bid)]:
                         return Witness((fam.id, bid), "family-boundary-not-absorbed")
@@ -483,7 +490,7 @@ class Classifier:
     @_once
     def regular(self) -> Verdict:
         for s in self.fc.singular_sets:
-            if s.shape is not Shape.POINT or s.kind not in REGULAR_KINDS:
+            if s.shape is not POINT or s.kind not in REGULAR_KINDS:
                 return Verdict(False, Witness((s.id,), "degenerate-singularity"))
         schema = singularity_accumulation(self.fc)
         if schema is not None:
@@ -507,7 +514,7 @@ class Classifier:
         fc = self.fc
         fc.require(sid)
         sing = fc.sing_by_id.get(sid)
-        if sing is None or sing.shape is not Shape.POINT:
+        if sing is None or sing.shape is not POINT:
             raise PreconditionError(f"{sid!r} is not a point singularity")
         if sing.kind is PointKind.CENTER:
             return True
@@ -524,7 +531,7 @@ class Classifier:
     @cached_property
     def dense_ids(self) -> frozenset[str]:
         """The locally dense classes."""
-        return frozenset(o.id for o in self.fc.orbit_classes if o.kind is OrbitKind.LOCALLY_DENSE)
+        return frozenset(o.id for o in self.fc.orbit_classes if o.kind is LOCALLY_DENSE)
 
     @cached_property
     def _dense_closures(self) -> frozenset[str]:
@@ -558,11 +565,11 @@ class Classifier:
             for ref in (o.alpha, o.omega):
                 if ref is None:
                     continue
-                if ref.kind is RefKind.SET:
+                if ref.kind is SET_REF:
                     candidates.add(ref.resolved())
-                elif ref.kind is RefKind.ORBIT:
+                elif ref.kind is ORBIT_REF:
                     target = fc.orbit_by_id.get(ref.ids[0])
-                    if target is not None and target.kind is OrbitKind.PERIODIC:
+                    if target is not None and target.kind is PERIODIC:
                         candidates.add(frozenset(ref.ids))
         results: list[LimitCycle] = []
         for gamma in sorted(candidates, key=sorted):
@@ -597,12 +604,12 @@ def _is_closed_curve_union(fc: FlowComplex, ids: frozenset[str]) -> bool:
         orb = fc.orbit_by_id.get(mid)
         if orb is None:
             return False
-        if orb.kind is OrbitKind.PERIODIC:
+        if orb.kind is PERIODIC:
             continue
-        if orb.kind is not OrbitKind.PROPER:
+        if orb.kind is not PROPER:
             return False
         for ref, deg in ((orb.alpha, outdeg), (orb.omega, indeg)):
-            if ref is None or ref.kind is not RefKind.SING:
+            if ref is None or ref.kind is not SING_REF:
                 return False
             end = ref.ids[0]
             if end not in ids or not fc.is_saddle(end):

@@ -79,6 +79,21 @@ class RefKind(str, Enum):
     SET = "set"
 
 
+# The members that loops running once per record or id compare against.  On
+# CPython 3.11 ``EnumType`` defines ``__getattr__``, so a read such as
+# ``OrbitKind.PROPER`` costs about ten times a module global (0.14 against
+# 0.013 us on 3.11.7, a 2-vCPU Xeon VM); 3.12 dropped that ``__getattr__``.
+POINT = Shape.POINT
+SADDLE = PointKind.SADDLE
+PERIODIC, PROPER = OrbitKind.PERIODIC, OrbitKind.PROPER
+LOCALLY_DENSE, EXCEPTIONAL = OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL
+DENSE_KINDS = (LOCALLY_DENSE, EXCEPTIONAL)
+PERIODIC_ANNULUS = FamilyKind.PERIODIC_ANNULUS
+SADDLE_CHAIN, SINGULARITY_SEQUENCE = SchemaKind.SADDLE_CHAIN, SchemaKind.SINGULARITY_SEQUENCE
+FAMILY_SEQUENCE = SchemaKind.FAMILY_SEQUENCE
+SING_REF, ORBIT_REF, SET_REF = RefKind.SING, RefKind.ORBIT, RefKind.SET
+
+
 @dataclass(frozen=True)
 class SurfaceInfo:
     """Topological type of the underlying compact connected surface."""
@@ -140,7 +155,7 @@ class SingularSet:
 
     @property
     def is_saddle(self) -> bool:
-        return self.shape is Shape.POINT and self.kind is PointKind.SADDLE
+        return self.shape is POINT and self.kind is SADDLE
 
 
 @dataclass(frozen=True)
@@ -292,13 +307,17 @@ class FlowComplex:
         ``(side, lid)``, with ``side`` "alpha" or "omega", maps to the
         ``(limit, class id)`` pairs whose limit on that side has ``lid`` as its
         least id, so every limit lying inside an id set is found through the
-        set's own ids.  Built on first use.
+        set's own ids.  Built on first use, with one frozenset per distinct limit.
         """
         out: dict[tuple[str, str], list[tuple[frozenset[str], str]]] = {}
+        limits: dict[tuple[str, ...], tuple[str, frozenset[str]]] = {}
         for o in self.orbit_classes:
             for side, ref in (("alpha", o.alpha), ("omega", o.omega)):
                 if ref is not None and ref.ids:
-                    out.setdefault((side, min(ref.ids)), []).append((ref.resolved(), o.id))
+                    found = limits.get(ref.ids)
+                    if found is None:
+                        found = limits[ref.ids] = (min(ref.ids), ref.resolved())
+                    out.setdefault((side, found[0]), []).append((found[1], o.id))
         return out
 
     @cached_property
@@ -326,15 +345,25 @@ class FlowComplex:
     @cached_property
     def saddle_chains(self) -> tuple[AccumulationSchema, ...]:
         """The saddle-chain schemas, in id order."""
-        return tuple(a for a in self.accumulation_schemas if a.kind is SchemaKind.SADDLE_CHAIN)
+        return tuple(a for a in self.accumulation_schemas if a.kind is SADDLE_CHAIN)
 
     def require(self, xid: str) -> None:
-        if xid not in self.all_ids:
-            raise UnknownIdError(xid)
+        try:
+            if xid in self.all_ids:
+                return
+        except TypeError:  # unhashable, such as a list
+            raise PreconditionError(f"an id is a string, not {xid!r}") from None
+        raise UnknownIdError(xid)
 
     def is_saddle(self, xid: str) -> bool:
         s = self.sing_by_id.get(xid)
         return s is not None and s.is_saddle
+
+
+def require_complex(fc: object, caller: str) -> None:
+    """Reject anything but a ``FlowComplex`` where ``caller`` needs one."""
+    if not isinstance(fc, FlowComplex):
+        raise PreconditionError(f"{caller} takes a FlowComplex, not {type(fc).__name__}")
 
 
 def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:
@@ -345,13 +374,13 @@ def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:
     if fam is not None:
         return fam.boundary0 | fam.boundary1
     orb = fc.orbit_by_id[xid]
-    if orb.kind is OrbitKind.PERIODIC:
+    if orb.kind is PERIODIC:
         return frozenset()
     out: set[str] = set()
     for ref in (orb.alpha, orb.omega):
         if ref is not None:
             out.update(ref.ids)
-    if orb.kind is OrbitKind.PROPER:
+    if orb.kind is PROPER:
         return frozenset(out)
     # locally dense / exceptional: the declared closure, which must also
     # carry any pinned end limit
@@ -388,7 +417,7 @@ def singularity_accumulation(fc: FlowComplex) -> Optional[AccumulationSchema]:
     """The first schema that encodes infinitely many singularities: a saddle
     chain or a singularity sequence."""
     for schema in fc.accumulation_schemas:
-        if schema.kind in (SchemaKind.SADDLE_CHAIN, SchemaKind.SINGULARITY_SEQUENCE):
+        if schema.kind is SADDLE_CHAIN or schema.kind is SINGULARITY_SEQUENCE:
             return schema
     return None
 
@@ -399,7 +428,7 @@ def _poincare_hopf_applies(fc: FlowComplex) -> bool:
     if fc.accumulation_schemas:
         return False
     for s in fc.singular_sets:
-        if s.shape is not Shape.POINT or s.kind not in REGULAR_KINDS:
+        if s.shape is not POINT or s.kind not in REGULAR_KINDS:
             return False
     return True
 
@@ -450,6 +479,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
     every reference resolves.  Violations are listed rule group by rule
     group, in the order of the sections below.
     """
+    require_complex(fc, "validate")
     known, sing, orbit_by_id = fc.all_ids, fc.sing_by_id, fc.orbit_by_id
     unresolved: list[Violation] = []
     ref_kinds: list[Violation] = []
@@ -475,28 +505,29 @@ def validate(fc: FlowComplex) -> ValidationReport:
             # sing: names a singular set and orbit: an orbit class; set: names
             # several ids, or one that is not singular (a lone singularity is
             # sing:, which the slot count sees); unknown ids are reported above
-            if ref.kind is RefKind.SET:
+            if ref.kind is SET_REF:
                 wrong = not ids or (len(ids) == 1 and ids[0] in sing)
                 set_refs.append((oid, ref.resolved()))
             else:
                 first = ids[0]
-                wrong = first not in (sing if ref.kind is RefKind.SING else orbit_by_id) and first in known
-                if ref.kind is RefKind.SING and first in slots:
+                is_sing = ref.kind is SING_REF
+                wrong = first not in (sing if is_sing else orbit_by_id) and first in known
+                if is_sing and first in slots:
                     slots[first][slot] += 1
             if wrong:
                 detail = f"{ref.kind.value}:{','.join(ids)} names the wrong kind of piece"
                 ref_kinds.append(Violation(oid, "limit-ref-kind", detail))
         if decl and not decl <= known:
             _check_unresolved(oid, sorted(decl), known, unresolved)
-        if kind is OrbitKind.PROPER or kind is OrbitKind.PERIODIC:
+        if kind is PROPER or kind is PERIODIC:
             limits[oid] = (alpha.ids if alpha is not None else ()) + (omega.ids if omega is not None else ())
-            if kind is OrbitKind.PERIODIC:
+            if kind is PERIODIC:
                 if alpha is not None or omega is not None:
                     kind_rules.append(Violation(oid, "periodic-has-limit", "periodic orbits are their own limit sets"))
             elif alpha is None or omega is None:
                 kind_rules.append(Violation(oid, "proper-missing-limit", "proper non-closed orbits carry both limits"))
         else:
-            if kind is OrbitKind.LOCALLY_DENSE:
+            if kind is LOCALLY_DENSE:
                 ld_ids.append(oid)
             if not decl:
                 kind_rules.append(Violation(oid, "dense-missing-closure", "dense classes declare their closure"))
@@ -519,7 +550,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
     out = unresolved + ref_kinds
 
     for s in fc.singular_sets:
-        if s.shape is Shape.POINT:
+        if s.shape is POINT:
             if s.kind is None:
                 out.append(Violation(s.id, "point-missing-kind", "point singularity needs a kind"))
         elif s.kind is not None:
@@ -535,7 +566,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
             if computed != o.closure_decl:
                 detail = f"declared closure is not closed; closing adds {sorted(computed - o.closure_decl)}"
                 out.append(Violation(o.id, "closure-decl-not-closed", detail))
-            if o.kind is OrbitKind.LOCALLY_DENSE:
+            if o.kind is LOCALLY_DENSE:
                 mine = o.closure_decl & dense
                 for other in sorted(mine - {o.id}):
                     if (orbit_by_id[other].closure_decl or frozenset()) & dense != mine:
@@ -556,7 +587,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
             single_point = False
             if len(bset) == 1:
                 [bid] = bset
-                single_point = bid in sing and sing[bid].shape is Shape.POINT
+                single_point = bid in sing and sing[bid].shape is POINT
             if shrinks and not single_point:
                 out.append(Violation(f.id, "shrink-boundary-not-point", "a shrinking boundary is a single point singularity"))
             if single_point and not shrinks:
@@ -568,14 +599,14 @@ def validate(fc: FlowComplex) -> ValidationReport:
             continue
         if set(a.samples) & a.target:
             out.append(Violation(a.id, "schema-target-overlap", "target must be disjoint from samples"))
-        if a.kind is SchemaKind.SINGULARITY_SEQUENCE:
+        if a.kind is SINGULARITY_SEQUENCE:
             bad = [s for s in a.samples if s not in sing]
             if bad:
                 out.append(Violation(a.id, "schema-sample-kind", f"singularity sequence samples must be singular: {bad}"))
             nonsing = [t for t in sorted(a.target) if t not in sing]
             if nonsing:
                 out.append(Violation(a.id, "schema-target-kind", f"limit of singularities must be singular: {nonsing}"))
-        elif a.kind is SchemaKind.FAMILY_SEQUENCE:
+        elif a.kind is FAMILY_SEQUENCE:
             bad = [s for s in a.samples if s not in fc.family_by_id]
             if bad:
                 out.append(Violation(a.id, "schema-sample-kind", f"family sequence samples must be families: {bad}"))

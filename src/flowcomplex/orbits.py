@@ -24,11 +24,14 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import (
-    FamilyKind,
+    DENSE_KINDS,
+    FAMILY_SEQUENCE,
     FlowComplex,
-    OrbitKind,
+    PERIODIC,
+    PERIODIC_ANNULUS,
     PreconditionError,
-    SchemaKind,
+    SINGULARITY_SEQUENCE,
+    require_complex,
 )
 
 
@@ -111,6 +114,7 @@ class Expansion:
     """
 
     def __init__(self, fc: FlowComplex, sets: Sequence[frozenset[str]]):
+        require_complex(fc, "Expansion")
         self.fc = fc
         self.sets = sets
         self._holding: dict[str, list[int]] = {}
@@ -123,6 +127,7 @@ class Expansion:
     @classmethod
     def plain(cls, fc: FlowComplex) -> "Expansion":
         """Plain extension: every saddle is its own expansion set."""
+        require_complex(fc, "Expansion")
         return cls(fc, [frozenset({sid}) for sid in sorted(fc.saddle_ids)])
 
     @classmethod
@@ -386,11 +391,11 @@ def _escapes(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
     # recurrent pieces re-exit every small neighborhood of a proper subset
     # they merely graze; a proper orbit escapes when both ends clear the set
     if wid in fc.family_by_id:
-        return fc.family_by_id[wid].kind is FamilyKind.PERIODIC_ANNULUS
+        return fc.family_by_id[wid].kind is PERIODIC_ANNULUS
     orb = fc.orbit_by_id.get(wid)
     if orb is None:
         return False
-    if orb.kind in (OrbitKind.PERIODIC, OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL):
+    if orb.kind is PERIODIC or orb.kind in DENSE_KINDS:
         return True
     ends: set[str] = set()
     for ref in (orb.alpha, orb.omega):
@@ -404,7 +409,7 @@ def _accumulates(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
     if fam is not None:
         return any(not shrinks and (bset & members) for bset, shrinks in fam.boundaries())
     orb = fc.orbit_by_id.get(wid)
-    if orb is not None and orb.kind in (OrbitKind.PERIODIC, OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL):
+    if orb is not None and (orb.kind is PERIODIC or orb.kind in DENSE_KINDS):
         if fc.closure(wid) & members:
             return True
     for schema in fc.accumulation_schemas:
@@ -433,12 +438,12 @@ def is_isolated(fc: FlowComplex, members: Iterable[str]) -> bool:
     for schema in fc.accumulation_schemas:
         if not schema.target <= mset or set(schema.samples) <= mset:
             continue
-        if schema.kind is SchemaKind.SINGULARITY_SEQUENCE:
+        if schema.kind is SINGULARITY_SEQUENCE:
             return False
-        if schema.kind is SchemaKind.FAMILY_SEQUENCE:
+        if schema.kind is FAMILY_SEQUENCE:
             fams = [fc.family_by_id.get(s) for s in schema.samples]
             if all(
-                f is not None and f.kind is FamilyKind.PERIODIC_ANNULUS and (f.shrinks0 or f.shrinks1)
+                f is not None and f.kind is PERIODIC_ANNULUS and (f.shrinks0 or f.shrinks1)
                 for f in fams
             ):
                 return False

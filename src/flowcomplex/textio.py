@@ -38,14 +38,17 @@ from .model import (
     LimitRef,
     OrbitClass,
     OrbitKind,
+    POINT,
     PointKind,
     PreconditionError,
     RefKind,
+    SET_REF,
     SaddleSetDecl,
     SchemaKind,
     Shape,
     SingularSet,
     SurfaceInfo,
+    require_complex,
 )
 
 
@@ -81,10 +84,11 @@ def _column(raw: str, tokens: list[str], i: int, offset: int) -> int:
     return pos - len(tokens[i]) + offset + 1
 
 
-# what the fast paths of ``_Reader`` look up: whole ``kind=`` tokens, and orbit kinds
+# what the fast paths of ``_Reader`` look up: whole ``kind=`` tokens, orbit and reference kinds
 _POINT_KINDS = {f"kind={k.value}": k for k in PointKind}
 _FAMILY_KINDS = {f"kind={k.value}": k for k in FamilyKind}
 _ORBIT_KINDS = OrbitKind._value2member_map_
+_REF_KINDS = RefKind._value2member_map_
 
 
 class _Reader:
@@ -203,12 +207,12 @@ class _Reader:
         if found is not None:
             return found
         prefix, colon, rest = value.partition(":")
-        kind = RefKind._value2member_map_.get(prefix)
+        kind = _REF_KINDS.get(prefix)
         if not colon:
             self.fail_field(key, f"limit reference needs a sing:/orbit:/set: prefix, got {value!r}")
         elif kind is None:
             self.fail_field(key, f"unknown reference kind {prefix!r}")
-        elif kind is RefKind.SET:
+        elif kind is SET_REF:
             ids = self.ids(key, rest, 4)
             if ids is not None:
                 found = self._refs[value] = LimitRef(kind, tuple(sorted(set(ids))))
@@ -237,13 +241,13 @@ class _Reader:
         tokens = self.tokens
         kind = _POINT_KINDS.get(tokens[3]) if len(tokens) == 4 and tokens[2] == "point" else None
         if kind is not None:
-            return SingularSet(rid, Shape.POINT, kind)
+            return SingularSet(rid, POINT, kind)
         if len(tokens) < 3:
             return self.fail(0, "sing record needs a shape")
         shape = self.enum(Shape, tokens[2], "shape")
         fields = self.fields(3, ("kind",))
         kind = None
-        if shape is Shape.POINT:
+        if shape is POINT:
             if "kind" in fields:
                 kind = self.enum(PointKind, fields["kind"], "point kind", "kind")
             else:
@@ -310,6 +314,8 @@ class _Reader:
 
 def parse(text: str) -> FlowComplex:
     """Parse a document; raises ``ParseErrors`` carrying every syntax error found."""
+    if not isinstance(text, str):
+        raise PreconditionError(f"parse takes a str, not {type(text).__name__}")
     r = _Reader()
     # record head -> its reader and what it built, in FlowComplex field order
     records = {head: (getattr(r, f"{head}_record"), []) for head in ("sing", "orbit", "family", "accum", "saddleset")}
@@ -369,6 +375,7 @@ def _emit_ids(ids) -> str:
 
 def emit(fc: FlowComplex) -> str:
     """Canonical serialization: deterministic and byte-identical for equal complexes."""
+    require_complex(fc, "emit")
     s = fc.surface
     lines = [f"surface genus={s.genus} orientable={str(s.orientable).lower()} boundary={s.boundary_components}"]
     for sg in sorted(fc.singular_sets, key=lambda r: r.id):

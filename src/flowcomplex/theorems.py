@@ -16,11 +16,13 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .model import (
+    DENSE_KINDS,
     FlowComplex,
-    OrbitKind,
+    POINT,
+    PROPER,
     PreconditionError,
-    SchemaKind,
-    Shape,
+    SADDLE_CHAIN,
+    SINGULARITY_SEQUENCE,
     singularity_accumulation,
 )
 from .classify import Classifier, DichotomyCase
@@ -45,7 +47,7 @@ def has_finitely_many_singularities(fc: FlowComplex) -> bool:
     An arc or circle of fixed points is uncountably many singularities; a
     saddle chain or singularity sequence encodes infinitely many.
     """
-    return all(s.shape is Shape.POINT for s in fc.singular_sets) and singularity_accumulation(fc) is None
+    return all(s.shape is POINT for s in fc.singular_sets) and singularity_accumulation(fc) is None
 
 
 def is_non_identical(fc: FlowComplex) -> bool:
@@ -65,10 +67,10 @@ def _block_with_infinite_singularities(cls: Classifier) -> Optional[str]:
 
 def _dense_closure_swallows_singularity_sequence(cls: Classifier) -> Optional[str]:
     for schema in cls.fc.accumulation_schemas:
-        if schema.kind is not SchemaKind.SINGULARITY_SEQUENCE:
+        if schema.kind is not SINGULARITY_SEQUENCE:
             continue
         for o in cls.fc.orbit_classes:
-            if o.kind in (OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL) and o.closure_decl:
+            if o.kind in DENSE_KINDS and o.closure_decl:
                 if schema.target <= o.closure_decl:
                     return o.id
     return None
@@ -118,7 +120,7 @@ def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
     if cls.nonwandering().verdict:
         return TheoremResult(name, TheoremStatus.VIOLATION, "limit cycles present but no wandering point")
     for o in fc.orbit_classes:
-        if o.kind is not OrbitKind.PROPER:
+        if o.kind is not PROPER:
             continue
         if len(cls.members(o.id)) > 1:
             continue
@@ -186,15 +188,15 @@ def check_rclosed_singularity_structure(cls: Classifier) -> TheoremResult:
     if not (cls.extended_r_closed().verdict and is_non_identical(fc)):
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
     for o in fc.orbit_classes:
-        if o.kind in (OrbitKind.LOCALLY_DENSE, OrbitKind.EXCEPTIONAL) and o.closure_decl:
+        if o.kind in DENSE_KINDS and o.closure_decl:
             for schema in fc.accumulation_schemas:
-                if schema.kind in (SchemaKind.SADDLE_CHAIN, SchemaKind.SINGULARITY_SEQUENCE):
+                if schema.kind is SADDLE_CHAIN or schema.kind is SINGULARITY_SEQUENCE:
                     if set(schema.samples) <= o.closure_decl:
                         return TheoremResult(
                             name, TheoremStatus.VIOLATION, f"dense closure of {o.id} holds infinitely many singularities"
                         )
     for s in fc.singular_sets:
-        if s.shape is not Shape.POINT:
+        if s.shape is not POINT:
             return TheoremResult(name, TheoremStatus.VIOLATION, f"{s.id} is a fixed continuum")
         if s.is_saddle or cls.extended_center(s.id):
             continue

@@ -266,6 +266,16 @@ def test_dichotomy_tests_both_firing_give_the_singularity_case():
     assert cls.dichotomy("c1") is naive_dichotomy(fc, "c1") is DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE
 
 
+def test_a_lone_lead_whose_closure_holds_a_chain_takes_the_chain_target():
+    # g11 is alone in its extended orbit, and its declared closure holds the
+    # chain's samples s1 and c1, so its block continues down the chain to o
+    fc = parse(CHAIN_INTO_DENSE_REGION)
+    cls = Classifier(fc)
+    assert "g11" in cls.leads and cls.members("g11") == {"g11"} and "o" not in fc.closure("g11")
+    assert cls.block("g11") == naive_blocks(Classifier(fc))["g11"] == fc.closure("g11") | {"o"}
+    set_scans_match_the_per_id_scans(fc)
+
+
 def test_report_witnesses_accompany_false_verdicts(gallery_complexes):
     for fc in gallery_complexes.values():
         report = classification_report(fc)

@@ -1,9 +1,13 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+import flowcomplex.model
 from flowcomplex import (
     AccumulationSchema,
+    Classifier,
     Expansion,
     Family,
     FamilyKind,
@@ -21,11 +25,15 @@ from flowcomplex import (
     SizeParams,
     SurfaceInfo,
     UnknownIdError,
+    classification_report,
     closure_of,
+    emit,
     extended_orbit,
     parse,
     random_complex,
+    unstable_set,
     validate,
+    verify_theorems,
 )
 
 
@@ -57,6 +65,16 @@ def _sphere(**kwargs):
             lambda: _sphere(singular_sets=[SingularSet("a", Shape.ARC), SingularSet(7, Shape.ARC)]),
             "singular_sets must hold SingularSet records with string ids, not SingularSet[(]id=7",
         ),
+        # each would fail with an AttributeError or a bare TypeError, or build and fail later
+        (lambda: parse(None), "^parse takes a str, not NoneType$"),
+        (lambda: parse(b"surface genus=0 orientable=true boundary=0\n"), "^parse takes a str, not bytes$"),
+        (lambda: validate(None), "^validate takes a FlowComplex, not NoneType$"),
+        (lambda: emit("surface genus=0 orientable=true boundary=0\n"), "^emit takes a FlowComplex, not str$"),
+        (lambda: Expansion.plain(None), "^Expansion takes a FlowComplex, not NoneType$"),
+        (lambda: Expansion(None, []), "^Expansion takes a FlowComplex, not NoneType$"),
+        (lambda: Classifier(None), "^Classifier takes a FlowComplex, not NoneType$"),
+        (lambda: classification_report(None), "^Classifier takes a FlowComplex, not NoneType$"),
+        (lambda: verify_theorems(None), "^Classifier takes a FlowComplex, not NoneType$"),
     ],
     ids=[
         "negative-genus",
@@ -72,6 +90,15 @@ def _sphere(**kwargs):
         "none-records",
         "str-records",
         "int-id",
+        "parse-none",
+        "parse-bytes",
+        "validate-none",
+        "emit-str",
+        "expansion-plain-none",
+        "expansion-none",
+        "classifier-none",
+        "report-none",
+        "verify-none",
     ],
 )
 def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
@@ -337,6 +364,164 @@ def test_unresolved_refs_do_not_mask_local_violations():
     assert {"unresolved-id", "periodic-has-limit"} <= rules
 
 
+C, S, SO, SI = (
+    SingularSet(sid, Shape.POINT, kind)
+    for sid, kind in (("c", PointKind.CENTER), ("s", PointKind.SADDLE), ("so", PointKind.SOURCE), ("si", PointKind.SINK))
+)
+G = OrbitClass("g", OrbitKind.PERIODIC)
+# a homoclinic loop at s, which is not invariant without s
+LOOP = OrbitClass("lo", OrbitKind.PROPER, LimitRef.sing("s"), LimitRef.sing("s"))
+
+
+def _annulus(shrinks: bool) -> Family:
+    return Family("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"g"}), frozenset({"c"}), shrinks, shrinks)
+
+
+def _schema(kind: SchemaKind, samples: tuple[str, ...], target: set[str]) -> dict:
+    return dict(singular_sets=[C], orbit_classes=[G], accumulation_schemas=[AccumulationSchema("q", kind, samples, frozenset(target))])
+
+
+# (rule, the records of a sphere that breaks it, that rule's violations as (id, detail))
+VALIDATE_RULES = [
+    (
+        "unresolved-id",
+        dict(orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC, alpha=LimitRef.sing("ghost"))]),
+        [("p", "reference to unknown id 'ghost'")],
+    ),
+    (
+        "limit-ref-kind",
+        dict(singular_sets=[SI], orbit_classes=[OrbitClass("m", OrbitKind.PROPER, LimitRef.orbit("si"), LimitRef.sing("si"))]),
+        [("m", "orbit:si names the wrong kind of piece")],
+    ),
+    ("point-missing-kind", dict(singular_sets=[SingularSet("x", Shape.POINT)]), [("x", "point singularity needs a kind")]),
+    (
+        "continuum-kind",
+        dict(singular_sets=[SingularSet("seg", Shape.ARC, PointKind.CENTER)]),
+        [("seg", "arc/circle singular sets carry no point kind")],
+    ),
+    (
+        "periodic-has-limit",
+        dict(singular_sets=[C], orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC, omega=LimitRef.sing("c"))]),
+        [("p", "periodic orbits are their own limit sets")],
+    ),
+    (
+        "proper-missing-limit",
+        dict(singular_sets=[SO], orbit_classes=[OrbitClass("m", OrbitKind.PROPER, LimitRef.sing("so"))]),
+        [("m", "proper non-closed orbits carry both limits")],
+    ),
+    (
+        "dense-missing-closure",
+        dict(orbit_classes=[OrbitClass("d", OrbitKind.EXCEPTIONAL)]),
+        [("d", "dense classes declare their closure")],
+    ),
+    (
+        "closure-missing-self",
+        dict(singular_sets=[C], orbit_classes=[OrbitClass("d", OrbitKind.LOCALLY_DENSE, closure_decl=frozenset({"c"}))]),
+        [("d", "a closure contains the class itself")],
+    ),
+    (
+        "closure-decl-not-closed",
+        dict(singular_sets=[S], orbit_classes=[OrbitClass("u", OrbitKind.LOCALLY_DENSE, LimitRef.sing("s"), None, frozenset({"u"}))]),
+        [("u", "declared closure is not closed; closing adds ['s']")],
+    ),
+    (
+        "locally-dense-closure-mismatch",
+        dict(
+            orbit_classes=[
+                OrbitClass("a", OrbitKind.LOCALLY_DENSE, closure_decl=frozenset({"a", "b"})),
+                OrbitClass("b", OrbitKind.LOCALLY_DENSE, closure_decl=frozenset({"b"})),
+            ]
+        ),
+        [("a", "b does not share the same dense part of the closure")],
+    ),
+    (
+        "set-ref-not-invariant",
+        dict(
+            singular_sets=[S, SO],
+            orbit_classes=[LOOP, OrbitClass("w", OrbitKind.PROPER, LimitRef.sing("so"), LimitRef.of_set({"lo"}))],
+        ),
+        [("w", "limits of lo escape to ['s']")],
+    ),
+    (
+        "family-boundary-not-invariant",
+        dict(
+            singular_sets=[S, C],
+            orbit_classes=[LOOP],
+            families=[Family("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"lo"}), frozenset({"c"}), shrinks1=True)],
+        ),
+        [("f", "limits of lo escape to ['s']")],
+    ),
+    (
+        "shrink-boundary-not-point",
+        dict(singular_sets=[C], orbit_classes=[G], families=[_annulus(True)]),
+        [("f", "a shrinking boundary is a single point singularity")],
+    ),
+    (
+        "point-boundary-needs-shrink",
+        dict(singular_sets=[C], orbit_classes=[G], families=[_annulus(False)]),
+        [("f", "members converging to a point must shrink")],
+    ),
+    (
+        "schema-empty",
+        dict(accumulation_schemas=[AccumulationSchema("q", SchemaKind.SADDLE_CHAIN, (), frozenset())]),
+        [("q", "samples and target must be nonempty")],
+    ),
+    (
+        "schema-target-overlap",
+        _schema(SchemaKind.SINGULARITY_SEQUENCE, ("c",), {"c"}),
+        [("q", "target must be disjoint from samples")],
+    ),
+    (
+        "schema-sample-kind",
+        _schema(SchemaKind.SINGULARITY_SEQUENCE, ("g",), {"c"}),
+        [("q", "singularity sequence samples must be singular: ['g']")],
+    ),
+    (
+        "schema-sample-kind",
+        _schema(SchemaKind.FAMILY_SEQUENCE, ("g",), {"c"}),
+        [("q", "family sequence samples must be families: ['g']")],
+    ),
+    (
+        "schema-sample-kind",
+        _schema(SchemaKind.SADDLE_CHAIN, ("c",), {"g"}),
+        [("q", "saddle chain samples must be saddles or orbits: ['c']")],
+    ),
+    (
+        "schema-target-kind",
+        _schema(SchemaKind.SINGULARITY_SEQUENCE, ("c",), {"g"}),
+        [("q", "limit of singularities must be singular: ['g']")],
+    ),
+    (
+        "saddleset-not-invariant",
+        dict(
+            singular_sets=[SO, SI],
+            orbit_classes=[OrbitClass("m", OrbitKind.PROPER, LimitRef.sing("so"), LimitRef.sing("si"))],
+            saddle_set_decls=[SaddleSetDecl("d", frozenset({"m"}), False)],
+        ),
+        [("d", "closure of m escapes the declared set")],
+    ),
+    (
+        "saddle-slot-count",
+        dict(singular_sets=[S]),
+        [("s", "stable slots filled: 0, unstable slots filled: 0 (need 2 + 2)")],
+    ),
+    ("poincare-hopf", dict(singular_sets=[C]), [("surface", "index sum 1 != Euler characteristic 2")]),
+]
+
+
+@pytest.mark.parametrize("rule, records, expected", VALIDATE_RULES, ids=[f"{r[0]}-{i}" for i, r in enumerate(VALIDATE_RULES)])
+def test_every_validate_rule_fires_with_its_detail(rule, records, expected):
+    violations = validate(_sphere(**records)).violations
+    assert [(v.id, v.detail) for v in violations if v.rule == rule] == expected
+
+
+def test_the_rule_table_covers_every_violation_validate_can_report():
+    source = Path(flowcomplex.model.__file__).read_text(encoding="utf-8")
+    rules = set(re.findall(r'Violation\(\s*[^,()]+,\s*"([a-z-]+)"', source))
+    assert len(rules) > 20
+    assert rules == {rule for rule, _, _ in VALIDATE_RULES}
+
+
 def test_closure_of_periodic_orbit_is_itself():
     fc = FlowComplex.build(SurfaceInfo(1, True, 0), orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC)])
     assert closure_of(fc, "p") == frozenset({"p"})
@@ -372,6 +557,23 @@ def test_closure_of_unknown_id():
     fc = FlowComplex.build(SurfaceInfo(1, True, 0), orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC)])
     with pytest.raises(UnknownIdError):
         closure_of(fc, "nope")
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda fc: closure_of(fc, []),
+        lambda fc: extended_orbit(fc, []),
+        lambda fc: unstable_set(fc, []),
+        lambda fc: Classifier(fc).members([]),
+    ],
+    ids=["closure_of", "extended_orbit", "unstable_set", "members"],
+)
+def test_an_unhashable_id_is_a_precondition_error(query):
+    # not a bare "TypeError: unhashable type: 'list'"
+    fc = FlowComplex.build(SurfaceInfo(1, True, 0), orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC)])
+    with pytest.raises(PreconditionError, match=r"^an id is a string, not \[\]$"):
+        query(fc)
 
 
 def test_closure_idempotent_on_fixtures_and_random(gallery_complexes):

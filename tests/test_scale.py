@@ -102,11 +102,15 @@ def test_set_scans_match_the_per_id_scans_at_scale(scale):
         set_scans_match_the_per_id_scans(fc)
 
 
-@pytest.mark.parametrize("name, n, chains", [("comb_torus", 3333, 0), ("nested_saddles_disk", 2000, 1)])
-def test_reports_and_theorems_make_no_per_id_scan(name, n, chains, monkeypatch):
+@pytest.mark.parametrize(
+    "name, n, chains, closed",
+    [("comb_torus", 3333, 0, []), ("nested_saddles_disk", 2000, 1, [5997])],
+    ids=["comb_torus-3333-0", "nested_saddles_disk-2000-1"],
+)
+def test_reports_and_theorems_make_no_per_id_scan(name, n, chains, closed, monkeypatch):
     """A report plus every theorem check asks no per-point recurrence question
-    and, without saddle chains, closes no member set of a lone lead one at a
-    time: the calls are counted, not timed."""
+    and closes no member set of a lone lead one at a time, saddle chain or
+    not: the calls are counted, not timed."""
     calls = {"_recurrent": 0, "extended_recurrent_point": 0}
     for method_name in calls:
         method = getattr(Classifier, method_name)
@@ -130,8 +134,8 @@ def test_reports_and_theorems_make_no_per_id_scan(name, n, chains, monkeypatch):
     classification_report(fc)
     verify_theorems(fc)
     assert calls == {"_recurrent": 0, "extended_recurrent_point": 0}
-    # a saddle chain's rule still closes each lone lead's member set
-    assert (1 in sizes) == bool(chains)
+    # each of the two Classifiers closes the member sets that are not a lone lead's, once each
+    assert sizes == closed * 2
     # the counters see a per-id query
     Classifier(fc).extended_recurrent_point(sorted(fc.all_ids)[0], True)
     assert calls == {"_recurrent": 1, "extended_recurrent_point": 1}
