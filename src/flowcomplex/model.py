@@ -314,10 +314,11 @@ class FlowComplex:
         for o in self.orbit_classes:
             for side, ref in (("alpha", o.alpha), ("omega", o.omega)):
                 if ref is not None and ref.ids:
-                    found = limits.get(ref.ids)
-                    if found is None:
-                        found = limits[ref.ids] = (min(ref.ids), ref.resolved())
-                    out.setdefault((side, found[0]), []).append((found[1], o.id))
+                    entry = limits.get(ref.ids)
+                    if entry is None:
+                        entry = limits[ref.ids] = (min(ref.ids), ref.resolved())
+                    lid, limit = entry
+                    out.setdefault((side, lid), []).append((limit, o.id))
         return out
 
     @cached_property

@@ -136,6 +136,7 @@ class Expansion:
         single saddle passes (the degenerate case the generalization
         extends), and any other set must pass ``is_saddle_set`` and
         ``is_isolated``.  Declared sets are admitted through ``generalized``."""
+        require_complex(fc, "Expansion")
         admitted: list[frozenset[str]] = []
         if not isinstance(sets, Iterable):
             raise InvalidSaddleSetError(f"{sets!r} is not a collection of id collections")
@@ -161,6 +162,7 @@ class Expansion:
         """Generalized extension over ``generalized_saddle_sets(fc)``, in the
         set order ``admit`` gives; those sets are checked where they are
         collected, so they are not admitted a second time."""
+        require_complex(fc, "Expansion")
         return cls(fc, sorted(generalized_saddle_sets(fc), key=sorted))
 
     def _adjoins(self, i: int, forward: bool) -> list[str]:

@@ -71,6 +71,8 @@ def _sphere(**kwargs):
         (lambda: validate(None), "^validate takes a FlowComplex, not NoneType$"),
         (lambda: emit("surface genus=0 orientable=true boundary=0\n"), "^emit takes a FlowComplex, not str$"),
         (lambda: Expansion.plain(None), "^Expansion takes a FlowComplex, not NoneType$"),
+        (lambda: Expansion.generalized(None), "^Expansion takes a FlowComplex, not NoneType$"),
+        (lambda: Expansion.admit(None, [{"s"}]), "^Expansion takes a FlowComplex, not NoneType$"),
         (lambda: Expansion(None, []), "^Expansion takes a FlowComplex, not NoneType$"),
         (lambda: Classifier(None), "^Classifier takes a FlowComplex, not NoneType$"),
         (lambda: classification_report(None), "^Classifier takes a FlowComplex, not NoneType$"),
@@ -95,6 +97,8 @@ def _sphere(**kwargs):
         "validate-none",
         "emit-str",
         "expansion-plain-none",
+        "expansion-generalized-none",
+        "expansion-admit-none",
         "expansion-none",
         "classifier-none",
         "report-none",
