@@ -222,7 +222,10 @@ class Classifier:
         return first
 
     def _lead(self, xid: str) -> str:
-        members = self._members.get(xid)
+        try:
+            members = self._members.get(xid)
+        except TypeError:  # unhashable: require rejects it
+            members = None
         if members is None:
             self.fc.require(xid)
             return xid

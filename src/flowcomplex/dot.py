@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import FlowComplex, PointKind, PreconditionError, RefKind, Shape, SingularSet
+from .model import KIND_TEXT, POINT, SET_REF, FlowComplex, PointKind, PreconditionError, SingularSet, require_complex
 from .orbits import ExtendedOrbitSet
 
 _POINT_SHAPES = {
@@ -17,23 +17,26 @@ _POINT_SHAPES = {
 
 
 def _singular_node(s: SingularSet) -> tuple[str, str, str]:
-    if s.shape is not Shape.POINT:
-        return s.id, "box", s.shape.value
+    if s.shape is not POINT:
+        return s.id, "box", KIND_TEXT[s.shape]
     if s.kind is None:
         raise PreconditionError(f"point singularity {s.id!r} has no kind")
-    return s.id, _POINT_SHAPES[s.kind], s.kind.value
+    return s.id, _POINT_SHAPES[s.kind], KIND_TEXT[s.kind]
 
 
 def export_dot(fc: FlowComplex, overlay: Optional[ExtendedOrbitSet] = None) -> str:
     """Nodes are singular sets (shape by kind), orbit classes and families;
     edges follow the flow through limit references, and dotted undirected
     edges tie families to their boundaries.  Overlay members are highlighted."""
+    require_complex(fc, "export_dot")
+    if overlay is not None and not isinstance(overlay, ExtendedOrbitSet):
+        raise PreconditionError(f"export_dot's overlay is an ExtendedOrbitSet, not {type(overlay).__name__}")
     mark = overlay.members if overlay is not None else frozenset()
     lines = ["digraph flow_complex {", '  rankdir="LR";']
     # (id, shape, second label line) of each record, kind by kind in id order
     nodes = [_singular_node(s) for s in sorted(fc.singular_sets, key=lambda r: r.id)]
-    nodes += [(o.id, "ellipse", o.kind.value) for o in sorted(fc.orbit_classes, key=lambda r: r.id)]
-    nodes += [(f.id, "box3d", f.kind.value) for f in sorted(fc.families, key=lambda r: r.id)]
+    nodes += [(o.id, "ellipse", KIND_TEXT[o.kind]) for o in sorted(fc.orbit_classes, key=lambda r: r.id)]
+    nodes += [(f.id, "box3d", KIND_TEXT[f.kind]) for f in sorted(fc.families, key=lambda r: r.id)]
     for nid, shape, label in nodes:
         attrs = [f"shape={shape}", f'label="{nid}\\n{label}"']
         if nid in mark:
@@ -44,7 +47,7 @@ def export_dot(fc: FlowComplex, overlay: Optional[ExtendedOrbitSet] = None) -> s
         for ref, into in ((o.alpha, True), (o.omega, False)):
             if ref is None:
                 continue
-            style = " [style=dashed]" if ref.kind is RefKind.SET else ""
+            style = " [style=dashed]" if ref.kind is SET_REF else ""
             for t in sorted(ref.ids):
                 tail, head = (t, o.id) if into else (o.id, t)
                 lines.append(f'  "{tail}" -> "{head}"{style};')

@@ -35,6 +35,7 @@ from .model import (
     FamilyKind,
     FlowComplex,
     FlowComplexError,
+    KIND_TEXT,
     LimitRef,
     OrbitClass,
     OrbitKind,
@@ -364,9 +365,9 @@ def parse(text: str) -> FlowComplex:
 
 
 def _emit_ref(ref: LimitRef) -> str:
-    if ref.kind is RefKind.SET:
+    if ref.kind is SET_REF:
         return "set:" + ",".join(sorted(ref.ids))
-    return f"{ref.kind.value}:{ref.ids[0]}"
+    return f"{KIND_TEXT[ref.kind]}:{ref.ids[0]}"
 
 
 def _emit_ids(ids) -> str:
@@ -379,14 +380,14 @@ def emit(fc: FlowComplex) -> str:
     s = fc.surface
     lines = [f"surface genus={s.genus} orientable={str(s.orientable).lower()} boundary={s.boundary_components}"]
     for sg in sorted(fc.singular_sets, key=lambda r: r.id):
-        if sg.shape is Shape.POINT:
+        if sg.shape is POINT:
             if sg.kind is None:
                 raise PreconditionError(f"point singularity {sg.id!r} has no kind")
-            lines.append(f"sing {sg.id} point kind={sg.kind.value}")
+            lines.append(f"sing {sg.id} point kind={KIND_TEXT[sg.kind]}")
         else:
-            lines.append(f"sing {sg.id} {sg.shape.value}")
+            lines.append(f"sing {sg.id} {KIND_TEXT[sg.shape]}")
     for o in sorted(fc.orbit_classes, key=lambda r: r.id):
-        parts = [f"orbit {o.id} {o.kind.value}"]
+        parts = [f"orbit {o.id} {KIND_TEXT[o.kind]}"]
         if o.alpha is not None:
             parts.append(f"alpha={_emit_ref(o.alpha)}")
         if o.omega is not None:
@@ -395,7 +396,7 @@ def emit(fc: FlowComplex) -> str:
             parts.append(f"closure={_emit_ids(o.closure_decl)}")
         lines.append(" ".join(parts))
     for f in sorted(fc.families, key=lambda r: r.id):
-        parts = [f"family {f.id} kind={f.kind.value} b0={_emit_ids(f.boundary0)} b1={_emit_ids(f.boundary1)}"]
+        parts = [f"family {f.id} kind={KIND_TEXT[f.kind]} b0={_emit_ids(f.boundary0)} b1={_emit_ids(f.boundary1)}"]
         if f.shrinks0:
             parts.append("shrinks0=true")
         if f.shrinks1:
@@ -403,7 +404,7 @@ def emit(fc: FlowComplex) -> str:
         lines.append(" ".join(parts))
     for a in sorted(fc.accumulation_schemas, key=lambda r: r.id):
         lines.append(
-            f"accum {a.id} kind={a.kind.value} samples={','.join(a.samples)} target={_emit_ids(a.target)}"
+            f"accum {a.id} kind={KIND_TEXT[a.kind]} samples={','.join(a.samples)} target={_emit_ids(a.target)}"
         )
     for d in sorted(fc.saddle_set_decls, key=lambda r: r.id):
         lines.append(

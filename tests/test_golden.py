@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,26 +75,62 @@ def test_output_digest_is_pinned():
     assert output_digest() == GOLDEN_DIGEST
 
 
-def test_digests_do_not_depend_on_the_string_hash():
-    """Both digests, each computed by this file as a script under
-    ``PYTHONHASHSEED`` 0 and 4242; the two runs go side by side."""
+def run_as_script(runs: list[tuple[str, dict[str, str]]]) -> list[tuple[int, str]]:
+    """Run this file as a script once per ``(interpreter, environment
+    variables)``, side by side: each run's exit code and stdout."""
     src = str(Path(flowcomplex.__file__).resolve().parent.parent)
-    runs = [
-        subprocess.Popen(
-            [sys.executable, __file__],
-            stdout=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
-        )
-        for seed in (0, 4242)
+    procs = [
+        subprocess.Popen([exe, __file__], stdout=subprocess.PIPE, text=True, env={**os.environ, **env, "PYTHONPATH": src})
+        for exe, env in runs
     ]
     try:
-        outputs = [(run.communicate(timeout=300)[0], run.returncode) for run in runs]
+        outs = [proc.communicate(timeout=300)[0] for proc in procs]
+        return [(proc.returncode, out) for proc, out in zip(procs, outs)]
     finally:
-        for run in runs:
-            run.kill()  # a no-op for a run that has ended
-    for out, returncode in outputs:
-        assert (returncode, out) == (0, f'GOLDEN_DIGEST = "{GOLDEN_DIGEST}"\nSCALE_DIGEST = "{SCALE_DIGEST}"\n')
+        for proc in procs:
+            proc.kill()  # a no-op for a run that has ended
+
+
+PINNED = f'GOLDEN_DIGEST = "{GOLDEN_DIGEST}"\nSCALE_DIGEST = "{SCALE_DIGEST}"\n'
+
+
+def test_digests_do_not_depend_on_the_string_hash():
+    """Both digests, each computed by this file as a script under
+    ``PYTHONHASHSEED`` 0 and 4242."""
+    runs = [(sys.executable, {"PYTHONHASHSEED": str(seed)}) for seed in (0, 4242)]
+    assert run_as_script(runs) == [(0, PINNED)] * len(runs)
+
+
+def other_interpreters() -> list[str]:
+    """Per ``python3.N`` version with N >= 10 other than the running one, the
+    first interpreter of that name on ``PATH`` that starts."""
+    found: dict[int, str] = {}
+    for directory in filter(None, os.environ.get("PATH", "").split(os.pathsep)):
+        for path in sorted(Path(directory).glob("python3.*")):
+            match = re.fullmatch(r"python3\.(\d+)", path.name)
+            minor = int(match[1]) if match else 0
+            if minor < 10 or minor == sys.version_info.minor or minor in found:
+                continue
+            try:
+                run = subprocess.run([path, "-c", "import sys; print(sys.version_info[1])"], capture_output=True, text=True, timeout=60)
+            except (OSError, subprocess.SubprocessError):
+                continue
+            if run.returncode == 0 and run.stdout == f"{minor}\n":
+                found[minor] = str(path)
+    return list(found.values())
+
+
+def test_digests_hold_on_the_other_interpreters():
+    """Both digests, computed by this file as a script under each other
+    ``python3.N`` on ``PATH`` (the records lean on ``dataclasses``
+    internals that differ between versions)."""
+    import pytest  # here, not at the top: the script runs where pytest may be missing
+
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.N with N >= 10 on PATH")
+    outputs = run_as_script([(exe, {}) for exe in interpreters])
+    assert dict(zip(interpreters, outputs)) == {exe: (0, PINNED) for exe in interpreters}
 
 
 if __name__ == "__main__":

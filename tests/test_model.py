@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import re
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from flowcomplex import (
     classification_report,
     closure_of,
     emit,
+    export_dot,
     extended_orbit,
     parse,
     random_complex,
@@ -77,6 +80,8 @@ def _sphere(**kwargs):
         (lambda: Classifier(None), "^Classifier takes a FlowComplex, not NoneType$"),
         (lambda: classification_report(None), "^Classifier takes a FlowComplex, not NoneType$"),
         (lambda: verify_theorems(None), "^Classifier takes a FlowComplex, not NoneType$"),
+        (lambda: export_dot(None), "^export_dot takes a FlowComplex, not NoneType$"),
+        (lambda: export_dot(_sphere(), "eq"), "^export_dot's overlay is an ExtendedOrbitSet, not str$"),
     ],
     ids=[
         "negative-genus",
@@ -103,6 +108,8 @@ def _sphere(**kwargs):
         "classifier-none",
         "report-none",
         "verify-none",
+        "export-dot-none",
+        "export-dot-str-overlay",
     ],
 )
 def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
@@ -570,8 +577,23 @@ def test_closure_of_unknown_id():
         lambda fc: extended_orbit(fc, []),
         lambda fc: unstable_set(fc, []),
         lambda fc: Classifier(fc).members([]),
+        lambda fc: fc.closure([]),
+        lambda fc: fc.is_saddle([]),
+        lambda fc: Classifier(fc).block([]),
+        lambda fc: Classifier(fc).extension_closed([]),
+        lambda fc: Classifier(fc).extended_periodic([]),
     ],
-    ids=["closure_of", "extended_orbit", "unstable_set", "members"],
+    ids=[
+        "closure_of",
+        "extended_orbit",
+        "unstable_set",
+        "members",
+        "closure",
+        "is_saddle",
+        "block",
+        "extension_closed",
+        "extended_periodic",
+    ],
 )
 def test_an_unhashable_id_is_a_precondition_error(query):
     # not a bare "TypeError: unhashable type: 'list'"
@@ -665,3 +687,19 @@ def test_records_are_frozen_dataclasses(cls, args, required, defaults):
         defaults.items()
     )
     assert dataclasses.astuple(record) == tuple(dataclasses.astuple(a) if dataclasses.is_dataclass(a) else a for a in args)
+
+
+@pytest.mark.parametrize("cls, args", [r[:2] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS])
+def test_records_have_slots_and_survive_pickle_and_copy(cls, args):
+    record = cls(*args)
+    assert "__slots__" in vars(cls) and not hasattr(record, "__dict__")
+    copies = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in [*copies, copy.copy(record), copy.deepcopy(record)]:
+        assert type(other) is cls and other == record and hash(other) == hash(record)
+
+
+def test_a_built_complex_survives_pickle(gallery_complexes):
+    fc = gallery_complexes["genus2_mixed"]
+    assert validate(fc).ok  # fills the cached indexes and closures, which pickle too
+    back = pickle.loads(pickle.dumps(fc))
+    assert back == fc and emit(back) == emit(fc) and validate(back) == validate(fc)
