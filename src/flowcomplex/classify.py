@@ -242,6 +242,7 @@ class Classifier:
     def block(self, xid: str) -> frozenset[str]:
         """Closure of the two-sided extended orbit of ``xid``, with family ids
         standing for one generic member."""
+        self.fc.require(xid)
         return self.blocks()[self._lead(xid)]
 
     @_once
@@ -295,10 +296,12 @@ class Classifier:
 
     def extension_closed(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is a closed set."""
+        self.fc.require(xid)
         return self._lead(xid) not in self.open_leads
 
     def extended_periodic(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is compact."""
+        self.fc.require(xid)
         return self._lead(xid) in self.periodic_leads
 
     # -- pointwise recurrence ----------------------------------------------

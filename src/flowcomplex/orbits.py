@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .model import (
     DENSE_KINDS,
@@ -31,6 +31,7 @@ from .model import (
     PERIODIC_ANNULUS,
     PreconditionError,
     SINGULARITY_SEQUENCE,
+    UnknownIdError,
     require_complex,
 )
 
@@ -111,15 +112,23 @@ class Expansion:
     separatrices of a saddle taken as a seed).  A fired set adjoins itself
     and every class whose departure-side limit lies inside it; what each set
     adjoins is computed once per instance, from the complex's limit index.
+    ``sets`` is a list or tuple of frozensets of the complex's ids.
     """
 
     def __init__(self, fc: FlowComplex, sets: Sequence[frozenset[str]]):
         require_complex(fc, "Expansion")
+        if not isinstance(sets, (list, tuple)):
+            raise PreconditionError(f"Expansion takes a list or tuple of frozensets, not {type(sets).__name__}")
         self.fc = fc
         self.sets = sets
         self._holding: dict[str, list[int]] = {}
+        known = fc.all_ids
         for i, fset in enumerate(sets):
+            if not isinstance(fset, frozenset):
+                raise PreconditionError(f"an expansion set is a frozenset, not {fset!r}")
             for mid in fset:
+                if mid not in known:
+                    raise UnknownIdError(mid)
                 self._holding.setdefault(mid, []).append(i)
         self._adjoined: dict[tuple[int, bool], list[str]] = {}
         self._payloads: dict[bool, dict[str, frozenset[str]]] = {}
@@ -174,23 +183,18 @@ class Expansion:
             found = self._adjoined[key] = sorted(fset) + _classes_limiting_into(self.fc, fset, departure)
         return found
 
-    def _fired(self, xid: str, forward: bool) -> list[int]:
+    def _fired(self, xid: str, forward: bool) -> Sequence[int]:
         """The sets, in ascending order, that hold the approach-side limit of ``xid``."""
         fc = self.fc
         if xid in fc.sing_by_id:
-            limits = frozenset({xid})
-        else:
-            orb = fc.orbit_by_id.get(xid)
-            ref = None if orb is None else (orb.omega if forward else orb.alpha)
-            if ref is None:
-                return []
-            limits = ref.resolved()
-        fired = []
-        # a set holding every limit id holds any one of them
-        for i in self._holding.get(next(iter(limits), ""), ()):
-            if limits <= self.sets[i]:
-                fired.append(i)
-        return fired
+            return self._holding.get(xid, ())
+        orb = fc.orbit_by_id.get(xid)
+        ref = None if orb is None else (orb.omega if forward else orb.alpha)
+        if ref is None or not ref.ids:
+            return ()
+        sets = self.sets
+        # a set holding every limit id holds the first of them
+        return [i for i in self._holding.get(ref.ids[0], ()) if sets[i].issuperset(ref.ids)]
 
     def _one_sided(self, start: str, forward: bool) -> ExtendedOrbitSet:
         members: set[str] = {start}
@@ -198,13 +202,17 @@ class Expansion:
         self_readded = False
         depth = 0
         frontier = [start]
+        # a set fired again adjoins only members, and its re-add was seen
+        done: set[int] = set()
         rnd = 0
         while frontier:
             rnd += 1
             payload: list[str] = []
             for oid in sorted(frontier):
                 for i in self._fired(oid, forward):
-                    payload.extend(self._adjoins(i, forward))
+                    if i not in done:
+                        done.add(i)
+                        payload.extend(self._adjoins(i, forward))
             if start in payload:
                 self_readded = True
             fresh = []
@@ -246,21 +254,28 @@ class Expansion:
             self_readded=fwd.self_readded or bwd.self_readded,
         )
 
-    def _firing_map(self, forward: bool) -> dict[str, list[int]]:
-        """``_fired(xid, forward)`` of every id that fires a set, in one sweep of
-        the sets: its singular members and the classes limiting into it."""
-        fc = self.fc
-        approach = "omega" if forward else "alpha"
+    def _sweep(self, forward: bool) -> tuple[dict[str, list[int]], list[list[str]]]:
+        """One pass over the sets: ``_fired(xid, forward)`` of every id that fires
+        a set (its singular members and the classes limiting into it on the
+        approach side), and what each set adjoins, as ``_adjoins`` in no order."""
+        by_limit, sing = self.fc.classes_by_limit, self.fc.sing_by_id
+        approach, departure = ("omega", "alpha") if forward else ("alpha", "omega")
         fired: dict[str, list[int]] = {}
+        adjoined: list[list[str]] = []
         for i, fset in enumerate(self.sets):
+            adds = list(fset)
             for lid in fset:
-                if lid in fc.sing_by_id:
+                if lid in sing:
                     fired.setdefault(lid, []).append(i)
                 # each class is listed under the least id of its limit only
-                for limit, oid in fc.classes_by_limit.get((approach, lid), ()):
+                for limit, oid in by_limit.get((approach, lid), ()):
                     if limit <= fset:
                         fired.setdefault(oid, []).append(i)
-        return fired
+                for limit, oid in by_limit.get((departure, lid), ()):
+                    if limit <= fset:
+                        adds.append(oid)
+            adjoined.append(adds)
+        return fired, adjoined
 
     def payloads(self, forward: bool) -> dict[str, frozenset[str]]:
         """Every firing id's one-sided payload: all that the sets it fires
@@ -270,30 +285,37 @@ class Expansion:
         require_side(forward)
         if forward in self._payloads or not self.sets:
             return self._payloads.get(forward, {})
-        fired = self._firing_map(forward)
-        succ = [
-            list(dict.fromkeys(j for oid in self._adjoins(i, forward) for j in fired.get(oid, ())))
-            for i in range(len(self.sets))
-        ]
+        fired, adjoined = self._sweep(forward)
+        succ = []
+        for i, adds in enumerate(adjoined):
+            # a set's own members fire it again: the loop changes no component
+            reach = {j for oid in adds for j in fired.get(oid, ())}
+            reach.discard(i)
+            succ.append(reach)
         comp_of = [-1] * len(self.sets)
         rows: list[frozenset[str]] = []
         for c, comp in enumerate(_strong_components(succ)):
             for i in comp:
                 comp_of[i] = c
+            if len(comp) == 1 and not succ[comp[0]]:
+                rows.append(frozenset(adjoined[comp[0]]))
+                continue
             # each component below once, however many edges lead to it
-            below = {comp_of[j] for i in comp for j in succ[i]} - {c}
-            adjoined = (self._adjoins(i, forward) for i in comp)
-            rows.append(frozenset().union(*adjoined, *(rows[d] for d in below)))
+            below = {comp_of[j] for i in comp for j in succ[i]}
+            below.discard(c)
+            rows.append(frozenset().union(*(adjoined[i] for i in comp), *(rows[d] for d in below)))
+        row_of = [rows[c] for c in comp_of]
         found = self._payloads[forward] = {
-            xid: rows[comp_of[sets[0]]] if len(sets) == 1 else frozenset().union(*(rows[comp_of[i]] for i in sets))
+            xid: row_of[sets[0]] if len(sets) == 1 else frozenset().union(*(row_of[i] for i in sets))
             for xid, sets in fired.items()
         }
         return found
 
 
-def _strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+def _strong_components(succ: Sequence[Collection[int]]) -> list[list[int]]:
     """Strongly connected components of the digraph ``i -> succ[i]``, each
-    listed after every component it reaches (Tarjan 1972, iterative)."""
+    listed after every component it reaches (Tarjan 1972, iterative).  A node
+    without successors is its own component as soon as it is reached."""
     index = [-1] * len(succ)
     low = [0] * len(succ)
     on_stack = [False] * len(succ)
@@ -303,38 +325,47 @@ def _strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     for root in range(len(succ)):
         if index[root] >= 0:
             continue
+        if not succ[root]:
+            index[root] = counter
+            counter += 1
+            comps.append([root])
+            continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, 0)]
-        while work:
-            v, k = work[-1]
-            if k < len(succ[v]):
-                work[-1] = (v, k + 1)
-                w = succ[v][k]
+        path = [root]
+        edges = [iter(succ[root])]
+        while path:
+            v = path[-1]
+            for w in edges[-1]:
                 if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
+                    if not succ[w]:
+                        comps.append([w])
+                        continue
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                    path.append(w)
+                    edges.append(iter(succ[w]))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                edges.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
     return comps
 
 

@@ -566,19 +566,23 @@ def test_bulk_firing_map_matches_the_per_id_firing(gallery_complexes):
     for fc in complexes:
         for engine in (Expansion.plain(fc), Expansion.generalized(fc)):
             for forward in (True, False):
-                per_id = {xid: engine._fired(xid, forward) for xid in sorted(fc.all_ids)}
-                assert engine._firing_map(forward) == {xid: sets for xid, sets in per_id.items() if sets}
+                fired, adjoined = engine._sweep(forward)
+                per_id = {xid: list(engine._fired(xid, forward)) for xid in sorted(fc.all_ids)}
+                assert fired == {xid: sets for xid, sets in per_id.items() if sets}
+                assert [set(adds) for adds in adjoined] == [
+                    set(engine._adjoins(i, forward)) for i in range(len(engine.sets))
+                ]
 
 
 def test_only_the_classifier_builds_payload_tables(gallery_complexes, tmp_path, monkeypatch):
     built = []
-    firing_map = Expansion._firing_map
+    sweep = Expansion._sweep
 
     def counted(self, forward):
         built.append((self, forward))
-        return firing_map(self, forward)
+        return sweep(self, forward)
 
-    monkeypatch.setattr(Expansion, "_firing_map", counted)
+    monkeypatch.setattr(Expansion, "_sweep", counted)
     for name, fc in gallery_complexes.items():
         admitted = Expansion.admit(fc, generalized_saddle_sets(fc))
         path = tmp_path / f"{name}.fc"
@@ -753,6 +757,18 @@ def test_unknown_ids_raise_from_both_queries(gallery_complexes):
             for generalized in (False, True):
                 with pytest.raises(UnknownIdError, match="ghost"):
                     cls.payload("ghost", forward, generalized)
+
+
+@pytest.mark.parametrize("query", ["block", "extension_closed", "extended_periodic"])
+def test_per_id_queries_check_the_id_before_building(gallery_complexes, query):
+    # an unknown or unhashable id raises before any payload table or block is built
+    cls = Classifier(gallery_complexes["nested_saddles_disk"])
+    with pytest.raises(UnknownIdError, match="nope"):
+        getattr(cls, query)("nope")
+    with pytest.raises(PreconditionError, match=r"an id is a string, not \[\]"):
+        getattr(cls, query)([])
+    assert not {"_plain", "_members"} & set(vars(cls))
+    assert cls._answers == {}
 
 
 def set_scans_match_the_per_id_scans(fc):

@@ -77,6 +77,10 @@ def _sphere(**kwargs):
         (lambda: Expansion.generalized(None), "^Expansion takes a FlowComplex, not NoneType$"),
         (lambda: Expansion.admit(None, [{"s"}]), "^Expansion takes a FlowComplex, not NoneType$"),
         (lambda: Expansion(None, []), "^Expansion takes a FlowComplex, not NoneType$"),
+        # each would fail with a bare TypeError, or expand over the characters of an id
+        (lambda: Expansion(_sphere(), None), "^Expansion takes a list or tuple of frozensets, not NoneType$"),
+        (lambda: Expansion(_sphere(), ["p1"]), "^an expansion set is a frozenset, not 'p1'$"),
+        (lambda: Expansion(_sphere(), [["p1"]]), r"^an expansion set is a frozenset, not \['p1'\]$"),
         (lambda: Classifier(None), "^Classifier takes a FlowComplex, not NoneType$"),
         (lambda: classification_report(None), "^Classifier takes a FlowComplex, not NoneType$"),
         (lambda: verify_theorems(None), "^Classifier takes a FlowComplex, not NoneType$"),
@@ -105,6 +109,9 @@ def _sphere(**kwargs):
         "expansion-generalized-none",
         "expansion-admit-none",
         "expansion-none",
+        "expansion-none-sets",
+        "expansion-str-set",
+        "expansion-list-set",
         "classifier-none",
         "report-none",
         "verify-none",
@@ -115,6 +122,13 @@ def _sphere(**kwargs):
 def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
     with pytest.raises(PreconditionError, match=message):
         make()
+
+
+def test_expansion_sets_hold_known_ids():
+    fc = _sphere(singular_sets=[SingularSet("s", Shape.POINT, PointKind.SADDLE)])
+    with pytest.raises(UnknownIdError, match="nope"):
+        Expansion(fc, [frozenset({"s"}), frozenset({"s", "nope"})])
+    assert Expansion(fc, (frozenset({"s"}),)).payloads(True) == {"s": frozenset({"s"})}
 
 
 def test_build_takes_records_from_any_iterable():

@@ -1,4 +1,5 @@
 import io
+import random
 from contextlib import redirect_stdout
 
 import pytest
@@ -35,7 +36,7 @@ from flowcomplex import (
     unstable_set,
     validate,
 )
-from flowcomplex.orbits import orbit_set_closure
+from flowcomplex.orbits import _strong_components, orbit_set_closure
 
 from naive_oracle import expand_once, naive_extended_orbit, naive_extension, reachability_members
 
@@ -369,3 +370,39 @@ def test_oracle_agreement_on_random_complexes(seed, start_pick):
         assert ext.self_readded == naive.self_readded
         assert ext.added_round == naive.added_round
         assert ext.depth == naive.depth
+
+
+def _reachable(succ, i):
+    seen, stack = {i}, [i]
+    while stack:
+        for j in succ[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def test_strong_components_match_mutual_reachability():
+    # seeded digraphs with self-loops, cycles, isolated nodes and repeated targets
+    merged = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        succ = [[rng.randrange(n) for _ in range(rng.choice((0, 0, 1, 2, 3, 5)))] for _ in range(n)]
+        comps = _strong_components(succ)
+        reach = [_reachable(succ, i) for i in range(n)]
+        naive = {frozenset(j for j in reach[i] if i in reach[j]) for i in range(n)}
+        assert sorted(map(sorted, comps)) == sorted(map(sorted, naive)), seed
+        # every edge between two components points to one listed earlier
+        position = {i: k for k, comp in enumerate(comps) for i in comp}
+        assert all(position[j] <= position[i] for i in range(n) for j in succ[i]), seed
+        merged += any(len(comp) > 1 for comp in comps)
+    assert 50 < merged < 200
+
+
+def test_strong_components_of_a_long_chain_and_cycle_need_no_recursion():
+    n = 10**5
+    chain = [[i + 1] for i in range(n - 1)] + [[]]
+    assert _strong_components(chain) == [[i] for i in reversed(range(n))]
+    [cycle] = _strong_components([[(i + 1) % n] for i in range(n)])
+    assert sorted(cycle) == list(range(n))
