@@ -14,7 +14,7 @@ orbit (``Classifier.leads``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
 from functools import cached_property, wraps
 from typing import Callable, ClassVar, Collection, Optional, TypeVar
@@ -36,12 +36,15 @@ from .model import (
     SING_REF,
     require_complex,
     singularity_accumulation,
+    value_class,
 )
 from .orbits import Expansion, member_closure, orbit_set_closure, require_side
 
 
-@dataclass(frozen=True)
+@value_class
 class Witness:
+    """The ids that settle a negative verdict, and the rule that fired."""
+
     ids: tuple[str, ...]
     rule: str
 
@@ -49,8 +52,10 @@ class Witness:
         return f"{self.rule}: {', '.join(self.ids)}"
 
 
-@dataclass(frozen=True)
+@value_class
 class Verdict:
+    """A flow-level answer; a negative one carries its witness."""
+
     verdict: bool
     witness: Optional[Witness] = None
 
@@ -58,8 +63,10 @@ class Verdict:
         return self.verdict
 
 
-@dataclass(frozen=True)
+@value_class
 class ClassificationReport:
+    """The seven flow-level verdicts of the recurrence hierarchy."""
+
     non_wandering: Verdict
     recurrent: Verdict
     extended_recurrent: Verdict
@@ -95,8 +102,11 @@ class CycleSide(str, Enum):
     OMEGA = "omega"
 
 
-@dataclass(frozen=True)
+@value_class
 class LimitCycle:
+    """A union of closed curves inside an extended orbit, and an orbit class
+    outside it whose limit on ``side`` it is."""
+
     cycle: frozenset[str]
     witness: str
     side: CycleSide
@@ -363,13 +373,19 @@ class Classifier:
 
     def _extended_scan(self, engine: Expansion, kind: str) -> Verdict:
         """The first point that is not ``kind`` recurrent, positive side first,
-        with payloads read from ``engine``'s tables."""
+        with payloads read from ``engine``'s tables.  Each side's table is read
+        once, at the first id that needs it."""
         fc = self.fc
         pos, neg = self._not_recurrent
+        tables: dict[bool, dict[str, frozenset[str]]] = {}
         for xid in self._scan_ids:
             for forward, side, failing in ((True, "positively", pos), (False, "negatively", neg)):
-                if xid in failing and not _re_approaches(fc, xid, engine.payloads(forward).get(xid, _EMPTY)):
-                    return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
+                if xid in failing:
+                    table = tables.get(forward)
+                    if table is None:
+                        table = tables[forward] = engine.payloads(forward)
+                    if not _re_approaches(fc, xid, table.get(xid, _EMPTY)):
+                        return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
         return Verdict(True)
 
     @_once

@@ -10,7 +10,7 @@ stated for the truncation-plus-schema object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Mapping
 
 from .model import (
@@ -28,6 +28,7 @@ from .model import (
     Shape,
     SingularSet,
     SurfaceInfo,
+    value_class,
 )
 
 
@@ -367,7 +368,7 @@ def comb_torus(n: int = 3) -> FlowComplex:
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class GalleryEntry:
     """One named constructor with its expected partial classification."""
 
@@ -448,10 +449,16 @@ def gallery_names() -> tuple[str, ...]:
 def build(name: str, params: Mapping[str, int] | None = None) -> FlowComplex:
     """Construct a gallery flow by name; parameters outside the documented
     range (or unknown to the entry) are errors."""
-    entry = GALLERY_BY_NAME.get(name)
+    try:
+        entry = GALLERY_BY_NAME.get(name)
+    except TypeError:  # unhashable, such as a list
+        entry = None
     if entry is None:
         raise GalleryError(f"unknown gallery entry {name!r}")
-    params = dict(params or {})
+    try:
+        params = dict(params or {})
+    except (TypeError, ValueError):
+        raise GalleryError(f"{name} parameters are a mapping of names to ints, not {params!r}") from None
     unknown = set(params) - set(entry.params)
     if unknown:
         raise GalleryError(f"{name} does not take parameters {sorted(unknown)}")

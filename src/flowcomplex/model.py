@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 
@@ -101,33 +102,98 @@ def _frozen(self, name: str, *value: object) -> None:
     raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
 
-def _record(cls: type) -> type:
-    """``dataclass(frozen=True)`` with slots, for the records built once per
-    document line.
+class _Factory:
+    """The default of a parameter filled by its field's ``default_factory``."""
 
-    On CPython 3.11 a frozen dataclass ``__init__`` stores each field with one
-    ``object.__setattr__`` call.  This ``__init__``, generated from ``fields``
-    as ``dataclasses`` does, keeps the signature and defaults and stores each
-    field through its slot's descriptor, which builds a record in about half
-    the time.  Setting or deleting any attribute raises
-    ``FrozenInstanceError`` (``slots=True`` alone raises ``TypeError`` for a
-    new name on 3.10 and 3.11).
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def _value_eq(self, other: object) -> bool:
+    if other.__class__ is self.__class__:
+        return self._field_values(self) == self._field_values(other)
+    return NotImplemented
+
+
+def _value_hash(self) -> int:
+    return hash(self._field_values(self))
+
+
+def _value_repr(self) -> str:
+    pairs = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._field_values(self)))
+    return f"{type(self).__qualname__}({pairs})"
+
+
+def _value_getstate(self) -> tuple:
+    return self._field_values(self)
+
+
+def _value_setstate(self, state: Iterable[object]) -> None:
+    for name, value in zip(self.__match_args__, state):
+        object.__setattr__(self, name, value)
+
+
+def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
+    """``dataclass(frozen=True)``, with one generated method where the stdlib
+    generates one per method.
+
+    ``dataclass(init=False, repr=False, eq=False, slots=slots)`` keeps
+    ``fields``, ``__match_args__`` and the slots; on CPython 3.11 it runs no
+    ``exec``.  ``__init__`` is generated from ``fields`` in one ``exec``, with
+    the stdlib's signature, defaults, ``default_factory`` and
+    ``__post_init__``.  It stores each field through its slot's descriptor
+    when the class has slots (about half the time of the
+    ``object.__setattr__`` a frozen dataclass uses, which the others keep).
+    Equality, hashing and ``repr`` are shared functions that read the fields
+    as one tuple, as the stdlib's do, and setting or deleting any attribute
+    raises ``FrozenInstanceError``.  Slotted classes pickle their field
+    tuple.  Use it as ``@value_class`` or ``@value_class(slots=True)``.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    params, body, namespace = [], [], {}
+    if cls is None:
+        return lambda cls: value_class(cls, slots=slots)
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+    # every field is an ``__init__`` parameter, so ``__match_args__`` names
+    # them all, in order
+    names = cls.__match_args__
+    params, body, namespace = [], [], {"_FACTORY": _FACTORY, "_setattr": object.__setattr__}
+    annotations = {}
     for f in fields(cls):
-        params.append(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}")
-        body.append(f"\n    _set_{f.name}(self, {f.name})")
-        namespace[f"_default_{f.name}"] = f.default
-        namespace[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        name = f.name
+        annotations[name] = f.type
+        if f.default is not MISSING:
+            params.append(f"{name}=_default_{name}")
+            namespace[f"_default_{name}"] = f.default
+        elif f.default_factory is not MISSING:
+            params.append(f"{name}=_FACTORY")
+            body.append(f"\n    if {name} is _FACTORY: {name} = _factory_{name}()")
+            namespace[f"_factory_{name}"] = f.default_factory
+        else:
+            params.append(name)
+        if slots:
+            body.append(f"\n    _set_{name}(self, {name})")
+            namespace[f"_set_{name}"] = getattr(cls, name).__set__
+        else:
+            body.append(f"\n    _setattr(self, {name!r}, {name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("\n    self.__post_init__()")
     exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    init = cls.__init__ = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**annotations, "return": None}
+    # a one-field class hashes a one-tuple, as the stdlib's does
+    getter = attrgetter(*names) if len(names) > 1 else lambda self, name=names[0]: (getattr(self, name),)
+    cls._field_values = staticmethod(getter)
+    cls.__eq__, cls.__hash__, cls.__repr__ = _value_eq, _value_hash, _value_repr
     cls.__setattr__ = cls.__delattr__ = _frozen
+    if slots:
+        cls.__getstate__, cls.__setstate__ = _value_getstate, _value_setstate
     return cls
 
 
-@dataclass(frozen=True)
+@value_class
 class SurfaceInfo:
     """Topological type of the underlying compact connected surface."""
 
@@ -155,7 +221,7 @@ class SurfaceInfo:
         return base - self.boundary_components
 
 
-@_record
+@value_class(slots=True)
 class LimitRef:
     """A declared alpha- or omega-limit: a singular set, an orbit, or a set of ids."""
 
@@ -178,7 +244,7 @@ class LimitRef:
         return frozenset(self.ids)
 
 
-@_record
+@value_class(slots=True)
 class SingularSet:
     """A fixed point (with a local type) or a continuum of fixed points."""
 
@@ -191,7 +257,7 @@ class SingularSet:
         return self.shape is POINT and self.kind is SADDLE
 
 
-@_record
+@value_class(slots=True)
 class OrbitClass:
     """One orbit, or one representative of a bundle of orbits with the same role.
 
@@ -208,7 +274,7 @@ class OrbitClass:
     closure_decl: Optional[frozenset[str]] = None
 
 
-@_record
+@value_class(slots=True)
 class Family:
     """One-parameter region of mutually disjoint closed invariant sets.
 
@@ -227,7 +293,7 @@ class Family:
         return ((self.boundary0, self.shrinks0), (self.boundary1, self.shrinks1))
 
 
-@_record
+@value_class(slots=True)
 class AccumulationSchema:
     """Finite stand-in for infinite repeating structure.
 
@@ -244,7 +310,7 @@ class AccumulationSchema:
     target: frozenset[str]
 
 
-@_record
+@value_class(slots=True)
 class SaddleSetDecl:
     """A declared compact invariant set, with its claimed isolation status."""
 
@@ -253,15 +319,19 @@ class SaddleSetDecl:
     isolated: bool
 
 
-@dataclass(frozen=True)
+@value_class
 class Violation:
+    """One broken structural rule: the offending id, the rule's name and a detail."""
+
     id: str
     rule: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@value_class
 class ValidationReport:
+    """Every violation ``validate`` found, rule group by rule group."""
+
     violations: tuple[Violation, ...]
 
     @property
@@ -272,7 +342,7 @@ class ValidationReport:
         return frozenset(v.rule for v in self.violations)
 
 
-@dataclass(frozen=True)
+@value_class
 class FlowComplex:
     """Immutable symbolic flow presentation; all operations are pure functions of it."""
 
@@ -437,6 +507,7 @@ def closure_of(fc: FlowComplex, xid: str) -> frozenset[str]:
     Set-valued limit references expand recursively, so the result is always
     transitively closed.
     """
+    require_complex(fc, "closure_of")
     fc.require(xid)
     step = _closure_step(fc, xid)
     if fc.sing_by_id.keys() >= step:

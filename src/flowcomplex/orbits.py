@@ -19,7 +19,6 @@ round, for the ``orbit`` command; ``Classifier`` reads members alone from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
@@ -33,6 +32,7 @@ from .model import (
     SINGULARITY_SEQUENCE,
     UnknownIdError,
     require_complex,
+    value_class,
 )
 
 
@@ -62,7 +62,7 @@ def require_side(forward: object) -> None:
         raise PreconditionError(f"forward must be a bool, not {forward!r}")
 
 
-@dataclass(frozen=True)
+@value_class
 class ExtendedOrbitSet:
     """Result of the extension fixpoint from a single seed.
 
@@ -90,6 +90,7 @@ def _classes_limiting_into(fc: FlowComplex, fset: frozenset[str], side: str) -> 
 
 def unstable_set(fc: FlowComplex, sid: str) -> frozenset[str]:
     """All orbit classes whose alpha limit is exactly the saddle ``sid``."""
+    require_complex(fc, "unstable_set")
     fc.require(sid)
     if not fc.is_saddle(sid):
         raise PreconditionError(f"{sid!r} is not a saddle")
@@ -98,6 +99,7 @@ def unstable_set(fc: FlowComplex, sid: str) -> frozenset[str]:
 
 def stable_set(fc: FlowComplex, sid: str) -> frozenset[str]:
     """All orbit classes whose omega limit is exactly the saddle ``sid``."""
+    require_complex(fc, "stable_set")
     fc.require(sid)
     if not fc.is_saddle(sid):
         raise PreconditionError(f"{sid!r} is not a saddle")
@@ -383,8 +385,13 @@ def member_closure(fc: FlowComplex, xid: str) -> frozenset[str]:
     closed; the region closure of the family would wrongly glue the whole
     bundle into one block.
     """
-    if xid in fc.family_by_id:
-        return frozenset({xid})
+    try:
+        if xid in fc.family_by_id:
+            return frozenset({xid})
+    except (AttributeError, TypeError):  # not a complex, or an unhashable id
+        require_complex(fc, "member_closure")
+        fc.require(xid)
+        raise
     return fc.closure(xid)
 
 
@@ -395,21 +402,43 @@ def orbit_set_closure(fc: FlowComplex, members: Iterable[str]) -> frozenset[str]
     object continues down the infinite chain, so its closure picks up the
     declared target.
     """
-    out = frozenset().union(*(member_closure(fc, mid) for mid in members))
-    changed = bool(fc.saddle_chains)
+    if isinstance(members, str):  # not a collection of one-character ids
+        raise PreconditionError(f"orbit_set_closure takes a collection of ids, not the string {members!r}")
+    try:
+        chains = fc.saddle_chains
+        out = frozenset().union(*(member_closure(fc, mid) for mid in members))
+    except (AttributeError, TypeError):  # not a complex, or not a collection
+        require_complex(fc, "orbit_set_closure")
+        _id_set(members, "orbit_set_closure")
+        raise
+    changed = bool(chains)
     while changed:
         changed = False
-        for schema in fc.saddle_chains:
+        for schema in chains:
             if out.issuperset(schema.samples) and not schema.target <= out:
                 out = out.union(*(member_closure(fc, tid) for tid in schema.target))
                 changed = True
     return out
 
 
-@dataclass(frozen=True)
+@value_class
 class SaddleSetVerdict:
+    """Whether a set passes the saddle-set criterion, with the witness that grazes and leaves it."""
+
     verdict: bool
     witness: Optional[str] = None
+
+
+def _id_set(members: object, caller: str) -> frozenset[str]:
+    """``members`` as a frozenset of ids: a bare string, which would be read
+    as a set of one-character ids, or anything else that is not a collection
+    of ids is a ``PreconditionError``."""
+    if isinstance(members, str):
+        raise PreconditionError(f"{caller} takes a collection of ids, not the string {members!r}")
+    try:
+        return frozenset(members)
+    except TypeError:
+        raise PreconditionError(f"{caller} takes a collection of ids, not {members!r}") from None
 
 
 def _require_invariant_closed(fc: FlowComplex, members: frozenset[str]) -> None:
@@ -454,7 +483,8 @@ def _accumulates(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
 def is_saddle_set(fc: FlowComplex, members: Iterable[str]) -> SaddleSetVerdict:
     """Grazed-and-left criterion: some witness outside the set accumulates on
     it while escaping every small neighborhood in both time directions."""
-    mset = frozenset(members)
+    require_complex(fc, "is_saddle_set")
+    mset = _id_set(members, "is_saddle_set")
     _require_invariant_closed(fc, mset)
     for wid in sorted(fc.all_ids - mset):
         if _accumulates(fc, wid, mset) and _escapes(fc, wid, mset):
@@ -466,7 +496,8 @@ def is_isolated(fc: FlowComplex, members: Iterable[str]) -> bool:
     """Isolated from minimal sets: no declared accumulation of minimal sets
     (a singularity sequence, or a family sequence of shrinking annuli)
     converges into the set from outside."""
-    mset = frozenset(members)
+    require_complex(fc, "is_isolated")
+    mset = _id_set(members, "is_isolated")
     _require_invariant_closed(fc, mset)
     for schema in fc.accumulation_schemas:
         if not schema.target <= mset or set(schema.samples) <= mset:
@@ -495,6 +526,7 @@ def generalized_saddle_sets(fc: FlowComplex) -> list[frozenset[str]]:
     criterion is waived for a single saddle, and the isolated flag must
     equal ``is_isolated``; an inconsistent declaration is an error.
     """
+    require_complex(fc, "generalized_saddle_sets")
     sets = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
     for decl in fc.saddle_set_decls:
         single = _single_saddle(fc, decl.members)

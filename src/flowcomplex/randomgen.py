@@ -9,7 +9,6 @@ construction.  Output is a pure function of the seed and size parameters.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .model import (
     AccumulationSchema,
@@ -25,11 +24,12 @@ from .model import (
     Shape,
     SingularSet,
     SurfaceInfo,
+    value_class,
 )
 from . import gallery
 
 
-@dataclass(frozen=True)
+@value_class
 class SizeParams:
     """Knobs for generated complexity.
 

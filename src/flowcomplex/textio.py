@@ -26,7 +26,6 @@ name the kind of piece their prefix says, is left to validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .model import (
@@ -50,11 +49,14 @@ from .model import (
     SingularSet,
     SurfaceInfo,
     require_complex,
+    value_class,
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class ParseError:
+    """One error in a document, at its 1-based line and column."""
+
     line: int
     column: int
     message: str

@@ -11,7 +11,6 @@ never occur on a sound complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -23,7 +22,9 @@ from .model import (
     PreconditionError,
     SADDLE_CHAIN,
     SINGULARITY_SEQUENCE,
+    require_complex,
     singularity_accumulation,
+    value_class,
 )
 from .classify import Classifier, DichotomyCase
 
@@ -34,8 +35,10 @@ class TheoremStatus(str, Enum):
     VIOLATION = "VIOLATION"
 
 
-@dataclass(frozen=True)
+@value_class
 class TheoremResult:
+    """The status of one theorem check on one complex, with a detail."""
+
     theorem: str
     status: TheoremStatus
     detail: str = ""
@@ -47,11 +50,13 @@ def has_finitely_many_singularities(fc: FlowComplex) -> bool:
     An arc or circle of fixed points is uncountably many singularities; a
     saddle chain or singularity sequence encodes infinitely many.
     """
+    require_complex(fc, "has_finitely_many_singularities")
     return all(s.shape is POINT for s in fc.singular_sets) and singularity_accumulation(fc) is None
 
 
 def is_non_identical(fc: FlowComplex) -> bool:
     """The flow moves something: at least one orbit class or family."""
+    require_complex(fc, "is_non_identical")
     return bool(fc.orbit_classes) or bool(fc.families)
 
 

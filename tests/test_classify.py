@@ -632,6 +632,36 @@ def test_reports_and_theorems_run_no_per_seed_fixpoint(monkeypatch):
     assert {name for name, _, _ in runs} == {"_one_sided", "_fired"}
 
 
+def test_a_recurrence_scan_reads_each_payload_table_once(gallery_complexes, monkeypatch):
+    reads = []
+    payloads = Expansion.payloads
+
+    def counted(self, forward):
+        reads.append((self, forward))
+        return payloads(self, forward)
+
+    monkeypatch.setattr(Expansion, "payloads", counted)
+    # a passing scan over 485 ids reads each side once, not once per scanned id
+    cls = Classifier(build("double_center_sphere", {"n": 40}))
+    assert cls.extended_recurrent().verdict and len(cls._scan_ids) > 2
+    assert reads == [(cls._plain, True), (cls._plain, False)]
+    # a scan that fails at its first positive side reads no backward table;
+    # the generalized engine is built when its scan starts, and reads both
+    reads.clear()
+    cls = Classifier(gallery_complexes["halfdisk_sphere"])
+    assert cls.extended_recurrent().witness.rule == "not-extended-positively-recurrent"
+    assert reads == [(cls._plain, True)] and "_generalized" not in vars(cls)
+    assert cls.generalized_recurrent().verdict
+    assert cls._generalized is not cls._plain
+    assert reads == [(cls._plain, True), (cls._generalized, True), (cls._generalized, False)]
+    # an empty scan reads no table and builds no generalized engine
+    reads.clear()
+    cls = Classifier(FlowComplex.build(SurfaceInfo(1, True, 0), orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC)]))
+    assert cls._scan_ids == ()
+    assert cls.extended_recurrent().verdict and cls.generalized_recurrent().verdict
+    assert reads == [] and "_generalized" not in vars(cls)
+
+
 def test_lead_scans_match_the_per_id_scans(gallery_complexes):
     """Scans over ``Classifier.leads`` give the answers of scans over every
     id, with member sets from the per-seed fixpoint as the reference."""

@@ -49,6 +49,21 @@ def test_unknown_entry_and_bad_params():
         build("sphere_meridian", {"n": 3})
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        # each would fail with a bare TypeError or ValueError
+        ([], None, r"^unknown gallery entry \[\]$"),
+        ({"n": 3}, None, r"^unknown gallery entry \{'n': 3\}$"),
+        ("comb_torus", 5, "^comb_torus parameters are a mapping of names to ints, not 5$"),
+        ("comb_torus", ["n"], r"^comb_torus parameters are a mapping of names to ints, not \['n'\]$"),
+    ],
+)
+def test_gallery_build_rejects_a_name_or_parameters_of_the_wrong_type(name, params, message):
+    with pytest.raises(GalleryError, match=message):
+        build(name, params)
+
+
 @pytest.mark.parametrize("value", ["3", 2.5, True, None])
 def test_gallery_sizes_must_be_ints(value):
     with pytest.raises(GalleryError, match=f"comb_torus parameter 'n' must be an int, not {value!r}"):

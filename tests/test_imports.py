@@ -2,6 +2,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import flowcomplex
@@ -64,3 +68,52 @@ def test_benchmark_hooks_resolve():
 
     assert THEOREM_NAMES == tracing.THEOREMS
     importlib.import_module("naive_oracle")
+
+
+# Counts the ``exec`` calls on generated source during ``import
+# flowcomplex.cli`` in a fresh interpreter (module bodies run as code objects
+# and are not counted), and what a bare ``dataclass(init=False, repr=False,
+# eq=False)`` costs by itself: nothing on CPython 3.10-3.12, one on 3.13.
+EXEC_COUNTER = '''
+import builtins, dataclasses, json, sys
+calls = []
+real_exec = builtins.exec
+
+def counted(source, *args, **kwargs):
+    if isinstance(source, str):
+        calls.append(source)
+    return real_exec(source, *args, **kwargs)
+
+builtins.exec = counted
+
+@dataclasses.dataclass(init=False, repr=False, eq=False)
+class Probe:
+    x: int
+
+bare = len(calls)
+del calls[:]
+import flowcomplex.cli
+execs = len(calls)
+builtins.exec = real_exec
+classes = sorted(
+    f"{name}.{obj.__name__}"
+    for name, module in list(sys.modules.items())
+    if name.startswith("flowcomplex.")
+    for obj in vars(module).values()
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == name
+)
+print(json.dumps({"bare": bare, "execs": execs, "classes": classes}))
+'''
+
+
+def test_import_runs_at_most_one_exec_per_value_class():
+    """Start-up cost guard, counted rather than timed so that it cannot
+    flake: ``value_class`` generates one method per class, where the stdlib's
+    frozen dataclass generates about six (120 calls for the package on
+    CPython 3.11)."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", EXEC_COUNTER], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    assert len(found["classes"]) == 20
+    assert found["execs"] <= len(found["classes"]) * (1 + found["bare"])

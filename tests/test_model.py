@@ -1,11 +1,16 @@
 import copy
 import dataclasses
+import importlib
+import inspect
 import pickle
+import pkgutil
 import re
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
+import flowcomplex
 import flowcomplex.model
 from flowcomplex import (
     AccumulationSchema,
@@ -32,12 +37,25 @@ from flowcomplex import (
     emit,
     export_dot,
     extended_orbit,
+    generalized_saddle_sets,
+    has_finitely_many_singularities,
+    is_isolated,
+    is_non_identical,
+    is_saddle_set,
+    orbit_set_closure,
     parse,
     random_complex,
+    stable_set,
     unstable_set,
     validate,
     verify_theorems,
 )
+from flowcomplex.classify import ClassificationReport, CycleSide, LimitCycle, Verdict, Witness
+from flowcomplex.gallery import GalleryEntry, plus_saddle, sphere_limit_cycle
+from flowcomplex.model import ValidationReport, Violation
+from flowcomplex.orbits import Direction, ExtendedOrbitSet, SaddleSetVerdict, member_closure
+from flowcomplex.textio import ParseError
+from flowcomplex.theorems import TheoremResult, TheoremStatus
 
 
 def _sphere(**kwargs):
@@ -86,6 +104,24 @@ def _sphere(**kwargs):
         (lambda: verify_theorems(None), "^Classifier takes a FlowComplex, not NoneType$"),
         (lambda: export_dot(None), "^export_dot takes a FlowComplex, not NoneType$"),
         (lambda: export_dot(_sphere(), "eq"), "^export_dot's overlay is an ExtendedOrbitSet, not str$"),
+        # each would fail with an AttributeError or a bare TypeError
+        (lambda: closure_of(None, "c"), "^closure_of takes a FlowComplex, not NoneType$"),
+        (lambda: unstable_set(None, "c"), "^unstable_set takes a FlowComplex, not NoneType$"),
+        (lambda: stable_set(None, "c"), "^stable_set takes a FlowComplex, not NoneType$"),
+        (lambda: member_closure(None, "c"), "^member_closure takes a FlowComplex, not NoneType$"),
+        (lambda: orbit_set_closure(None, ["c"]), "^orbit_set_closure takes a FlowComplex, not NoneType$"),
+        (lambda: generalized_saddle_sets(None), "^generalized_saddle_sets takes a FlowComplex, not NoneType$"),
+        (lambda: is_saddle_set(None, ["c"]), "^is_saddle_set takes a FlowComplex, not NoneType$"),
+        (lambda: is_isolated(None, ["c"]), "^is_isolated takes a FlowComplex, not NoneType$"),
+        (lambda: has_finitely_many_singularities(None), "^has_finitely_many_singularities takes a FlowComplex, not NoneType$"),
+        (lambda: is_non_identical(None), "^is_non_identical takes a FlowComplex, not NoneType$"),
+        (lambda: orbit_set_closure(_sphere(), None), "^orbit_set_closure takes a collection of ids, not None$"),
+        (lambda: is_saddle_set(_sphere(), None), "^is_saddle_set takes a collection of ids, not None$"),
+        (lambda: is_isolated(_sphere(), None), "^is_isolated takes a collection of ids, not None$"),
+        # each would read the string as a set of one-character ids
+        (lambda: orbit_set_closure(_sphere(), "c1"), "^orbit_set_closure takes a collection of ids, not the string 'c1'$"),
+        (lambda: is_saddle_set(_sphere(), "c1"), "^is_saddle_set takes a collection of ids, not the string 'c1'$"),
+        (lambda: is_isolated(_sphere(), "c1"), "^is_isolated takes a collection of ids, not the string 'c1'$"),
     ],
     ids=[
         "negative-genus",
@@ -117,6 +153,22 @@ def _sphere(**kwargs):
         "verify-none",
         "export-dot-none",
         "export-dot-str-overlay",
+        "closure-of-none",
+        "unstable-set-none",
+        "stable-set-none",
+        "member-closure-none",
+        "orbit-set-closure-none",
+        "generalized-saddle-sets-none",
+        "is-saddle-set-none",
+        "is-isolated-none",
+        "finitely-many-singularities-none",
+        "non-identical-none",
+        "orbit-set-closure-none-members",
+        "is-saddle-set-none-members",
+        "is-isolated-none-members",
+        "orbit-set-closure-str-members",
+        "is-saddle-set-str-members",
+        "is-isolated-str-members",
     ],
 )
 def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
@@ -717,3 +769,108 @@ def test_a_built_complex_survives_pickle(gallery_complexes):
     assert validate(fc).ok  # fills the cached indexes and closures, which pickle too
     back = pickle.loads(pickle.dumps(fc))
     assert back == fc and emit(back) == emit(fc) and validate(back) == validate(fc)
+
+
+# -- the value-class contract -----------------------------------------------------
+
+_WITNESS = Witness(("a", "b"), "rule")
+_SURFACE = SurfaceInfo(0, True, 0)
+_SADDLE = SingularSet("s", Shape.POINT, PointKind.SADDLE)
+
+# every value class of the package, with the arguments of two unequal
+# instances; each is checked against a stdlib ``dataclass(frozen=True)`` twin
+VALUE_CLASSES = [
+    (SurfaceInfo, (0, True, 0), (1, False, 2)),
+    (LimitRef, (RefKind.SET, ("a", "b")), (RefKind.SING, ("s",))),
+    (SingularSet, ("s", Shape.POINT, PointKind.SADDLE), ("a", Shape.ARC, None)),
+    (OrbitClass, ("o", OrbitKind.LOCALLY_DENSE, LimitRef.sing("s"), None, frozenset({"o", "s"})), ("p", OrbitKind.PERIODIC, None, None, None)),
+    (Family, ("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"a"}), frozenset({"b"}), True, False), ("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"a"}), frozenset({"b"}), False, False)),
+    (AccumulationSchema, ("c", SchemaKind.SADDLE_CHAIN, ("p", "q"), frozenset({"t"})), ("c", SchemaKind.FAMILY_SEQUENCE, ("p",), frozenset({"t"}))),
+    (SaddleSetDecl, ("d", frozenset({"s"}), True), ("d", frozenset({"s"}), False)),
+    (Violation, ("x", "rule", "detail"), ("x", "rule", "")),
+    (ValidationReport, ((Violation("x", "rule"),),), ((),)),
+    (FlowComplex, (_SURFACE, (_SADDLE,), (), (), (), ()), (_SURFACE, (), (), (), (), ())),
+    (Witness, (("a", "b"), "rule"), (("a",), "rule")),
+    (Verdict, (False, _WITNESS), (True, None)),
+    (ClassificationReport, (Verdict(True),) * 6 + (Verdict(False, _WITNESS),), (Verdict(True),) * 7),
+    (LimitCycle, (frozenset({"a", "s"}), "w", CycleSide.ALPHA), (frozenset({"a", "s"}), "w", CycleSide.OMEGA)),
+    (ExtendedOrbitSet, ("a", Direction.FORWARD, frozenset({"a", "s"}), {"a": 0, "s": 1}, 1, False), ("a", Direction.BOTH, frozenset({"a"}), {"a": 0}, 0, False)),
+    (SaddleSetVerdict, (True, "w"), (False, None)),
+    (SizeParams, (2, 4, "any"), (0, 1, "sphere")),
+    (ParseError, (1, 2, "message"), (1, 3, "message")),
+    (TheoremResult, ("name", TheoremStatus.HOLDS, "detail"), ("name", TheoremStatus.VIOLATION, "detail")),
+    (GalleryEntry, ("a", plus_saddle, {"n": 3}, {"regular": True}, "note"), ("a", sphere_limit_cycle, {}, {}, "")),
+]
+# arguments that ``__post_init__`` rejects
+REJECTED = {SurfaceInfo: ((-1, True, 0), "genus must be non-negative"), SizeParams: ((0, 0, "any"), "max_repeats must be at least 1")}
+
+
+def test_the_contract_lists_every_value_class():
+    found = set()
+    for info in pkgutil.iter_modules(flowcomplex.__path__, "flowcomplex."):
+        module = importlib.import_module(info.name)
+        found |= {obj for obj in vars(module).values() if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == info.name}
+    assert found == {cls for cls, _, _ in VALUE_CLASSES}
+
+
+def _stdlib_twin(cls):
+    """A ``dataclass(frozen=True)`` with the same name, fields and ``__post_init__``."""
+    specs = []
+    for f in dataclasses.fields(cls):
+        defaults = {"default": f.default, "default_factory": f.default_factory}
+        specs.append((f.name, f.type, dataclasses.field(**{k: v for k, v in defaults.items() if v is not dataclasses.MISSING})))
+    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, namespace=namespace)
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # a field holds a dict
+        return str(exc)
+
+
+@pytest.mark.parametrize("cls, args, other_args", VALUE_CLASSES, ids=[c[0].__name__ for c in VALUE_CLASSES])
+def test_value_classes_behave_as_stdlib_frozen_dataclasses(cls, args, other_args):
+    twin = _stdlib_twin(cls)
+    assert str(inspect.signature(cls.__init__)) == str(inspect.signature(twin.__init__))
+    assert str(inspect.signature(cls)) == str(inspect.signature(twin))
+    describe = attrgetter("name", "type", "default", "default_factory", "init", "repr", "hash", "compare", "kw_only")
+    assert [describe(f) for f in dataclasses.fields(cls)] == [describe(f) for f in dataclasses.fields(twin)]
+    assert cls.__match_args__ == twin.__match_args__
+    # a docstring the class declares, not one generated from its signature
+    assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
+
+    value, equal, other = cls(*args), cls(*args), cls(*other_args)
+    twin_value, twin_other = twin(*args), twin(*other_args)
+    assert value == equal and not value != equal
+    assert value != other and not value == other
+    assert value != twin_value and value != args
+    assert _hash_or_error(value) == _hash_or_error(equal) == _hash_or_error(twin_value)
+    assert _hash_or_error(other) == _hash_or_error(twin_other)
+    assert repr(value) == repr(twin_value) and repr(other) == repr(twin_other)
+
+    names = [f.name for f in dataclasses.fields(cls)]
+    changes = {names[0]: getattr(other, names[0]), names[-1]: getattr(other, names[-1])}
+    assert dataclasses.replace(value, **changes) == cls(**{**dict(zip(names, args)), **changes})
+    assert dataclasses.astuple(value) == dataclasses.astuple(twin_value)
+    assert dataclasses.asdict(value) == dataclasses.asdict(twin_value)
+
+    for name in [*names, "extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert value == equal
+
+    copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in [*copies, copy.copy(value), copy.deepcopy(value)]:
+        assert type(back) is cls and back == value and repr(back) == repr(value)
+
+    if cls in REJECTED:
+        bad, message = REJECTED[cls]
+        for made in (cls, twin):
+            with pytest.raises(PreconditionError, match=message):
+                made(*bad)
+    else:
+        assert not hasattr(cls, "__post_init__")
