@@ -104,8 +104,8 @@ class CycleSide(str, Enum):
 
 @value_class
 class LimitCycle:
-    """A union of closed curves inside an extended orbit, and an orbit class
-    outside it whose limit on ``side`` it is."""
+    """A union of closed curves inside an extended orbit that is the ``side``
+    limit of ``witness``, an orbit class outside it."""
 
     cycle: frozenset[str]
     witness: str

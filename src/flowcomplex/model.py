@@ -141,12 +141,13 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     generates one per method.
 
     ``dataclass(init=False, repr=False, eq=False, slots=slots)`` keeps
-    ``fields``, ``__match_args__`` and the slots; on CPython 3.11 it runs no
-    ``exec``.  ``__init__`` is generated from ``fields`` in one ``exec``, with
-    the stdlib's signature, defaults, ``default_factory`` and
-    ``__post_init__``.  It stores each field through its slot's descriptor
-    when the class has slots (about half the time of the
-    ``object.__setattr__`` a frozen dataclass uses, which the others keep).
+    ``fields``, ``__match_args__`` and the slots, and runs no ``exec`` on
+    CPython 3.10-3.12 (one on 3.13).  ``__init__`` is generated from
+    ``fields`` in one ``exec``, with the stdlib's signature, defaults,
+    ``default_factory`` and ``__post_init__``.  It stores each field through
+    its slot's descriptor when the class has slots (about half the time of
+    the ``object.__setattr__`` a frozen dataclass uses, which the others
+    keep).
     Equality, hashing and ``repr`` are shared functions that read the fields
     as one tuple, as the stdlib's do, and setting or deleting any attribute
     raises ``FrozenInstanceError``.  Slotted classes pickle their field
@@ -507,8 +508,11 @@ def closure_of(fc: FlowComplex, xid: str) -> frozenset[str]:
     Set-valued limit references expand recursively, so the result is always
     transitively closed.
     """
-    require_complex(fc, "closure_of")
-    fc.require(xid)
+    try:
+        fc.require(xid)
+    except AttributeError:  # not a complex; checked here, off the path of every id
+        require_complex(fc, "closure_of")
+        raise
     step = _closure_step(fc, xid)
     if fc.sing_by_id.keys() >= step:
         # singular sets are closed, so one step closes the set
