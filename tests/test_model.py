@@ -784,7 +784,11 @@ VALUE_CLASSES = [
     (LimitRef, (RefKind.SET, ("a", "b")), (RefKind.SING, ("s",))),
     (SingularSet, ("s", Shape.POINT, PointKind.SADDLE), ("a", Shape.ARC, None)),
     (OrbitClass, ("o", OrbitKind.LOCALLY_DENSE, LimitRef.sing("s"), None, frozenset({"o", "s"})), ("p", OrbitKind.PERIODIC, None, None, None)),
-    (Family, ("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"a"}), frozenset({"b"}), True, False), ("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"a"}), frozenset({"b"}), False, False)),
+    (
+        Family,
+        ("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"a"}), frozenset({"b"}), True, False),
+        ("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"a"}), frozenset({"b"}), False, False),
+    ),
     (AccumulationSchema, ("c", SchemaKind.SADDLE_CHAIN, ("p", "q"), frozenset({"t"})), ("c", SchemaKind.FAMILY_SEQUENCE, ("p",), frozenset({"t"}))),
     (SaddleSetDecl, ("d", frozenset({"s"}), True), ("d", frozenset({"s"}), False)),
     (Violation, ("x", "rule", "detail"), ("x", "rule", "")),
@@ -794,7 +798,11 @@ VALUE_CLASSES = [
     (Verdict, (False, _WITNESS), (True, None)),
     (ClassificationReport, (Verdict(True),) * 6 + (Verdict(False, _WITNESS),), (Verdict(True),) * 7),
     (LimitCycle, (frozenset({"a", "s"}), "w", CycleSide.ALPHA), (frozenset({"a", "s"}), "w", CycleSide.OMEGA)),
-    (ExtendedOrbitSet, ("a", Direction.FORWARD, frozenset({"a", "s"}), {"a": 0, "s": 1}, 1, False), ("a", Direction.BOTH, frozenset({"a"}), {"a": 0}, 0, False)),
+    (
+        ExtendedOrbitSet,
+        ("a", Direction.FORWARD, frozenset({"a", "s"}), {"a": 0, "s": 1}, 1, False),
+        ("a", Direction.BOTH, frozenset({"a"}), {"a": 0}, 0, False),
+    ),
     (SaddleSetVerdict, (True, "w"), (False, None)),
     (SizeParams, (2, 4, "any"), (0, 1, "sphere")),
     (ParseError, (1, 2, "message"), (1, 3, "message")),
