@@ -29,8 +29,12 @@ EXIT_THEOREM = 3
 
 
 def _load(path: str) -> FlowComplex:
+    # bytes decoded in one call: a text-mode file would build a wrapper and
+    # an incremental decoder, and ``parse`` splits at every line ending
+    # itself, so text mode's newline translation changes no line
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
@@ -149,12 +153,14 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
-    later one (parsing does not change it)."""
+    later one (parsing does not change it).  Its ``commands`` attribute maps
+    each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="flowcomplex",
         description="Validate, classify and inspect symbolic surface-flow complexes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("validate", help="check structural invariants")
     p.add_argument("file")
@@ -192,8 +198,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, in one argparse pass
+    where it can.  The top-level parser hands everything after the command
+    name to that command's parser, so that parser alone reads a call it fully
+    consumes.  Any other call (no command, a top-level flag, arguments left
+    over) goes through the full parser, which prints every help text, usage
+    line and error."""
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in parser.commands:
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except FlowComplexError as exc:

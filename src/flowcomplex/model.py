@@ -552,10 +552,10 @@ def _poincare_hopf_applies(fc: FlowComplex) -> bool:
 def _check_poincare_hopf(fc: FlowComplex, out: list[Violation]) -> None:
     if not _poincare_hopf_applies(fc):
         return
-    counts = {k: 0 for k in PointKind}
-    for s in fc.singular_sets:
-        counts[s.kind] += 1  # type: ignore[index]
-    index_sum = counts[PointKind.CENTER] + counts[PointKind.SINK] + counts[PointKind.SOURCE] - counts[PointKind.SADDLE]
+    # every singular set is a regular point here: index -1 for a saddle, +1
+    # for a center, sink or source
+    saddles = sum(1 for s in fc.singular_sets if s.kind is SADDLE)
+    index_sum = len(fc.singular_sets) - 2 * saddles
     expected = fc.surface.euler_characteristic
     if index_sum != expected:
         out.append(

@@ -2,13 +2,18 @@
 ``python -m flowcomplex.cli`` runs: the shared parser carries nothing from
 one call to the next."""
 
+import argparse
 import io
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from flowcomplex import build, cli, emit
+import pytest
+
+from flowcomplex import FlowComplex, build, cli, emit, parse
+from flowcomplex.textio import ParseErrors
 
 SUBCOMMANDS = ("validate", "classify", "orbit", "gallery", "verify", "export-dot")
 BROKEN = "surface genus=0 orientable=true boundary=0\nsing ??? point kind=center\n"
@@ -83,6 +88,125 @@ def test_shared_parser_prints_the_help_of_a_fresh_one(monkeypatch):
         rc, out, err = _in_process(argv)
         assert (rc, err) == (0, ""), argv
         assert out == _fresh_parser(argv), argv
+
+
+def _outcome(call, arg):
+    """What ``call(arg)`` gives: its result, exit code or exception, with
+    everything printed on the way."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = call(arg)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_main_parses_as_the_full_parser_does(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    doc, out = str(tmp_path / "hd.fc"), str(tmp_path / "out.fc")
+    Path(doc).write_text(emit(build("halfdisk_sphere", None)))
+    valid = [
+        ["validate", doc],
+        ["classify", doc],
+        ["classify", doc, "--json"],
+        ["orbit", doc, "--start", "rp"],
+        ["orbit", doc, "--start=rp", "--direction", "fwd", "--generalized"],
+        ["orbit", doc, "--gen", "--start", "rp"],
+        ["orbit", "--start", "rp", "--", doc],
+        ["classify", "--", doc],
+        ["gallery", "--name", "comb_torus", "--param", "n=3", "--param", "n=4", "--out", out],
+        ["verify", doc, "--theorems", "all", "--json"],
+        ["export-dot", doc],
+        ["export-dot", doc, "--overlay", "rp"],
+    ]
+    rejected = [
+        ["orbit", doc],
+        ["classify"],
+        ["gallery", "--out", out],
+        ["orbit", doc, "--start", "rp", "--direction", "up"],
+        ["classify", doc, "--bogus"],
+        ["classify", doc, "--", "extra"],
+        ["orbit", doc, "--start", "rp", "-z", "1"],
+        ["--json", "classify", doc],
+        ["-h"],
+        ["--help", "orbit"],
+        *([name, "-h"] for name in SUBCOMMANDS),
+        ["verify", doc, "--help"],
+        [],
+        ["bogus", doc],
+        [None, doc],
+        [5, doc],
+        [["classify"], doc],
+    ]
+    fresh = cli.build_parser.__wrapped__()
+    for argv in valid:
+        got = _outcome(cli._parse_args, argv)
+        assert got == _outcome(fresh.parse_args, argv), argv
+        assert isinstance(got[0], argparse.Namespace) and got[1:] == ("", ""), argv
+    for argv in rejected:
+        want = _outcome(fresh.parse_args, argv)
+        assert not isinstance(want[0], argparse.Namespace), argv
+        assert _outcome(cli._parse_args, argv) == want, argv
+        if want[0][0] == "exit":
+            assert _in_process(argv) == (want[0][1], *want[1:]), argv
+
+
+def _text_load(path):
+    """``cli._load`` reading through ``Path.read_text``: the reference for its
+    read of bytes."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(cli.EXIT_INVALID)
+    try:
+        return parse(text)
+    except ParseErrors as exc:
+        for err in exc.errors:
+            print(f"{path}:{err}", file=sys.stderr)
+        raise SystemExit(cli.EXIT_PARSE)
+
+
+def _documents():
+    """File contents that the text and binary readers could tell apart."""
+    doc = emit(build("halfdisk_sphere", None))
+    broken = BROKEN + "sing c1 point kind=centre\n"
+    # a comment long enough to push a byte past the first 8 KiB
+    padded = doc + "# " + "x" * 9000 + "\n"
+    return {
+        "crlf": doc.replace("\n", "\r\n").encode(),
+        "lone-cr": doc.replace("\n", "\r").encode(),
+        "bom-crlf": b"\xef\xbb\xbf" + doc.replace("\n", "\r\n").encode(),
+        "broken-crlf": broken.replace("\n", "\r\n").encode(),
+        "broken-lone-cr": broken.replace("\n", "\r").encode(),
+        "bom-broken-mixed": b"\xef\xbb\xbf" + broken.replace("\n", "\r", 1).encode(),
+        "bad-byte-early": doc.encode()[:60] + b"\xe9" + doc.encode()[60:],
+        "bad-byte-late": padded.encode() + b"# caf\xe9\n",
+        "bom-bad-byte-late": b"\xef\xbb\xbf" + padded.encode() + b"\xff\n",
+        "truncated-sequence": doc.encode() + b"\xe2\x82",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_documents()))
+def test_the_binary_read_loads_what_a_text_read_loads(tmp_path, name):
+    path = tmp_path / f"{name}.fc"
+    path.write_bytes(_documents()[name])
+    got = _outcome(cli._load, str(path))
+    assert got == _outcome(_text_load, str(path))
+    assert isinstance(got[0], FlowComplex) == (name in {"crlf", "lone-cr", "bom-crlf"})
+
+
+def test_an_unreadable_path_gives_one_error_line_naming_it(tmp_path):
+    for path in (tmp_path / "missing.fc", tmp_path):
+        got = _outcome(cli._load, str(path))
+        assert got == _outcome(_text_load, str(path)) and got[0] == ("exit", 1), path
+        assert got[2].startswith("error: [Errno ") and got[2].endswith(f": '{path}'\n"), path
+    # the error names the path as given; ``Path`` would normalise it
+    given = f"{tmp_path}//missing.fc"
+    assert _outcome(cli._load, given) == (("exit", 1), "", f"error: [Errno 2] No such file or directory: '{given}'\n")
 
 
 def test_domain_errors_print_one_line_and_exit_1(tmp_path):

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import enum
+import functools
 import importlib
 import inspect
 import pickle
@@ -19,6 +21,7 @@ from flowcomplex import (
     Family,
     FamilyKind,
     FlowComplex,
+    FlowComplexError,
     LimitRef,
     OrbitClass,
     OrbitKind,
@@ -32,6 +35,7 @@ from flowcomplex import (
     SizeParams,
     SurfaceInfo,
     UnknownIdError,
+    build,
     classification_report,
     closure_of,
     emit,
@@ -882,3 +886,89 @@ def test_value_classes_behave_as_stdlib_frozen_dataclasses(cls, args, other_args
                 made(*bad)
     else:
         assert not hasattr(cls, "__post_init__")
+
+
+# -- the error contract of every public entry point -------------------------------
+
+BAD_ARGUMENTS = (None, "", "c", [], 5, {})
+_G2 = build("genus2_mixed")
+# an argument each public function and method takes, by parameter name, on a
+# complex with saddles
+LEGAL = {
+    "fc": _G2,
+    "xid": "u1",
+    "sid": "s1",
+    "start": "u1",
+    "members": frozenset({"s1"}),
+    "sets": [frozenset({"s1"})],
+    "direction": Direction.BOTH,
+    "forward": True,
+    "generalized": False,
+    "name": "genus2_mixed",
+    "params": None,
+    "text": emit(_G2),
+    "seed": 7,
+    "size": SizeParams(),
+    "names": None,
+    "overlay": None,
+    "surface": _G2.surface,
+    "singular_sets": _G2.singular_sets,
+    "orbit_classes": _G2.orbit_classes,
+    "families": _G2.families,
+    "accumulation_schemas": _G2.accumulation_schemas,
+    "saddle_set_decls": _G2.saddle_set_decls,
+}
+
+
+def _legal_arguments(function):
+    return tuple(LEGAL[name] for name in inspect.signature(function).parameters)
+
+
+def _call_method(make, name, *args):
+    return getattr(make(), name)(*args)
+
+
+def _public_calls():
+    """``(label, function, legal arguments)`` for every function and class in
+    ``flowcomplex.__all__`` and every public method of ``Classifier``,
+    ``Expansion`` and ``FlowComplex``.  Enums (a lookup by a value they lack
+    raises ``ValueError``, as for any ``Enum``), exception classes and the two
+    constants are not entry points.  A value class takes its arguments from
+    ``VALUE_CLASSES``; an instance method runs on a new instance each call."""
+    value_args = {cls: args for cls, args, _ in VALUE_CLASSES}
+    calls = []
+    for name in flowcomplex.__all__:
+        obj = getattr(flowcomplex, name)
+        if not callable(obj) or isinstance(obj, enum.EnumMeta) or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        calls.append((name, obj, value_args[obj] if obj in value_args else _legal_arguments(obj)))
+    for cls, make in ((Classifier, functools.partial(Classifier, _G2)), (Expansion, functools.partial(Expansion.plain, _G2)), (FlowComplex, lambda: _G2)):
+        for name, attr in vars(cls).items():
+            if name.startswith("_"):
+                continue
+            if isinstance(attr, classmethod):
+                method = getattr(cls, name)
+                calls.append((f"{cls.__name__}.{name}", method, _legal_arguments(method)))
+            elif inspect.isfunction(attr):
+                legal = _legal_arguments(getattr(make(), name))
+                calls.append((f"{cls.__name__}.{name}", functools.partial(_call_method, make, name), legal))
+    return calls
+
+
+def test_every_public_entry_point_raises_a_flowcomplex_error_or_returns():
+    calls = _public_calls()
+    labels = {label for label, _, _ in calls}
+    assert {"Classifier", "Classifier.report", "Expansion.admit", "Expansion.orbit", "FlowComplex.build", "FlowComplex.closure", "SurfaceInfo", "verify_theorems"} <= labels
+    escapes = []
+    for label, function, legal in calls:
+        function(*legal)
+        for i in range(len(legal)):
+            for bad in BAD_ARGUMENTS:
+                args = (*legal[:i], bad, *legal[i + 1 :])
+                try:
+                    function(*args)
+                except FlowComplexError:
+                    pass
+                except Exception as exc:
+                    escapes.append(f"{label} argument {i} = {bad!r}: {exc!r}")
+    assert escapes == []
