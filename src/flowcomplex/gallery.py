@@ -376,7 +376,6 @@ class GalleryEntry:
     build: Callable[..., FlowComplex]
     params: Mapping[str, int] = field(default_factory=dict)
     expected: Mapping[str, bool] = field(default_factory=dict)
-    note: str = ""
 
 
 GALLERY: tuple[GalleryEntry, ...] = (
@@ -384,58 +383,49 @@ GALLERY: tuple[GalleryEntry, ...] = (
         "sphere_meridian",
         sphere_meridian,
         expected={"non_wandering": True, "extended_recurrent": False, "regular": False},
-        note="degenerate equatorial fixed point splitting two hemispheres of circles",
     ),
     GalleryEntry(
         "genus2_mixed",
         genus2_mixed,
         expected={"extended_recurrent": True, "recurrent": False, "non_wandering": True, "regular": True},
-        note="dense and periodic torus sides joined by a two-saddle junction circle",
     ),
     GalleryEntry(
         "nested_saddles_disk",
         nested_saddles_disk,
         params={"n": 3},
         expected={"extended_recurrent": True, "non_wandering": True, "regular": False},
-        note="tangent-circle saddle chain converging to a non-saddle fixed point",
     ),
     GalleryEntry(
         "genus2_double_irrational",
         genus2_double_irrational,
         expected={"extended_recurrent": True, "extended_pap": False, "non_wandering": True, "regular": True},
-        note="two dense torus sides joined by a two-saddle junction circle",
     ),
     GalleryEntry(
         "double_center_sphere",
         double_center_sphere,
         params={"n": 2},
         expected={"extended_r_closed": True, "extended_pap": True, "extended_recurrent": True, "non_wandering": True},
-        note="nested homoclinic eyes shrinking onto two degenerate centers",
     ),
     GalleryEntry(
         "sphere_limit_cycle",
         sphere_limit_cycle,
         expected={"non_wandering": False, "extended_recurrent": False},
-        note="attracting-repelling periodic orbit between a source and a sink",
     ),
     GalleryEntry(
         "plus_saddle",
         plus_saddle,
         expected={"non_wandering": False},
-        note="single hyperbolic saddle in a gradient-like sphere flow",
     ),
     GalleryEntry(
         "halfdisk_sphere",
         halfdisk_sphere,
         expected={"non_wandering": False, "generalized_recurrent": True, "extended_recurrent": False},
-        note="fixed diameter with transit half-disks and a pasted center disk",
     ),
     GalleryEntry(
         "comb_torus",
         comb_torus,
         params={"n": 3},
         expected={"non_wandering": True, "generalized_recurrent": False, "extended_recurrent": False},
-        note="pinched vertical circles converging to a non-isolated pinch point",
     ),
 )
 

@@ -142,39 +142,10 @@ class Expansion:
         return cls(fc, [frozenset({sid}) for sid in sorted(fc.saddle_ids)])
 
     @classmethod
-    def admit(cls, fc: FlowComplex, sets: Iterable[Iterable[str]]) -> "Expansion":
-        """The admission rule for expansion sets given as id collections: a
-        single saddle passes (the degenerate case the generalization
-        extends), and any other set must pass ``is_saddle_set`` and
-        ``is_isolated``.  Declared sets are admitted through ``generalized``."""
-        require_complex(fc, "Expansion")
-        admitted: list[frozenset[str]] = []
-        if not isinstance(sets, Iterable):
-            raise InvalidSaddleSetError(f"{sets!r} is not a collection of id collections")
-        for item in sets:
-            if isinstance(item, str):
-                raise InvalidSaddleSetError(
-                    f"{item!r} is not an id collection: declared sets are admitted through Expansion.generalized"
-                )
-            try:
-                mset = frozenset(item)
-            except TypeError:
-                raise InvalidSaddleSetError(f"{item!r} is not an id collection") from None
-            if not _single_saddle(fc, mset):
-                if not is_saddle_set(fc, mset).verdict:
-                    raise InvalidSaddleSetError(f"{sorted(mset)} fails the saddle-set criterion")
-                if not is_isolated(fc, mset):
-                    raise InvalidSaddleSetError(f"{sorted(mset)} is not isolated from minimal sets")
-            admitted.append(mset)
-        return cls(fc, sorted(admitted, key=sorted))
-
-    @classmethod
     def generalized(cls, fc: FlowComplex) -> "Expansion":
-        """Generalized extension over ``generalized_saddle_sets(fc)``, in the
-        set order ``admit`` gives; those sets are checked where they are
-        collected, so they are not admitted a second time."""
+        """Generalized extension over ``generalized_saddle_sets(fc)``."""
         require_complex(fc, "Expansion")
-        return cls(fc, sorted(generalized_saddle_sets(fc), key=sorted))
+        return cls(fc, generalized_saddle_sets(fc))
 
     def _adjoins(self, i: int, forward: bool) -> list[str]:
         key = (i, forward)
@@ -514,22 +485,18 @@ def is_isolated(fc: FlowComplex, members: Iterable[str]) -> bool:
     return True
 
 
-def _single_saddle(fc: FlowComplex, members: frozenset[str]) -> bool:
-    return len(members) == 1 and fc.is_saddle(next(iter(members)))
-
-
 def generalized_saddle_sets(fc: FlowComplex) -> list[frozenset[str]]:
     """The expansion sets used by generalized recurrence: every singleton
     saddle plus every declared set whose isolated flag is true.
 
-    Each declaration is judged by ``Expansion.admit``'s rule: the saddle-set
-    criterion is waived for a single saddle, and the isolated flag must
-    equal ``is_isolated``; an inconsistent declaration is an error.
+    A declared set must pass ``is_saddle_set`` (waived for a single saddle,
+    the degenerate case the generalization extends), and its isolated flag
+    must equal ``is_isolated``; an inconsistent declaration is an error.
     """
     require_complex(fc, "generalized_saddle_sets")
     sets = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
     for decl in fc.saddle_set_decls:
-        single = _single_saddle(fc, decl.members)
+        single = len(decl.members) == 1 and fc.is_saddle(next(iter(decl.members)))
         if not single and not is_saddle_set(fc, decl.members).verdict:
             raise InvalidSaddleSetError(f"declared set {decl.id!r} fails the saddle-set criterion")
         if is_isolated(fc, decl.members) != decl.isolated:

@@ -26,6 +26,7 @@ name the kind of piece their prefix says, is left to validation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import attrgetter
 
 from .model import (
@@ -67,8 +68,11 @@ class ParseError:
 
 class ParseErrors(FlowComplexError):
     def __init__(self, errors: list[ParseError]):
+        # a string would be stored as a list of its characters
+        if isinstance(errors, str) or not isinstance(errors, Iterable):
+            raise PreconditionError(f"ParseErrors takes a list of ParseError, not {type(errors).__name__}")
         self.errors = list(errors)
-        super().__init__("; ".join(str(e) for e in errors))
+        super().__init__("; ".join(str(e) for e in self.errors))
 
 
 def parse_int(text: str) -> int:

@@ -210,7 +210,7 @@ def test_criterion_7_oracle_equivalence(sweep):
     singleton_mismatches = []
     unstable_fixpoints = []
     for seed, fc in sweep:
-        singletons = Expansion.admit(fc, [{s} for s in sorted(fc.saddle_ids)])
+        singletons = Expansion(fc, [frozenset({s}) for s in sorted(fc.saddle_ids)])
         for xid in sorted(fc.all_ids):
             for direction in (Direction.FORWARD, Direction.BACKWARD, Direction.BOTH):
                 ext = extended_orbit(fc, xid, direction)

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -39,7 +40,7 @@ from flowcomplex import (
     verify_theorems,
 )
 from flowcomplex.classify import has_periodic_member_kinds
-from flowcomplex.orbits import Expansion, generalized_saddle_sets, orbit_set_closure
+from flowcomplex.orbits import Expansion, orbit_set_closure
 from flowcomplex.theorems import (
     _all_extended_orbits_closed,
     _block_with_infinite_singularities,
@@ -500,7 +501,7 @@ def test_reach_matches_the_oracles(gallery_complexes):
     cyclic = {"plain": 0, "generalized": 0}
     for fc in complexes:
         cls = Classifier(fc)
-        generalized = Expansion.admit(fc, generalized_saddle_sets(fc))
+        generalized = Expansion.generalized(fc)
         for xid in sorted(fc.all_ids):
             for d in Direction:
                 assert classifier_orbit(cls, xid, d) == naive_extended_orbit(fc, xid, d), (xid, d)
@@ -584,13 +585,11 @@ def test_only_the_classifier_builds_payload_tables(gallery_complexes, tmp_path, 
 
     monkeypatch.setattr(Expansion, "_sweep", counted)
     for name, fc in gallery_complexes.items():
-        admitted = Expansion.admit(fc, generalized_saddle_sets(fc))
         path = tmp_path / f"{name}.fc"
         path.write_text(emit(fc))
         for xid in sorted(fc.all_ids):
             for d in Direction:
                 extended_orbit(fc, xid, d)
-                admitted.orbit(xid, d)
                 Expansion.generalized(fc).orbit(xid, d)
             with redirect_stdout(io.StringIO()):
                 for argv in (["orbit", str(path), "--start", xid], ["orbit", str(path), "--start", xid, "--generalized"]):
@@ -840,3 +839,31 @@ def test_set_scans_match_the_per_id_scans(gallery_complexes):
         for what, failed in set_scans_match_the_per_id_scans(fc).items():
             found[what] = found.get(what, 0) + failed
     assert all(found.values()), found
+
+
+def test_recurrence_implies_extended_implies_generalized_recurrence(gallery_complexes):
+    """Extension only adds points, and the generalized sets include every
+    single saddle, so recurrent => extended recurrent => generalized
+    recurrent, per point and side and for the flow; each flow verdict is the
+    conjunction of its per-point answers, and every strict step occurs."""
+    flows = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    per_flow, per_point = Counter(), Counter()
+    for fc in flows:
+        cls = Classifier(fc)
+        holds = [True, True, True]
+        for xid in sorted(fc.all_ids):
+            for forward in (True, False):
+                recurrent = cls.positively_recurrent(xid) if forward else cls.negatively_recurrent(xid)
+                point = (
+                    recurrent,
+                    cls.extended_recurrent_point(xid, forward),
+                    cls.extended_recurrent_point(xid, forward, generalized=True),
+                )
+                per_point[point] += 1
+                holds = [h and p for h, p in zip(holds, point)]
+        flow = (cls.recurrent_flow().verdict, cls.extended_recurrent().verdict, cls.generalized_recurrent().verdict)
+        assert flow == tuple(holds), fc
+        per_flow[flow] += 1
+    T, F = True, False
+    assert per_flow == {(T, T, T): 400, (F, T, T): 260, (F, F, T): 48, (F, F, F): 301}
+    assert per_point == {(T, T, T): 14198, (F, T, T): 2656, (F, F, T): 384, (F, F, F): 1014}

@@ -58,7 +58,7 @@ from flowcomplex.classify import ClassificationReport, CycleSide, LimitCycle, Ve
 from flowcomplex.gallery import GalleryEntry, plus_saddle, sphere_limit_cycle
 from flowcomplex.model import ValidationReport, Violation
 from flowcomplex.orbits import Direction, ExtendedOrbitSet, SaddleSetVerdict, member_closure
-from flowcomplex.textio import ParseError
+from flowcomplex.textio import ParseError, ParseErrors
 from flowcomplex.theorems import TheoremResult, TheoremStatus
 
 
@@ -97,7 +97,6 @@ def _sphere(**kwargs):
         (lambda: emit("surface genus=0 orientable=true boundary=0\n"), "^emit takes a FlowComplex, not str$"),
         (lambda: Expansion.plain(None), "^Expansion takes a FlowComplex, not NoneType$"),
         (lambda: Expansion.generalized(None), "^Expansion takes a FlowComplex, not NoneType$"),
-        (lambda: Expansion.admit(None, [{"s"}]), "^Expansion takes a FlowComplex, not NoneType$"),
         (lambda: Expansion(None, []), "^Expansion takes a FlowComplex, not NoneType$"),
         # each would fail with a bare TypeError, or expand over the characters of an id
         (lambda: Expansion(_sphere(), None), "^Expansion takes a list or tuple of frozensets, not NoneType$"),
@@ -126,6 +125,10 @@ def _sphere(**kwargs):
         (lambda: orbit_set_closure(_sphere(), "c1"), "^orbit_set_closure takes a collection of ids, not the string 'c1'$"),
         (lambda: is_saddle_set(_sphere(), "c1"), "^is_saddle_set takes a collection of ids, not the string 'c1'$"),
         (lambda: is_isolated(_sphere(), "c1"), "^is_isolated takes a collection of ids, not the string 'c1'$"),
+        (lambda: ParseErrors("c"), "^ParseErrors takes a list of ParseError, not str$"),
+        # each would fail with a bare TypeError
+        (lambda: ParseErrors(None), "^ParseErrors takes a list of ParseError, not NoneType$"),
+        (lambda: ParseErrors(5), "^ParseErrors takes a list of ParseError, not int$"),
     ],
     ids=[
         "negative-genus",
@@ -147,7 +150,6 @@ def _sphere(**kwargs):
         "emit-str",
         "expansion-plain-none",
         "expansion-generalized-none",
-        "expansion-admit-none",
         "expansion-none",
         "expansion-none-sets",
         "expansion-str-set",
@@ -173,6 +175,9 @@ def _sphere(**kwargs):
         "orbit-set-closure-str-members",
         "is-saddle-set-str-members",
         "is-isolated-str-members",
+        "parse-errors-str",
+        "parse-errors-none",
+        "parse-errors-int",
     ],
 )
 def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
@@ -353,7 +358,7 @@ def test_one_id_set_reference_to_a_singularity_is_rejected():
     assert [(v.id, v.rule) for v in report.violations] == [("x", "limit-ref-kind")]
     for direction in ("fwd", "bwd", "both"):
         plain = extended_orbit(fc, "x", direction)
-        gen = Expansion.admit(fc, [{"s"}]).orbit("x", direction)
+        gen = Expansion(fc, [frozenset({"s"})]).orbit("x", direction)
         assert (plain.members, plain.added_round, plain.depth) == (gen.members, gen.added_round, gen.depth)
 
 
@@ -811,7 +816,7 @@ VALUE_CLASSES = [
     (SizeParams, (2, 4, "any"), (0, 1, "sphere")),
     (ParseError, (1, 2, "message"), (1, 3, "message")),
     (TheoremResult, ("name", TheoremStatus.HOLDS, "detail"), ("name", TheoremStatus.VIOLATION, "detail")),
-    (GalleryEntry, ("a", plus_saddle, {"n": 3}, {"regular": True}, "note"), ("a", sphere_limit_cycle, {}, {}, "")),
+    (GalleryEntry, ("a", plus_saddle, {"n": 3}, {"regular": True}), ("a", sphere_limit_cycle, {}, {})),
 ]
 # arguments that ``__post_init__`` rejects
 REJECTED = {SurfaceInfo: ((-1, True, 0), "genus must be non-negative"), SizeParams: ((0, 0, "any"), "max_repeats must be at least 1")}
@@ -917,6 +922,7 @@ LEGAL = {
     "families": _G2.families,
     "accumulation_schemas": _G2.accumulation_schemas,
     "saddle_set_decls": _G2.saddle_set_decls,
+    "errors": [ParseError(1, 1, "x")],
 }
 
 
@@ -932,14 +938,16 @@ def _public_calls():
     """``(label, function, legal arguments)`` for every function and class in
     ``flowcomplex.__all__`` and every public method of ``Classifier``,
     ``Expansion`` and ``FlowComplex``.  Enums (a lookup by a value they lack
-    raises ``ValueError``, as for any ``Enum``), exception classes and the two
-    constants are not entry points.  A value class takes its arguments from
-    ``VALUE_CLASSES``; an instance method runs on a new instance each call."""
+    raises ``ValueError``, as for any ``Enum``), exception classes that keep
+    ``Exception``'s constructor and the two constants are not entry points.
+    A value class takes its arguments from ``VALUE_CLASSES``; an instance
+    method runs on a new instance each call."""
     value_args = {cls: args for cls, args, _ in VALUE_CLASSES}
     calls = []
     for name in flowcomplex.__all__:
         obj = getattr(flowcomplex, name)
-        if not callable(obj) or isinstance(obj, enum.EnumMeta) or (isinstance(obj, type) and issubclass(obj, Exception)):
+        inherits_init = isinstance(obj, type) and issubclass(obj, Exception) and "__init__" not in vars(obj)
+        if not callable(obj) or isinstance(obj, enum.EnumMeta) or inherits_init:
             continue
         calls.append((name, obj, value_args[obj] if obj in value_args else _legal_arguments(obj)))
     for cls, make in ((Classifier, functools.partial(Classifier, _G2)), (Expansion, functools.partial(Expansion.plain, _G2)), (FlowComplex, lambda: _G2)):
@@ -958,7 +966,7 @@ def _public_calls():
 def test_every_public_entry_point_raises_a_flowcomplex_error_or_returns():
     calls = _public_calls()
     labels = {label for label, _, _ in calls}
-    assert {"Classifier", "Classifier.report", "Expansion.admit", "Expansion.orbit", "FlowComplex.build", "FlowComplex.closure", "SurfaceInfo", "verify_theorems"} <= labels
+    assert {"Classifier", "Classifier.report", "Expansion.orbit", "ParseErrors", "FlowComplex.build", "FlowComplex.closure", "SurfaceInfo", "verify_theorems"} <= labels
     escapes = []
     for label, function, legal in calls:
         function(*legal)

@@ -122,7 +122,7 @@ def test_direction_accepts_plain_strings(gallery_complexes):
     unknown = [
         lambda: extended_orbit(fc, "a", "sideways"),
         lambda: plain.orbit("a", "sideways"),
-        lambda: Expansion.admit(fc, ()).orbit("a", "sideways"),
+        lambda: Expansion(fc, []).orbit("a", "sideways"),
     ]
     for query in unknown:
         # PreconditionError is a ValueError, as Direction("sideways") raises
@@ -134,8 +134,8 @@ def test_generalized_extended_orbit_takes_its_saddle_sets(gallery_complexes):
     # with no sets given it would expand nothing, so it takes none by default
     fc = gallery_complexes["plus_saddle"]
     with pytest.raises(TypeError):
-        Expansion.admit(fc)
-    gen = Expansion.admit(fc, generalized_saddle_sets(fc)).orbit("a", Direction.BOTH)
+        Expansion(fc)
+    gen = Expansion.generalized(fc).orbit("a", Direction.BOTH)
     assert gen.members == extended_orbit(fc, "a", Direction.BOTH).members == {"a", "c", "d", "s"}
 
 
@@ -190,7 +190,7 @@ def test_no_refs_means_no_cycles():
 
 def test_generalized_with_singleton_saddles_matches_extended(gallery_complexes):
     for fc in gallery_complexes.values():
-        singletons = Expansion.admit(fc, [{s} for s in sorted(fc.saddle_ids)])
+        singletons = Expansion(fc, [frozenset({s}) for s in sorted(fc.saddle_ids)])
         for xid in sorted(fc.all_ids):
             for direction in (Direction.FORWARD, Direction.BACKWARD, Direction.BOTH):
                 plain = extended_orbit(fc, xid, direction)
@@ -202,7 +202,7 @@ def test_generalized_with_singleton_saddles_matches_extended(gallery_complexes):
 
 def test_generalized_halfdisk_covers_both_half_disks(gallery_complexes):
     fc = gallery_complexes["halfdisk_sphere"]
-    engine = Expansion.admit(fc, generalized_saddle_sets(fc))
+    engine = Expansion.generalized(fc)
     for start in ("rp", "lp", "rb", "lb"):
         fwd = engine.orbit(start, Direction.FORWARD)
         bwd = engine.orbit(start, Direction.BACKWARD)
@@ -212,9 +212,22 @@ def test_generalized_halfdisk_covers_both_half_disks(gallery_complexes):
 
 def test_generalized_comb_has_no_opening(gallery_complexes):
     fc = gallery_complexes["comb_torus"]
-    ext = Expansion.admit(fc, generalized_saddle_sets(fc)).orbit("z0", Direction.BOTH)
+    ext = Expansion.generalized(fc).orbit("z0", Direction.BOTH)
     assert ext.members == frozenset({"z0"})
     assert ext.depth == 0
+
+
+def test_a_one_shot_orbit_builds_the_limit_index_only_when_a_set_fires():
+    # comb_torus has no saddle and its declared set is not isolated, so no
+    # query fires a set; in plus_saddle, r1 runs from the source to a sink
+    # and fires nothing, while a runs into the saddle
+    queries = [("comb_torus", xid, False) for xid in sorted(build("comb_torus").all_ids)]
+    queries += [("plus_saddle", "r1", False), ("plus_saddle", "a", True)]
+    for name, xid, fires in queries:
+        for engine in (Expansion.plain, Expansion.generalized):
+            fc = build(name)
+            engine(fc).orbit(xid)
+            assert ("classes_by_limit" in fc.__dict__) == fires, (name, xid, engine)
 
 
 def test_saddle_set_verdicts(gallery_complexes):
@@ -245,32 +258,15 @@ def test_isolation_verdicts(gallery_complexes):
     assert is_isolated(comb, comb.all_ids)
 
 
-def test_invalid_saddle_set_is_an_error(gallery_complexes):
-    fc = gallery_complexes["comb_torus"]
-    with pytest.raises(InvalidSaddleSetError, match=r"\['q0'\] is not isolated from minimal sets"):
-        Expansion.admit(fc, [frozenset({"q0"})])
-    # a bare string is a name, not a set: declared sets are admitted
-    # through Expansion.generalized, which checks their flags
-    with pytest.raises(InvalidSaddleSetError, match="'q' is not an id collection"):
-        Expansion.admit(fc, ["q"])
-    with pytest.raises(InvalidSaddleSetError, match="'ss0' is not an id collection"):
-        Expansion.admit(fc, ["ss0"])
-    with pytest.raises(InvalidSaddleSetError, match="^None is not an id collection$"):
-        Expansion.admit(fc, [None])
-    with pytest.raises(InvalidSaddleSetError, match="^5 is not a collection of id collections$"):
-        Expansion.admit(fc, 5)
-
-
 def test_a_declared_single_saddle_is_admitted(tmp_path):
-    # the degenerate case: a single saddle passes without the saddle-set
-    # criterion, whether it is given as a set or declared
+    # the degenerate case: a declared single saddle passes without the
+    # saddle-set criterion
     fc = parse(emit(build("plus_saddle")) + "saddleset x members=s isolated=true\n")
     assert validate(fc).ok
     assert not is_saddle_set(fc, {"s"}).verdict
     assert generalized_saddle_sets(fc) == [frozenset({"s"})]
     plain = extended_orbit(fc, "a", Direction.BOTH)
-    for engine in (Expansion.admit(fc, [{"s"}]), Expansion.generalized(fc)):
-        assert engine.orbit("a", Direction.BOTH) == plain
+    assert Expansion.generalized(fc).orbit("a", Direction.BOTH) == plain
     path = tmp_path / "plus.fc"
     path.write_text(emit(fc))
     with redirect_stdout(io.StringIO()):
@@ -279,18 +275,17 @@ def test_a_declared_single_saddle_is_admitted(tmp_path):
 
 
 def test_admission_agrees_with_the_declarations(gallery_complexes):
-    # a declared set is listed exactly when it passes admission on its own
+    # a declared set is listed exactly when it is a single saddle, or a saddle
+    # set isolated from minimal sets
     flows = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
     outcomes = set()
     for fc in flows:
         listed = generalized_saddle_sets(fc)
         for decl in fc.saddle_set_decls:
-            try:
-                Expansion.admit(fc, [decl.members])
-                admitted = True
-            except InvalidSaddleSetError:
-                admitted = False
-            assert admitted == (decl.members in listed), decl
+            m = decl.members
+            single = len(m) == 1 and fc.is_saddle(next(iter(m)))
+            admitted = single or (is_saddle_set(fc, m).verdict and is_isolated(fc, m))
+            assert admitted == (m in listed), decl
             outcomes.add(admitted)
     assert outcomes == {True, False}
 
@@ -308,8 +303,6 @@ def test_every_admission_path_rejects_a_set_that_is_not_invariant_closed(gallery
     fc = parse(emit(gallery_complexes["genus2_mixed"]) + "saddleset q members=c1 isolated=true\n")
     assert [v.rule for v in validate(fc).violations] == ["saddleset-not-invariant"]
     message = r"set is not invariant-closed: closure of c1 adds \['s1', 's2'\]"
-    with pytest.raises(InvalidSaddleSetError, match=message):
-        Expansion.admit(fc, [{"c1"}])
     with pytest.raises(InvalidSaddleSetError, match=message):
         generalized_saddle_sets(fc)
     with pytest.raises(InvalidSaddleSetError, match=message):
