@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from enum import Enum
-from functools import cached_property, wraps
+from functools import wraps
 from typing import Callable, ClassVar, Collection, Optional, TypeVar
 
 from .model import (
@@ -34,6 +34,7 @@ from .model import (
     REGULAR_KINDS,
     SET_REF,
     SING_REF,
+    cached_attribute,
     require_complex,
     singularity_accumulation,
     value_class,
@@ -122,9 +123,10 @@ def _once(answer: Callable[["Classifier"], T]) -> Callable[["Classifier"], T]:
 
     @wraps(answer)
     def cached(self: "Classifier") -> T:
-        if name not in self._answers:
-            self._answers[name] = answer(self)
-        return self._answers[name]
+        found = self._answers.get(name)
+        if found is None:  # no answer is None
+            found = self._answers[name] = answer(self)
+        return found
 
     return cached
 
@@ -179,16 +181,19 @@ class Classifier:
 
     # -- cached primitives -------------------------------------------------
 
-    @cached_property
+    @cached_attribute
     def _plain(self) -> Expansion:
         return Expansion.plain(self.fc)
 
-    @cached_property
+    @cached_attribute
     def _generalized(self) -> Expansion:
         """The generalized engine, or the plain one itself when no declared
         set is admitted: the two then have the same expansion sets.  Built
         at the first generalized payload query, which checks the
-        declarations whichever engine is kept."""
+        declarations whichever engine is kept; with none declared there is
+        nothing to check or build."""
+        if not self.fc.saddle_set_decls:
+            return self._plain
         engine = Expansion.generalized(self.fc)
         return self._plain if engine.sets == self._plain.sets else engine
 
@@ -205,7 +210,7 @@ class Classifier:
         self.fc.require(xid)
         return self._members.get(xid) or frozenset((xid,))
 
-    @cached_property
+    @cached_attribute
     def _members(self) -> dict[str, frozenset[str]]:
         """``members`` of every id with a payload on some side, in id order:
         ``xid`` plus the join of its two payloads.  Each distinct pair of rows
@@ -223,7 +228,7 @@ class Classifier:
             out[xid] = payload if xid in payload else payload | {xid}
         return out
 
-    @cached_property
+    @cached_attribute
     def _lead_of_members(self) -> dict[frozenset[str], str]:
         """The lead of each distinct extended orbit with a payload: its least id."""
         first: dict[frozenset[str], str] = {}
@@ -241,7 +246,7 @@ class Classifier:
             return xid
         return self._lead_of_members[members]
 
-    @cached_property
+    @cached_attribute
     def leads(self) -> tuple[str, ...]:
         """One id per distinct two-sided extended orbit, the least id whose
         extended orbit it is, in ascending order.  An id alone in its extended
@@ -276,7 +281,7 @@ class Classifier:
             out[xid] = members if block == members else block
         return out
 
-    @cached_property
+    @cached_attribute
     def open_leads(self) -> frozenset[str]:
         """The leads whose extended orbit is not a closed set.  The block of a
         lead alone in its extended orbit holds the lead, so it is closed when
@@ -289,13 +294,13 @@ class Classifier:
                 out.append(xid)
         return frozenset(out)
 
-    @cached_property
+    @cached_attribute
     def open_ids(self) -> tuple[str, ...]:
         """Every id whose extended orbit is not a closed set, sorted."""
         members_of, lead_of, opened = self._members, self._lead_of_members, self.open_leads
         return tuple(sorted(x for x in self.fc.all_ids if (lead_of[members_of[x]] if x in members_of else x) in opened))
 
-    @cached_property
+    @cached_attribute
     def periodic_leads(self) -> frozenset[str]:
         """The leads whose extended orbit is compact: a closed member set of
         the kinds ``has_periodic_member_kinds`` admits."""
@@ -316,7 +321,7 @@ class Classifier:
 
     # -- pointwise recurrence ----------------------------------------------
 
-    @cached_property
+    @cached_attribute
     def _not_recurrent(self) -> tuple[frozenset[str], frozenset[str]]:
         """The ids that are not positively recurrent, and those that are not
         negatively recurrent, from the records: proper orbits, dense or
@@ -337,7 +342,7 @@ class Classifier:
                     neg.add(o.id)
         return frozenset(both | pos), frozenset(both | neg)
 
-    @cached_property
+    @cached_attribute
     def _scan_ids(self) -> tuple[str, ...]:
         """The ids an extended recurrence scan visits, sorted: those that are
         not recurrent on some side, other than families.  Such a family is a
@@ -407,7 +412,7 @@ class Classifier:
         rule = verdict.witness.rule.replace("not-extended-", "not-generalized-", 1)
         return Verdict(False, Witness(verdict.witness.ids, rule))
 
-    @cached_property
+    @cached_attribute
     def routed(self) -> frozenset[str]:
         """Ids with a declared route into the closure of the recurrent part:
         the closure of a locally dense or exceptional class, a periodic
@@ -546,16 +551,16 @@ class Classifier:
                     return True
         return False
 
-    @cached_property
+    @cached_attribute
     def _non_saddle_singular(self) -> frozenset[str]:
         return frozenset(s.id for s in self.fc.singular_sets if not s.is_saddle)
 
-    @cached_property
+    @cached_attribute
     def dense_ids(self) -> frozenset[str]:
         """The locally dense classes."""
         return frozenset(o.id for o in self.fc.orbit_classes if o.kind is LOCALLY_DENSE)
 
-    @cached_property
+    @cached_attribute
     def _dense_closures(self) -> frozenset[str]:
         """The union of the closures of the locally dense classes."""
         return frozenset().union(*(self.fc.closure(oid) for oid in sorted(self.dense_ids)))

@@ -72,12 +72,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
         return EXIT_OK
+    lines = []
     for name in report.FIELDS:
         verdict = getattr(report, name)
         line = f"{name}: {str(verdict.verdict).lower()}"
         if verdict.witness is not None:
             line += f"  [{verdict.witness.describe()}]"
-        print(line)
+        lines.append(line)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -133,11 +135,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
+        # verify_theorems returns at least one result
+        lines = []
         for r in results:
             line = f"{r.theorem}: {r.status.value}"
             if r.detail:
                 line += f"  ({r.detail})"
-            print(line)
+            lines.append(line)
+        print("\n".join(lines))
     if any(r.status is TheoremStatus.VIOLATION for r in results):
         return EXIT_THEOREM
     return EXIT_OK

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 
 class FlowComplexError(Exception):
@@ -96,6 +95,28 @@ SING_REF, ORBIT_REF, SET_REF = RefKind.SING, RefKind.ORBIT, RefKind.SET
 # The text of every kind member, for the writers: on 3.11 ``.value`` is a
 # Python-level property, about 0.33 us a read.
 KIND_TEXT = {member: member.value for kinds in (Shape, PointKind, OrbitKind, FamilyKind, SchemaKind, RefKind) for member in kinds}
+
+
+class cached_attribute:
+    """A per-instance cache: the first read of ``obj.name`` computes the value
+    and stores it in ``obj.__dict__``, where every later read finds it first.
+
+    The standard library's cached property does the same on CPython 3.12+;
+    on 3.10 and 3.11 it takes a lock, shared by every instance, on each
+    first read.  Two threads reading first at the same moment may both
+    compute the value; the values are equal and one of them is kept.
+    Reading the attribute on the class returns this descriptor, with the
+    function's docstring.
+    """
+
+    def __init__(self, func: Callable[[object], object]):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance: object, owner: Optional[type] = None) -> object:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _frozen(self, name: str, *value: object) -> None:
@@ -392,19 +413,19 @@ class FlowComplex:
             groups.append(tuple(sorted(records, key=lambda r: r.id)))
         return cls(surface, *groups)
 
-    @cached_property
+    @cached_attribute
     def sing_by_id(self) -> Mapping[str, SingularSet]:
         return {s.id: s for s in self.singular_sets}
 
-    @cached_property
+    @cached_attribute
     def orbit_by_id(self) -> Mapping[str, OrbitClass]:
         return {o.id: o for o in self.orbit_classes}
 
-    @cached_property
+    @cached_attribute
     def family_by_id(self) -> Mapping[str, Family]:
         return {f.id: f for f in self.families}
 
-    @cached_property
+    @cached_attribute
     def classes_by_limit(self) -> Mapping[tuple[str, str], list[tuple[frozenset[str], str]]]:
         """Orbit classes indexed by their resolved alpha and omega limits.
 
@@ -425,7 +446,7 @@ class FlowComplex:
                     out.setdefault((side, lid), []).append((limit, o.id))
         return out
 
-    @cached_property
+    @cached_attribute
     def _closures(self) -> dict[str, frozenset[str]]:
         return {}
 
@@ -441,16 +462,16 @@ class FlowComplex:
             found = self._closures[xid] = closure_of(self, xid)
         return found
 
-    @cached_property
+    @cached_attribute
     def all_ids(self) -> frozenset[str]:
         """Ids of dynamical pieces: singular sets, orbit classes, and families."""
         return frozenset(self.sing_by_id) | frozenset(self.orbit_by_id) | frozenset(self.family_by_id)
 
-    @cached_property
+    @cached_attribute
     def saddle_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.singular_sets if s.is_saddle)
 
-    @cached_property
+    @cached_attribute
     def saddle_chains(self) -> tuple[AccumulationSchema, ...]:
         """The saddle-chain schemas, in id order."""
         return tuple(a for a in self.accumulation_schemas if a.kind is SADDLE_CHAIN)

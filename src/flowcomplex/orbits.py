@@ -451,13 +451,31 @@ def _accumulates(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
     return False
 
 
+def _may_accumulate(fc: FlowComplex, members: frozenset[str]) -> set[str]:
+    """Every id ``_accumulates`` can hold true for: the families with a
+    non-shrinking boundary meeting ``members``, the dense and exceptional
+    classes, whose closures it tests in the witness scan's order, and the
+    samples of the schemas whose target lies inside ``members``."""
+    out = {
+        fam.id
+        for fam in fc.families
+        if (not fam.shrinks0 and not fam.boundary0.isdisjoint(members))
+        or (not fam.shrinks1 and not fam.boundary1.isdisjoint(members))
+    }
+    out.update(o.id for o in fc.orbit_classes if o.kind in DENSE_KINDS)
+    for schema in fc.accumulation_schemas:
+        if schema.target <= members:
+            out.update(schema.samples)
+    return out
+
+
 def is_saddle_set(fc: FlowComplex, members: Iterable[str]) -> SaddleSetVerdict:
     """Grazed-and-left criterion: some witness outside the set accumulates on
     it while escaping every small neighborhood in both time directions."""
     require_complex(fc, "is_saddle_set")
     mset = _id_set(members, "is_saddle_set")
     _require_invariant_closed(fc, mset)
-    for wid in sorted(fc.all_ids - mset):
+    for wid in sorted(_may_accumulate(fc, mset) - mset):
         if _accumulates(fc, wid, mset) and _escapes(fc, wid, mset):
             return SaddleSetVerdict(True, wid)
     return SaddleSetVerdict(False, None)

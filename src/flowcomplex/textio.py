@@ -102,11 +102,12 @@ class _Reader:
     """One document's surface, seen values and errors, read one line at a time.
 
     A record method checks the line in ``tokens`` and returns what it
-    builds.  A point ``sing`` line, an ``orbit`` line with ``alpha=`` and
-    ``omega=`` only, and a ``family`` line, each with its fields in the
-    order ``emit`` writes them, are read at the known positions of those
-    fields; any other line, valid or not, goes through ``fields`` and the
-    helpers after it, which report what is off (an absent field reads None).
+    builds.  A first ``surface`` line, a point ``sing`` line, an ``orbit``
+    line with no field or with ``alpha=`` and ``omega=`` only, and a
+    ``family`` line, each with its fields in the order ``emit`` writes them,
+    are read at the known positions of those fields; any other line, valid
+    or not, goes through ``fields`` and the helpers after it, which report
+    what is off (an absent field reads None).
     Every field present is checked, so a missing field does not hide a bad
     value elsewhere on the line.  A failed check adds ``(token index, offset,
     message)`` to ``pending``; ``parse`` turns those into ``ParseError``s,
@@ -232,6 +233,18 @@ class _Reader:
     # -- one method per record kind ------------------------------------------
 
     def surface_record(self) -> None:
+        tokens = self.tokens
+        if self.surface is None and len(tokens) == 4:
+            genus, boundary = tokens[1][6:], tokens[3][9:]
+            if (
+                tokens[1].startswith("genus=")
+                and tokens[2] in ("orientable=true", "orientable=false")
+                and tokens[3].startswith("boundary=")
+                and genus.isascii() and genus.isdigit()
+                and boundary.isascii() and boundary.isdigit()
+            ):
+                self.surface = SurfaceInfo(int(genus), tokens[2] == "orientable=true", int(boundary))
+                return
         if self.surface is not None:
             self.fail(0, "duplicate surface record")
         fields = self.fields(1, ("genus", "orientable", "boundary"), ("boundary", "genus", "orientable"))
@@ -265,7 +278,11 @@ class _Reader:
 
     def orbit_record(self, rid: str) -> OrbitClass | None:
         tokens = self.tokens
-        if len(tokens) == 5:
+        if len(tokens) == 3:
+            kind = _ORBIT_KINDS.get(tokens[2])
+            if kind is not None:
+                return OrbitClass(rid, kind)
+        elif len(tokens) == 5:
             kind = _ORBIT_KINDS.get(tokens[2])
             a_key, _, alpha = tokens[3].partition("=")
             o_key, _, omega = tokens[4].partition("=")
@@ -319,13 +336,17 @@ class _Reader:
         return SaddleSetDecl(rid, self.id_set("members", fields.get("members")), self.flag(fields, "isolated"))
 
 
+# each record head after ``surface`` and the ``_Reader`` method that reads it, in FlowComplex field order
+_RECORD_METHODS = tuple((head, f"{head}_record") for head in ("sing", "orbit", "family", "accum", "saddleset"))
+
+
 def parse(text: str) -> FlowComplex:
     """Parse a document; raises ``ParseErrors`` carrying every syntax error found."""
     if not isinstance(text, str):
         raise PreconditionError(f"parse takes a str, not {type(text).__name__}")
     r = _Reader()
     # record head -> its reader and what it built, in FlowComplex field order
-    records = {head: (getattr(r, f"{head}_record"), []) for head in ("sing", "orbit", "family", "accum", "saddleset")}
+    records = {head: (getattr(r, method), []) for head, method in _RECORD_METHODS}
     pending = r.pending
     errors: list[ParseError] = []
     seen_ids: dict[str, int] = {}

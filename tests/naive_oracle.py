@@ -23,6 +23,7 @@ from flowcomplex import (
     closure_of,
     orbit_set_closure,
 )
+from flowcomplex import orbits
 from flowcomplex.classify import has_periodic_member_kinds
 
 
@@ -276,3 +277,15 @@ def naive_open_extension_missing_dense_side(ref: Classifier) -> Optional[str]:
         if xid not in dense and any(ref.payload(xid, forward).isdisjoint(dense) for forward in (True, False)):
             return xid
     return None
+
+
+def naive_saddle_set(fc: FlowComplex, members: Iterable[str]) -> orbits.SaddleSetVerdict:
+    """``is_saddle_set`` by a scan of every id outside the set, in sorted
+    order, with the library's own accumulation and escape tests: the first id
+    that accumulates on the set and escapes it is the witness."""
+    mset = frozenset(members)
+    orbits._require_invariant_closed(fc, mset)
+    for wid in sorted(fc.all_ids - mset):
+        if orbits._accumulates(fc, wid, mset) and orbits._escapes(fc, wid, mset):
+            return orbits.SaddleSetVerdict(True, wid)
+    return orbits.SaddleSetVerdict(False, None)

@@ -1,6 +1,9 @@
 import io
+import sys
+import threading
 from collections import Counter
 from contextlib import redirect_stdout
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -39,6 +42,7 @@ from flowcomplex import (
     validate,
     verify_theorems,
 )
+from flowcomplex import orbits
 from flowcomplex.classify import has_periodic_member_kinds
 from flowcomplex.orbits import Expansion, orbit_set_closure
 from flowcomplex.theorems import (
@@ -644,6 +648,19 @@ def test_a_recurrence_scan_reads_each_payload_table_once(gallery_complexes, monk
     cls = Classifier(build("double_center_sphere", {"n": 40}))
     assert cls.extended_recurrent().verdict and len(cls._scan_ids) > 2
     assert reads == [(cls._plain, True), (cls._plain, False)]
+    # a per-instance cache keeps its first value in the instance's own dict,
+    # where every later read finds it: a recomputed engine or id set would
+    # be a new object; the class attribute keeps the method's docstring
+    fc, plain = cls.fc, cls._plain
+    assert vars(cls)["_plain"] is plain and cls._plain is plain
+    assert vars(fc)["all_ids"] is fc.all_ids is fc.all_ids
+    assert Classifier.leads.__doc__.startswith("One id per distinct two-sided extended orbit")
+    assert "leads" not in vars(cls) and cls.leads is cls.leads and "leads" in vars(cls)
+    # the caches write the instance dict directly; attributes stay frozen
+    for name in ("all_ids", "surface", "sing_by_id"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(fc, name, None)
+    assert vars(fc)["all_ids"] is fc.all_ids
     # a scan that fails at its first positive side reads no backward table;
     # the generalized engine is built when its scan starts, and reads both
     reads.clear()
@@ -721,25 +738,42 @@ def _generalized_scan(fc):
     return None
 
 
-def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_complexes):
+def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_complexes, monkeypatch):
     """With no declared set admitted the classifier answers generalized
     recurrence on its plain engine; the verdict, witness and rule match a
-    scan over the generalized engine built on its own."""
+    scan over the generalized engine built on its own.  A complex that
+    declares no saddle set reuses the plain engine without admitting any
+    set; one that declares some checks them whichever engine it keeps."""
     named = list(gallery_complexes.items()) + [(f"seed {seed}", random_complex(seed)) for seed in range(1000)]
     named += [(f"{name} n=40", build(name, {"n": 40})) for name in ("nested_saddles_disk", "double_center_sphere")]
     branches = {"reused": [], "separate": []}
     built = {"reused": 0, "separate": 0}
     verdicts = {"reused": set(), "separate": set()}
+    built_with = Counter()
+    admissions = []
+    admit = orbits.generalized_saddle_sets
+
+    def counted(fc):
+        admissions.append(fc)
+        return admit(fc)
+
     for name, fc in named:
         cls = Classifier(fc)
-        verdict = cls.generalized_recurrent()
-        # the engine is built only when some point needs a generalized payload
-        needed = "_generalized" in vars(cls)
-        branch = "reused" if cls._generalized is cls._plain else "separate"
+        admissions.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(orbits, "generalized_saddle_sets", counted)
+            verdict = cls.generalized_recurrent()
+            # the engine is built only when some point needs a generalized payload
+            needed = "_generalized" in vars(cls)
+            branch = "reused" if cls._generalized is cls._plain else "separate"
         assert (branch == "reused") == (Expansion.generalized(fc).sets == Expansion.plain(fc).sets), name
         branches[branch].append(name)
         built[branch] += needed
         verdicts[branch].add(verdict.verdict)
+        if needed:
+            declared = bool(fc.saddle_set_decls)
+            assert bool(admissions) == declared, name
+            built_with[branch, declared] += 1
         failure = _generalized_scan(fc)
         if failure is None:
             assert verdict == Verdict(True), name
@@ -750,6 +784,7 @@ def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_co
     assert "halfdisk_sphere" in branches["separate"]
     assert (len(branches["reused"]), len(branches["separate"])) == (963, 48)
     assert built == {"reused": 563, "separate": 48}
+    assert built_with == {("reused", False): 516, ("reused", True): 47, ("separate", True): 48}
     assert verdicts == {"reused": {True, False}, "separate": {True}}
 
 
@@ -867,3 +902,48 @@ def test_recurrence_implies_extended_implies_generalized_recurrence(gallery_comp
     T, F = True, False
     assert per_flow == {(T, T, T): 400, (F, T, T): 260, (F, F, T): 48, (F, F, F): 301}
     assert per_point == {(T, T, T): 14198, (F, T, T): 2656, (F, F, T): 384, (F, F, F): 1014}
+
+
+def test_concurrent_first_reads_give_the_single_threaded_results(gallery_complexes):
+    """The per-complex caches take no lock.  Eight threads share one unread
+    complex and one ``Classifier``, start together, each at its own step of
+    the same four, and switch as often as the interpreter allows; each gets
+    what a single-threaded run on a fresh parse gets."""
+    threads_n = 8
+
+    def run(fc, cls, first=0):
+        steps = (
+            lambda: classification_report(fc),
+            lambda: verify_theorems(fc),
+            cls.report,
+            lambda: [cls.members(xid) for xid in sorted(fc.all_ids)],
+        )
+        order = [(first + k) % len(steps) for k in range(len(steps))]
+        found = {k: steps[k]() for k in order}
+        return [found[k] for k in range(len(steps))]
+
+    for source in (build("double_center_sphere", {"n": 40}), gallery_complexes["halfdisk_sphere"]):
+        text = emit(source)
+        fresh = parse(text)
+        expected = run(fresh, Classifier(fresh))
+        fc = parse(text)
+        cls = Classifier(fc)
+        start = threading.Barrier(threads_n)
+        results = [None] * threads_n
+
+        def work(i):
+            start.wait(timeout=10)
+            results[i] = run(fc, cls, i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * threads_n

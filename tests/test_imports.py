@@ -29,6 +29,20 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def test_no_module_imports_cached_property():
+    """The per-instance caches are ``model.cached_attribute``: on CPython 3.10
+    and 3.11 the standard library's cached property takes a lock, shared by
+    every instance, on each first read."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names if "cached_property" in alias.name]
+            elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+                found.append(f"{path.name}:{node.lineno} .cached_property")
+    assert found == []
+
+
 def test_every_export_resolves_once():
     """``__all__`` names each public name once, every one resolves, and
     ``from flowcomplex import *`` runs."""

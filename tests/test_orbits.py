@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -36,9 +37,9 @@ from flowcomplex import (
     unstable_set,
     validate,
 )
-from flowcomplex.orbits import _strong_components, orbit_set_closure
+from flowcomplex.orbits import SaddleSetVerdict, _strong_components, orbit_set_closure
 
-from naive_oracle import expand_once, naive_extended_orbit, naive_extension, reachability_members
+from naive_oracle import expand_once, naive_extended_orbit, naive_extension, naive_saddle_set, reachability_members
 
 
 def test_unstable_set_plus_saddle(gallery_complexes):
@@ -236,6 +237,34 @@ def test_saddle_set_verdicts(gallery_complexes):
     assert verdict.verdict and verdict.witness == "pd"
     fc = gallery_complexes["comb_torus"]
     assert is_saddle_set(fc, {"q0"}).verdict
+
+
+def test_saddle_set_witness_matches_the_whole_id_scan(gallery_complexes):
+    """``is_saddle_set`` walks only the ids that can accumulate on the set;
+    its verdict, witness and errors are those of a scan over every id outside
+    the set.  The sets are every declared set, every single saddle, and the
+    first 20 ids of each complex, each alone (most are not invariant-closed,
+    an error) and with its closure."""
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    complexes.append(build("comb_torus", {"n": 640}))
+    outcomes = Counter()
+
+    def outcome(check, fc, members):
+        try:
+            return check(fc, members)
+        except PreconditionError as exc:
+            return type(exc), str(exc)
+
+    for fc in complexes:
+        sets = [decl.members for decl in fc.saddle_set_decls]
+        sets += [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
+        for xid in sorted(fc.all_ids)[:20]:
+            sets += [frozenset({xid}), fc.closure(xid)]
+        for members in sets:
+            found = outcome(is_saddle_set, fc, members)
+            assert found == outcome(naive_saddle_set, fc, members), (fc, sorted(members))
+            outcomes[found.verdict if isinstance(found, SaddleSetVerdict) else "error"] += 1
+    assert outcomes.keys() == {True, False, "error"}, outcomes
 
 
 def test_shrinking_family_members_do_not_witness():
