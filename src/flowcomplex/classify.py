@@ -161,6 +161,11 @@ def _re_approaches(fc: FlowComplex, xid: str, payload: frozenset[str]) -> bool:
     return xid in payload or any(xid in fc.closure(oid) for oid in sorted(payload))
 
 
+def _scan_verdict(failure: Optional[tuple[str, str]], kind: str) -> Verdict:
+    """The ``kind`` recurrence verdict of a scan's first failing point and side."""
+    return Verdict(True) if failure is None else Verdict(False, Witness(failure[:1], f"not-{kind}-{failure[1]}-recurrent"))
+
+
 class Classifier:
     """Cached per-complex classification engine.
 
@@ -237,10 +242,7 @@ class Classifier:
         return first
 
     def _lead(self, xid: str) -> str:
-        try:
-            members = self._members.get(xid)
-        except TypeError:  # unhashable: require rejects it
-            members = None
+        members = self._members.get(xid)  # callers pass a hashable id
         if members is None:
             self.fc.require(xid)
             return xid
@@ -376,10 +378,10 @@ class Classifier:
             return Verdict(False, Witness((min(pos | neg),), "non-recurrent-point"))
         return Verdict(True)
 
-    def _extended_scan(self, engine: Expansion, kind: str) -> Verdict:
-        """The first point that is not ``kind`` recurrent, positive side first,
-        with payloads read from ``engine``'s tables.  Each side's table is read
-        once, at the first id that needs it."""
+    def _extended_scan(self, engine: Expansion) -> Optional[tuple[str, str]]:
+        """The first point and side ("positively" first, then "negatively")
+        that ``engine``'s payloads do not bring back, or None.  Each side's
+        table is read once, at the first id that needs it."""
         fc = self.fc
         pos, neg = self._not_recurrent
         tables: dict[bool, dict[str, frozenset[str]]] = {}
@@ -390,53 +392,57 @@ class Classifier:
                     if table is None:
                         table = tables[forward] = engine.payloads(forward)
                     if not _re_approaches(fc, xid, table.get(xid, _EMPTY)):
-                        return Verdict(False, Witness((xid,), f"not-{kind}-{side}-recurrent"))
-        return Verdict(True)
+                        return xid, side
+        return None
+
+    @cached_attribute
+    def _plain_failure(self) -> Optional[tuple[str, str]]:
+        """``_extended_scan`` of the plain engine, kept for both verdicts that read it."""
+        return self._extended_scan(self._plain)
 
     @_once
     def extended_recurrent(self) -> Verdict:
-        return self._extended_scan(self._plain, "extended")
+        return _scan_verdict(self._plain_failure, "extended")
 
     @_once
     def generalized_recurrent(self) -> Verdict:
         """The generalized engine is built at the first point the scan visits,
         which checks the declarations.  When it is the plain engine, the
-        verdict is the extended one with its rule renamed."""
+        plain engine's kept scan answers."""
         if not self._scan_ids:
             return Verdict(True)
-        if self._generalized is not self._plain:
-            return self._extended_scan(self._generalized, "generalized")
-        verdict = self.extended_recurrent()
-        if verdict.witness is None:
-            return verdict
-        rule = verdict.witness.rule.replace("not-extended-", "not-generalized-", 1)
-        return Verdict(False, Witness(verdict.witness.ids, rule))
+        engine = self._generalized
+        failure = self._plain_failure if engine is self._plain else self._extended_scan(engine)
+        return _scan_verdict(failure, "generalized")
 
     @cached_attribute
-    def routed(self) -> frozenset[str]:
-        """Ids with a declared route into the closure of the recurrent part:
-        the closure of a locally dense or exceptional class, a periodic
-        annulus boundary, or a family-sequence target."""
+    def wandering(self) -> tuple[str, ...]:
+        """The proper classes, in record order (id order for a complex from
+        ``build`` or ``parse``), with no declared route into the closure of
+        the recurrent part: a locally dense or exceptional class's closure, a
+        periodic annulus boundary, or a family-sequence target."""
         fc = self.fc
-        out: set[str] = set()
+        proper = [o.id for o in fc.orbit_classes if o.kind is PROPER]
+        if not proper:  # the routes, and the closures they read, are not needed
+            return ()
+        routed: set[str] = set()
         for o in fc.orbit_classes:
             if o.kind in DENSE_KINDS:
-                out |= fc.closure(o.id)
+                routed |= fc.closure(o.id)
         for fam in fc.families:
             if fam.kind is PERIODIC_ANNULUS:
-                out |= fam.boundary0 | fam.boundary1
+                routed |= fam.boundary0 | fam.boundary1
         for schema in fc.accumulation_schemas:
             if schema.kind is FAMILY_SEQUENCE:
-                out |= schema.target
-        return frozenset(out)
+                routed |= schema.target
+        return tuple([oid for oid in proper if oid not in routed])
 
     @_once
     def nonwandering(self) -> Verdict:
         """Every proper non-closed class needs a declared route into the
         closure of the recurrent part; there is no benefit of the doubt."""
-        for o in self.fc.orbit_classes:
-            if o.kind is PROPER and o.id not in self.routed:
-                return Verdict(False, Witness((o.id,), "wandering-proper-class"))
+        if self.wandering:
+            return Verdict(False, Witness(self.wandering[:1], "wandering-proper-class"))
         return Verdict(True)
 
     @_once
@@ -493,12 +499,9 @@ class Classifier:
         for schema in fc.accumulation_schemas:
             # what every instance's block carries along persists in the limit;
             # a single declared instance gives no evidence of a shared part
-            shared: frozenset[str] = frozenset()
+            limit = schema.target
             if len(schema.samples) >= 2:
-                shared = blocks[lead(schema.samples[0])]
-                for sid in schema.samples[1:]:
-                    shared = shared & blocks[lead(sid)]
-            limit = schema.target | shared
+                limit = limit.union(frozenset.intersection(*(blocks[lead(sid)] for sid in schema.samples)))
             for tid in sorted(schema.target):
                 if not limit <= blocks[lead(tid)]:
                     return Witness((schema.id, tid), "schema-limit-not-absorbed")
@@ -538,18 +541,16 @@ class Classifier:
     # -- singularity character and dichotomy ---------------------------------
 
     def extended_center(self, sid: str) -> bool:
-        fc = self.fc
-        fc.require(sid)
-        sing = fc.sing_by_id.get(sid)
+        self.fc.require(sid)
+        sing = self.fc.sing_by_id.get(sid)
         if sing is None or sing.shape is not POINT:
             raise PreconditionError(f"{sid!r} is not a point singularity")
-        if sing.kind is PointKind.CENTER:
-            return True
-        for fam in fc.families:
-            for bset, shrinks in fam.boundaries():
-                if shrinks and bset == frozenset({sid}):
-                    return True
-        return False
+        return sing.kind is PointKind.CENTER or sid in self._shrink_points
+
+    @cached_attribute
+    def _shrink_points(self) -> frozenset[str]:
+        """The ids that a family shrinks onto: its shrinking boundaries of one id."""
+        return frozenset(min(b) for fam in self.fc.families for b, shrinks in fam.boundaries() if shrinks and len(b) == 1)
 
     @cached_attribute
     def _non_saddle_singular(self) -> frozenset[str]:

@@ -172,7 +172,9 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     Equality, hashing and ``repr`` are shared functions that read the fields
     as one tuple, as the stdlib's do, and setting or deleting any attribute
     raises ``FrozenInstanceError``.  Slotted classes pickle their field
-    tuple.  Use it as ``@value_class`` or ``@value_class(slots=True)``.
+    tuple.  The fields without a default are named in ``_required_fields``,
+    which ``require_fields`` reads.  Use it as ``@value_class`` or
+    ``@value_class(slots=True)``.
     """
     if cls is None:
         return lambda cls: value_class(cls, slots=slots)
@@ -208,6 +210,7 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     # a one-field class hashes a one-tuple, as the stdlib's does
     getter = attrgetter(*names) if len(names) > 1 else lambda self, name=names[0]: (getattr(self, name),)
     cls._field_values = staticmethod(getter)
+    cls._required_fields = tuple(param for param in params if "=" not in param)
     cls.__eq__, cls.__hash__, cls.__repr__ = _value_eq, _value_hash, _value_repr
     cls.__setattr__ = cls.__delattr__ = _frozen
     if slots:
@@ -391,12 +394,12 @@ class FlowComplex:
             raise PreconditionError(f"surface must be a SurfaceInfo, not {surface!r}")
         seen: set[str] = set()
         groups = []
-        for argument, records, record_type, required in (
-            ("singular_sets", singular_sets, SingularSet, ("shape",)),
-            ("orbit_classes", orbit_classes, OrbitClass, ("kind",)),
-            ("families", families, Family, ("kind", "boundary0", "boundary1")),
-            ("accumulation_schemas", accumulation_schemas, AccumulationSchema, ("kind", "samples", "target")),
-            ("saddle_set_decls", saddle_set_decls, SaddleSetDecl, ("members", "isolated")),
+        for argument, records, record_type in (
+            ("singular_sets", singular_sets, SingularSet),
+            ("orbit_classes", orbit_classes, OrbitClass),
+            ("families", families, Family),
+            ("accumulation_schemas", accumulation_schemas, AccumulationSchema),
+            ("saddle_set_decls", saddle_set_decls, SaddleSetDecl),
         ):
             if not isinstance(records, Iterable) or isinstance(records, str):
                 raise PreconditionError(f"{argument} must be a collection of {record_type.__name__} records, not {records!r}")
@@ -407,9 +410,7 @@ class FlowComplex:
                 if rec.id in seen:
                     raise PreconditionError(f"duplicate id {rec.id!r}")
                 seen.add(rec.id)
-                for name in required:
-                    if getattr(rec, name) is None:
-                        raise PreconditionError(f"{rec.id!r} has no {name}")
+            require_fields(records)
             groups.append(tuple(sorted(records, key=lambda r: r.id)))
         return cls(surface, *groups)
 
@@ -497,6 +498,16 @@ def require_complex(fc: object, caller: str) -> None:
     """Reject anything but a ``FlowComplex`` where ``caller`` needs one."""
     if not isinstance(fc, FlowComplex):
         raise PreconditionError(f"{caller} takes a FlowComplex, not {type(fc).__name__}")
+
+
+def require_fields(records: Iterable[object]) -> None:
+    """Reject the first record whose required field, one without a default,
+    is ``None``, naming both.  ``build`` checks every record; code that fails
+    on a complex made directly checks its records afterwards, to say which."""
+    for rec in records:
+        for name in rec._required_fields:
+            if getattr(rec, name) is None:
+                raise PreconditionError(f"{rec.id!r} has no {name}")
 
 
 def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:
@@ -673,14 +684,18 @@ def validate(fc: FlowComplex) -> ValidationReport:
                 if oid not in decl:
                     kind_rules.append(Violation(oid, "closure-missing-self", "a closure contains the class itself"))
 
-    for f in fc.families:
-        if not (f.boundary0 <= known and f.boundary1 <= known):
-            _check_unresolved(f.id, sorted(f.boundary0 | f.boundary1), known, unresolved)
-    for a in fc.accumulation_schemas:
-        _check_unresolved(a.id, (*a.samples, *sorted(a.target)), known, unresolved)
-    for d in fc.saddle_set_decls:
-        if not d.members <= known:
-            _check_unresolved(d.id, sorted(d.members), known, unresolved)
+    try:
+        for f in fc.families:
+            if not (f.boundary0 <= known and f.boundary1 <= known):
+                _check_unresolved(f.id, sorted(f.boundary0 | f.boundary1), known, unresolved)
+        for a in fc.accumulation_schemas:
+            _check_unresolved(a.id, (*a.samples, *sorted(a.target)), known, unresolved)
+        for d in fc.saddle_set_decls:
+            if not d.members <= known:
+                _check_unresolved(d.id, sorted(d.members), known, unresolved)
+    except TypeError:  # a record made directly with a required field left None: say which
+        require_fields((*fc.families, *fc.accumulation_schemas, *fc.saddle_set_decls))
+        raise
     # closure-based checks need resolvable references; everything record-local
     # still runs so the report stays complete
     refs_ok = not unresolved

@@ -32,6 +32,7 @@ from .model import (
     SINGULARITY_SEQUENCE,
     UnknownIdError,
     require_complex,
+    require_fields,
     value_class,
 )
 
@@ -451,22 +452,26 @@ def _accumulates(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
     return False
 
 
-def _may_accumulate(fc: FlowComplex, members: frozenset[str]) -> set[str]:
-    """Every id ``_accumulates`` can hold true for: the families with a
-    non-shrinking boundary meeting ``members``, the dense and exceptional
-    classes, whose closures it tests in the witness scan's order, and the
-    samples of the schemas whose target lies inside ``members``."""
-    out = {
+def _saddle_witness(fc: FlowComplex, mset: frozenset[str]) -> Optional[str]:
+    """``is_saddle_set``'s witness for an invariant-closed set, or None.  It
+    scans every id ``_accumulates`` can hold true for: the families with a
+    non-shrinking boundary meeting ``mset``, the dense and exceptional
+    classes, whose closures it tests in the scan's order, and the samples of
+    the schemas whose target lies inside ``mset``."""
+    candidates = {
         fam.id
         for fam in fc.families
-        if (not fam.shrinks0 and not fam.boundary0.isdisjoint(members))
-        or (not fam.shrinks1 and not fam.boundary1.isdisjoint(members))
+        if (not fam.shrinks0 and not fam.boundary0.isdisjoint(mset))
+        or (not fam.shrinks1 and not fam.boundary1.isdisjoint(mset))
     }
-    out.update(o.id for o in fc.orbit_classes if o.kind in DENSE_KINDS)
+    candidates.update(o.id for o in fc.orbit_classes if o.kind in DENSE_KINDS)
     for schema in fc.accumulation_schemas:
-        if schema.target <= members:
-            out.update(schema.samples)
-    return out
+        if schema.target <= mset:
+            candidates.update(schema.samples)
+    for wid in sorted(candidates - mset):
+        if _accumulates(fc, wid, mset) and _escapes(fc, wid, mset):
+            return wid
+    return None
 
 
 def is_saddle_set(fc: FlowComplex, members: Iterable[str]) -> SaddleSetVerdict:
@@ -475,10 +480,8 @@ def is_saddle_set(fc: FlowComplex, members: Iterable[str]) -> SaddleSetVerdict:
     require_complex(fc, "is_saddle_set")
     mset = _id_set(members, "is_saddle_set")
     _require_invariant_closed(fc, mset)
-    for wid in sorted(_may_accumulate(fc, mset) - mset):
-        if _accumulates(fc, wid, mset) and _escapes(fc, wid, mset):
-            return SaddleSetVerdict(True, wid)
-    return SaddleSetVerdict(False, None)
+    wid = _saddle_witness(fc, mset)
+    return SaddleSetVerdict(wid is not None, wid)
 
 
 def is_isolated(fc: FlowComplex, members: Iterable[str]) -> bool:
@@ -488,6 +491,11 @@ def is_isolated(fc: FlowComplex, members: Iterable[str]) -> bool:
     require_complex(fc, "is_isolated")
     mset = _id_set(members, "is_isolated")
     _require_invariant_closed(fc, mset)
+    return _isolated(fc, mset)
+
+
+def _isolated(fc: FlowComplex, mset: frozenset[str]) -> bool:
+    """``is_isolated`` for an invariant-closed set."""
     for schema in fc.accumulation_schemas:
         if not schema.target <= mset or set(schema.samples) <= mset:
             continue
@@ -510,16 +518,23 @@ def generalized_saddle_sets(fc: FlowComplex) -> list[frozenset[str]]:
     A declared set must pass ``is_saddle_set`` (waived for a single saddle,
     the degenerate case the generalization extends), and its isolated flag
     must equal ``is_isolated``; an inconsistent declaration is an error.
+    Each declared set is checked to be invariant-closed once, before both tests.
     """
     require_complex(fc, "generalized_saddle_sets")
     sets = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
     for decl in fc.saddle_set_decls:
-        single = len(decl.members) == 1 and fc.is_saddle(next(iter(decl.members)))
-        if not single and not is_saddle_set(fc, decl.members).verdict:
+        try:
+            mset = _id_set(decl.members, "a saddle-set declaration")
+        except PreconditionError:  # a declaration made directly, without members: say which
+            require_fields(fc.saddle_set_decls)
+            raise
+        _require_invariant_closed(fc, mset)
+        single = len(mset) == 1 and fc.is_saddle(next(iter(mset)))
+        if not single and _saddle_witness(fc, mset) is None:
             raise InvalidSaddleSetError(f"declared set {decl.id!r} fails the saddle-set criterion")
-        if is_isolated(fc, decl.members) != decl.isolated:
+        if _isolated(fc, mset) != decl.isolated:
             raise InvalidSaddleSetError(f"declared set {decl.id!r} has an inconsistent isolated flag")
         # a single saddle is already listed as its own singleton
         if decl.isolated and not single:
-            sets.append(decl.members)
+            sets.append(mset)
     return sets

@@ -102,12 +102,12 @@ class _Reader:
     """One document's surface, seen values and errors, read one line at a time.
 
     A record method checks the line in ``tokens`` and returns what it
-    builds.  A first ``surface`` line, a point ``sing`` line, an ``orbit``
-    line with no field or with ``alpha=`` and ``omega=`` only, and a
-    ``family`` line, each with its fields in the order ``emit`` writes them,
-    are read at the known positions of those fields; any other line, valid
-    or not, goes through ``fields`` and the helpers after it, which report
-    what is off (an absent field reads None).
+    builds.  A point ``sing`` line, an ``orbit`` line with no field or with
+    ``alpha=`` and ``omega=`` only, and a ``family`` line, each with its
+    fields in the order ``emit`` writes them, are read at the known
+    positions of those fields; the one ``surface`` line and any other line,
+    valid or not, go through ``fields`` and the helpers after it, which
+    report what is off (an absent field reads None).
     Every field present is checked, so a missing field does not hide a bad
     value elsewhere on the line.  A failed check adds ``(token index, offset,
     message)`` to ``pending``; ``parse`` turns those into ``ParseError``s,
@@ -233,18 +233,6 @@ class _Reader:
     # -- one method per record kind ------------------------------------------
 
     def surface_record(self) -> None:
-        tokens = self.tokens
-        if self.surface is None and len(tokens) == 4:
-            genus, boundary = tokens[1][6:], tokens[3][9:]
-            if (
-                tokens[1].startswith("genus=")
-                and tokens[2] in ("orientable=true", "orientable=false")
-                and tokens[3].startswith("boundary=")
-                and genus.isascii() and genus.isdigit()
-                and boundary.isascii() and boundary.isdigit()
-            ):
-                self.surface = SurfaceInfo(int(genus), tokens[2] == "orientable=true", int(boundary))
-                return
         if self.surface is not None:
             self.fail(0, "duplicate surface record")
         fields = self.fields(1, ("genus", "orientable", "boundary"), ("boundary", "genus", "orientable"))

@@ -18,7 +18,6 @@ from .model import (
     DENSE_KINDS,
     FlowComplex,
     POINT,
-    PROPER,
     PreconditionError,
     SADDLE_CHAIN,
     SINGULARITY_SEQUENCE,
@@ -81,11 +80,6 @@ def _dense_closure_swallows_singularity_sequence(cls: Classifier) -> Optional[st
     return None
 
 
-def _all_extended_orbits_closed(cls: Classifier) -> Optional[str]:
-    """The first id whose extended orbit is not closed, if any."""
-    return min(cls.open_leads, default=None)
-
-
 def _open_extension_missing_dense_side(cls: Classifier) -> Optional[str]:
     """The first id whose extended orbit is not closed and that is not locally
     dense itself, with a one-sided payload holding no locally dense class,
@@ -119,18 +113,13 @@ def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
 def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
     """An extended limit cycle forces a wandering proper orbit equal to its own extension."""
     name = "limit-cycles-force-wandering"
-    fc = cls.fc
     if not cls.limit_cycles():
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no extended limit cycles")
     if cls.nonwandering().verdict:
         return TheoremResult(name, TheoremStatus.VIOLATION, "limit cycles present but no wandering point")
-    for o in fc.orbit_classes:
-        if o.kind is not PROPER:
-            continue
-        if len(cls.members(o.id)) > 1:
-            continue
-        if o.id not in cls.routed:
-            return TheoremResult(name, TheoremStatus.HOLDS, f"wandering witness {o.id}")
+    for oid in cls.wandering:
+        if len(cls.members(oid)) == 1:
+            return TheoremResult(name, TheoremStatus.HOLDS, f"wandering witness {oid}")
     return TheoremResult(name, TheoremStatus.VIOLATION, "no wandering proper orbit equal to its own extension")
 
 
@@ -140,8 +129,7 @@ def check_recurrence_implies_nonwandering(cls: Classifier) -> TheoremResult:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not extended recurrent")
     if cls.nonwandering().verdict:
         return TheoremResult(name, TheoremStatus.HOLDS)
-    w = cls.nonwandering().witness
-    return TheoremResult(name, TheoremStatus.VIOLATION, f"wandering witness {w.ids if w else '?'}")
+    return TheoremResult(name, TheoremStatus.VIOLATION, f"wandering witness {cls.nonwandering().witness.ids}")
 
 
 def check_dichotomy(cls: Classifier) -> TheoremResult:
@@ -165,8 +153,7 @@ def check_partition_implies_recurrence(cls: Classifier) -> TheoremResult:
     if not cls.extended_pap().verdict:
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not a decomposition")
     if not cls.extended_recurrent().verdict:
-        w = cls.extended_recurrent().witness
-        return TheoremResult(name, TheoremStatus.VIOLATION, f"not extended recurrent: {w.ids if w else '?'}")
+        return TheoremResult(name, TheoremStatus.VIOLATION, f"not extended recurrent: {cls.extended_recurrent().witness.ids}")
     bad = _block_with_infinite_singularities(cls)
     if bad is not None:
         return TheoremResult(name, TheoremStatus.VIOLATION, f"block of {bad} swallows a saddle chain")
@@ -246,7 +233,7 @@ def check_closed_extended_orbit_equivalence(cls: Classifier) -> TheoremResult:
         cls.extended_recurrent().verdict
         and _block_with_infinite_singularities(cls) is None
     )
-    p3 = _all_extended_orbits_closed(cls) is None
+    p3 = not cls.open_leads
     if p1 == p2 == p3:
         return TheoremResult(name, TheoremStatus.HOLDS)
     return TheoremResult(name, TheoremStatus.VIOLATION, f"decomposition={p1}, recurrence={p2}, closed-orbits={p3}")
@@ -286,7 +273,7 @@ def check_genus_zero_equivalence(cls: Classifier) -> TheoremResult:
         cls.extended_pap().verdict,
         cls.extended_recurrent().verdict,
         cls.regular().verdict and cls.nonwandering().verdict,
-        _all_extended_orbits_closed(cls) is None,
+        not cls.open_leads,
     )
     if len(set(values)) == 1:
         return TheoremResult(name, TheoremStatus.HOLDS)

@@ -42,11 +42,10 @@ from flowcomplex import (
     validate,
     verify_theorems,
 )
-from flowcomplex import orbits
+from flowcomplex import classify, orbits
 from flowcomplex.classify import has_periodic_member_kinds
 from flowcomplex.orbits import Expansion, orbit_set_closure
 from flowcomplex.theorems import (
-    _all_extended_orbits_closed,
     _block_with_infinite_singularities,
     _open_extension_missing_dense_side,
 )
@@ -175,11 +174,46 @@ def test_extended_r_closed_verdicts(gallery_complexes):
     assert Classifier(_two_center_sphere()).extended_r_closed().verdict
 
 
+def test_upper_semicontinuity_needs_each_limit_absorbed():
+    """A decomposition into disjoint blocks is still not R-closed when the
+    block of a boundary or limit point misses what converges onto it."""
+    # a non-shrinking annulus boundary of two points that no closure joins:
+    # each point is its own block, which cannot absorb the other
+    boundary = parse(
+        "surface genus=0 orientable=true boundary=0\n"
+        "sing c point kind=center\nsing p point kind=other\nsing q point kind=other\n"
+        "family f kind=annulus b0=p,q b1=c shrinks1=true\n"
+    )
+    # a sequence of linked saddle pairs onto the center z: both samples lie in
+    # one extended orbit, whose block every instance carries along, but the
+    # block of z is z alone
+    limit = parse(
+        "surface genus=0 orientable=true boundary=0\n"
+        "sing s1 point kind=saddle\nsing s2 point kind=saddle\nsing z point kind=center\n"
+        "orbit a proper alpha=sing:s1 omega=sing:s2\norbit b proper alpha=sing:s2 omega=sing:s1\n"
+        "orbit h1 proper alpha=sing:s1 omega=sing:s1\norbit h2 proper alpha=sing:s2 omega=sing:s2\n"
+        "accum seq kind=sing_seq samples=s1,s2 target=z\n"
+    )
+    for fc, witness in ((boundary, Witness(("f", "p"), "family-boundary-not-absorbed")), (limit, Witness(("seq", "z"), "schema-limit-not-absorbed"))):
+        assert validate(fc).ok
+        cls = Classifier(fc)
+        assert cls.extended_pap().verdict
+        assert cls.extended_r_closed() == Verdict(False, witness)
+
+
 def test_regularity(gallery_complexes):
     assert Classifier(gallery_complexes["genus2_mixed"]).regular().verdict
     assert not Classifier(gallery_complexes["sphere_meridian"]).regular().verdict
     assert not Classifier(gallery_complexes["nested_saddles_disk"]).regular().verdict
     assert not Classifier(gallery_complexes["halfdisk_sphere"]).regular().verdict
+    # every singularity is a regular point, but infinitely many accumulate
+    fc = parse(
+        "surface genus=0 orientable=true boundary=0\n"
+        "sing c1 point kind=center\nsing c2 point kind=center\nsing z point kind=center\n"
+        "accum seq kind=sing_seq samples=c1,c2 target=z\n"
+    )
+    assert validate(fc).ok
+    assert Classifier(fc).regular() == Verdict(False, Witness(("seq",), "singularity-accumulation"))
 
 
 def test_extended_center(gallery_complexes):
@@ -691,7 +725,7 @@ def test_lead_scans_match_the_per_id_scans(gallery_complexes):
         members = {xid: plain.orbit(xid).members for xid in ids}
         blocks = {xid: orbit_set_closure(fc, members[xid]) for xid in ids}
         open_id = next((x for x in ids if not blocks[x] <= members[x]), None)
-        assert _all_extended_orbits_closed(cls) == open_id
+        assert min(cls.open_leads, default=None) == open_id
         chains = [s for s in fc.accumulation_schemas if s.kind is SchemaKind.SADDLE_CHAIN]
         chain_id = next((x for s in chains for x in ids if set(s.samples) <= blocks[x]), None)
         assert _block_with_infinite_singularities(cls) == chain_id
@@ -904,11 +938,14 @@ def test_recurrence_implies_extended_implies_generalized_recurrence(gallery_comp
     assert per_point == {(T, T, T): 14198, (F, T, T): 2656, (F, F, T): 384, (F, F, F): 1014}
 
 
-def test_concurrent_first_reads_give_the_single_threaded_results(gallery_complexes):
+def test_concurrent_first_reads_give_the_single_threaded_results(gallery_complexes, monkeypatch):
     """The per-complex caches take no lock.  Eight threads share one unread
     complex and one ``Classifier``, start together, each at its own step of
     the same four, and switch as often as the interpreter allows; each gets
-    what a single-threaded run on a fresh parse gets."""
+    what a single-threaded run on a fresh parse gets.  Then a reader that
+    arrives while the first fill of ``members`` is paused inside it, at its
+    first join of two payloads, gets the whole table: a cache is published
+    only once it is filled."""
     threads_n = 8
 
     def run(fc, cls, first=0):
@@ -947,3 +984,28 @@ def test_concurrent_first_reads_give_the_single_threaded_results(gallery_complex
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * threads_n
+
+    fc = build("double_center_sphere", {"n": 40})
+    ids = sorted(fc.all_ids)
+    expected = [Classifier(fc).members(xid) for xid in ids]
+    cls = Classifier(fc)
+    paused, resume = threading.Event(), threading.Event()
+    join = classify._join
+
+    def pausing_join(fwd, bwd):
+        if not paused.is_set():
+            paused.set()
+            resume.wait(timeout=10)
+        return join(fwd, bwd)
+
+    monkeypatch.setattr(classify, "_join", pausing_join)
+    first: list = []
+    filling = threading.Thread(target=lambda: first.append([cls.members(xid) for xid in ids]))
+    filling.start()
+    try:
+        assert paused.wait(timeout=10)
+        assert [cls.members(xid) for xid in ids] == expected
+    finally:
+        resume.set()
+        filling.join(timeout=10)
+    assert not filling.is_alive() and first == [expected]

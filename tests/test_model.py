@@ -66,6 +66,12 @@ def _sphere(**kwargs):
     return FlowComplex.build(SurfaceInfo(0, True, 0), **kwargs)
 
 
+def _made_directly(keyword, **changes):
+    """A complex built without ``build``, holding one record of ``VALID_RECORDS``
+    with ``changes`` applied."""
+    return FlowComplex(SurfaceInfo(0, True, 0), **{keyword: (dataclasses.replace(VALID_RECORDS[keyword], **changes),)})
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -129,6 +135,13 @@ def _sphere(**kwargs):
         # each would fail with a bare TypeError
         (lambda: ParseErrors(None), "^ParseErrors takes a list of ParseError, not NoneType$"),
         (lambda: ParseErrors(5), "^ParseErrors takes a list of ParseError, not int$"),
+        # a complex made directly, not through build or parse, may hold a record
+        # with a required field left None: each would fail with a bare TypeError
+        (lambda: validate(_made_directly("families", boundary0=None)), "^'r' has no boundary0$"),
+        (lambda: validate(_made_directly("accumulation_schemas", samples=None)), "^'r' has no samples$"),
+        (lambda: validate(_made_directly("accumulation_schemas", target=None)), "^'r' has no target$"),
+        (lambda: validate(_made_directly("saddle_set_decls", members=None)), "^'r' has no members$"),
+        (lambda: generalized_saddle_sets(_made_directly("saddle_set_decls", members=None)), "^'r' has no members$"),
     ],
     ids=[
         "negative-genus",
@@ -178,6 +191,11 @@ def _sphere(**kwargs):
         "parse-errors-str",
         "parse-errors-none",
         "parse-errors-int",
+        "validate-none-boundary",
+        "validate-none-samples",
+        "validate-none-target",
+        "validate-none-members",
+        "generalized-saddle-sets-none-members",
     ],
 )
 def test_constructors_reject_bad_input_with_a_precondition_error(make, message):

@@ -37,6 +37,7 @@ from flowcomplex import (
     unstable_set,
     validate,
 )
+from flowcomplex import orbits
 from flowcomplex.orbits import SaddleSetVerdict, _strong_components, orbit_set_closure
 
 from naive_oracle import expand_once, naive_extended_orbit, naive_extension, naive_saddle_set, reachability_members
@@ -285,6 +286,59 @@ def test_isolation_verdicts(gallery_complexes):
     comb = gallery_complexes["comb_torus"]
     assert not is_isolated(comb, {"q0"})
     assert is_isolated(comb, comb.all_ids)
+
+
+# a torus point z onto which a sequence of shrinking annuli converges, grazed
+# by a locally dense class u, which makes {z} a saddle set
+FAMILY_SEQUENCE_TORUS = (
+    "surface genus=1 orientable=true boundary=0\n"
+    "sing c1 point kind=center\nsing c2 point kind=center\nsing c3 point kind=center\nsing c4 point kind=center\n"
+    "sing z point kind=other\norbit u dense closure=u,z\n"
+    "family f1 kind=annulus b0=c1 b1=c2 shrinks0=true shrinks1=true\n"
+    "family f2 kind={kind} b0=c3 b1=c4 shrinks0=true shrinks1=true\n"
+    "accum seq kind=family_seq samples=f1,f2 target=z\n"
+)
+
+
+def test_a_family_sequence_of_shrinking_annuli_denies_isolation():
+    fc = parse(FAMILY_SEQUENCE_TORUS.format(kind="annulus") + "saddleset q members=z isolated=false\n")
+    assert validate(fc).ok
+    assert is_saddle_set(fc, {"z"}) == SaddleSetVerdict(True, "u")
+    assert not is_isolated(fc, {"z"})
+    # the declaration agrees, so admission passes and lists no set
+    assert generalized_saddle_sets(fc) == []
+    # a sequence with a sample that is not an annulus accumulates no minimal sets
+    assert is_isolated(parse(FAMILY_SEQUENCE_TORUS.format(kind="region")), {"z"})
+
+
+def test_an_inconsistent_isolated_flag_is_an_error():
+    fc = parse(FAMILY_SEQUENCE_TORUS.format(kind="annulus") + "saddleset q members=z isolated=true\n")
+    assert validate(fc).ok
+    with pytest.raises(InvalidSaddleSetError, match="^declared set 'q' has an inconsistent isolated flag$"):
+        generalized_saddle_sets(fc)
+
+
+def test_admission_checks_each_declared_set_once(gallery_complexes, monkeypatch):
+    """``generalized_saddle_sets`` checks that a declared set is invariant-closed
+    once, before both admission tests; the public predicates check their own
+    argument."""
+    checked = []
+    check = orbits._require_invariant_closed
+
+    def counted(fc, members):
+        checked.append(members)
+        return check(fc, members)
+
+    monkeypatch.setattr(orbits, "_require_invariant_closed", counted)
+    for name, declared in (("halfdisk_sphere", 2), ("comb_torus", 1)):
+        fc = gallery_complexes[name]
+        checked.clear()
+        generalized_saddle_sets(fc)
+        assert checked == [decl.members for decl in fc.saddle_set_decls] and len(checked) == declared, name
+    checked.clear()
+    is_saddle_set(fc, {"q0"})
+    is_isolated(fc, {"q0"})
+    assert checked == [frozenset({"q0"})] * 2
 
 
 def test_a_declared_single_saddle_is_admitted(tmp_path):
