@@ -172,9 +172,11 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     Equality, hashing and ``repr`` are shared functions that read the fields
     as one tuple, as the stdlib's do, and setting or deleting any attribute
     raises ``FrozenInstanceError``.  Slotted classes pickle their field
-    tuple.  The fields without a default are named in ``_required_fields``,
-    which ``require_fields`` reads.  Use it as ``@value_class`` or
-    ``@value_class(slots=True)``.
+    tuple.  ``__init__`` rejects ``None`` in a field without a default with a
+    ``PreconditionError`` naming the class, the record's ``id`` when it has
+    one, and the field, so no record, whether made directly or by
+    ``dataclasses.replace``, lacks a required field.  Use it as
+    ``@value_class`` or ``@value_class(slots=True)``.
     """
     if cls is None:
         return lambda cls: value_class(cls, slots=slots)
@@ -182,7 +184,8 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     # every field is an ``__init__`` parameter, so ``__match_args__`` names
     # them all, in order
     names = cls.__match_args__
-    params, body, namespace = [], [], {"_FACTORY": _FACTORY, "_setattr": object.__setattr__}
+    params, body = [], []
+    namespace = {"_FACTORY": _FACTORY, "_setattr": object.__setattr__, "PreconditionError": PreconditionError}
     annotations = {}
     for f in fields(cls):
         name = f.name
@@ -196,6 +199,9 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
             namespace[f"_factory_{name}"] = f.default_factory
         else:
             params.append(name)
+            # the message names the record by its id when it has one
+            who = f"{cls.__name__} {{id!r}}" if "id" in names and name != "id" else cls.__name__
+            body.append(f"\n    if {name} is None: raise PreconditionError(f{who + ' has no ' + name!r})")
         if slots:
             body.append(f"\n    _set_{name}(self, {name})")
             namespace[f"_set_{name}"] = getattr(cls, name).__set__
@@ -210,7 +216,6 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     # a one-field class hashes a one-tuple, as the stdlib's does
     getter = attrgetter(*names) if len(names) > 1 else lambda self, name=names[0]: (getattr(self, name),)
     cls._field_values = staticmethod(getter)
-    cls._required_fields = tuple(param for param in params if "=" not in param)
     cls.__eq__, cls.__hash__, cls.__repr__ = _value_eq, _value_hash, _value_repr
     cls.__setattr__ = cls.__delattr__ = _frozen
     if slots:
@@ -388,8 +393,8 @@ class FlowComplex:
         accumulation_schemas: Iterable[AccumulationSchema] = (),
         saddle_set_decls: Iterable[SaddleSetDecl] = (),
     ) -> "FlowComplex":
-        """Construct with records sorted by id; an argument of the wrong type,
-        duplicate ids and required fields left ``None`` are rejected."""
+        """Construct with records sorted by id; an argument of the wrong type
+        and duplicate ids are rejected."""
         if not isinstance(surface, SurfaceInfo):
             raise PreconditionError(f"surface must be a SurfaceInfo, not {surface!r}")
         seen: set[str] = set()
@@ -410,7 +415,6 @@ class FlowComplex:
                 if rec.id in seen:
                     raise PreconditionError(f"duplicate id {rec.id!r}")
                 seen.add(rec.id)
-            require_fields(records)
             groups.append(tuple(sorted(records, key=lambda r: r.id)))
         return cls(surface, *groups)
 
@@ -498,16 +502,6 @@ def require_complex(fc: object, caller: str) -> None:
     """Reject anything but a ``FlowComplex`` where ``caller`` needs one."""
     if not isinstance(fc, FlowComplex):
         raise PreconditionError(f"{caller} takes a FlowComplex, not {type(fc).__name__}")
-
-
-def require_fields(records: Iterable[object]) -> None:
-    """Reject the first record whose required field, one without a default,
-    is ``None``, naming both.  ``build`` checks every record; code that fails
-    on a complex made directly checks its records afterwards, to say which."""
-    for rec in records:
-        for name in rec._required_fields:
-            if getattr(rec, name) is None:
-                raise PreconditionError(f"{rec.id!r} has no {name}")
 
 
 def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:
@@ -684,18 +678,14 @@ def validate(fc: FlowComplex) -> ValidationReport:
                 if oid not in decl:
                     kind_rules.append(Violation(oid, "closure-missing-self", "a closure contains the class itself"))
 
-    try:
-        for f in fc.families:
-            if not (f.boundary0 <= known and f.boundary1 <= known):
-                _check_unresolved(f.id, sorted(f.boundary0 | f.boundary1), known, unresolved)
-        for a in fc.accumulation_schemas:
-            _check_unresolved(a.id, (*a.samples, *sorted(a.target)), known, unresolved)
-        for d in fc.saddle_set_decls:
-            if not d.members <= known:
-                _check_unresolved(d.id, sorted(d.members), known, unresolved)
-    except TypeError:  # a record made directly with a required field left None: say which
-        require_fields((*fc.families, *fc.accumulation_schemas, *fc.saddle_set_decls))
-        raise
+    for f in fc.families:
+        if not (f.boundary0 <= known and f.boundary1 <= known):
+            _check_unresolved(f.id, sorted(f.boundary0 | f.boundary1), known, unresolved)
+    for a in fc.accumulation_schemas:
+        _check_unresolved(a.id, (*a.samples, *sorted(a.target)), known, unresolved)
+    for d in fc.saddle_set_decls:
+        if not d.members <= known:
+            _check_unresolved(d.id, sorted(d.members), known, unresolved)
     # closure-based checks need resolvable references; everything record-local
     # still runs so the report stays complete
     refs_ok = not unresolved

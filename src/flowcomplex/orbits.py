@@ -32,7 +32,6 @@ from .model import (
     SINGULARITY_SEQUENCE,
     UnknownIdError,
     require_complex,
-    require_fields,
     value_class,
 )
 
@@ -523,11 +522,7 @@ def generalized_saddle_sets(fc: FlowComplex) -> list[frozenset[str]]:
     require_complex(fc, "generalized_saddle_sets")
     sets = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
     for decl in fc.saddle_set_decls:
-        try:
-            mset = _id_set(decl.members, "a saddle-set declaration")
-        except PreconditionError:  # a declaration made directly, without members: say which
-            require_fields(fc.saddle_set_decls)
-            raise
+        mset = _id_set(decl.members, "a saddle-set declaration")
         _require_invariant_closed(fc, mset)
         single = len(mset) == 1 and fc.is_saddle(next(iter(mset)))
         if not single and _saddle_witness(fc, mset) is None:

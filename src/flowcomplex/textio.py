@@ -101,13 +101,14 @@ _REF_KINDS = RefKind._value2member_map_
 class _Reader:
     """One document's surface, seen values and errors, read one line at a time.
 
-    A record method checks the line in ``tokens`` and returns what it
-    builds.  A point ``sing`` line, an ``orbit`` line with no field or with
-    ``alpha=`` and ``omega=`` only, and a ``family`` line, each with its
-    fields in the order ``emit`` writes them, are read at the known
-    positions of those fields; the one ``surface`` line and any other line,
-    valid or not, go through ``fields`` and the helpers after it, which
-    report what is off (an absent field reads None).
+    A record method checks the line in ``tokens`` and returns the record's
+    field values, its id first; ``parse`` builds the record only from a
+    line without errors.  A point ``sing`` line, an ``orbit`` line with no
+    field or with ``alpha=`` and ``omega=`` only, and a ``family`` line,
+    each with its fields in the order ``emit`` writes them, are read at the
+    known positions of those fields; the one ``surface`` line and any other
+    line, valid or not, go through ``fields`` and the helpers after it,
+    which report what is off (an absent field reads None).
     Every field present is checked, so a missing field does not hide a bad
     value elsewhere on the line.  A failed check adds ``(token index, offset,
     message)`` to ``pending``; ``parse`` turns those into ``ParseError``s,
@@ -245,11 +246,11 @@ class _Reader:
         if not self.pending:
             self.surface = SurfaceInfo(genus, orientable, boundary)
 
-    def sing_record(self, rid: str) -> SingularSet | None:
+    def sing_record(self, rid: str) -> tuple | None:
         tokens = self.tokens
         kind = _POINT_KINDS.get(tokens[3]) if len(tokens) == 4 and tokens[2] == "point" else None
         if kind is not None:
-            return SingularSet(rid, POINT, kind)
+            return rid, POINT, kind
         if len(tokens) < 3:
             return self.fail(0, "sing record needs a shape")
         shape = self.enum(Shape, tokens[2], "shape")
@@ -262,27 +263,27 @@ class _Reader:
                 self.fail(2, "point singularities need kind=")
         elif shape is not None and "kind" in fields:
             self.fail_field("kind", "arc/circle singular sets take no kind")
-        return SingularSet(rid, shape, kind)
+        return rid, shape, kind
 
-    def orbit_record(self, rid: str) -> OrbitClass | None:
+    def orbit_record(self, rid: str) -> tuple | None:
         tokens = self.tokens
         if len(tokens) == 3:
             kind = _ORBIT_KINDS.get(tokens[2])
             if kind is not None:
-                return OrbitClass(rid, kind)
+                return rid, kind
         elif len(tokens) == 5:
             kind = _ORBIT_KINDS.get(tokens[2])
             a_key, _, alpha = tokens[3].partition("=")
             o_key, _, omega = tokens[4].partition("=")
             if kind is not None and a_key == "alpha" and o_key == "omega" and alpha and omega:
                 self.start = 3  # as ``fields`` would set it, for ``fail_field`` on a bad reference
-                return OrbitClass(rid, kind, self.ref("alpha", alpha), self.ref("omega", omega))
+                return rid, kind, self.ref("alpha", alpha), self.ref("omega", omega)
         if len(tokens) < 3:
             return self.fail(0, "orbit record needs a kind")
         kind = self.enum(OrbitKind, tokens[2], "orbit kind")
         fields = self.fields(3, ("alpha", "omega", "closure"))
         alpha, omega, closure = fields.get("alpha"), fields.get("omega"), fields.get("closure")
-        return OrbitClass(
+        return (
             rid,
             kind,
             alpha and self.ref("alpha", alpha),
@@ -290,7 +291,7 @@ class _Reader:
             closure and self.id_set("closure", closure),
         )
 
-    def family_record(self, rid: str) -> Family | None:
+    def family_record(self, rid: str) -> tuple | None:
         tokens = self.tokens
         if 5 <= len(tokens) <= 7:
             kind = _FAMILY_KINDS.get(tokens[2])
@@ -302,9 +303,9 @@ class _Reader:
             # every flag token is one of the two, each at most once
             if kind is not None and bounds and len(flags) == shrinks0 + shrinks1:
                 self.start = 2
-                return Family(rid, kind, self.id_set("b0", b0), self.id_set("b1", b1), shrinks0, shrinks1)
+                return rid, kind, self.id_set("b0", b0), self.id_set("b1", b1), shrinks0, shrinks1
         fields = self.fields(2, ("kind", "b0", "b1", "shrinks0", "shrinks1"), ("b0", "b1", "kind"))
-        return Family(
+        return (
             rid,
             self.enum(FamilyKind, fields.get("kind"), "family kind", "kind"),
             self.id_set("b0", fields.get("b0")),
@@ -313,19 +314,26 @@ class _Reader:
             self.flag(fields, "shrinks1"),
         )
 
-    def accum_record(self, rid: str) -> AccumulationSchema | None:
+    def accum_record(self, rid: str) -> tuple:
         fields = self.fields(2, ("kind", "samples", "target"), ("kind", "samples", "target"))
         kind = self.enum(SchemaKind, fields.get("kind"), "schema kind", "kind")
         samples = self.ids("samples", fields.get("samples")) or ()
-        return AccumulationSchema(rid, kind, tuple(samples), self.id_set("target", fields.get("target")))
+        return rid, kind, tuple(samples), self.id_set("target", fields.get("target"))
 
-    def saddleset_record(self, rid: str) -> SaddleSetDecl | None:
+    def saddleset_record(self, rid: str) -> tuple:
         fields = self.fields(2, ("members", "isolated"), ("isolated", "members"))
-        return SaddleSetDecl(rid, self.id_set("members", fields.get("members")), self.flag(fields, "isolated"))
+        return rid, self.id_set("members", fields.get("members")), self.flag(fields, "isolated")
 
 
-# each record head after ``surface`` and the ``_Reader`` method that reads it, in FlowComplex field order
-_RECORD_METHODS = tuple((head, f"{head}_record") for head in ("sing", "orbit", "family", "accum", "saddleset"))
+# each record head after ``surface``, the ``_Reader`` method that reads it and
+# its record class, in FlowComplex field order
+_RECORD_KINDS = (
+    ("sing", _Reader.sing_record, SingularSet),
+    ("orbit", _Reader.orbit_record, OrbitClass),
+    ("family", _Reader.family_record, Family),
+    ("accum", _Reader.accum_record, AccumulationSchema),
+    ("saddleset", _Reader.saddleset_record, SaddleSetDecl),
+)
 
 
 def parse(text: str) -> FlowComplex:
@@ -333,8 +341,8 @@ def parse(text: str) -> FlowComplex:
     if not isinstance(text, str):
         raise PreconditionError(f"parse takes a str, not {type(text).__name__}")
     r = _Reader()
-    # record head -> its reader and what it built, in FlowComplex field order
-    records = {head: (getattr(r, method), []) for head, method in _RECORD_METHODS}
+    # record head -> its reader, its class and what it built, in FlowComplex field order
+    records = {head: (read, cls, []) for head, read, cls in _RECORD_KINDS}
     pending = r.pending
     errors: list[ParseError] = []
     seen_ids: dict[str, int] = {}
@@ -360,9 +368,10 @@ def parse(text: str) -> FlowComplex:
                 first = seen_ids.setdefault(rid, lineno)
                 if first != lineno:
                     r.fail(1, f"duplicate id {rid!r} (first declared on line {first})")
-                record = entry[0](rid)
+                read, make, built = entry
+                values = read(r, rid)  # every field is checked, even after an error
                 if not pending:
-                    entry[1].append(record)
+                    built.append(make(*values))
         elif head == "surface":
             r.surface_record()
         else:
@@ -376,7 +385,7 @@ def parse(text: str) -> FlowComplex:
     if errors:
         raise ParseErrors(errors)
     by_id = attrgetter("id")
-    return FlowComplex(r.surface, *(tuple(sorted(built, key=by_id)) for _, built in records.values()))
+    return FlowComplex(r.surface, *(tuple(sorted(built, key=by_id)) for _, _, built in records.values()))
 
 
 def _emit_ref(ref: LimitRef) -> str:

@@ -235,6 +235,11 @@ LINE_ERRORS = [
         "surface genus=-1 orientable=true boundary=-",
         [(2, 1, "duplicate surface record"), (2, 43, "boundary must be an integer"), (2, 15, "genus must be non-negative")],
     ),
+    # a repeated id does not stop the checks of the line's fields
+    (
+        "orbit m2 periodic\norbit m2 dense alpha=sin closure=m2",
+        [(3, 7, "duplicate id 'm2' (first declared on line 2)"), (3, 22, "limit reference needs a sing:/orbit:/set: prefix, got 'sin'")],
+    ),
 ]
 
 
