@@ -90,14 +90,17 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         ext = Expansion.generalized(fc).orbit(args.start, direction)
     else:
         ext = extended_orbit(fc, args.start, direction)
-    print(f"start: {ext.start}")
-    print(f"direction: {direction.value}")
-    print(f"depth: {ext.depth}")
-    print(f"self_readded: {str(ext.self_readded).lower()}")
+    lines = [
+        f"start: {ext.start}",
+        f"direction: {direction.value}",
+        f"depth: {ext.depth}",
+        f"self_readded: {str(ext.self_readded).lower()}",
+    ]
     for mid in sorted(ext.members):
         rnd = ext.added_round[mid]
         tag = "seed" if rnd == 0 else f"round {rnd}"
-        print(f"  {mid}  ({tag})")
+        lines.append(f"  {mid}  ({tag})")
+    print("\n".join(lines))
     return EXIT_OK
 
 

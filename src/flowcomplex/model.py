@@ -504,6 +504,17 @@ def require_complex(fc: object, caller: str) -> None:
         raise PreconditionError(f"{caller} takes a FlowComplex, not {type(fc).__name__}")
 
 
+def require_known_kinds(fc: FlowComplex) -> None:
+    """Raise ``PreconditionError`` naming the first record whose shape or
+    kind has no ``KIND_TEXT``.  The writers look kinds up unchecked and call
+    this only once a lookup has failed with ``KeyError``."""
+    for rec in (*fc.singular_sets, *fc.orbit_classes, *fc.families, *fc.accumulation_schemas):
+        field = "shape" if isinstance(rec, SingularSet) else "kind"
+        value = getattr(rec, field)
+        if value not in KIND_TEXT:
+            raise PreconditionError(f"{type(rec).__name__} {rec.id!r} has the unknown {field} {value!r}") from None
+
+
 def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:
     """Ids adjoined to ``xid`` by one application of the closure rule."""
     if xid in fc.sing_by_id:

@@ -165,12 +165,14 @@ class Expansion:
         ref = None if orb is None else (orb.omega if forward else orb.alpha)
         if ref is None or not ref.ids:
             return ()
+        ids = ref.ids
+        if len(ids) == 1:
+            return self._holding.get(ids[0], ())
         sets = self.sets
         # a set holding every limit id holds the first of them
-        return [i for i in self._holding.get(ref.ids[0], ()) if sets[i].issuperset(ref.ids)]
+        return [i for i in self._holding.get(ids[0], ()) if sets[i].issuperset(ids)]
 
     def _one_sided(self, start: str, forward: bool) -> ExtendedOrbitSet:
-        members: set[str] = {start}
         added_round: dict[str, int] = {start: SEED_ROUND}
         self_readded = False
         depth = 0
@@ -180,34 +182,34 @@ class Expansion:
         rnd = 0
         while frontier:
             rnd += 1
-            payload: list[str] = []
-            for oid in sorted(frontier):
+            # a round's sets are those its frontier fires, in any order, so
+            # the frontier is read in discovery order
+            fresh = []
+            for oid in frontier:
                 for i in self._fired(oid, forward):
                     if i not in done:
                         done.add(i)
-                        payload.extend(self._adjoins(i, forward))
-            if start in payload:
-                self_readded = True
-            fresh = []
-            for pid in payload:
-                if pid not in members:
-                    members.add(pid)
-                    added_round[pid] = rnd
-                    fresh.append(pid)
+                        for pid in self._adjoins(i, forward):
+                            if pid not in added_round:
+                                added_round[pid] = rnd
+                                fresh.append(pid)
+                            elif pid == start:
+                                self_readded = True
             if fresh:
                 depth = rnd
             frontier = fresh
         return ExtendedOrbitSet(
             start=start,
             direction=Direction.FORWARD if forward else Direction.BACKWARD,
-            members=frozenset(members),
+            members=frozenset(added_round),
             added_round=added_round,
             depth=depth,
             self_readded=self_readded,
         )
 
     def orbit(self, start: str, direction: Direction = Direction.BOTH) -> ExtendedOrbitSet:
-        """Least fixpoint from ``start``.  The two-sided result is the union of
+        """Least fixpoint from ``start``.  A one-sided ``added_round`` lists
+        its members in discovery order.  The two-sided result is the union of
         the forward and backward fixpoints, each member added in the earlier
         of its two rounds (backward entries first, in insertion order)."""
         self.fc.require(start)

@@ -999,8 +999,8 @@ def test_every_public_entry_point_raises_a_flowcomplex_error_or_returns():
 # complex made directly with one record holding a value of the wrong type: a
 # list, tuple or string where a frozenset is declared, an int kind or shape.
 # Nothing checks field types, so the (entry point, keyword, field, value
-# type) rows of KNOWN_ESCAPES still escape as a bare TypeError or KeyError;
-# each is a strict xfail, so that list can only shrink.
+# type) rows of KNOWN_ESCAPES still escape as a bare TypeError; each is a
+# strict xfail, so that list can only shrink.
 WHOLE_COMPLEX_CALLS = {
     "validate": validate,
     "emit": emit,
@@ -1019,13 +1019,6 @@ KNOWN_ESCAPES = {
     ),
     *(("validate", "accumulation_schemas", "target", kind) for kind in ("list", "tuple", "str")),
     *(("validate", "saddle_set_decls", "members", kind) for kind in ("list", "tuple", "str")),
-    # an int kind or shape is not a key of ``KIND_TEXT``
-    *(
-        (call, keyword, field, "int")
-        for call in ("emit", "export_dot")
-        for keyword, field in (("singular_sets", "shape"), ("orbit_classes", "kind"), ("families", "kind"))
-    ),
-    ("emit", "accumulation_schemas", "kind", "int"),
 }
 
 
@@ -1042,7 +1035,7 @@ def _wrong_typed_rows():
             for value in values:
                 for call in WHOLE_COMPLEX_CALLS:
                     key = (call, keyword, f.name, type(value).__name__)
-                    marks = [pytest.mark.xfail(strict=True, raises=(TypeError, KeyError))] if key in KNOWN_ESCAPES else []
+                    marks = [pytest.mark.xfail(strict=True, raises=TypeError)] if key in KNOWN_ESCAPES else []
                     rows.append(pytest.param(*key[:3], value, marks=marks, id="-".join(key)))
     return rows
 
@@ -1062,3 +1055,20 @@ def test_a_wrong_typed_field_raises_a_flowcomplex_error_or_returns(call, keyword
         WHOLE_COMPLEX_CALLS[call](fc)
     except FlowComplexError:
         pass
+
+
+@pytest.mark.parametrize(
+    "call, keyword, field",
+    [
+        *(
+            (call, keyword, field)
+            for call in ("emit", "export_dot")
+            for keyword, field in (("singular_sets", "shape"), ("orbit_classes", "kind"), ("families", "kind"))
+        ),
+        ("emit", "accumulation_schemas", "kind"),
+    ],
+)
+def test_a_writer_names_the_record_and_field_of_an_unknown_kind(call, keyword, field):
+    fc = _made_directly(keyword, **{field: 5})
+    with pytest.raises(PreconditionError, match=f"'r' has the unknown {field} 5$"):
+        WHOLE_COMPLEX_CALLS[call](fc)

@@ -448,6 +448,26 @@ def test_oracle_agreement_on_random_complexes(seed, start_pick):
         assert ext.depth == naive.depth
 
 
+@pytest.mark.parametrize("name, deepest", [("nested_saddles_disk", 39), ("double_center_sphere", 1)])
+def test_oracle_agreement_on_the_deep_documents(name, deepest):
+    """Every id and direction of the n=40 documents of the saddle_nest and
+    double_center benchmarks: 200 and 485 ids, the nested disk's fixpoints
+    up to 39 rounds deep."""
+    fc = build(name, {"n": 40})
+    engine = Expansion.plain(fc)
+    depths = set()
+    for xid in sorted(fc.all_ids):
+        for direction in Direction:
+            ext = engine.orbit(xid, direction)
+            naive = naive_extension(fc, xid, direction)
+            assert ext.members == naive.members, (xid, direction)
+            assert ext.self_readded == naive.self_readded, (xid, direction)
+            assert ext.added_round == naive.added_round, (xid, direction)
+            assert ext.depth == naive.depth, (xid, direction)
+            depths.add(ext.depth)
+    assert max(depths) == deepest
+
+
 def _reachable(succ, i):
     seen, stack = {i}, [i]
     while stack:
