@@ -509,10 +509,10 @@ def require_known_kinds(fc: FlowComplex) -> None:
     kind has no ``KIND_TEXT``.  The writers look kinds up unchecked and call
     this only once a lookup has failed with ``KeyError``."""
     for rec in (*fc.singular_sets, *fc.orbit_classes, *fc.families, *fc.accumulation_schemas):
-        field = "shape" if isinstance(rec, SingularSet) else "kind"
-        value = getattr(rec, field)
-        if value not in KIND_TEXT:
-            raise PreconditionError(f"{type(rec).__name__} {rec.id!r} has the unknown {field} {value!r}") from None
+        for field in ("shape", "kind") if isinstance(rec, SingularSet) else ("kind",):
+            value = getattr(rec, field)
+            if value is not None and value not in KIND_TEXT:
+                raise PreconditionError(f"{type(rec).__name__} {rec.id!r} has the unknown {field} {value!r}") from None
 
 
 def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:

@@ -1063,12 +1063,20 @@ def test_a_wrong_typed_field_raises_a_flowcomplex_error_or_returns(call, keyword
         *(
             (call, keyword, field)
             for call in ("emit", "export_dot")
-            for keyword, field in (("singular_sets", "shape"), ("orbit_classes", "kind"), ("families", "kind"))
+            for keyword, field in (
+                ("singular_sets", "shape"),
+                ("singular_sets", "kind"),
+                ("orbit_classes", "kind"),
+                ("families", "kind"),
+            )
         ),
         ("emit", "accumulation_schemas", "kind"),
     ],
 )
 def test_a_writer_names_the_record_and_field_of_an_unknown_kind(call, keyword, field):
+    """The seven int-kind rows of the wrong-type table that escaped as a bare
+    KeyError, and a point singularity's kind, which has a default and so is
+    not in that table."""
     fc = _made_directly(keyword, **{field: 5})
     with pytest.raises(PreconditionError, match=f"'r' has the unknown {field} 5$"):
         WHOLE_COMPLEX_CALLS[call](fc)
