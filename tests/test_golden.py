@@ -26,10 +26,10 @@ import flowcomplex
 from flowcomplex import (
     GALLERY,
     ClassificationReport,
-    FlowComplex,
-    TheoremResult,
     Direction,
     Expansion,
+    FlowComplex,
+    TheoremResult,
     build,
     classification_report,
     random_complex,
