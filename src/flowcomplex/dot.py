@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import KIND_TEXT, POINT, SET_REF, FlowComplex, PointKind, PreconditionError, SingularSet, require_complex, require_known_kinds
+from .model import KIND_TEXT, POINT, SET_REF, FlowComplex, PointKind, PreconditionError, SingularSet, require_complex
 from .orbits import ExtendedOrbitSet
 
 _POINT_SHAPES = {
@@ -34,13 +34,9 @@ def export_dot(fc: FlowComplex, overlay: Optional[ExtendedOrbitSet] = None) -> s
     mark = overlay.members if overlay is not None else frozenset()
     lines = ["digraph flow_complex {", '  rankdir="LR";']
     # (id, shape, second label line) of each record, kind by kind in id order
-    try:
-        nodes = [_singular_node(s) for s in sorted(fc.singular_sets, key=lambda r: r.id)]
-        nodes += [(o.id, "ellipse", KIND_TEXT[o.kind]) for o in sorted(fc.orbit_classes, key=lambda r: r.id)]
-        nodes += [(f.id, "box3d", KIND_TEXT[f.kind]) for f in sorted(fc.families, key=lambda r: r.id)]
-    except KeyError:
-        require_known_kinds(fc)
-        raise
+    nodes = [_singular_node(s) for s in sorted(fc.singular_sets, key=lambda r: r.id)]
+    nodes += [(o.id, "ellipse", KIND_TEXT[o.kind]) for o in sorted(fc.orbit_classes, key=lambda r: r.id)]
+    nodes += [(f.id, "box3d", KIND_TEXT[f.kind]) for f in sorted(fc.families, key=lambda r: r.id)]
     for nid, shape, label in nodes:
         attrs = [f"shape={shape}", f'label="{nid}\\n{label}"']
         if nid in mark:

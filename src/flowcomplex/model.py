@@ -16,10 +16,12 @@ foliation) are carried either by a ``Family`` or by a few representative
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Optional
+from types import UnionType
+from typing import Callable, Iterable, Mapping, Optional, Union, get_args, get_origin
 
 
 class FlowComplexError(Exception):
@@ -157,6 +159,27 @@ def _value_setstate(self, state: Iterable[object]) -> None:
         object.__setattr__(self, name, value)
 
 
+def _type_test(name: str, annotation: str, namespace: dict) -> tuple[str, object, str]:
+    """The source of a test that ``name`` is of the wrong type for a field
+    annotated ``annotation`` (a string: every module here postpones its
+    annotations) in a module with globals ``namespace``, the
+    ``_type_<name>`` it passes to ``isinstance``, and the type's name in a
+    message.  The test is shallow: ``Optional[X]`` allows ``None``, a generic
+    alias checks only its origin (``frozenset[str]`` is any frozenset),
+    ``int`` rejects ``bool``, and an enum takes only its own members."""
+    hint = eval(annotation, namespace)
+    members = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
+    classes = tuple(get_origin(m) or m for m in members if m is not type(None))
+    test = f"not isinstance({name}, _type_{name})"
+    if int in classes and bool not in classes:  # a bool is an int to isinstance
+        test = f"{name} is True or {name} is False or {test}"
+    names = [f"{'an' if c.__name__[0] in 'AEIOUaeiou' else 'a'} {c.__name__}" for c in classes]
+    if len(classes) < len(members):
+        test = f"{name} is not None and ({test})"
+        names.append("None")
+    return test, classes[0] if len(classes) == 1 else classes, " or ".join(names)
+
+
 def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     """``dataclass(frozen=True)``, with one generated method where the stdlib
     generates one per method.
@@ -172,10 +195,13 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     Equality, hashing and ``repr`` are shared functions that read the fields
     as one tuple, as the stdlib's do, and setting or deleting any attribute
     raises ``FrozenInstanceError``.  Slotted classes pickle their field
-    tuple.  ``__init__`` rejects ``None`` in a field without a default with a
-    ``PreconditionError`` naming the class, the record's ``id`` when it has
-    one, and the field, so no record, whether made directly or by
-    ``dataclasses.replace``, lacks a required field.  Use it as
+    tuple.  ``__init__`` rejects ``None`` in a field without a default, and
+    a value of the wrong type in any field (each annotation is resolved
+    once, here; see ``_type_test``), with a ``PreconditionError`` naming the
+    class, the record's ``id`` when it has one, the field, and the expected
+    type and the value (``Family 'f' boundary0 must be a frozenset, not
+    ['a']``).  So no record, made directly or by ``dataclasses.replace``,
+    lacks a required field or holds a value of the wrong type.  Use it as
     ``@value_class`` or ``@value_class(slots=True)``.
     """
     if cls is None:
@@ -184,12 +210,15 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     # every field is an ``__init__`` parameter, so ``__match_args__`` names
     # them all, in order
     names = cls.__match_args__
+    module = vars(sys.modules[cls.__module__])
     params, body = [], []
     namespace = {"_FACTORY": _FACTORY, "_setattr": object.__setattr__, "PreconditionError": PreconditionError}
     annotations = {}
     for f in fields(cls):
         name = f.name
         annotations[name] = f.type
+        # the messages name the record by its id when it has one
+        who = f"{cls.__name__} {{id!r}}" if "id" in names and name != "id" else cls.__name__
         if f.default is not MISSING:
             params.append(f"{name}=_default_{name}")
             namespace[f"_default_{name}"] = f.default
@@ -199,9 +228,10 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
             namespace[f"_factory_{name}"] = f.default_factory
         else:
             params.append(name)
-            # the message names the record by its id when it has one
-            who = f"{cls.__name__} {{id!r}}" if "id" in names and name != "id" else cls.__name__
             body.append(f"\n    if {name} is None: raise PreconditionError(f{who + ' has no ' + name!r})")
+        wrong, namespace[f"_type_{name}"], expected = _type_test(name, f.type, module)
+        message = f"{who} {name} must be {expected}, not {{{name}!r}}"
+        body.append(f"\n    if {wrong}: raise PreconditionError(f{message!r})")
         if slots:
             body.append(f"\n    _set_{name}(self, {name})")
             namespace[f"_set_{name}"] = getattr(cls, name).__set__
@@ -233,13 +263,8 @@ class SurfaceInfo:
 
     def __post_init__(self) -> None:
         for key in ("genus", "boundary_components"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise PreconditionError(f"{key} must be an int, not {value!r}")
-            if value < 0:
+            if getattr(self, key) < 0:
                 raise PreconditionError(f"{key} must be non-negative")
-        if not isinstance(self.orientable, bool):
-            raise PreconditionError(f"orientable must be a bool, not {self.orientable!r}")
 
     @property
     def closed(self) -> bool:
@@ -410,8 +435,8 @@ class FlowComplex:
                 raise PreconditionError(f"{argument} must be a collection of {record_type.__name__} records, not {records!r}")
             records = tuple(records)
             for rec in records:
-                if not isinstance(rec, record_type) or not isinstance(rec.id, str):
-                    raise PreconditionError(f"{argument} must hold {record_type.__name__} records with string ids, not {rec!r}")
+                if not isinstance(rec, record_type):
+                    raise PreconditionError(f"{argument} must hold {record_type.__name__} records, not {rec!r}")
                 if rec.id in seen:
                     raise PreconditionError(f"duplicate id {rec.id!r}")
                 seen.add(rec.id)
@@ -502,17 +527,6 @@ def require_complex(fc: object, caller: str) -> None:
     """Reject anything but a ``FlowComplex`` where ``caller`` needs one."""
     if not isinstance(fc, FlowComplex):
         raise PreconditionError(f"{caller} takes a FlowComplex, not {type(fc).__name__}")
-
-
-def require_known_kinds(fc: FlowComplex) -> None:
-    """Raise ``PreconditionError`` naming the first record whose shape or
-    kind has no ``KIND_TEXT``.  The writers look kinds up unchecked and call
-    this only once a lookup has failed with ``KeyError``."""
-    for rec in (*fc.singular_sets, *fc.orbit_classes, *fc.families, *fc.accumulation_schemas):
-        for field in ("shape", "kind") if isinstance(rec, SingularSet) else ("kind",):
-            value = getattr(rec, field)
-            if value is not None and value not in KIND_TEXT:
-                raise PreconditionError(f"{type(rec).__name__} {rec.id!r} has the unknown {field} {value!r}") from None
 
 
 def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:

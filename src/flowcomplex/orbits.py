@@ -524,7 +524,7 @@ def generalized_saddle_sets(fc: FlowComplex) -> list[frozenset[str]]:
     require_complex(fc, "generalized_saddle_sets")
     sets = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
     for decl in fc.saddle_set_decls:
-        mset = _id_set(decl.members, "a saddle-set declaration")
+        mset = decl.members
         _require_invariant_closed(fc, mset)
         single = len(mset) == 1 and fc.is_saddle(next(iter(mset)))
         if not single and _saddle_witness(fc, mset) is None:

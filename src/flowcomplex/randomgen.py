@@ -44,16 +44,10 @@ class SizeParams:
     profile: str = "any"
 
     def __post_init__(self) -> None:
-        for key in ("max_depth", "max_repeats"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise PreconditionError(f"{key} must be an int, not {value!r}")
         if self.max_depth < 0:
             raise PreconditionError("max_depth must be non-negative")
         if self.max_repeats < 1:
             raise PreconditionError("max_repeats must be at least 1")
-        if not isinstance(self.profile, str):
-            raise PreconditionError(f"profile must be a string, not {self.profile!r}")
         if self.profile != "any" and self.profile not in _TEMPLATES:
             raise PreconditionError(f"unknown profile {self.profile!r}")
 

@@ -50,7 +50,6 @@ from .model import (
     SingularSet,
     SurfaceInfo,
     require_complex,
-    require_known_kinds,
     value_class,
 )
 
@@ -73,6 +72,9 @@ class ParseErrors(FlowComplexError):
         if isinstance(errors, str) or not isinstance(errors, Iterable):
             raise PreconditionError(f"ParseErrors takes a list of ParseError, not {type(errors).__name__}")
         self.errors = list(errors)
+        for e in self.errors:
+            if not isinstance(e, ParseError):
+                raise PreconditionError(f"ParseErrors takes a list of ParseError, not one holding {e!r}")
         super().__init__("; ".join(str(e) for e in self.errors))
 
 
@@ -404,39 +406,31 @@ def emit(fc: FlowComplex) -> str:
     require_complex(fc, "emit")
     s = fc.surface
     lines = [f"surface genus={s.genus} orientable={str(s.orientable).lower()} boundary={s.boundary_components}"]
-    try:
-        for sg in sorted(fc.singular_sets, key=lambda r: r.id):
-            if sg.shape is POINT:
-                if sg.kind is None:
-                    raise PreconditionError(f"point singularity {sg.id!r} has no kind")
-                lines.append(f"sing {sg.id} point kind={KIND_TEXT[sg.kind]}")
-            else:
-                lines.append(f"sing {sg.id} {KIND_TEXT[sg.shape]}")
-        for o in sorted(fc.orbit_classes, key=lambda r: r.id):
-            parts = [f"orbit {o.id} {KIND_TEXT[o.kind]}"]
-            if o.alpha is not None:
-                parts.append(f"alpha={_emit_ref(o.alpha)}")
-            if o.omega is not None:
-                parts.append(f"omega={_emit_ref(o.omega)}")
-            if o.closure_decl is not None:
-                parts.append(f"closure={_emit_ids(o.closure_decl)}")
-            lines.append(" ".join(parts))
-        for f in sorted(fc.families, key=lambda r: r.id):
-            parts = [f"family {f.id} kind={KIND_TEXT[f.kind]} b0={_emit_ids(f.boundary0)} b1={_emit_ids(f.boundary1)}"]
-            if f.shrinks0:
-                parts.append("shrinks0=true")
-            if f.shrinks1:
-                parts.append("shrinks1=true")
-            lines.append(" ".join(parts))
-        for a in sorted(fc.accumulation_schemas, key=lambda r: r.id):
-            lines.append(
-                f"accum {a.id} kind={KIND_TEXT[a.kind]} samples={','.join(a.samples)} target={_emit_ids(a.target)}"
-            )
-    except KeyError:
-        require_known_kinds(fc)
-        raise
+    for sg in sorted(fc.singular_sets, key=lambda r: r.id):
+        if sg.shape is POINT:
+            if sg.kind is None:
+                raise PreconditionError(f"point singularity {sg.id!r} has no kind")
+            lines.append(f"sing {sg.id} point kind={KIND_TEXT[sg.kind]}")
+        else:
+            lines.append(f"sing {sg.id} {KIND_TEXT[sg.shape]}")
+    for o in sorted(fc.orbit_classes, key=lambda r: r.id):
+        parts = [f"orbit {o.id} {KIND_TEXT[o.kind]}"]
+        if o.alpha is not None:
+            parts.append(f"alpha={_emit_ref(o.alpha)}")
+        if o.omega is not None:
+            parts.append(f"omega={_emit_ref(o.omega)}")
+        if o.closure_decl is not None:
+            parts.append(f"closure={_emit_ids(o.closure_decl)}")
+        lines.append(" ".join(parts))
+    for f in sorted(fc.families, key=lambda r: r.id):
+        parts = [f"family {f.id} kind={KIND_TEXT[f.kind]} b0={_emit_ids(f.boundary0)} b1={_emit_ids(f.boundary1)}"]
+        if f.shrinks0:
+            parts.append("shrinks0=true")
+        if f.shrinks1:
+            parts.append("shrinks1=true")
+        lines.append(" ".join(parts))
+    for a in sorted(fc.accumulation_schemas, key=lambda r: r.id):
+        lines.append(f"accum {a.id} kind={KIND_TEXT[a.kind]} samples={','.join(a.samples)} target={_emit_ids(a.target)}")
     for d in sorted(fc.saddle_set_decls, key=lambda r: r.id):
-        lines.append(
-            f"saddleset {d.id} members={_emit_ids(d.members)} isolated={str(d.isolated).lower()}"
-        )
+        lines.append(f"saddleset {d.id} members={_emit_ids(d.members)} isolated={str(d.isolated).lower()}")
     return "\n".join(lines) + "\n"

@@ -121,9 +121,9 @@ def test_random_profiles():
         ({"profile": "bogus"}, "unknown profile 'bogus'"),
         ({"max_depth": -1}, "max_depth must be non-negative"),
         ({"max_repeats": 0}, "max_repeats must be at least 1"),
-        ({"max_depth": "2"}, "max_depth must be an int, not '2'"),
-        ({"max_repeats": 2.5}, "max_repeats must be an int, not 2.5"),
-        ({"profile": ["x"]}, r"profile must be a string, not \['x'\]"),
+        ({"max_depth": "2"}, "^SizeParams max_depth must be an int, not '2'$"),
+        ({"max_repeats": 2.5}, "^SizeParams max_repeats must be an int, not 2.5$"),
+        ({"profile": ["x"]}, r"^SizeParams profile must be a str, not \['x'\]$"),
     ],
 )
 def test_size_params_are_checked_on_construction(knobs, message):

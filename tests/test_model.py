@@ -7,6 +7,7 @@ import inspect
 import pickle
 import pkgutil
 import re
+import typing
 from operator import attrgetter
 from pathlib import Path
 
@@ -82,20 +83,22 @@ def _made_directly(keyword, **changes):
             "duplicate id 'x'",
         ),
         # each would build, then emit text that parse rejects, or fail with a bare TypeError
-        (lambda: SurfaceInfo(0, "yes", 0), "orientable must be a bool, not 'yes'"),
-        (lambda: SurfaceInfo(0, True, 1.5), "boundary_components must be an int, not 1.5"),
-        (lambda: SurfaceInfo("0", True, 0), "genus must be an int, not '0'"),
-        (lambda: SurfaceInfo(True, True, 0), "genus must be an int, not True"),
+        (lambda: SurfaceInfo(0, "yes", 0), "^SurfaceInfo orientable must be a bool, not 'yes'$"),
+        (lambda: SurfaceInfo(0, True, 1.5), "^SurfaceInfo boundary_components must be an int, not 1.5$"),
+        (lambda: SurfaceInfo("0", True, 0), "^SurfaceInfo genus must be an int, not '0'$"),
+        (lambda: SurfaceInfo(True, True, 0), "^SurfaceInfo genus must be an int, not True$"),
+        (lambda: LimitRef(5, ("x",)), "^LimitRef kind must be a RefKind, not 5$"),
+        (
+            lambda: SingularSet("r", Shape.POINT, OrbitKind.PERIODIC),
+            re.escape(f"SingularSet 'r' kind must be a PointKind or None, not {OrbitKind.PERIODIC!r}"),
+        ),
         # each would build and fail later with an AttributeError, or fail with a bare TypeError
         (lambda: FlowComplex.build(None), "surface must be a SurfaceInfo, not None"),
-        (lambda: _sphere(singular_sets=["ab"]), "singular_sets must hold SingularSet records with string ids, not 'ab'"),
+        (lambda: _sphere(singular_sets=["ab"]), "^singular_sets must hold SingularSet records, not 'ab'$"),
         (lambda: _sphere(families=[OrbitClass("p", OrbitKind.PERIODIC)]), "families must hold Family records"),
         (lambda: _sphere(orbit_classes=None), "orbit_classes must be a collection of OrbitClass records, not None"),
         (lambda: _sphere(orbit_classes="p"), "orbit_classes must be a collection of OrbitClass records, not 'p'"),
-        (
-            lambda: _sphere(singular_sets=[SingularSet("a", Shape.ARC), SingularSet(7, Shape.ARC)]),
-            "singular_sets must hold SingularSet records with string ids, not SingularSet[(]id=7",
-        ),
+        (lambda: _sphere(singular_sets=[SingularSet("a", Shape.ARC), SingularSet(7, Shape.ARC)]), "^SingularSet id must be a str, not 7$"),
         # each would fail with an AttributeError or a bare TypeError, or build and fail later
         (lambda: parse(None), "^parse takes a str, not NoneType$"),
         (lambda: parse(b"surface genus=0 orientable=true boundary=0\n"), "^parse takes a str, not bytes$"),
@@ -135,6 +138,8 @@ def _made_directly(keyword, **changes):
         # each would fail with a bare TypeError
         (lambda: ParseErrors(None), "^ParseErrors takes a list of ParseError, not NoneType$"),
         (lambda: ParseErrors(5), "^ParseErrors takes a list of ParseError, not int$"),
+        # would build, holding something that is not a ParseError
+        (lambda: ParseErrors([5, "x"]), "^ParseErrors takes a list of ParseError, not one holding 5$"),
     ],
     ids=[
         "negative-genus",
@@ -144,6 +149,8 @@ def _made_directly(keyword, **changes):
         "float-boundary",
         "str-genus",
         "bool-genus",
+        "int-ref-kind",
+        "foreign-point-kind",
         "none-surface",
         "str-record",
         "record-of-another-type",
@@ -184,6 +191,7 @@ def _made_directly(keyword, **changes):
         "parse-errors-str",
         "parse-errors-none",
         "parse-errors-int",
+        "parse-errors-holding-int",
     ],
 )
 def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
@@ -745,9 +753,10 @@ def test_records_are_frozen_dataclasses(cls, args, required, defaults, other_las
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.extra = 1
 
-    changed = dataclasses.replace(record, **{names[0]: "z"})
+    first = RefKind.ORBIT if cls is LimitRef else "z"  # of the first field's type: an id, or LimitRef's kind
+    changed = dataclasses.replace(record, **{names[0]: first})
     assert type(changed) is cls and changed != record
-    assert getattr(changed, names[0]) == "z" and [getattr(changed, n) for n in names[1:]] == list(args[1:])
+    assert getattr(changed, names[0]) == first and [getattr(changed, n) for n in names[1:]] == list(args[1:])
     assert dataclasses.replace(record) == record
     assert [(f.name, f.default) for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING] == list(
         defaults.items()
@@ -995,88 +1004,82 @@ def test_every_public_entry_point_raises_a_flowcomplex_error_or_returns():
     assert escapes == []
 
 
-# The entry points that read every record of a complex, each run on a
-# complex made directly with one record holding a value of the wrong type: a
-# list, tuple or string where a frozenset is declared, an int kind or shape.
-# Nothing checks field types, so the (entry point, keyword, field, value
-# type) rows of KNOWN_ESCAPES still escape as a bare TypeError; each is a
-# strict xfail, so that list can only shrink.
-WHOLE_COMPLEX_CALLS = {
-    "validate": validate,
-    "emit": emit,
-    "export_dot": export_dot,
-    "classification_report": classification_report,
-    "verify_theorems": verify_theorems,
-    "generalized_saddle_sets": generalized_saddle_sets,
-}
-KNOWN_ESCAPES = {
-    # a list, tuple or string boundary is compared with a frozenset, or hashed
-    *(
-        (call, "families", field, kind)
-        for call in ("validate", "classification_report", "verify_theorems")
-        for field in ("boundary0", "boundary1")
-        for kind in ("list", "tuple", "str")
-    ),
-    *(("validate", "accumulation_schemas", "target", kind) for kind in ("list", "tuple", "str")),
-    *(("validate", "saddle_set_decls", "members", kind) for kind in ("list", "tuple", "str")),
-}
+# A value of the wrong type for each field, by the field's resolved type:
+# each of these that is not an instance of it (``int`` rejects ``bool``).
+WRONG_VALUES = (5, True, "r", ("r",), ["r"], frozenset({"r"}), OrbitKind.PERIODIC, PointKind.SADDLE)
+# The entry points that read every record of a complex.  Each once took a
+# complex made directly with one record holding a list, tuple or string
+# where a frozenset is declared, or an int or foreign-enum kind, and raised
+# a bare TypeError or KeyError, or wrote text that parse rejects.
+WHOLE_COMPLEX_CALLS = ("validate", "emit", "export_dot", "classification_report", "verify_theorems", "generalized_saddle_sets")
 
 
-def _wrong_typed_rows():
+def _field_classes(cls, name):
+    """The classes ``isinstance`` checks field ``name`` against, with
+    ``NoneType`` when it is optional."""
+    hint = typing.get_type_hints(cls)[name]
+    members = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+    return tuple(typing.get_origin(m) or m for m in members)
+
+
+def _is_wrong(value, classes):
+    return not isinstance(value, classes) or (isinstance(value, bool) and int in classes and bool not in classes)
+
+
+def _wrong_type_message(record, name, value):
+    classes = _field_classes(type(record), name)
+    names = [("an " if c.__name__[0] in "AEIOUaeiou" else "a ") + c.__name__ for c in classes if c is not type(None)]
+    expected = " or ".join(names + ["None"] * (type(None) in classes))
+    who = f"{type(record).__name__} {record.id!r}" if hasattr(record, "id") and name != "id" else type(record).__name__
+    return f"{who} {name} must be {expected}, not {value!r}"
+
+
+def _wrong_type_rows():
+    """``(record, field, value, keyword)``: every wrong value of every field of
+    every value class, with no keyword; then one row per whole-complex entry
+    point and frozenset or enum field of each record of ``VALID_RECORDS``,
+    under its keyword, for a list, tuple or string frozenset and an int or
+    foreign-enum kind; then a ``LimitRef`` with an int kind."""
     rows = []
+    for cls, args, _ in VALUE_CLASSES:
+        record = cls(*args)
+        for f in dataclasses.fields(cls):
+            classes = _field_classes(cls, f.name)
+            for value in WRONG_VALUES:
+                if _is_wrong(value, classes):
+                    rows.append(pytest.param(record, f.name, value, None, id=f"{cls.__name__}-{f.name}-{type(value).__name__}"))
     for keyword, record in VALID_RECORDS.items():
         for f in dataclasses.fields(record):
-            if f.type.startswith("frozenset"):
+            classes = _field_classes(type(record), f.name)
+            if frozenset in classes:
                 values = (["r"], ("r",), "r")
-            elif f.name in ("kind", "shape") and f.default is dataclasses.MISSING:
-                values = (5,)
+            elif issubclass(classes[0], enum.Enum):
+                values = (5, next(v for v in (PointKind.SADDLE, OrbitKind.PERIODIC) if _is_wrong(v, classes)))
             else:
                 continue
             for value in values:
                 for call in WHOLE_COMPLEX_CALLS:
-                    key = (call, keyword, f.name, type(value).__name__)
-                    marks = [pytest.mark.xfail(strict=True, raises=TypeError)] if key in KNOWN_ESCAPES else []
-                    rows.append(pytest.param(*key[:3], value, marks=marks, id="-".join(key)))
+                    rows.append(pytest.param(record, f.name, value, keyword, id=f"{call}-{keyword}-{f.name}-{type(value).__name__}"))
+    # a limit reference is read through an orbit class; validate once raised
+    # a bare AttributeError on it and emit a bare KeyError
+    for call in ("validate", "emit"):
+        rows.append(pytest.param(LimitRef.sing("x"), "kind", 5, None, id=f"{call}-orbit_classes-LimitRef-kind-int"))
     return rows
 
 
-WRONG_TYPED_ROWS = _wrong_typed_rows()
-
-
-def test_the_known_escapes_are_rows_of_the_wrong_type_table():
-    marked = {tuple(row.id.split("-")) for row in WRONG_TYPED_ROWS if row.marks}
-    assert marked == KNOWN_ESCAPES
-
-
-@pytest.mark.parametrize("call, keyword, field, value", WRONG_TYPED_ROWS)
-def test_a_wrong_typed_field_raises_a_flowcomplex_error_or_returns(call, keyword, field, value):
-    fc = _made_directly(keyword, **{field: value})
-    try:
-        WHOLE_COMPLEX_CALLS[call](fc)
-    except FlowComplexError:
-        pass
-
-
-@pytest.mark.parametrize(
-    "call, keyword, field",
-    [
-        *(
-            (call, keyword, field)
-            for call in ("emit", "export_dot")
-            for keyword, field in (
-                ("singular_sets", "shape"),
-                ("singular_sets", "kind"),
-                ("orbit_classes", "kind"),
-                ("families", "kind"),
-            )
-        ),
-        ("emit", "accumulation_schemas", "kind"),
-    ],
-)
-def test_a_writer_names_the_record_and_field_of_an_unknown_kind(call, keyword, field):
-    """The seven int-kind rows of the wrong-type table that escaped as a bare
-    KeyError, and a point singularity's kind, which has a default and so is
-    not in that table."""
-    fc = _made_directly(keyword, **{field: 5})
-    with pytest.raises(PreconditionError, match=f"'r' has the unknown {field} 5$"):
-        WHOLE_COMPLEX_CALLS[call](fc)
+@pytest.mark.parametrize("record, field, value, keyword", _wrong_type_rows())
+def test_a_field_rejects_a_value_of_the_wrong_type(record, field, value, keyword):
+    """Made directly and by ``dataclasses.replace``, a record with ``value`` in
+    ``field`` raises a ``PreconditionError`` naming the class, the id, the
+    field, the expected type and the value; so does ``_made_directly``, and a
+    whole-complex entry point can never be given such a record."""
+    cls = type(record)
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(cls)}
+    message = f"^{re.escape(_wrong_type_message(record, field, value))}$"
+    with pytest.raises(PreconditionError, match=message):
+        cls(**{**values, field: value})
+    with pytest.raises(PreconditionError, match=message):
+        dataclasses.replace(record, **{field: value})
+    if keyword is not None:
+        with pytest.raises(PreconditionError, match=message):
+            _made_directly(keyword, **{field: value})
