@@ -417,10 +417,9 @@ class Classifier:
 
     @cached_attribute
     def wandering(self) -> tuple[str, ...]:
-        """The proper classes, in record order (id order for a complex from
-        ``build`` or ``parse``), with no declared route into the closure of
-        the recurrent part: a locally dense or exceptional class's closure, a
-        periodic annulus boundary, or a family-sequence target."""
+        """The proper classes, in id order, with no declared route into the
+        closure of the recurrent part: a locally dense or exceptional class's
+        closure, a periodic annulus boundary, or a family-sequence target."""
         fc = self.fc
         proper = [o.id for o in fc.orbit_classes if o.kind is PROPER]
         if not proper:  # the routes, and the closures they read, are not needed

@@ -19,8 +19,6 @@ _POINT_SHAPES = {
 def _singular_node(s: SingularSet) -> tuple[str, str, str]:
     if s.shape is not POINT:
         return s.id, "box", KIND_TEXT[s.shape]
-    if s.kind is None:
-        raise PreconditionError(f"point singularity {s.id!r} has no kind")
     return s.id, _POINT_SHAPES[s.kind], KIND_TEXT[s.kind]
 
 
@@ -34,24 +32,24 @@ def export_dot(fc: FlowComplex, overlay: Optional[ExtendedOrbitSet] = None) -> s
     mark = overlay.members if overlay is not None else frozenset()
     lines = ["digraph flow_complex {", '  rankdir="LR";']
     # (id, shape, second label line) of each record, kind by kind in id order
-    nodes = [_singular_node(s) for s in sorted(fc.singular_sets, key=lambda r: r.id)]
-    nodes += [(o.id, "ellipse", KIND_TEXT[o.kind]) for o in sorted(fc.orbit_classes, key=lambda r: r.id)]
-    nodes += [(f.id, "box3d", KIND_TEXT[f.kind]) for f in sorted(fc.families, key=lambda r: r.id)]
+    nodes = [_singular_node(s) for s in fc.singular_sets]
+    nodes += [(o.id, "ellipse", KIND_TEXT[o.kind]) for o in fc.orbit_classes]
+    nodes += [(f.id, "box3d", KIND_TEXT[f.kind]) for f in fc.families]
     for nid, shape, label in nodes:
         attrs = [f"shape={shape}", f'label="{nid}\\n{label}"']
         if nid in mark:
             attrs += ["penwidth=3", 'color="firebrick"']
         lines.append(f'  "{nid}" [{", ".join(attrs)}];')
 
-    for o in sorted(fc.orbit_classes, key=lambda r: r.id):
+    for o in fc.orbit_classes:
         for ref, into in ((o.alpha, True), (o.omega, False)):
             if ref is None:
                 continue
             style = " [style=dashed]" if ref.kind is SET_REF else ""
-            for t in sorted(ref.ids):
+            for t in ref.ids:
                 tail, head = (t, o.id) if into else (o.id, t)
                 lines.append(f'  "{tail}" -> "{head}"{style};')
-    for f in sorted(fc.families, key=lambda r: r.id):
+    for f in fc.families:
         for bset, _ in f.boundaries():
             for b in sorted(bset):
                 lines.append(f'  "{f.id}" -> "{b}" [style=dotted, dir=none];')

@@ -283,6 +283,18 @@ class LimitRef:
     kind: RefKind
     ids: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        """Its ids are ``str``s: one for ``sing:`` and ``orbit:``, at least one, sorted and distinct, for ``set:``."""
+        ids = self.ids
+        for rid in ids:
+            if not isinstance(rid, str):
+                raise PreconditionError(f"LimitRef ids must be strs, not {rid!r}")
+        if self.kind is SET_REF and ids:
+            object.__setattr__(self, "ids", tuple(sorted(set(ids))))
+        elif len(ids) != 1:
+            least = "at least " if self.kind is SET_REF else ""
+            raise PreconditionError(f"LimitRef {self.kind.value}: names {least}one id, not {ids!r}")
+
     @classmethod
     def sing(cls, sid: str) -> "LimitRef":
         return cls(RefKind.SING, (sid,))
@@ -293,7 +305,7 @@ class LimitRef:
 
     @classmethod
     def of_set(cls, ids: Iterable[str]) -> "LimitRef":
-        return cls(RefKind.SET, tuple(sorted(set(ids))))
+        return cls(RefKind.SET, tuple(ids))
 
     def resolved(self) -> frozenset[str]:
         return frozenset(self.ids)
@@ -307,9 +319,16 @@ class SingularSet:
     shape: Shape
     kind: Optional[PointKind] = None
 
+    def __post_init__(self) -> None:
+        if self.shape is POINT:
+            if self.kind is None:
+                raise PreconditionError(f"point singularity {self.id!r} needs a kind")
+        elif self.kind is not None:
+            raise PreconditionError(f"arc/circle singular set {self.id!r} carries no point kind")
+
     @property
     def is_saddle(self) -> bool:
-        return self.shape is POINT and self.kind is SADDLE
+        return self.kind is SADDLE
 
 
 @value_class(slots=True)
@@ -364,6 +383,10 @@ class AccumulationSchema:
     samples: tuple[str, ...]
     target: frozenset[str]
 
+    def __post_init__(self) -> None:
+        if not self.samples or not self.target:
+            raise PreconditionError(f"AccumulationSchema {self.id!r} samples and target must be nonempty")
+
 
 @value_class(slots=True)
 class SaddleSetDecl:
@@ -397,9 +420,16 @@ class ValidationReport:
         return frozenset(v.rule for v in self.violations)
 
 
+# each record group of a complex and the record class it holds, in field order
+_GROUPS = (("singular_sets", SingularSet), ("orbit_classes", OrbitClass), ("families", Family),
+           ("accumulation_schemas", AccumulationSchema), ("saddle_set_decls", SaddleSetDecl))
+
+
 @value_class
 class FlowComplex:
-    """Immutable symbolic flow presentation; all operations are pure functions of it."""
+    """Immutable symbolic flow presentation; all operations are pure functions of it.
+    However it is made, each group holds only its own record class, in id
+    order, and no id names two records."""
 
     surface: SurfaceInfo
     singular_sets: tuple[SingularSet, ...] = ()
@@ -407,6 +437,20 @@ class FlowComplex:
     families: tuple[Family, ...] = ()
     accumulation_schemas: tuple[AccumulationSchema, ...] = ()
     saddle_set_decls: tuple[SaddleSetDecl, ...] = ()
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for name, record_type in _GROUPS:
+            records = getattr(self, name)
+            if not records:
+                continue
+            for rec in records:
+                if not isinstance(rec, record_type):
+                    raise PreconditionError(f"{name} must hold {record_type.__name__} records, not {rec!r}")
+                if rec.id in seen:
+                    raise PreconditionError(f"duplicate id {rec.id!r}")
+                seen.add(rec.id)
+            object.__setattr__(self, name, tuple(sorted(records, key=attrgetter("id"))))
 
     @classmethod
     def build(
@@ -418,30 +462,12 @@ class FlowComplex:
         accumulation_schemas: Iterable[AccumulationSchema] = (),
         saddle_set_decls: Iterable[SaddleSetDecl] = (),
     ) -> "FlowComplex":
-        """Construct with records sorted by id; an argument of the wrong type
-        and duplicate ids are rejected."""
-        if not isinstance(surface, SurfaceInfo):
-            raise PreconditionError(f"surface must be a SurfaceInfo, not {surface!r}")
-        seen: set[str] = set()
-        groups = []
-        for argument, records, record_type in (
-            ("singular_sets", singular_sets, SingularSet),
-            ("orbit_classes", orbit_classes, OrbitClass),
-            ("families", families, Family),
-            ("accumulation_schemas", accumulation_schemas, AccumulationSchema),
-            ("saddle_set_decls", saddle_set_decls, SaddleSetDecl),
-        ):
+        """Construct from any iterables of records."""
+        groups = (singular_sets, orbit_classes, families, accumulation_schemas, saddle_set_decls)
+        for (argument, record_type), records in zip(_GROUPS, groups):
             if not isinstance(records, Iterable) or isinstance(records, str):
                 raise PreconditionError(f"{argument} must be a collection of {record_type.__name__} records, not {records!r}")
-            records = tuple(records)
-            for rec in records:
-                if not isinstance(rec, record_type):
-                    raise PreconditionError(f"{argument} must hold {record_type.__name__} records, not {rec!r}")
-                if rec.id in seen:
-                    raise PreconditionError(f"duplicate id {rec.id!r}")
-                seen.add(rec.id)
-            groups.append(tuple(sorted(records, key=lambda r: r.id)))
-        return cls(surface, *groups)
+        return cls(surface, *map(tuple, groups))
 
     @cached_attribute
     def sing_by_id(self) -> Mapping[str, SingularSet]:
@@ -468,10 +494,10 @@ class FlowComplex:
         limits: dict[tuple[str, ...], tuple[str, frozenset[str]]] = {}
         for o in self.orbit_classes:
             for side, ref in (("alpha", o.alpha), ("omega", o.omega)):
-                if ref is not None and ref.ids:
+                if ref is not None:
                     entry = limits.get(ref.ids)
                     if entry is None:
-                        entry = limits[ref.ids] = (min(ref.ids), ref.resolved())
+                        entry = limits[ref.ids] = (ref.ids[0], ref.resolved())
                     lid, limit = entry
                     out.setdefault((side, lid), []).append((limit, o.id))
         return out
@@ -594,10 +620,7 @@ def _poincare_hopf_applies(fc: FlowComplex) -> bool:
         return False
     if fc.accumulation_schemas:
         return False
-    for s in fc.singular_sets:
-        if s.shape is not POINT or s.kind not in REGULAR_KINDS:
-            return False
-    return True
+    return all(s.kind in REGULAR_KINDS for s in fc.singular_sets)  # a continuum has no kind
 
 
 def _check_poincare_hopf(fc: FlowComplex, out: list[Violation]) -> None:
@@ -673,7 +696,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
             # several ids, or one that is not singular (a lone singularity is
             # sing:, which the slot count sees); unknown ids are reported above
             if ref.kind is SET_REF:
-                wrong = not ids or (len(ids) == 1 and ids[0] in sing)
+                wrong = len(ids) == 1 and ids[0] in sing
                 set_refs.append((oid, ref.resolved()))
             else:
                 first = ids[0]
@@ -714,15 +737,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
     # closure-based checks need resolvable references; everything record-local
     # still runs so the report stays complete
     refs_ok = not unresolved
-    out = unresolved + ref_kinds
-
-    for s in fc.singular_sets:
-        if s.shape is POINT:
-            if s.kind is None:
-                out.append(Violation(s.id, "point-missing-kind", "point singularity needs a kind"))
-        elif s.kind is not None:
-            out.append(Violation(s.id, "continuum-kind", "arc/circle singular sets carry no point kind"))
-    out += kind_rules
+    out = unresolved + ref_kinds + kind_rules
 
     if refs_ok:
         # declared closures must already be closed, and locally dense classes
@@ -761,9 +776,6 @@ def validate(fc: FlowComplex) -> ValidationReport:
                 out.append(Violation(f.id, "point-boundary-needs-shrink", "members converging to a point must shrink"))
 
     for a in fc.accumulation_schemas:
-        if not a.samples or not a.target:
-            out.append(Violation(a.id, "schema-empty", "samples and target must be nonempty"))
-            continue
         if set(a.samples) & a.target:
             out.append(Violation(a.id, "schema-target-overlap", "target must be disjoint from samples"))
         if a.kind is SINGULARITY_SEQUENCE:

@@ -163,7 +163,7 @@ class Expansion:
             return self._holding.get(xid, ())
         orb = fc.orbit_by_id.get(xid)
         ref = None if orb is None else (orb.omega if forward else orb.alpha)
-        if ref is None or not ref.ids:
+        if ref is None:
             return ()
         ids = ref.ids
         if len(ids) == 1:

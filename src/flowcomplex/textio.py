@@ -27,7 +27,6 @@ name the kind of piece their prefix says, is left to validation.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from operator import attrgetter
 
 from .model import (
     AccumulationSchema,
@@ -227,7 +226,7 @@ class _Reader:
         elif kind is SET_REF:
             ids = self.ids(key, rest, 4)
             if ids is not None:
-                found = self._refs[value] = LimitRef(kind, tuple(sorted(set(ids))))
+                found = self._refs[value] = LimitRef(kind, tuple(ids))
         elif rest.isidentifier() and rest.isascii():
             found = self._refs[value] = LimitRef(kind, (rest,))
         else:
@@ -387,14 +386,11 @@ def parse(text: str) -> FlowComplex:
         errors.append(ParseError(1, 1, "missing surface record"))
     if errors:
         raise ParseErrors(errors)
-    by_id = attrgetter("id")
-    return FlowComplex(r.surface, *(tuple(sorted(built, key=by_id)) for _, _, built in records.values()))
+    return FlowComplex(r.surface, *(tuple(built) for _, _, built in records.values()))
 
 
 def _emit_ref(ref: LimitRef) -> str:
-    if ref.kind is SET_REF:
-        return "set:" + ",".join(sorted(ref.ids))
-    return f"{KIND_TEXT[ref.kind]}:{ref.ids[0]}"
+    return f"{KIND_TEXT[ref.kind]}:{','.join(ref.ids)}"
 
 
 def _emit_ids(ids) -> str:
@@ -406,14 +402,9 @@ def emit(fc: FlowComplex) -> str:
     require_complex(fc, "emit")
     s = fc.surface
     lines = [f"surface genus={s.genus} orientable={str(s.orientable).lower()} boundary={s.boundary_components}"]
-    for sg in sorted(fc.singular_sets, key=lambda r: r.id):
-        if sg.shape is POINT:
-            if sg.kind is None:
-                raise PreconditionError(f"point singularity {sg.id!r} has no kind")
-            lines.append(f"sing {sg.id} point kind={KIND_TEXT[sg.kind]}")
-        else:
-            lines.append(f"sing {sg.id} {KIND_TEXT[sg.shape]}")
-    for o in sorted(fc.orbit_classes, key=lambda r: r.id):
+    for sg in fc.singular_sets:  # a point, and only a point, has a kind
+        lines.append(f"sing {sg.id} {KIND_TEXT[sg.shape]}" + ("" if sg.kind is None else f" kind={KIND_TEXT[sg.kind]}"))
+    for o in fc.orbit_classes:
         parts = [f"orbit {o.id} {KIND_TEXT[o.kind]}"]
         if o.alpha is not None:
             parts.append(f"alpha={_emit_ref(o.alpha)}")
@@ -422,15 +413,15 @@ def emit(fc: FlowComplex) -> str:
         if o.closure_decl is not None:
             parts.append(f"closure={_emit_ids(o.closure_decl)}")
         lines.append(" ".join(parts))
-    for f in sorted(fc.families, key=lambda r: r.id):
+    for f in fc.families:
         parts = [f"family {f.id} kind={KIND_TEXT[f.kind]} b0={_emit_ids(f.boundary0)} b1={_emit_ids(f.boundary1)}"]
         if f.shrinks0:
             parts.append("shrinks0=true")
         if f.shrinks1:
             parts.append("shrinks1=true")
         lines.append(" ".join(parts))
-    for a in sorted(fc.accumulation_schemas, key=lambda r: r.id):
+    for a in fc.accumulation_schemas:
         lines.append(f"accum {a.id} kind={KIND_TEXT[a.kind]} samples={','.join(a.samples)} target={_emit_ids(a.target)}")
-    for d in sorted(fc.saddle_set_decls, key=lambda r: r.id):
+    for d in fc.saddle_set_decls:
         lines.append(f"saddleset {d.id} members={_emit_ids(d.members)} isolated={str(d.isolated).lower()}")
     return "\n".join(lines) + "\n"

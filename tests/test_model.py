@@ -67,6 +67,10 @@ def _sphere(**kwargs):
     return FlowComplex.build(SurfaceInfo(0, True, 0), **kwargs)
 
 
+# an arc and a periodic orbit that share the id 'a'
+ARC_A, PERIODIC_A = SingularSet("a", Shape.ARC), OrbitClass("a", OrbitKind.PERIODIC)
+
+
 def _made_directly(keyword, **changes):
     """A complex built without ``build``, holding one record of ``VALID_RECORDS``
     with ``changes`` applied."""
@@ -93,12 +97,32 @@ def _made_directly(keyword, **changes):
             re.escape(f"SingularSet 'r' kind must be a PointKind or None, not {OrbitKind.PERIODIC!r}"),
         ),
         # each would build and fail later with an AttributeError, or fail with a bare TypeError
-        (lambda: FlowComplex.build(None), "surface must be a SurfaceInfo, not None"),
+        (lambda: FlowComplex.build(None), "^FlowComplex has no surface$"),
         (lambda: _sphere(singular_sets=["ab"]), "^singular_sets must hold SingularSet records, not 'ab'$"),
         (lambda: _sphere(families=[OrbitClass("p", OrbitKind.PERIODIC)]), "families must hold Family records"),
         (lambda: _sphere(orbit_classes=None), "orbit_classes must be a collection of OrbitClass records, not None"),
         (lambda: _sphere(orbit_classes="p"), "orbit_classes must be a collection of OrbitClass records, not 'p'"),
         (lambda: _sphere(singular_sets=[SingularSet("a", Shape.ARC), SingularSet(7, Shape.ARC)]), "^SingularSet id must be a str, not 7$"),
+        # each would build, and fail later with a bare exception or give
+        # witnesses that depend on the record order
+        (lambda: FlowComplex(_SURFACE, ("x",)), "^singular_sets must hold SingularSet records, not 'x'$"),
+        (lambda: dataclasses.replace(_sphere(), singular_sets=("x",)), "^singular_sets must hold SingularSet records, not 'x'$"),
+        (lambda: FlowComplex(_SURFACE, (ARC_A,), (PERIODIC_A,)), "^duplicate id 'a'$"),
+        (lambda: dataclasses.replace(_sphere(singular_sets=[ARC_A]), orbit_classes=(PERIODIC_A,)), "^duplicate id 'a'$"),
+        (lambda: LimitRef(RefKind.SING, ("b", "a")), r"^LimitRef sing: names one id, not \('b', 'a'\)$"),
+        (lambda: dataclasses.replace(LimitRef.sing("a"), ids=("b", "a")), r"^LimitRef sing: names one id, not \('b', 'a'\)$"),
+        (lambda: LimitRef(RefKind.ORBIT, ()), r"^LimitRef orbit: names one id, not \(\)$"),
+        (lambda: dataclasses.replace(LimitRef.orbit("a"), ids=()), r"^LimitRef orbit: names one id, not \(\)$"),
+        (lambda: LimitRef(RefKind.SET, ()), r"^LimitRef set: names at least one id, not \(\)$"),
+        (lambda: dataclasses.replace(LimitRef.of_set("a"), ids=()), r"^LimitRef set: names at least one id, not \(\)$"),
+        (lambda: LimitRef(RefKind.SET, ("a", 5)), "^LimitRef ids must be strs, not 5$"),
+        (lambda: dataclasses.replace(LimitRef.of_set("a"), ids=("a", 5)), "^LimitRef ids must be strs, not 5$"),
+        (lambda: LimitRef(RefKind.SING, (5,)), "^LimitRef ids must be strs, not 5$"),
+        # each would build, for validate to flag
+        (lambda: AccumulationSchema("q", SchemaKind.SADDLE_CHAIN, (), frozenset({"t"})), "^AccumulationSchema 'q' samples and target must be nonempty$"),
+        (lambda: AccumulationSchema("q", SchemaKind.SADDLE_CHAIN, ("p",), frozenset()), "^AccumulationSchema 'q' samples and target must be nonempty$"),
+        (lambda: dataclasses.replace(VALID_RECORDS["accumulation_schemas"], samples=()), "^AccumulationSchema 'r' samples and target must be nonempty$"),
+        (lambda: dataclasses.replace(VALID_RECORDS["accumulation_schemas"], target=frozenset()), "^AccumulationSchema 'r' samples and target must be nonempty$"),
         # each would fail with an AttributeError or a bare TypeError, or build and fail later
         (lambda: parse(None), "^parse takes a str, not NoneType$"),
         (lambda: parse(b"surface genus=0 orientable=true boundary=0\n"), "^parse takes a str, not bytes$"),
@@ -157,6 +181,23 @@ def _made_directly(keyword, **changes):
         "none-records",
         "str-records",
         "int-id",
+        "str-in-group",
+        "str-in-group-replace",
+        "shared-id",
+        "shared-id-replace",
+        "two-id-sing-ref",
+        "two-id-sing-ref-replace",
+        "empty-orbit-ref",
+        "empty-orbit-ref-replace",
+        "empty-set-ref",
+        "empty-set-ref-replace",
+        "int-set-ref-id",
+        "int-set-ref-id-replace",
+        "int-sing-ref-id",
+        "schema-empty-samples",
+        "schema-empty-target",
+        "schema-empty-samples-replace",
+        "schema-empty-target-replace",
         "parse-none",
         "parse-bytes",
         "validate-none",
@@ -204,6 +245,11 @@ def test_expansion_sets_hold_known_ids():
     with pytest.raises(UnknownIdError, match="nope"):
         Expansion(fc, [frozenset({"s"}), frozenset({"s", "nope"})])
     assert Expansion(fc, (frozenset({"s"}),)).payloads(True) == {"s": frozenset({"s"})}
+
+
+def test_a_set_reference_keeps_its_ids_sorted_and_distinct():
+    assert LimitRef(RefKind.SET, ("b", "a", "a")).ids == ("a", "b")
+    assert dataclasses.replace(LimitRef.of_set("a"), ids=("b", "a", "a")).ids == ("a", "b")
 
 
 def test_build_takes_records_from_any_iterable():
@@ -308,11 +354,11 @@ def test_point_boundary_requires_shrink_flag():
 
 
 def test_arc_with_point_kind_is_flagged():
-    fc = FlowComplex.build(
-        SurfaceInfo(0, True, 0),
-        singular_sets=[SingularSet("seg", Shape.ARC, PointKind.CENTER)],
-    )
-    assert "continuum-kind" in validate(fc).rules()
+    # when it is made, so no complex holds one
+    arc = SingularSet("seg", Shape.ARC)
+    for make in (lambda: SingularSet("seg", Shape.ARC, PointKind.CENTER), lambda: dataclasses.replace(arc, kind=PointKind.CENTER)):
+        with pytest.raises(PreconditionError, match="^arc/circle singular set 'seg' carries no point kind$"):
+            make()
 
 
 def test_locally_dense_closure_mismatch():
@@ -363,8 +409,7 @@ def test_limit_reference_kind_must_match_its_target():
         "orbit-named-as-sing": (LimitRef.sing("p"), LimitRef.sing("a")),
         "sing-named-as-orbit": (LimitRef.sing("a"), LimitRef.orbit("s")),
         "singular-one-id-set": (LimitRef.sing("a"), LimitRef.of_set({"a"})),
-        "empty-set": (LimitRef.sing("a"), LimitRef.of_set(())),
-    }
+    }  # an empty set: is rejected when it is made (the empty-set-ref rows)
     for name, (alpha, omega) in cases.items():
         fc = _sphere(
             singular_sets=singular,
@@ -471,12 +516,6 @@ VALIDATE_RULES = [
         dict(singular_sets=[SI], orbit_classes=[OrbitClass("m", OrbitKind.PROPER, LimitRef.orbit("si"), LimitRef.sing("si"))]),
         [("m", "orbit:si names the wrong kind of piece")],
     ),
-    ("point-missing-kind", dict(singular_sets=[SingularSet("x", Shape.POINT)]), [("x", "point singularity needs a kind")]),
-    (
-        "continuum-kind",
-        dict(singular_sets=[SingularSet("seg", Shape.ARC, PointKind.CENTER)]),
-        [("seg", "arc/circle singular sets carry no point kind")],
-    ),
     (
         "periodic-has-limit",
         dict(singular_sets=[C], orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC, omega=LimitRef.sing("c"))]),
@@ -540,11 +579,6 @@ VALIDATE_RULES = [
         [("f", "members converging to a point must shrink")],
     ),
     (
-        "schema-empty",
-        dict(accumulation_schemas=[AccumulationSchema("q", SchemaKind.SADDLE_CHAIN, (), frozenset())]),
-        [("q", "samples and target must be nonempty")],
-    ),
-    (
         "schema-target-overlap",
         _schema(SchemaKind.SINGULARITY_SEQUENCE, ("c",), {"c"}),
         [("q", "target must be disjoint from samples")],
@@ -596,7 +630,7 @@ def test_every_validate_rule_fires_with_its_detail(rule, records, expected):
 def test_the_rule_table_covers_every_violation_validate_can_report():
     source = Path(flowcomplex.model.__file__).read_text(encoding="utf-8")
     rules = set(re.findall(r'Violation\(\s*[^,()]+,\s*"([a-z-]+)"', source))
-    assert len(rules) > 20
+    assert len(rules) >= 18
     assert rules == {rule for rule, _, _ in VALIDATE_RULES}
 
 
@@ -721,7 +755,7 @@ RECORDS = [
     ),
     (AccumulationSchema, ("c", SchemaKind.SADDLE_CHAIN, ("p", "q"), frozenset({"t"})), 4, {}, frozenset({"u"})),
     (SaddleSetDecl, ("d", frozenset({"s"}), True), 3, {}, False),
-    (LimitRef, (RefKind.SET, ("a", "b")), 2, {}, ("a",)),
+    (LimitRef, (RefKind.SET, ("a",)), 2, {}, ("a", "b")),
 ]
 
 
@@ -737,9 +771,11 @@ def test_records_are_frozen_dataclasses(cls, args, required, defaults, other_las
     # equality is per class and per field
     assert record != cls(*args[:-1], other_last) and record != (*args,)
 
-    short = cls(*args[:required])
+    # a point singularity needs a kind, so SingularSet's default is tried on an arc
+    head = ("s", Shape.ARC) if cls is SingularSet else args[:required]
+    short = cls(*head)
     assert {n: getattr(short, n) for n in names[required:]} == defaults
-    assert short == cls(**dict(zip(names[:required], args[:required])))
+    assert short == cls(**dict(zip(names[:required], head)))
     with pytest.raises(TypeError):
         cls(*args[: required - 1])
     with pytest.raises(TypeError):
@@ -791,7 +827,7 @@ _SADDLE = SingularSet("s", Shape.POINT, PointKind.SADDLE)
 VALUE_CLASSES = [
     (SurfaceInfo, (0, True, 0), (1, False, 2)),
     (LimitRef, (RefKind.SET, ("a", "b")), (RefKind.SING, ("s",))),
-    (SingularSet, ("s", Shape.POINT, PointKind.SADDLE), ("a", Shape.ARC, None)),
+    (SingularSet, ("s", Shape.POINT, PointKind.SADDLE), ("a", Shape.POINT, PointKind.CENTER)),
     (OrbitClass, ("o", OrbitKind.LOCALLY_DENSE, LimitRef.sing("s"), None, frozenset({"o", "s"})), ("p", OrbitKind.PERIODIC, None, None, None)),
     (
         Family,
@@ -819,7 +855,14 @@ VALUE_CLASSES = [
     (GalleryEntry, ("a", plus_saddle, {"n": 3}, {"regular": True}), ("a", sphere_limit_cycle, {}, {})),
 ]
 # arguments that ``__post_init__`` rejects
-REJECTED = {SurfaceInfo: ((-1, True, 0), "genus must be non-negative"), SizeParams: ((0, 0, "any"), "max_repeats must be at least 1")}
+REJECTED = {
+    SurfaceInfo: ((-1, True, 0), "genus must be non-negative"),
+    LimitRef: ((RefKind.SET, ()), "names at least one id"),
+    SingularSet: (("s", Shape.POINT), "needs a kind"),
+    AccumulationSchema: (("c", SchemaKind.SADDLE_CHAIN, (), frozenset({"t"})), "must be nonempty"),
+    FlowComplex: ((_SURFACE, (_SADDLE, _SADDLE)), "duplicate id 's'"),
+    SizeParams: ((0, 0, "any"), "max_repeats must be at least 1"),
+}
 
 
 def test_the_contract_lists_every_value_class():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -24,11 +25,13 @@ from flowcomplex import (
     SingularSet,
     SurfaceInfo,
     build,
+    classification_report,
     emit,
     export_dot,
     extended_orbit,
     parse,
     random_complex,
+    verify_theorems,
 )
 
 MINIMAL = """\
@@ -46,12 +49,22 @@ def test_minimal_document_parses():
     assert fc.family_by_id["f"].shrinks0 and fc.family_by_id["f"].shrinks1
 
 
+def _same_in_any_record_order(fc, text):
+    """``fc`` made directly with every record group reversed is the same
+    complex: equal, written the same, with the same report and theorems."""
+    reversed_fc = FlowComplex(fc.surface, *(getattr(fc, f.name)[::-1] for f in dataclasses.fields(fc)[1:]))
+    assert reversed_fc == fc and emit(reversed_fc) == text
+    assert classification_report(reversed_fc) == classification_report(fc)
+    assert verify_theorems(reversed_fc) == verify_theorems(fc)
+
+
 def test_round_trip_on_gallery(gallery_complexes):
     for name, fc in gallery_complexes.items():
         text = emit(fc)
         again = parse(text)
         assert again == fc, name
         assert emit(again) == text, name
+        _same_in_any_record_order(fc, text)
 
 
 def test_round_trip_on_the_wide_comb():
@@ -62,7 +75,9 @@ def test_round_trip_on_the_wide_comb():
 def test_round_trip_on_random_complexes():
     for seed in range(250):
         fc = random_complex(seed)
-        assert parse(emit(fc)) == fc, seed
+        text = emit(fc)
+        assert parse(text) == fc, seed
+        _same_in_any_record_order(fc, text)
 
 
 def test_comments_and_order_are_free():
@@ -393,11 +408,11 @@ def test_export_dot_output_is_pinned(gallery_complexes):
 
 
 def test_a_point_with_no_kind_is_a_precondition_error():
-    # ``build`` accepts it; ``validate`` reports it as point-missing-kind
-    fc = FlowComplex.build(SurfaceInfo(0, True, 0), singular_sets=[SingularSet("x", Shape.POINT, None)])
-    for write in (emit, export_dot):
-        with pytest.raises(PreconditionError, match="point singularity 'x' has no kind"):
-            write(fc)
+    # when it is made, so neither writer can be handed one
+    point = SingularSet("x", Shape.POINT, PointKind.CENTER)
+    for make in (lambda: SingularSet("x", Shape.POINT, None), lambda: dataclasses.replace(point, kind=None)):
+        with pytest.raises(PreconditionError, match="^point singularity 'x' needs a kind$"):
+            make()
 
 
 # -- command-line surface ------------------------------------------------------
