@@ -1,6 +1,7 @@
 """Deciders for the recurrence hierarchy and singularity character.
 
-Every decision is a pure function of a validated flow complex.  Flow-level
+Every decision is a pure function of a validated flow complex, whose
+declared saddle sets ``validate`` has already admitted.  Flow-level
 verdicts carry a witness (an id set plus the rule that fired) whenever they
 are negative, so reports are auditable.  A shared per-complex cache keeps
 repeated extension and closure queries cheap when a full report or the
@@ -193,10 +194,8 @@ class Classifier:
     @cached_attribute
     def _generalized(self) -> Expansion:
         """The generalized engine, or the plain one itself when no declared
-        set is admitted: the two then have the same expansion sets.  Built
-        at the first generalized payload query, which checks the
-        declarations whichever engine is kept; with none declared there is
-        nothing to check or build."""
+        set is admitted: the two then have the same expansion sets.  With
+        none declared there is nothing to list or build."""
         if not self.fc.saddle_set_decls:
             return self._plain
         engine = Expansion.generalized(self.fc)
@@ -406,9 +405,8 @@ class Classifier:
 
     @_once
     def generalized_recurrent(self) -> Verdict:
-        """The generalized engine is built at the first point the scan visits,
-        which checks the declarations.  When it is the plain engine, the
-        plain engine's kept scan answers."""
+        """With no point to scan no engine is built.  When the generalized
+        engine is the plain one, the plain engine's kept scan answers."""
         if not self._scan_ids:
             return Verdict(True)
         engine = self._generalized

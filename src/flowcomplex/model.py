@@ -661,6 +661,80 @@ def _escapes(limits: dict[str, tuple[str, ...]], ids: frozenset[str]) -> list[st
     return [f"limits of {mid} escape to {sorted(set(limits[mid]) - ids)}" for mid in sorted(escaping)]
 
 
+def _accumulates(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
+    fam = fc.family_by_id.get(wid)
+    if fam is not None:
+        return any(not shrinks and (bset & members) for bset, shrinks in fam.boundaries())
+    orb = fc.orbit_by_id.get(wid)
+    if orb is not None and (orb.kind is PERIODIC or orb.kind in DENSE_KINDS):
+        if fc.closure(wid) & members:
+            return True
+    for schema in fc.accumulation_schemas:
+        if schema.target <= members and wid in schema.samples:
+            return True
+    return False
+
+
+def _leaves(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
+    # recurrent pieces re-exit every small neighborhood of a proper subset
+    # they merely graze; a proper orbit escapes when both ends clear the set
+    if wid in fc.family_by_id:
+        return fc.family_by_id[wid].kind is PERIODIC_ANNULUS
+    orb = fc.orbit_by_id.get(wid)
+    if orb is None:
+        return False
+    if orb.kind is PERIODIC or orb.kind in DENSE_KINDS:
+        return True
+    ends: set[str] = set()
+    for ref in (orb.alpha, orb.omega):
+        if ref is not None:
+            ends.update(ref.ids)
+    return not (ends & members)
+
+
+def _saddle_witness(fc: FlowComplex, mset: frozenset[str]) -> Optional[str]:
+    """The grazed-and-left witness of an invariant-closed set, or None: the
+    first id outside ``mset`` that accumulates on it and leaves it.  It scans
+    every id ``_accumulates`` can hold true for, other than singular ids,
+    which never leave: the families with a non-shrinking boundary meeting
+    ``mset``, the dense and exceptional classes, and the samples of the
+    schemas whose target lies inside ``mset``."""
+    candidates = {
+        fam.id
+        for fam in fc.families
+        if (not fam.shrinks0 and not fam.boundary0.isdisjoint(mset))
+        or (not fam.shrinks1 and not fam.boundary1.isdisjoint(mset))
+    }
+    candidates.update(o.id for o in fc.orbit_classes if o.kind in DENSE_KINDS)
+    sing = fc.sing_by_id
+    for schema in fc.accumulation_schemas:
+        if schema.target <= mset:
+            candidates.update(s for s in schema.samples if s not in sing)
+    for wid in sorted(candidates - mset):
+        if _accumulates(fc, wid, mset) and _leaves(fc, wid, mset):
+            return wid
+    return None
+
+
+def _isolated(fc: FlowComplex, mset: frozenset[str]) -> bool:
+    """Whether an invariant-closed set is isolated from minimal sets: no
+    declared accumulation of minimal sets (a singularity sequence, or a
+    family sequence of shrinking annuli) converges into it from outside."""
+    for schema in fc.accumulation_schemas:
+        if not schema.target <= mset or mset.issuperset(schema.samples):
+            continue
+        if schema.kind is SINGULARITY_SEQUENCE:
+            return False
+        if schema.kind is FAMILY_SEQUENCE:
+            fams = [fc.family_by_id.get(s) for s in schema.samples]
+            if all(
+                f is not None and f.kind is PERIODIC_ANNULUS and (f.shrinks0 or f.shrinks1)
+                for f in fams
+            ):
+                return False
+    return True
+
+
 def validate(fc: FlowComplex) -> ValidationReport:
     """Check every structural invariant; the report lists all violations found.
 
@@ -795,10 +869,20 @@ def validate(fc: FlowComplex) -> ValidationReport:
                 out.append(Violation(a.id, "schema-sample-kind", f"saddle chain samples must be saddles or orbits: {bad}"))
 
     if refs_ok:
+        # a declared set is an invariant saddle set (a single saddle is the
+        # degenerate case), flagged isolated exactly when it is; both tests
+        # need an invariant set
         for d in fc.saddle_set_decls:
-            for mid in sorted(d.members):
-                if not fc.closure(mid) <= d.members:
-                    out.append(Violation(d.id, "saddleset-not-invariant", f"closure of {mid} escapes the declared set"))
+            mset = d.members
+            escaping = [mid for mid in sorted(mset) if not fc.closure(mid) <= mset]
+            out.extend(Violation(d.id, "saddleset-not-invariant", f"closure of {mid} escapes the declared set") for mid in escaping)
+            if escaping:
+                continue
+            if not (len(mset) == 1 and fc.is_saddle(next(iter(mset)))) and _saddle_witness(fc, mset) is None:
+                out.append(Violation(d.id, "saddleset-not-saddle-set", "nothing outside the set accumulates on it and leaves it"))
+            if _isolated(fc, mset) != d.isolated:
+                detail = "minimal sets accumulate on it" if d.isolated else "no minimal sets accumulate on it"
+                out.append(Violation(d.id, "saddleset-isolated-flag", f"declared isolated={str(d.isolated).lower()}, but {detail}"))
 
     for sid in sorted(slots):
         stable, unstable = slots[sid]

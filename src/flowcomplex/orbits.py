@@ -7,11 +7,13 @@ alpha limits and stable sets.  A two-sided extension is the union of the
 two one-sided fixpoints, not a joint closure; the membership relation is
 reflexive and symmetric but need not be transitive.
 
-Generalized extensions replace single saddles by admitted isolated saddle
-sets, expanding whenever a member's limit set is contained in such a set.
-Plain extension is generalized extension over the singleton saddle sets:
-both run the one fixpoint in ``Expansion``, which reads what a set adjoins
-from the complex's lazily built limit index (``FlowComplex.classes_by_limit``).
+Generalized extensions replace single saddles by declared isolated saddle
+sets, expanding whenever a member's limit set is contained in such a set;
+``validate`` judges each declaration, and ``generalized_saddle_sets`` lists
+the admitted ones.  Plain extension is generalized extension over the
+singleton saddle sets: both run the one fixpoint in ``Expansion``, which
+reads what a set adjoins from the complex's lazily built limit index
+(``FlowComplex.classes_by_limit``).
 ``Expansion.orbit`` runs that fixpoint per seed and keeps each member's
 round, for the ``orbit`` command; ``Classifier`` reads members alone from
 ``Expansion.payloads``, which fills every id's one-sided payload at once.
@@ -22,14 +24,10 @@ from __future__ import annotations
 from enum import Enum
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
+from . import model
 from .model import (
-    DENSE_KINDS,
-    FAMILY_SEQUENCE,
     FlowComplex,
-    PERIODIC,
-    PERIODIC_ANNULUS,
     PreconditionError,
-    SINGULARITY_SEQUENCE,
     UnknownIdError,
     require_complex,
     value_class,
@@ -37,8 +35,7 @@ from .model import (
 
 
 class InvalidSaddleSetError(PreconditionError):
-    """A saddle set fails the admission conditions; one that is not
-    invariant-closed fails before the saddle-set tests can run."""
+    """A set given to ``is_saddle_set`` or ``is_isolated`` is not invariant-closed."""
 
 
 class Direction(str, Enum):
@@ -422,66 +419,13 @@ def _require_invariant_closed(fc: FlowComplex, members: frozenset[str]) -> None:
             raise InvalidSaddleSetError(f"set is not invariant-closed: closure of {mid} adds {sorted(escape)}")
 
 
-def _escapes(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
-    # recurrent pieces re-exit every small neighborhood of a proper subset
-    # they merely graze; a proper orbit escapes when both ends clear the set
-    if wid in fc.family_by_id:
-        return fc.family_by_id[wid].kind is PERIODIC_ANNULUS
-    orb = fc.orbit_by_id.get(wid)
-    if orb is None:
-        return False
-    if orb.kind is PERIODIC or orb.kind in DENSE_KINDS:
-        return True
-    ends: set[str] = set()
-    for ref in (orb.alpha, orb.omega):
-        if ref is not None:
-            ends.update(ref.ids)
-    return not (ends & members)
-
-
-def _accumulates(fc: FlowComplex, wid: str, members: frozenset[str]) -> bool:
-    fam = fc.family_by_id.get(wid)
-    if fam is not None:
-        return any(not shrinks and (bset & members) for bset, shrinks in fam.boundaries())
-    orb = fc.orbit_by_id.get(wid)
-    if orb is not None and (orb.kind is PERIODIC or orb.kind in DENSE_KINDS):
-        if fc.closure(wid) & members:
-            return True
-    for schema in fc.accumulation_schemas:
-        if schema.target <= members and wid in schema.samples:
-            return True
-    return False
-
-
-def _saddle_witness(fc: FlowComplex, mset: frozenset[str]) -> Optional[str]:
-    """``is_saddle_set``'s witness for an invariant-closed set, or None.  It
-    scans every id ``_accumulates`` can hold true for: the families with a
-    non-shrinking boundary meeting ``mset``, the dense and exceptional
-    classes, whose closures it tests in the scan's order, and the samples of
-    the schemas whose target lies inside ``mset``."""
-    candidates = {
-        fam.id
-        for fam in fc.families
-        if (not fam.shrinks0 and not fam.boundary0.isdisjoint(mset))
-        or (not fam.shrinks1 and not fam.boundary1.isdisjoint(mset))
-    }
-    candidates.update(o.id for o in fc.orbit_classes if o.kind in DENSE_KINDS)
-    for schema in fc.accumulation_schemas:
-        if schema.target <= mset:
-            candidates.update(schema.samples)
-    for wid in sorted(candidates - mset):
-        if _accumulates(fc, wid, mset) and _escapes(fc, wid, mset):
-            return wid
-    return None
-
-
 def is_saddle_set(fc: FlowComplex, members: Iterable[str]) -> SaddleSetVerdict:
     """Grazed-and-left criterion: some witness outside the set accumulates on
     it while escaping every small neighborhood in both time directions."""
     require_complex(fc, "is_saddle_set")
     mset = _id_set(members, "is_saddle_set")
     _require_invariant_closed(fc, mset)
-    wid = _saddle_witness(fc, mset)
+    wid = model._saddle_witness(fc, mset)
     return SaddleSetVerdict(wid is not None, wid)
 
 
@@ -492,46 +436,20 @@ def is_isolated(fc: FlowComplex, members: Iterable[str]) -> bool:
     require_complex(fc, "is_isolated")
     mset = _id_set(members, "is_isolated")
     _require_invariant_closed(fc, mset)
-    return _isolated(fc, mset)
-
-
-def _isolated(fc: FlowComplex, mset: frozenset[str]) -> bool:
-    """``is_isolated`` for an invariant-closed set."""
-    for schema in fc.accumulation_schemas:
-        if not schema.target <= mset or set(schema.samples) <= mset:
-            continue
-        if schema.kind is SINGULARITY_SEQUENCE:
-            return False
-        if schema.kind is FAMILY_SEQUENCE:
-            fams = [fc.family_by_id.get(s) for s in schema.samples]
-            if all(
-                f is not None and f.kind is PERIODIC_ANNULUS and (f.shrinks0 or f.shrinks1)
-                for f in fams
-            ):
-                return False
-    return True
+    return model._isolated(fc, mset)
 
 
 def generalized_saddle_sets(fc: FlowComplex) -> list[frozenset[str]]:
     """The expansion sets used by generalized recurrence: every singleton
-    saddle plus every declared set whose isolated flag is true.
-
-    A declared set must pass ``is_saddle_set`` (waived for a single saddle,
-    the degenerate case the generalization extends), and its isolated flag
-    must equal ``is_isolated``; an inconsistent declaration is an error.
-    Each declared set is checked to be invariant-closed once, before both tests.
-    """
+    saddle plus every declared set flagged isolated that is not a single
+    saddle.  Whether a declaration qualifies is ``validate``'s to judge
+    (``saddleset-not-invariant``, ``saddleset-not-saddle-set`` and
+    ``saddleset-isolated-flag``); this only lists what it admitted."""
     require_complex(fc, "generalized_saddle_sets")
     sets = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
     for decl in fc.saddle_set_decls:
         mset = decl.members
-        _require_invariant_closed(fc, mset)
-        single = len(mset) == 1 and fc.is_saddle(next(iter(mset)))
-        if not single and _saddle_witness(fc, mset) is None:
-            raise InvalidSaddleSetError(f"declared set {decl.id!r} fails the saddle-set criterion")
-        if _isolated(fc, mset) != decl.isolated:
-            raise InvalidSaddleSetError(f"declared set {decl.id!r} has an inconsistent isolated flag")
         # a single saddle is already listed as its own singleton
-        if decl.isolated and not single:
+        if decl.isolated and not (len(mset) == 1 and fc.is_saddle(next(iter(mset)))):
             sets.append(mset)
     return sets

@@ -23,7 +23,7 @@ from flowcomplex import (
     closure_of,
     orbit_set_closure,
 )
-from flowcomplex import orbits
+from flowcomplex import model, orbits
 from flowcomplex.classify import has_periodic_member_kinds
 
 
@@ -281,11 +281,11 @@ def naive_open_extension_missing_dense_side(ref: Classifier) -> Optional[str]:
 
 def naive_saddle_set(fc: FlowComplex, members: Iterable[str]) -> orbits.SaddleSetVerdict:
     """``is_saddle_set`` by a scan of every id outside the set, in sorted
-    order, with the library's own accumulation and escape tests: the first id
-    that accumulates on the set and escapes it is the witness."""
+    order, with the library's own accumulation and leaving tests: the first id
+    that accumulates on the set and leaves it is the witness."""
     mset = frozenset(members)
     orbits._require_invariant_closed(fc, mset)
     for wid in sorted(fc.all_ids - mset):
-        if orbits._accumulates(fc, wid, mset) and orbits._escapes(fc, wid, mset):
+        if model._accumulates(fc, wid, mset) and model._leaves(fc, wid, mset):
             return orbits.SaddleSetVerdict(True, wid)
     return orbits.SaddleSetVerdict(False, None)

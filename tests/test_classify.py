@@ -17,7 +17,6 @@ from flowcomplex import (
     Family,
     FamilyKind,
     FlowComplex,
-    InvalidSaddleSetError,
     LimitCycle,
     LimitRef,
     OrbitClass,
@@ -776,8 +775,8 @@ def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_co
     """With no declared set admitted the classifier answers generalized
     recurrence on its plain engine; the verdict, witness and rule match a
     scan over the generalized engine built on its own.  A complex that
-    declares no saddle set reuses the plain engine without admitting any
-    set; one that declares some checks them whichever engine it keeps."""
+    declares no saddle set reuses the plain engine without listing any set;
+    one that declares some lists them whichever engine it keeps."""
     named = list(gallery_complexes.items()) + [(f"seed {seed}", random_complex(seed)) for seed in range(1000)]
     named += [(f"{name} n=40", build(name, {"n": 40})) for name in ("nested_saddles_disk", "double_center_sphere")]
     branches = {"reused": [], "separate": []}
@@ -814,7 +813,7 @@ def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_co
         else:
             xid, side = failure
             assert verdict == Verdict(False, Witness((xid,), f"not-generalized-{side}-recurrent")), name
-    # halfdisk_sphere and 47 sweep seeds admit a declared set
+    # halfdisk_sphere and 47 sweep seeds declare an admitted set
     assert "halfdisk_sphere" in branches["separate"]
     assert (len(branches["reused"]), len(branches["separate"])) == (963, 48)
     assert built == {"reused": 563, "separate": 48}
@@ -822,23 +821,24 @@ def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_co
     assert verdicts == {"reused": {True, False}, "separate": {True}}
 
 
-def test_generalized_engine_is_built_at_the_first_generalized_reach():
-    # every point is recurrent, so no verdict needs an extended orbit and the
-    # declared set, which fails the saddle-set criterion, is not checked
-    # until a generalized extended orbit is asked for
+def test_a_declared_set_that_is_no_saddle_set_fails_validate_not_the_analyses():
+    # nothing outside the declared set {c1} accumulates on it and leaves it;
+    # validate rejects the declaration, and the analyses, which a caller may
+    # run without validating, judge nothing and raise nothing
     fc = parse(
         "surface genus=0 orientable=true boundary=0\n"
         "sing c1 point kind=center\nsing c2 point kind=center\n"
         "family f kind=annulus b0=c1 b1=c2 shrinks0=true shrinks1=true\n"
         "saddleset q members=c1 isolated=true\n"
     )
-    assert validate(fc).ok
+    detail = "nothing outside the set accumulates on it and leaves it"
+    assert [(v.id, v.rule, v.detail) for v in validate(fc).violations] == [("q", "saddleset-not-saddle-set", detail)]
     cls = Classifier(fc)
+    # every point is recurrent, so no generalized engine is built
     assert cls.generalized_recurrent().verdict
     assert "_generalized" not in vars(cls)
     assert classification_report(fc).generalized_recurrent.verdict
-    with pytest.raises(InvalidSaddleSetError, match="'q' fails the saddle-set criterion"):
-        cls.payload("c1", True, generalized=True)
+    assert cls.payload("c1", True, generalized=True) == frozenset({"c1"})
 
 
 def test_unknown_ids_raise_from_both_queries(gallery_complexes):

@@ -258,6 +258,53 @@ def test_a_file_with_a_byte_order_mark_loads(tmp_path):
     assert _in_process(["validate", str(doc)]) == (0, "ok\n", "")
 
 
+# two centers inside one periodic orbit; nothing outside {n} accumulates on
+# it and leaves it, and nothing accumulates on it at all
+TWO_CENTERS = """\
+surface genus=0 orientable=true boundary=0
+sing n point kind=center
+sing s point kind=center
+orbit g periodic
+family fn kind=annulus b0=g b1=n shrinks1=true
+family fs kind=annulus b0=g b1=s shrinks1=true
+saddleset bad members=n isolated=false
+"""
+
+
+def test_every_command_rejects_a_bad_saddle_set_declaration_with_the_same_lines(tmp_path):
+    """A declared saddle set is judged by ``validate`` alone: each command that
+    reads a document exits 1 with the same violations, whichever analysis it
+    would run."""
+    halfdisk = emit(build("halfdisk_sphere", None))
+    documents = {
+        "two_centers": (
+            TWO_CENTERS,
+            "n",
+            [
+                "bad: saddleset-not-saddle-set (nothing outside the set accumulates on it and leaves it)",
+                "bad: saddleset-isolated-flag (declared isolated=false, but no minimal sets accumulate on it)",
+            ],
+        ),
+        "halfdisk_flag": (
+            halfdisk.replace("saddleset ssm members=pm isolated=true", "saddleset ssm members=pm isolated=false"),
+            "rp",
+            ["ssm: saddleset-isolated-flag (declared isolated=false, but no minimal sets accumulate on it)"],
+        ),
+        "not_invariant": (
+            emit(build("genus2_mixed", None)) + "saddleset q members=c1 isolated=true\n",
+            "c1",
+            ["q: saddleset-not-invariant (closure of c1 escapes the declared set)"],
+        ),
+    }
+    for name, (text, start, lines) in documents.items():
+        path = tmp_path / f"{name}.fc"
+        path.write_text(text)
+        report = "".join(f"{line}\n" for line in lines)
+        assert _in_process(["validate", str(path)]) == (1, report, ""), name
+        for argv in (["classify"], ["verify"], ["orbit", "--start", start], ["orbit", "--start", start, "--generalized"], ["export-dot"]):
+            assert _in_process([argv[0], str(path), *argv[1:]]) == (1, "", report), (name, argv)
+
+
 def _run_with_hash_seed(argv, seed):
     proc = subprocess.run(
         [sys.executable, "-m", "flowcomplex.cli", *argv],

@@ -618,6 +618,17 @@ VALIDATE_RULES = [
         [("s", "stable slots filled: 0, unstable slots filled: 0 (need 2 + 2)")],
     ),
     ("poincare-hopf", dict(singular_sets=[C]), [("surface", "index sum 1 != Euler characteristic 2")]),
+    (
+        "saddleset-not-saddle-set",
+        dict(singular_sets=[C], saddle_set_decls=[SaddleSetDecl("d", frozenset({"c"}), True)]),
+        [("d", "nothing outside the set accumulates on it and leaves it")],
+    ),
+    (
+        # a single saddle needs no witness; nothing accumulates on it
+        "saddleset-isolated-flag",
+        dict(singular_sets=[S], saddle_set_decls=[SaddleSetDecl("d", frozenset({"s"}), False)]),
+        [("d", "declared isolated=false, but no minimal sets accumulate on it")],
+    ),
 ]
 
 

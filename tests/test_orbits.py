@@ -37,7 +37,7 @@ from flowcomplex import (
     unstable_set,
     validate,
 )
-from flowcomplex import orbits
+from flowcomplex import model, orbits
 from flowcomplex.orbits import SaddleSetVerdict, _strong_components, orbit_set_closure
 
 from naive_oracle import expand_once, naive_extended_orbit, naive_extension, naive_saddle_set, reachability_members
@@ -313,29 +313,52 @@ def test_a_family_sequence_of_shrinking_annuli_denies_isolation():
 
 def test_an_inconsistent_isolated_flag_is_an_error():
     fc = parse(FAMILY_SEQUENCE_TORUS.format(kind="annulus") + "saddleset q members=z isolated=true\n")
-    assert validate(fc).ok
-    with pytest.raises(InvalidSaddleSetError, match="^declared set 'q' has an inconsistent isolated flag$"):
-        generalized_saddle_sets(fc)
+    detail = "declared isolated=true, but minimal sets accumulate on it"
+    assert [(v.id, v.rule, v.detail) for v in validate(fc).violations] == [("q", "saddleset-isolated-flag", detail)]
+    # the listing does not judge: it lists the flagged set
+    assert generalized_saddle_sets(fc) == [frozenset({"z"})]
 
 
 def test_admission_checks_each_declared_set_once(gallery_complexes, monkeypatch):
-    """``generalized_saddle_sets`` checks that a declared set is invariant-closed
-    once, before both admission tests; the public predicates check their own
-    argument."""
+    """``validate`` runs the saddle-set and isolation tests once per declared
+    set, the first only for a set that is not a single saddle, and
+    ``generalized_saddle_sets`` runs neither; the public predicates check
+    that their own argument is invariant-closed."""
+    calls = []
+
+    def counted(name, test):
+        def wrapped(fc, members):
+            calls.append((name, members))
+            return test(fc, members)
+
+        return wrapped
+
+    for name in ("_saddle_witness", "_isolated"):
+        monkeypatch.setattr(model, name, counted(name, getattr(model, name)))
+    both = ("_saddle_witness", "_isolated")
+    plus = parse(emit(build("plus_saddle")) + "saddleset x members=s isolated=true\n")
+    # halfdisk_sphere declares its poles pm and pp, which are not saddles
+    cases = [
+        (gallery_complexes["halfdisk_sphere"], [(test, "pm") for test in both] + [(test, "pp") for test in both]),
+        (gallery_complexes["comb_torus"], [(test, "q0") for test in both]),
+        (plus, [("_isolated", "s")]),
+    ]
+    for fc, expected in cases:
+        calls.clear()
+        assert validate(fc).ok
+        assert calls == [(test, frozenset({mid})) for test, mid in expected]
+        calls.clear()
+        generalized_saddle_sets(fc)
+        assert calls == []
+    fc = gallery_complexes["comb_torus"]
     checked = []
     check = orbits._require_invariant_closed
 
-    def counted(fc, members):
+    def counted_check(fc, members):
         checked.append(members)
         return check(fc, members)
 
-    monkeypatch.setattr(orbits, "_require_invariant_closed", counted)
-    for name, declared in (("halfdisk_sphere", 2), ("comb_torus", 1)):
-        fc = gallery_complexes[name]
-        checked.clear()
-        generalized_saddle_sets(fc)
-        assert checked == [decl.members for decl in fc.saddle_set_decls] and len(checked) == declared, name
-    checked.clear()
+    monkeypatch.setattr(orbits, "_require_invariant_closed", counted_check)
     is_saddle_set(fc, {"q0"})
     is_isolated(fc, {"q0"})
     assert checked == [frozenset({"q0"})] * 2
@@ -382,14 +405,14 @@ def test_saddle_set_requires_invariant_closed_input(gallery_complexes):
 
 
 def test_every_admission_path_rejects_a_set_that_is_not_invariant_closed(gallery_complexes):
-    # validate flags the declaration; the library calls below skip validate
+    # validate reports only that the declaration is not invariant; the
+    # public predicates raise on such a set
     fc = parse(emit(gallery_complexes["genus2_mixed"]) + "saddleset q members=c1 isolated=true\n")
     assert [v.rule for v in validate(fc).violations] == ["saddleset-not-invariant"]
-    message = r"set is not invariant-closed: closure of c1 adds \['s1', 's2'\]"
-    with pytest.raises(InvalidSaddleSetError, match=message):
-        generalized_saddle_sets(fc)
-    with pytest.raises(InvalidSaddleSetError, match=message):
-        Expansion.generalized(fc)
+    message = r"^set is not invariant-closed: closure of c1 adds \['s1', 's2'\]$"
+    for predicate in (is_saddle_set, is_isolated):
+        with pytest.raises(InvalidSaddleSetError, match=message):
+            predicate(fc, {"c1"})
 
 
 def test_monotone_fixpoint_on_fixtures(gallery_complexes):
