@@ -1,7 +1,7 @@
 """Deciders for the recurrence hierarchy and singularity character.
 
-Every decision is a pure function of a validated flow complex, whose
-declared saddle sets ``validate`` has already admitted.  Flow-level
+Every decision is a pure function of a flow complex that passes
+``validate``: ``Classifier`` refuses any other.  Flow-level
 verdicts carry a witness (an id set plus the rule that fired) whenever they
 are negative, so reports are auditable.  A shared per-complex cache keeps
 repeated extension and closure queries cheap when a full report or the
@@ -36,7 +36,7 @@ from .model import (
     SET_REF,
     SING_REF,
     cached_attribute,
-    require_complex,
+    require_valid,
     singularity_accumulation,
     value_class,
 )
@@ -181,7 +181,7 @@ class Classifier:
     """
 
     def __init__(self, fc: FlowComplex):
-        require_complex(fc, "Classifier")
+        require_valid(fc, "Classifier")
         self.fc = fc
         self._answers: dict[str, object] = {}
 
@@ -592,14 +592,10 @@ class Classifier:
                     continue
                 if ref.kind is SET_REF:
                     candidates.add(ref.resolved())
-                elif ref.kind is ORBIT_REF:
-                    target = fc.orbit_by_id.get(ref.ids[0])
-                    if target is not None and target.kind is PERIODIC:
-                        candidates.add(frozenset(ref.ids))
+                elif ref.kind is ORBIT_REF and fc.orbit_by_id[ref.ids[0]].kind is PERIODIC:
+                    candidates.add(frozenset(ref.ids))
         results: list[LimitCycle] = []
         for gamma in sorted(candidates, key=sorted):
-            if len(gamma) == 1 and next(iter(gamma)) in fc.sing_by_id:
-                continue
             if not _is_closed_curve_union(fc, gamma):
                 continue
             if not any(gamma <= self.members(mid) for mid in sorted(gamma)):
@@ -634,7 +630,7 @@ def _is_closed_curve_union(fc: FlowComplex, ids: frozenset[str]) -> bool:
         if orb.kind is not PROPER:
             return False
         for ref, deg in ((orb.alpha, outdeg), (orb.omega, indeg)):
-            if ref is None or ref.kind is not SING_REF:
+            if ref.kind is not SING_REF:
                 return False
             end = ref.ids[0]
             if end not in ids or not fc.is_saddle(end):

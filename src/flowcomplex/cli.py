@@ -50,20 +50,17 @@ def _load_valid(path: str) -> FlowComplex:
     fc = _load(path)
     report = validate(fc)
     if not report.ok:
-        for v in report.violations:
-            print(f"{v.id}: {v.rule} ({v.detail})", file=sys.stderr)
+        print(*report.violations, sep="\n", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
     return fc
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    fc = _load(args.file)
-    report = validate(fc)
+    report = validate(_load(args.file))
     if report.ok:
         print("ok")
         return EXIT_OK
-    for v in report.violations:
-        print(f"{v.id}: {v.rule} ({v.detail})")
+    print(*report.violations, sep="\n")
     return EXIT_INVALID
 
 

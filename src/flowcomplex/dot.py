@@ -49,9 +49,12 @@ def export_dot(fc: FlowComplex, overlay: Optional[ExtendedOrbitSet] = None) -> s
             for t in ref.ids:
                 tail, head = (t, o.id) if into else (o.id, t)
                 lines.append(f'  "{tail}" -> "{head}"{style};')
-    for f in fc.families:
-        for bset, _ in f.boundaries():
-            for b in sorted(bset):
-                lines.append(f'  "{f.id}" -> "{b}" [style=dotted, dir=none];')
+    try:  # the one sort of ids
+        for f in fc.families:
+            for bset, _ in f.boundaries():
+                for b in sorted(bset):
+                    lines.append(f'  "{f.id}" -> "{b}" [style=dotted, dir=none];')
+    except TypeError as exc:  # an id that is not a str, in a record made directly
+        raise PreconditionError(f"export_dot takes a complex whose ids are strs: {exc}") from None
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -405,6 +405,9 @@ class Violation:
     rule: str
     detail: str = ""
 
+    def __str__(self) -> str:  # as ``flowcomplex validate`` prints it
+        return f"{self.id}: {self.rule} ({self.detail})"
+
 
 @value_class
 class ValidationReport:
@@ -503,6 +506,10 @@ class FlowComplex:
         return out
 
     @cached_attribute
+    def _report(self) -> ValidationReport:
+        return _validate(self)
+
+    @cached_attribute
     def _closures(self) -> dict[str, frozenset[str]]:
         return {}
 
@@ -553,6 +560,14 @@ def require_complex(fc: object, caller: str) -> None:
     """Reject anything but a ``FlowComplex`` where ``caller`` needs one."""
     if not isinstance(fc, FlowComplex):
         raise PreconditionError(f"{caller} takes a FlowComplex, not {type(fc).__name__}")
+
+
+def require_valid(fc: object, caller: str) -> None:
+    """Reject anything but a ``FlowComplex`` that passes ``validate`` where ``caller``
+    analyses one, listing each violation as ``flowcomplex validate`` prints it."""
+    require_complex(fc, caller)
+    if fc._report.violations:
+        raise PreconditionError("\n".join([f"{caller} takes a complex that passes validate, which reports:", *map(str, fc._report.violations)]))
 
 
 def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:
@@ -737,13 +752,16 @@ def _isolated(fc: FlowComplex, mset: frozenset[str]) -> bool:
 
 def validate(fc: FlowComplex) -> ValidationReport:
     """Check every structural invariant; the report lists all violations found.
-
-    One pass over the orbit classes applies their record-local rules and
-    gathers what the others need; the closure-based rules run only when
-    every reference resolves.  Violations are listed rule group by rule
-    group, in the order of the sections below.
-    """
+    The report is made at the first call and kept with the complex, for ``require_valid``."""
     require_complex(fc, "validate")
+    return fc._report
+
+
+def _validate(fc: FlowComplex) -> ValidationReport:
+    """``validate``'s checks: one pass over the orbit classes applies their
+    record-local rules and gathers what the others need; the closure-based
+    rules run only when every reference resolves.  Violations are listed rule
+    group by rule group.  Ids that may be unresolved sort by ``str``."""
     known, sing, orbit_by_id = fc.all_ids, fc.sing_by_id, fc.orbit_by_id
     unresolved: list[Violation] = []
     ref_kinds: list[Violation] = []
@@ -782,7 +800,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
                 detail = f"{ref.kind.value}:{','.join(ids)} names the wrong kind of piece"
                 ref_kinds.append(Violation(oid, "limit-ref-kind", detail))
         if decl and not decl <= known:
-            _check_unresolved(oid, sorted(decl), known, unresolved)
+            _check_unresolved(oid, sorted(decl, key=str), known, unresolved)
         if kind is PROPER or kind is PERIODIC:
             limits[oid] = (alpha.ids if alpha is not None else ()) + (omega.ids if omega is not None else ())
             if kind is PERIODIC:
@@ -802,12 +820,12 @@ def validate(fc: FlowComplex) -> ValidationReport:
 
     for f in fc.families:
         if not (f.boundary0 <= known and f.boundary1 <= known):
-            _check_unresolved(f.id, sorted(f.boundary0 | f.boundary1), known, unresolved)
+            _check_unresolved(f.id, sorted(f.boundary0 | f.boundary1, key=str), known, unresolved)
     for a in fc.accumulation_schemas:
-        _check_unresolved(a.id, (*a.samples, *sorted(a.target)), known, unresolved)
+        _check_unresolved(a.id, (*a.samples, *sorted(a.target, key=str)), known, unresolved)
     for d in fc.saddle_set_decls:
         if not d.members <= known:
-            _check_unresolved(d.id, sorted(d.members), known, unresolved)
+            _check_unresolved(d.id, sorted(d.members, key=str), known, unresolved)
     # closure-based checks need resolvable references; everything record-local
     # still runs so the report stays complete
     refs_ok = not unresolved
@@ -856,7 +874,7 @@ def validate(fc: FlowComplex) -> ValidationReport:
             bad = [s for s in a.samples if s not in sing]
             if bad:
                 out.append(Violation(a.id, "schema-sample-kind", f"singularity sequence samples must be singular: {bad}"))
-            nonsing = [t for t in sorted(a.target) if t not in sing]
+            nonsing = [t for t in sorted(a.target, key=str) if t not in sing]
             if nonsing:
                 out.append(Violation(a.id, "schema-target-kind", f"limit of singularities must be singular: {nonsing}"))
         elif a.kind is FAMILY_SEQUENCE:

@@ -10,13 +10,14 @@ reflexive and symmetric but need not be transitive.
 Generalized extensions replace single saddles by declared isolated saddle
 sets, expanding whenever a member's limit set is contained in such a set;
 ``validate`` judges each declaration, and ``generalized_saddle_sets`` lists
-the admitted ones.  Plain extension is generalized extension over the
-singleton saddle sets: both run the one fixpoint in ``Expansion``, which
-reads what a set adjoins from the complex's lazily built limit index
-(``FlowComplex.classes_by_limit``).
-``Expansion.orbit`` runs that fixpoint per seed and keeps each member's
-round, for the ``orbit`` command; ``Classifier`` reads members alone from
-``Expansion.payloads``, which fills every id's one-sided payload at once.
+the admitted ones.  It and ``Expansion`` take only a complex that passes
+``validate``.  Plain extension is generalized extension over the singleton
+saddle sets: both run the one fixpoint in ``Expansion``, which reads what a
+set adjoins from the complex's lazily built limit index
+(``FlowComplex.classes_by_limit``).  ``Expansion.orbit`` runs that fixpoint
+per seed and keeps each member's round, for the ``orbit`` command;
+``Classifier`` reads members alone from ``Expansion.payloads``, which fills
+every id's one-sided payload at once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .model import (
     PreconditionError,
     UnknownIdError,
     require_complex,
+    require_valid,
     value_class,
 )
 
@@ -115,7 +117,7 @@ class Expansion:
     """
 
     def __init__(self, fc: FlowComplex, sets: Sequence[frozenset[str]]):
-        require_complex(fc, "Expansion")
+        require_valid(fc, "Expansion")
         if not isinstance(sets, (list, tuple)):
             raise PreconditionError(f"Expansion takes a list or tuple of frozensets, not {type(sets).__name__}")
         self.fc = fc
@@ -135,13 +137,13 @@ class Expansion:
     @classmethod
     def plain(cls, fc: FlowComplex) -> "Expansion":
         """Plain extension: every saddle is its own expansion set."""
-        require_complex(fc, "Expansion")
+        require_valid(fc, "Expansion")
         return cls(fc, [frozenset({sid}) for sid in sorted(fc.saddle_ids)])
 
     @classmethod
     def generalized(cls, fc: FlowComplex) -> "Expansion":
         """Generalized extension over ``generalized_saddle_sets(fc)``."""
-        require_complex(fc, "Expansion")
+        require_valid(fc, "Expansion")
         return cls(fc, generalized_saddle_sets(fc))
 
     def _adjoins(self, i: int, forward: bool) -> list[str]:
@@ -442,10 +444,9 @@ def is_isolated(fc: FlowComplex, members: Iterable[str]) -> bool:
 def generalized_saddle_sets(fc: FlowComplex) -> list[frozenset[str]]:
     """The expansion sets used by generalized recurrence: every singleton
     saddle plus every declared set flagged isolated that is not a single
-    saddle.  Whether a declaration qualifies is ``validate``'s to judge
-    (``saddleset-not-invariant``, ``saddleset-not-saddle-set`` and
-    ``saddleset-isolated-flag``); this only lists what it admitted."""
-    require_complex(fc, "generalized_saddle_sets")
+    saddle, on a complex that passes ``validate``, which judges each
+    declaration (the ``saddleset-*`` rules)."""
+    require_valid(fc, "generalized_saddle_sets")
     sets = [frozenset({sid}) for sid in sorted(fc.saddle_ids)]
     for decl in fc.saddle_set_decls:
         mset = decl.members

@@ -400,28 +400,31 @@ def _emit_ids(ids) -> str:
 def emit(fc: FlowComplex) -> str:
     """Canonical serialization: deterministic and byte-identical for equal complexes."""
     require_complex(fc, "emit")
-    s = fc.surface
-    lines = [f"surface genus={s.genus} orientable={str(s.orientable).lower()} boundary={s.boundary_components}"]
-    for sg in fc.singular_sets:  # a point, and only a point, has a kind
-        lines.append(f"sing {sg.id} {KIND_TEXT[sg.shape]}" + ("" if sg.kind is None else f" kind={KIND_TEXT[sg.kind]}"))
-    for o in fc.orbit_classes:
-        parts = [f"orbit {o.id} {KIND_TEXT[o.kind]}"]
-        if o.alpha is not None:
-            parts.append(f"alpha={_emit_ref(o.alpha)}")
-        if o.omega is not None:
-            parts.append(f"omega={_emit_ref(o.omega)}")
-        if o.closure_decl is not None:
-            parts.append(f"closure={_emit_ids(o.closure_decl)}")
-        lines.append(" ".join(parts))
-    for f in fc.families:
-        parts = [f"family {f.id} kind={KIND_TEXT[f.kind]} b0={_emit_ids(f.boundary0)} b1={_emit_ids(f.boundary1)}"]
-        if f.shrinks0:
-            parts.append("shrinks0=true")
-        if f.shrinks1:
-            parts.append("shrinks1=true")
-        lines.append(" ".join(parts))
-    for a in fc.accumulation_schemas:
-        lines.append(f"accum {a.id} kind={KIND_TEXT[a.kind]} samples={','.join(a.samples)} target={_emit_ids(a.target)}")
-    for d in fc.saddle_set_decls:
-        lines.append(f"saddleset {d.id} members={_emit_ids(d.members)} isolated={str(d.isolated).lower()}")
-    return "\n".join(lines) + "\n"
+    try:
+        s = fc.surface
+        lines = [f"surface genus={s.genus} orientable={str(s.orientable).lower()} boundary={s.boundary_components}"]
+        for sg in fc.singular_sets:  # a point, and only a point, has a kind
+            lines.append(f"sing {sg.id} {KIND_TEXT[sg.shape]}" + ("" if sg.kind is None else f" kind={KIND_TEXT[sg.kind]}"))
+        for o in fc.orbit_classes:
+            parts = [f"orbit {o.id} {KIND_TEXT[o.kind]}"]
+            if o.alpha is not None:
+                parts.append(f"alpha={_emit_ref(o.alpha)}")
+            if o.omega is not None:
+                parts.append(f"omega={_emit_ref(o.omega)}")
+            if o.closure_decl is not None:
+                parts.append(f"closure={_emit_ids(o.closure_decl)}")
+            lines.append(" ".join(parts))
+        for f in fc.families:
+            parts = [f"family {f.id} kind={KIND_TEXT[f.kind]} b0={_emit_ids(f.boundary0)} b1={_emit_ids(f.boundary1)}"]
+            if f.shrinks0:
+                parts.append("shrinks0=true")
+            if f.shrinks1:
+                parts.append("shrinks1=true")
+            lines.append(" ".join(parts))
+        for a in fc.accumulation_schemas:
+            lines.append(f"accum {a.id} kind={KIND_TEXT[a.kind]} samples={','.join(a.samples)} target={_emit_ids(a.target)}")
+        for d in fc.saddle_set_decls:
+            lines.append(f"saddleset {d.id} members={_emit_ids(d.members)} isolated={str(d.isolated).lower()}")
+        return "\n".join(lines) + "\n"
+    except TypeError as exc:  # an id that is not a str, in a record made directly
+        raise PreconditionError(f"emit takes a complex whose ids are strs: {exc}") from None

@@ -5,7 +5,8 @@ fails the check is inapplicable (never counted as holding), and when it
 holds the conclusion is re-derived from the classifier operations.  Every
 fact about extended orbits comes from one ``Classifier``: checks that test
 the two-sided member set alone scan its ``leads``, one id per distinct
-extended orbit.  A violation entry is a counterexample report and should
+extended orbit.  The harness runs only on a complex that passes
+``validate``; a violation entry is a counterexample report and should
 never occur on a sound complex.
 """
 
@@ -74,9 +75,8 @@ def _dense_closure_swallows_singularity_sequence(cls: Classifier) -> Optional[st
         if schema.kind is not SINGULARITY_SEQUENCE:
             continue
         for o in cls.fc.orbit_classes:
-            if o.kind in DENSE_KINDS and o.closure_decl:
-                if schema.target <= o.closure_decl:
-                    return o.id
+            if o.kind in DENSE_KINDS and schema.target <= o.closure_decl:
+                return o.id
     return None
 
 
@@ -180,13 +180,10 @@ def check_rclosed_singularity_structure(cls: Classifier) -> TheoremResult:
     if not (cls.extended_r_closed().verdict and is_non_identical(fc)):
         return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
     for o in fc.orbit_classes:
-        if o.kind in DENSE_KINDS and o.closure_decl:
+        if o.kind in DENSE_KINDS:
             for schema in fc.accumulation_schemas:
-                if schema.kind is SADDLE_CHAIN or schema.kind is SINGULARITY_SEQUENCE:
-                    if set(schema.samples) <= o.closure_decl:
-                        return TheoremResult(
-                            name, TheoremStatus.VIOLATION, f"dense closure of {o.id} holds infinitely many singularities"
-                        )
+                if (schema.kind is SADDLE_CHAIN or schema.kind is SINGULARITY_SEQUENCE) and set(schema.samples) <= o.closure_decl:
+                    return TheoremResult(name, TheoremStatus.VIOLATION, f"dense closure of {o.id} holds infinitely many singularities")
     for s in fc.singular_sets:
         if s.shape is not POINT:
             return TheoremResult(name, TheoremStatus.VIOLATION, f"{s.id} is a fixed continuum")

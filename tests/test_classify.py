@@ -1,9 +1,11 @@
 import io
 import sys
+import dataclasses
 import threading
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,8 +47,10 @@ from flowcomplex import classify, orbits
 from flowcomplex.classify import has_periodic_member_kinds
 from flowcomplex.orbits import Expansion, orbit_set_closure
 from flowcomplex.theorems import (
+    TheoremResult,
     _block_with_infinite_singularities,
     _open_extension_missing_dense_side,
+    check_extended_periodic_members,
 )
 from naive_oracle import (
     naive_blocks,
@@ -462,31 +466,30 @@ def test_extended_recurrent_is_decided_once_per_classifier(gallery_complexes, mo
         "family f1 kind=annulus b0=c b1=s shrinks0=true\naccum q kind=family_seq samples=f1,g3 target=s",
     ],
 )
-def test_unresolved_ids_in_blocks_raise_unknown_id_error(extra):
+def test_unresolved_ids_are_rejected_before_any_analysis(extra):
+    # the analyses once reached these ids inside blocks and raised UnknownIdError
     head = "surface genus=0 orientable=true boundary=0\nsing c point kind=center\nsing s point kind=saddle\n"
     fc = parse(head + extra + "\n")
-    with pytest.raises(UnknownIdError):
-        classification_report(fc)
-    with pytest.raises(UnknownIdError):
-        verify_theorems(fc)
+    assert "unresolved-id" in validate(fc).rules()
+    for analyse in (classification_report, verify_theorems, lambda fc: extended_orbit(fc, "c")):
+        with pytest.raises(PreconditionError, match="\n[^\n]+: unresolved-id \\(reference to unknown id 'g[23]'\\)"):
+            analyse(fc)
 
 
 def test_compact_extended_orbit_holding_a_saddle_chain_violates_finiteness():
-    # two homoclinic loops at s, with a chain schema whose sample and target
-    # both sit inside their compact extended orbit (not a sound flow)
-    fc = FlowComplex.build(
-        SurfaceInfo(0, True, 0),
-        singular_sets=[SingularSet("s", Shape.POINT, PointKind.SADDLE)],
-        orbit_classes=[
-            OrbitClass("h1", OrbitKind.PROPER, alpha=LimitRef.sing("s"), omega=LimitRef.sing("s")),
-            OrbitClass("h2", OrbitKind.PROPER, alpha=LimitRef.sing("s"), omega=LimitRef.sing("s")),
-        ],
-        accumulation_schemas=[AccumulationSchema("q", SchemaKind.SADDLE_CHAIN, ("s",), frozenset({"s"}))],
-    )
-    assert Classifier(fc).extended_periodic("h1")
-    [result] = verify_theorems(fc, ["extended-periodic-finiteness"])
-    assert result.status is TheoremStatus.VIOLATION
-    assert result.detail == "h1: members hold saddle chain q"
+    # the check reads only the compact leads, their members and the saddle
+    # chains: a stand-in for the Classifier gives it the compact extended
+    # orbit {s, h1, h2} of two homoclinic loops at s, holding the sample of a
+    # chain (no sound flow has one, so no complex that validates is needed)
+    chain = AccumulationSchema("q", SchemaKind.SADDLE_CHAIN, ("s",), frozenset({"t"}))
+    loops = frozenset({"s", "h1", "h2"})
+    for samples, status, detail in ((("s",), TheoremStatus.VIOLATION, "h1: members hold saddle chain q"), (("x",), TheoremStatus.HOLDS, "")):
+        stand_in = SimpleNamespace(
+            fc=SimpleNamespace(saddle_chains=(dataclasses.replace(chain, samples=samples),)),
+            periodic_leads=frozenset({"h1"}),
+            members=lambda xid: loops,
+        )
+        assert check_extended_periodic_members(stand_in) == TheoremResult("extended-periodic-finiteness", status, detail)
 
 
 def _has_set_cycle(engine, forward):
@@ -590,9 +593,10 @@ def test_ids_that_fire_two_expansion_sets():
     # two sets that share only a periodic orbit, which fires nothing, so
     # neither row reaches the other: x's payload needs both
     fc = parse(
-        "surface genus=0 orientable=true boundary=0\nsing c point kind=center\n"
+        "surface genus=0 orientable=true boundary=0\nsing c point kind=center\nsing c2 point kind=center\n"
         "orbit p periodic\norbit q periodic\norbit x proper alpha=sing:c omega=orbit:p\n"
     )
+    assert validate(fc).ok
     engine = Expansion(fc, [frozenset({"p"}), frozenset({"p", "q"})])
     assert engine.payloads(True) == {"x": frozenset({"p", "q"})}
     assert engine.orbit("x", Direction.FORWARD).members == frozenset({"p", "q", "x"})
@@ -821,10 +825,10 @@ def test_generalized_verdict_on_the_plain_engine_matches_its_own_scan(gallery_co
     assert verdicts == {"reused": {True, False}, "separate": {True}}
 
 
-def test_a_declared_set_that_is_no_saddle_set_fails_validate_not_the_analyses():
+def test_a_declared_set_that_is_no_saddle_set_fails_validate_and_every_analysis():
     # nothing outside the declared set {c1} accumulates on it and leaves it;
-    # validate rejects the declaration, and the analyses, which a caller may
-    # run without validating, judge nothing and raise nothing
+    # validate rejects the declaration, and every analysis refuses the complex
+    # with that line (they once answered, over the declared set)
     fc = parse(
         "surface genus=0 orientable=true boundary=0\n"
         "sing c1 point kind=center\nsing c2 point kind=center\n"
@@ -833,12 +837,9 @@ def test_a_declared_set_that_is_no_saddle_set_fails_validate_not_the_analyses():
     )
     detail = "nothing outside the set accumulates on it and leaves it"
     assert [(v.id, v.rule, v.detail) for v in validate(fc).violations] == [("q", "saddleset-not-saddle-set", detail)]
-    cls = Classifier(fc)
-    # every point is recurrent, so no generalized engine is built
-    assert cls.generalized_recurrent().verdict
-    assert "_generalized" not in vars(cls)
-    assert classification_report(fc).generalized_recurrent.verdict
-    assert cls.payload("c1", True, generalized=True) == frozenset({"c1"})
+    for analyse in (Classifier, classification_report, verify_theorems, Expansion.generalized, orbits.generalized_saddle_sets):
+        with pytest.raises(PreconditionError, match=f"validate, which reports:\nq: saddleset-not-saddle-set \\({detail}\\)$"):
+            analyse(fc)
 
 
 def test_unknown_ids_raise_from_both_queries(gallery_complexes):

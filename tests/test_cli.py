@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from flowcomplex import FlowComplex, build, cli, emit, parse
+from flowcomplex import FlowComplex, PreconditionError, build, classification_report, cli, emit, extended_orbit, parse, validate, verify_theorems
+from flowcomplex import model
 from flowcomplex.textio import ParseErrors
 
 SUBCOMMANDS = ("validate", "classify", "orbit", "gallery", "verify", "export-dot")
@@ -303,6 +304,46 @@ def test_every_command_rejects_a_bad_saddle_set_declaration_with_the_same_lines(
         assert _in_process(["validate", str(path)]) == (1, report, ""), name
         for argv in (["classify"], ["verify"], ["orbit", "--start", start], ["orbit", "--start", start, "--generalized"], ["export-dot"]):
             assert _in_process([argv[0], str(path), *argv[1:]]) == (1, "", report), (name, argv)
+
+
+def test_each_command_validates_a_document_once(tmp_path, monkeypatch):
+    """The CLI's ``validate`` and every analysis after it read the one report
+    kept with the complex; so do a library caller's."""
+    runs = []
+    check = model._validate
+
+    def counted(fc):
+        runs.append(fc)
+        return check(fc)
+
+    monkeypatch.setattr(model, "_validate", counted)
+    path = tmp_path / "hd.fc"
+    path.write_text(emit(build("halfdisk_sphere", None)))
+    # halfdisk_sphere declares admitted sets: the generalized engine is a second one
+    commands = (["classify"], ["verify"], ["orbit", "--start", "rp"], ["orbit", "--start", "rp", "--generalized"], ["export-dot", "--overlay", "rp"])
+    for argv in commands:
+        runs.clear()
+        assert _in_process([argv[0], str(path), *argv[1:]])[0] == 0, argv
+        assert len(runs) == 1, argv
+    runs.clear()
+    fc = parse(path.read_text())
+    assert validate(fc).ok
+    classification_report(fc)
+    verify_theorems(fc)
+    assert runs == [fc]
+
+
+def test_a_library_caller_is_refused_with_the_lines_validate_prints(tmp_path):
+    documents = {"ghosts": GHOSTS, "two_centers": TWO_CENTERS, "broken_flag": emit(build("halfdisk_sphere", None)).replace("isolated=true", "isolated=false")}
+    for name, text in documents.items():
+        path = tmp_path / f"{name}.fc"
+        path.write_text(text)
+        rc, out, _ = _in_process(["validate", str(path)])
+        assert rc == 1 and out, name
+        for analyse in (classification_report, verify_theorems, lambda fc: extended_orbit(fc, "c1")):
+            with pytest.raises(PreconditionError) as info:
+                analyse(parse(text))
+            assert str(info.value).splitlines()[1:] == out.splitlines(), name
 
 
 def _run_with_hash_seed(argv, seed):

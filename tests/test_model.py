@@ -67,6 +67,11 @@ def _sphere(**kwargs):
     return FlowComplex.build(SurfaceInfo(0, True, 0), **kwargs)
 
 
+# a complex that passes validate, with the saddle 's', for the analyses'
+# checks of their own arguments
+_PLUS = build("plus_saddle")
+
+
 # an arc and a periodic orbit that share the id 'a'
 ARC_A, PERIODIC_A = SingularSet("a", Shape.ARC), OrbitClass("a", OrbitKind.PERIODIC)
 
@@ -132,9 +137,9 @@ def _made_directly(keyword, **changes):
         (lambda: Expansion.generalized(None), "^Expansion takes a FlowComplex, not NoneType$"),
         (lambda: Expansion(None, []), "^Expansion takes a FlowComplex, not NoneType$"),
         # each would fail with a bare TypeError, or expand over the characters of an id
-        (lambda: Expansion(_sphere(), None), "^Expansion takes a list or tuple of frozensets, not NoneType$"),
-        (lambda: Expansion(_sphere(), ["p1"]), "^an expansion set is a frozenset, not 'p1'$"),
-        (lambda: Expansion(_sphere(), [["p1"]]), r"^an expansion set is a frozenset, not \['p1'\]$"),
+        (lambda: Expansion(_PLUS, None), "^Expansion takes a list or tuple of frozensets, not NoneType$"),
+        (lambda: Expansion(_PLUS, ["p1"]), "^an expansion set is a frozenset, not 'p1'$"),
+        (lambda: Expansion(_PLUS, [["p1"]]), r"^an expansion set is a frozenset, not \['p1'\]$"),
         (lambda: Classifier(None), "^Classifier takes a FlowComplex, not NoneType$"),
         (lambda: classification_report(None), "^Classifier takes a FlowComplex, not NoneType$"),
         (lambda: verify_theorems(None), "^Classifier takes a FlowComplex, not NoneType$"),
@@ -241,10 +246,9 @@ def test_constructors_reject_bad_input_with_a_precondition_error(make, message):
 
 
 def test_expansion_sets_hold_known_ids():
-    fc = _sphere(singular_sets=[SingularSet("s", Shape.POINT, PointKind.SADDLE)])
     with pytest.raises(UnknownIdError, match="nope"):
-        Expansion(fc, [frozenset({"s"}), frozenset({"s", "nope"})])
-    assert Expansion(fc, (frozenset({"s"}),)).payloads(True) == {"s": frozenset({"s"})}
+        Expansion(_PLUS, [frozenset({"s"}), frozenset({"s", "nope"})])
+    assert Expansion(_PLUS, (frozenset({"s"}),)).payloads(True) == Expansion.plain(_PLUS).payloads(True)
 
 
 def test_a_set_reference_keeps_its_ids_sorted_and_distinct():
@@ -390,14 +394,15 @@ orbit x proper alpha=sing:a omega=set:s
 
 def test_one_id_set_reference_to_a_singularity_is_rejected():
     # ``set:s`` would be a third stable separatrix of ``s`` that the slot
-    # count does not see; plain and generalized extension read it alike
+    # count does not see; the engines refuse the complex (they once read it
+    # alike, plain and generalized)
     fc = parse(THIRD_SEPARATRIX_AS_SET)
     report = validate(fc)
     assert [(v.id, v.rule) for v in report.violations] == [("x", "limit-ref-kind")]
-    for direction in ("fwd", "bwd", "both"):
-        plain = extended_orbit(fc, "x", direction)
-        gen = Expansion(fc, [frozenset({"s"})]).orbit("x", direction)
-        assert (plain.members, plain.added_round, plain.depth) == (gen.members, gen.added_round, gen.depth)
+    line = re.escape("\nx: limit-ref-kind (set:s names the wrong kind of piece)") + "$"
+    for engine in (lambda: extended_orbit(fc, "x"), lambda: Expansion(fc, [frozenset({"s"})]), lambda: Expansion.generalized(fc), lambda: Classifier(fc)):
+        with pytest.raises(PreconditionError, match=line):
+            engine()
 
 
 def test_limit_reference_kind_must_match_its_target():
@@ -643,6 +648,33 @@ def test_the_rule_table_covers_every_violation_validate_can_report():
     rules = set(re.findall(r'Violation\(\s*[^,()]+,\s*"([a-z-]+)"', source))
     assert len(rules) >= 18
     assert rules == {rule for rule, _, _ in VALIDATE_RULES}
+
+
+# every entry point that analyses a complex, and the caller its message names
+GATED_CALLS = {
+    "Classifier": (Classifier, "Classifier"),
+    "classification_report": (classification_report, "Classifier"),
+    "verify_theorems": (verify_theorems, "Classifier"),
+    "Expansion": (lambda fc: Expansion(fc, []), "Expansion"),
+    "Expansion.plain": (Expansion.plain, "Expansion"),
+    "Expansion.generalized": (Expansion.generalized, "Expansion"),
+    "extended_orbit": (lambda fc: extended_orbit(fc, "x"), "Expansion"),
+    "generalized_saddle_sets": (generalized_saddle_sets, "generalized_saddle_sets"),
+}
+
+
+@pytest.mark.parametrize("label", GATED_CALLS)
+def test_every_analysis_refuses_a_complex_that_fails_validate(label):
+    """On each complex of ``VALIDATE_RULES`` the analysis raises before it
+    reads its other arguments, naming itself and then, one a line, each
+    violation as ``flowcomplex validate`` prints it."""
+    call, caller = GATED_CALLS[label]
+    for rule, records, _ in VALIDATE_RULES:
+        fc = _sphere(**records)
+        lines = [f"{v.id}: {v.rule} ({v.detail})" for v in validate(fc).violations]
+        with pytest.raises(PreconditionError) as info:
+            call(fc)
+        assert str(info.value).split("\n") == [f"{caller} takes a complex that passes validate, which reports:", *lines], rule
 
 
 def test_closure_of_periodic_orbit_is_itself():
@@ -1119,6 +1151,42 @@ def _wrong_type_rows():
     for call in ("validate", "emit"):
         rows.append(pytest.param(LimitRef.sing("x"), "kind", 5, None, id=f"{call}-orbit_classes-LimitRef-kind-int"))
     return rows
+
+
+# a field of ids in a record made directly, holding the id 5 that is not a
+# str; each once made validate, emit or the analyses raise a bare TypeError
+# from sorting or joining the ids
+NON_STR_ID_FIELDS = {
+    "Family-boundary0": ("families", {"boundary0": frozenset({"r", 5})}),
+    "Family-boundary1": ("families", {"boundary1": frozenset({"r", 5})}),
+    "OrbitClass-closure_decl": ("orbit_classes", {"kind": OrbitKind.LOCALLY_DENSE, "closure_decl": frozenset({"r", 5})}),
+    "sing_seq-target": ("accumulation_schemas", {"kind": SchemaKind.SINGULARITY_SEQUENCE, "target": frozenset({"t", 5})}),
+    "family_seq-target": ("accumulation_schemas", {"kind": SchemaKind.FAMILY_SEQUENCE, "target": frozenset({"t", 5})}),
+    "AccumulationSchema-samples": ("accumulation_schemas", {"samples": ("r", 5)}),
+    "SaddleSetDecl-members": ("saddle_set_decls", {"members": frozenset({"r", 5})}),
+}
+
+
+@pytest.mark.parametrize("field", NON_STR_ID_FIELDS)
+@pytest.mark.parametrize("call", [*WHOLE_COMPLEX_CALLS, "extended_orbit"])
+def test_an_id_that_is_not_a_str_is_a_flowcomplex_error(call, field):
+    """``validate`` reports the id unresolved, and every analysis refuses the
+    complex for it; ``emit`` raises a ``PreconditionError``, and so does
+    ``export_dot`` on the one field it sorts, a family boundary."""
+    keyword, changes = NON_STR_ID_FIELDS[field]
+    fc = _made_directly(keyword, **changes)
+    unresolved = "r: unresolved-id (reference to unknown id 5)"
+    if call == "validate":
+        assert unresolved in [f"{v.id}: {v.rule} ({v.detail})" for v in validate(fc).violations]
+    elif call == "emit" or (call == "export_dot" and keyword == "families"):
+        with pytest.raises(PreconditionError, match=f"^{call} takes a complex whose ids are strs: "):
+            getattr(flowcomplex, call)(fc)
+    elif call == "export_dot":  # it writes no other field of ids
+        assert export_dot(fc).startswith("digraph flow_complex {")
+    else:
+        analyse = (lambda fc: extended_orbit(fc, "r")) if call == "extended_orbit" else getattr(flowcomplex, call)
+        with pytest.raises(PreconditionError, match=f"\n{re.escape(unresolved)}(\n|$)"):
+            analyse(fc)
 
 
 @pytest.mark.parametrize("record, field, value, keyword", _wrong_type_rows())

@@ -315,15 +315,17 @@ def test_an_inconsistent_isolated_flag_is_an_error():
     fc = parse(FAMILY_SEQUENCE_TORUS.format(kind="annulus") + "saddleset q members=z isolated=true\n")
     detail = "declared isolated=true, but minimal sets accumulate on it"
     assert [(v.id, v.rule, v.detail) for v in validate(fc).violations] == [("q", "saddleset-isolated-flag", detail)]
-    # the listing does not judge: it lists the flagged set
-    assert generalized_saddle_sets(fc) == [frozenset({"z"})]
+    # the listing refuses the complex (it once listed the flagged set)
+    with pytest.raises(PreconditionError, match=f"\nq: saddleset-isolated-flag \\({detail}\\)$"):
+        generalized_saddle_sets(fc)
 
 
 def test_admission_checks_each_declared_set_once(gallery_complexes, monkeypatch):
-    """``validate`` runs the saddle-set and isolation tests once per declared
-    set, the first only for a set that is not a single saddle, and
-    ``generalized_saddle_sets`` runs neither; the public predicates check
-    that their own argument is invariant-closed."""
+    """The first ``validate`` of a complex runs the saddle-set and isolation
+    tests once per declared set, the first only for a set that is not a
+    single saddle; a second ``validate`` and ``generalized_saddle_sets`` run
+    neither.  The public predicates check that their own argument is
+    invariant-closed."""
     calls = []
 
     def counted(name, test):
@@ -337,10 +339,11 @@ def test_admission_checks_each_declared_set_once(gallery_complexes, monkeypatch)
         monkeypatch.setattr(model, name, counted(name, getattr(model, name)))
     both = ("_saddle_witness", "_isolated")
     plus = parse(emit(build("plus_saddle")) + "saddleset x members=s isolated=true\n")
-    # halfdisk_sphere declares its poles pm and pp, which are not saddles
+    # halfdisk_sphere declares its poles pm and pp, which are not saddles;
+    # each complex is new, as the report is kept with the complex
     cases = [
-        (gallery_complexes["halfdisk_sphere"], [(test, "pm") for test in both] + [(test, "pp") for test in both]),
-        (gallery_complexes["comb_torus"], [(test, "q0") for test in both]),
+        (build("halfdisk_sphere"), [(test, "pm") for test in both] + [(test, "pp") for test in both]),
+        (build("comb_torus"), [(test, "q0") for test in both]),
         (plus, [("_isolated", "s")]),
     ]
     for fc, expected in cases:
@@ -348,6 +351,7 @@ def test_admission_checks_each_declared_set_once(gallery_complexes, monkeypatch)
         assert validate(fc).ok
         assert calls == [(test, frozenset({mid})) for test, mid in expected]
         calls.clear()
+        assert validate(fc).ok
         generalized_saddle_sets(fc)
         assert calls == []
     fc = gallery_complexes["comb_torus"]
