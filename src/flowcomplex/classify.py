@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import fields
 from enum import Enum
 from functools import wraps
-from typing import Callable, ClassVar, Collection, Optional, TypeVar
+from typing import Callable, ClassVar, Collection, Iterator, Optional, TypeVar
 
 from .model import (
     DENSE_KINDS,
@@ -176,8 +176,9 @@ class Classifier:
     are kept by the complex itself (``FlowComplex.closure``).  Flow-level
     scans read sets built once per complex: the ids that are not recurrent
     on each side, the ``blocks`` of the ``leads`` (one id per distinct
-    extended orbit), and the leads whose extended orbit is open or compact.
-    The first failing lead is then the first failing id.
+    extended orbit), and the leads whose extended orbit is open; the compact
+    ones are read in lead order (``iter_periodic_leads``).  The first failing
+    lead is then the first failing id.
     """
 
     def __init__(self, fc: FlowComplex):
@@ -301,14 +302,20 @@ class Classifier:
         members_of, lead_of, opened = self._members, self._lead_of_members, self.open_leads
         return tuple(sorted(x for x in self.fc.all_ids if (lead_of[members_of[x]] if x in members_of else x) in opened))
 
+    def _compact(self, lead: str) -> bool:
+        """Whether the extended orbit that ``lead`` leads is compact: a closed
+        member set of the kinds ``has_periodic_member_kinds`` admits."""
+        return lead not in self.open_leads and has_periodic_member_kinds(self.fc, self._members.get(lead) or (lead,))
+
+    def iter_periodic_leads(self) -> Iterator[str]:
+        """The leads whose extended orbit is compact, in lead order, each
+        judged only when it is read."""
+        return filter(self._compact, self.leads)
+
     @cached_attribute
     def periodic_leads(self) -> frozenset[str]:
-        """The leads whose extended orbit is compact: a closed member set of
-        the kinds ``has_periodic_member_kinds`` admits."""
-        fc, members_of, opened = self.fc, self._members, self.open_leads
-        return frozenset(
-            xid for xid in self.leads if xid not in opened and has_periodic_member_kinds(fc, members_of.get(xid) or (xid,))
-        )
+        """Every lead that ``iter_periodic_leads`` yields."""
+        return frozenset(self.iter_periodic_leads())
 
     def extension_closed(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is a closed set."""
@@ -318,7 +325,7 @@ class Classifier:
     def extended_periodic(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is compact."""
         self.fc.require(xid)
-        return self._lead(xid) in self.periodic_leads
+        return self._compact(self._lead(xid))
 
     # -- pointwise recurrence ----------------------------------------------
 

@@ -265,6 +265,8 @@ class SurfaceInfo:
         for key in ("genus", "boundary_components"):
             if getattr(self, key) < 0:
                 raise PreconditionError(f"{key} must be non-negative")
+        if self.genus == 0 and not self.orientable:
+            raise PreconditionError("a non-orientable surface has genus at least 1")
 
     @property
     def closed(self) -> bool:

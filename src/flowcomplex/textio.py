@@ -245,6 +245,8 @@ class _Reader:
         for key, n in (("genus", genus), ("boundary", boundary)):
             if n is not None and n < 0:
                 self.fail_field(key, f"{key} must be non-negative")
+        if genus == 0 and fields.get("orientable") == "false":
+            self.fail_field("genus", "a non-orientable surface has genus at least 1")
         if not self.pending:
             self.surface = SurfaceInfo(genus, orientable, boundary)
 

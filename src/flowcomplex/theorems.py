@@ -98,15 +98,18 @@ def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
     """A compact extended orbit consists of finitely many proper orbits and
     saddles, so its members never hold a whole (infinite) saddle chain."""
     name = "extended-periodic-finiteness"
-    if not cls.periodic_leads:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no compact extended orbits")
     chains = cls.fc.saddle_chains
-    if chains:
-        for xid in sorted(cls.periodic_leads):
-            members = cls.members(xid)
-            for schema in chains:
-                if members.issuperset(schema.samples):
-                    return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: members hold saddle chain {schema.id}")
+    compact = False
+    for xid in cls.iter_periodic_leads():
+        compact = True
+        if not chains:  # only a saddle chain can break it: one compact lead settles it
+            break
+        members = cls.members(xid)
+        for schema in chains:
+            if members.issuperset(schema.samples):
+                return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: members hold saddle chain {schema.id}")
+    if not compact:
+        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no compact extended orbits")
     return TheoremResult(name, TheoremStatus.HOLDS)
 
 

@@ -483,13 +483,36 @@ def test_compact_extended_orbit_holding_a_saddle_chain_violates_finiteness():
     # chain (no sound flow has one, so no complex that validates is needed)
     chain = AccumulationSchema("q", SchemaKind.SADDLE_CHAIN, ("s",), frozenset({"t"}))
     loops = frozenset({"s", "h1", "h2"})
-    for samples, status, detail in ((("s",), TheoremStatus.VIOLATION, "h1: members hold saddle chain q"), (("x",), TheoremStatus.HOLDS, "")):
+    rows = (
+        ((("s",),), ("h1",), TheoremStatus.VIOLATION, "h1: members hold saddle chain q"),
+        ((("x",),), ("h1",), TheoremStatus.HOLDS, ""),
+        ((), (), TheoremStatus.INAPPLICABLE, "no compact extended orbits"),
+    )
+    for samples, leads, status, detail in rows:
         stand_in = SimpleNamespace(
-            fc=SimpleNamespace(saddle_chains=(dataclasses.replace(chain, samples=samples),)),
-            periodic_leads=frozenset({"h1"}),
+            fc=SimpleNamespace(saddle_chains=tuple(dataclasses.replace(chain, samples=s) for s in samples)),
+            iter_periodic_leads=lambda: iter(leads),
             members=lambda xid: loops,
         )
         assert check_extended_periodic_members(stand_in) == TheoremResult("extended-periodic-finiteness", status, detail)
+
+
+@pytest.mark.parametrize(
+    "name, n, chain",
+    [("comb_torus", 640, False), ("double_center_sphere", 40, False), ("nested_saddles_disk", 40, True)],
+)
+def test_the_finiteness_check_reads_the_compact_leads_only_as_far_as_it_must(monkeypatch, name, n, chain):
+    # with no saddle chain declared the first compact lead settles the check;
+    # a chain makes it read the member kinds of every closed lead
+    fc = build(name, {"n": n})
+    assert bool(fc.saddle_chains) == chain
+    calls = []
+    kinds = classify.has_periodic_member_kinds
+    monkeypatch.setattr(classify, "has_periodic_member_kinds", lambda fc, members: calls.append(members) or kinds(fc, members))
+    cls = Classifier(fc)
+    assert check_extended_periodic_members(cls).status is TheoremStatus.HOLDS
+    assert len(calls) == (len(cls.leads) - len(cls.open_leads) if chain else 1)
+    assert "periodic_leads" not in cls.__dict__
 
 
 def _has_set_cycle(engine, forward):
@@ -886,7 +909,7 @@ def set_scans_match_the_per_id_scans(fc):
     assert list(cls.blocks().items()) == list(blocks.items())
     assert cls.leads == tuple(blocks)
     periodic = naive_periodic_leads(ref)
-    assert sorted(cls.periodic_leads) == periodic
+    assert list(cls.iter_periodic_leads()) == sorted(cls.periodic_leads) == periodic
     open_ids = naive_open_ids(ref)
     assert list(cls.open_ids) == open_ids
     missing = naive_open_extension_missing_dense_side(ref)
@@ -1010,3 +1033,34 @@ def test_concurrent_first_reads_give_the_single_threaded_results(gallery_complex
         resume.set()
         filling.join(timeout=10)
     assert not filling.is_alive() and first == [expected]
+
+
+_REVERSED_KIND = {PointKind.SINK: PointKind.SOURCE, PointKind.SOURCE: PointKind.SINK}
+
+
+def reverse_time(fc):
+    """The complex of the reversed flow: each class's alpha and omega limits
+    swapped, and sinks with sources.  Families, schemas and saddle set
+    declarations do not depend on the direction of time."""
+    return dataclasses.replace(
+        fc,
+        singular_sets=tuple(dataclasses.replace(s, kind=_REVERSED_KIND.get(s.kind, s.kind)) for s in fc.singular_sets),
+        orbit_classes=tuple(dataclasses.replace(o, alpha=o.omega, omega=o.alpha) for o in fc.orbit_classes),
+    )
+
+
+def test_reversing_time_changes_no_answer(gallery_complexes):
+    # non-wandering, recurrence, p.a.p. and R-closedness are symmetric in
+    # time, and a positive semi-orbit of the reversed flow is a negative one
+    # of the flow; witnesses name the positive side first, so they may differ
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(200)]
+    for fc in complexes:
+        back = reverse_time(fc)
+        assert validate(back).rules() == validate(fc).rules() == frozenset()
+        cls, rev = Classifier(fc), Classifier(back)
+        verdicts = [{name: v["verdict"] for name, v in c.report().as_dict().items()} for c in (cls, rev)]
+        assert verdicts[0] == verdicts[1] and len(verdicts[0]) == 7
+        assert [r.status for r in verify_theorems(back)] == [r.status for r in verify_theorems(fc)]
+        for xid in sorted(fc.all_ids):
+            assert rev.members(xid) == cls.members(xid), xid
+            assert rev.payload(xid, True) == cls.payload(xid, False), xid

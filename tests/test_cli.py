@@ -253,6 +253,14 @@ def test_domain_errors_print_one_line_and_exit_1(tmp_path):
         assert _in_process(argv) == (1, "", err), argv
 
 
+def test_a_non_orientable_surface_of_genus_zero_is_a_parse_error(tmp_path):
+    doc = tmp_path / "crosscap.fc"
+    doc.write_text("surface genus=0 orientable=false boundary=1\n")
+    err = f"{doc}:line 1, column 15: a non-orientable surface has genus at least 1\n"
+    for command in ("validate", "classify"):
+        assert _in_process([command, str(doc)]) == (2, "", err), command
+
+
 def test_a_file_with_a_byte_order_mark_loads(tmp_path):
     doc = tmp_path / "bom.fc"
     doc.write_bytes(b"\xef\xbb\xbf" + emit(build("halfdisk_sphere", None)).encode("utf-8"))

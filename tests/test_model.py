@@ -87,6 +87,8 @@ def _made_directly(keyword, **changes):
     [
         (lambda: SurfaceInfo(-1, True, 0), "genus must be non-negative"),
         (lambda: SurfaceInfo(0, True, -1), "boundary_components must be non-negative"),
+        # a non-orientable surface has a crosscap, whatever its boundary
+        (lambda: SurfaceInfo(0, False, 1), "^a non-orientable surface has genus at least 1$"),
         (
             lambda: _sphere(singular_sets=[SingularSet("x", Shape.ARC)], orbit_classes=[OrbitClass("x", OrbitKind.PERIODIC)]),
             "duplicate id 'x'",
@@ -173,6 +175,7 @@ def _made_directly(keyword, **changes):
     ids=[
         "negative-genus",
         "negative-boundary",
+        "non-orientable-genus-zero",
         "duplicate-id",
         "str-orientable",
         "float-boundary",

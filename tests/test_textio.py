@@ -318,6 +318,9 @@ DOCUMENT_ERRORS = [
     ("surface genus=x orientable=true boundary=0\n", [(1, 15, "genus must be an integer")]),
     ("surface genus=0 orientable=true boundary=0 x=1\n", [(1, 44, "unknown field 'x'")]),
     ("surface genus= orientable=true boundary=0\n", [(1, 9, "empty value for 'genus'")]),
+    # a non-orientable surface has a crosscap: the error sits on the genus value
+    ("surface genus=0 orientable=false boundary=1\n", [(1, 15, "a non-orientable surface has genus at least 1")]),
+    ("surface orientable=false boundary=0 genus=0\n", [(1, 43, "a non-orientable surface has genus at least 1")]),
     (
         "sing c point kind=center\nsurface genus=0 orientable=true boundary=0\n",
         [(1, 1, "the first record must be a surface line")],
