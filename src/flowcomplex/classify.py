@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from enum import Enum
-from functools import wraps
-from typing import Callable, ClassVar, Collection, Iterator, Optional, TypeVar
+from typing import ClassVar, Collection, Iterator, Optional
 
 from .model import (
     DENSE_KINDS,
@@ -114,24 +113,6 @@ class LimitCycle:
     side: CycleSide
 
 
-T = TypeVar("T")
-
-
-def _once(answer: Callable[["Classifier"], T]) -> Callable[["Classifier"], T]:
-    """Compute a flow-level answer once per ``Classifier``, as a pure function of the
-    immutable complex; the method stays a plain function, which the benchmark's tracer wraps."""
-    name = answer.__name__
-
-    @wraps(answer)
-    def cached(self: "Classifier") -> T:
-        found = self._answers.get(name)
-        if found is None:  # no answer is None
-            found = self._answers[name] = answer(self)
-        return found
-
-    return cached
-
-
 _EMPTY: frozenset[str] = frozenset()
 
 
@@ -162,29 +143,38 @@ def _re_approaches(fc: FlowComplex, xid: str, payload: frozenset[str]) -> bool:
     return xid in payload or any(xid in fc.closure(oid) for oid in sorted(payload))
 
 
-def _scan_verdict(failure: Optional[tuple[str, str]], kind: str) -> Verdict:
-    """The ``kind`` recurrence verdict of a scan's first failing point and side."""
-    return Verdict(True) if failure is None else Verdict(False, Witness(failure[:1], f"not-{kind}-{failure[1]}-recurrent"))
+_HOLDS = Verdict(True)
+
+
+def _verdict(witness: Optional[Witness]) -> Verdict:
+    """The negative verdict that ``witness`` settles, or the one positive verdict."""
+    return _HOLDS if witness is None else Verdict(False, witness)
+
+
+def _scan_witness(failure: Optional[tuple[str, str]], kind: str) -> Optional[Witness]:
+    """The witness of a ``kind`` recurrence scan's first failing point and side."""
+    return None if failure is None else Witness(failure[:1], f"not-{kind}-{failure[1]}-recurrent")
 
 
 class Classifier:
     """Cached per-complex classification engine.
 
     Every per-point and per-flow question is a method; ask them all of one
-    instance, as report assembly and the theorem harness do, so extended
-    member sets, blocks and verdicts are computed once per complex; closures
-    are kept by the complex itself (``FlowComplex.closure``).  Flow-level
-    scans read sets built once per complex: the ids that are not recurrent
-    on each side, the ``blocks`` of the ``leads`` (one id per distinct
-    extended orbit), and the leads whose extended orbit is open; the compact
-    ones are read in lead order (``iter_periodic_leads``).  The first failing
-    lead is then the first failing id.
+    instance, as report assembly and the theorem harness do.  Each fact of
+    the complex, such as the extended member sets, the blocks and the
+    witness behind each flow-level verdict, is kept once per instance
+    through ``cached_attribute``, and each verdict is built from its kept
+    witness; closures are kept by the complex itself (``FlowComplex.closure``).
+    Flow-level scans read sets built once per complex: the ids that are not
+    recurrent on each side, the ``blocks`` of the ``leads`` (one id per
+    distinct extended orbit), and the leads whose extended orbit is open;
+    the compact ones are read in lead order (``iter_periodic_leads``).  The
+    first failing lead is then the first failing id.
     """
 
     def __init__(self, fc: FlowComplex):
         require_valid(fc, "Classifier")
         self.fc = fc
-        self._answers: dict[str, object] = {}
 
     # -- cached primitives -------------------------------------------------
 
@@ -262,12 +252,15 @@ class Classifier:
         self.fc.require(xid)
         return self.blocks()[self._lead(xid)]
 
-    @_once
     def blocks(self) -> dict[str, frozenset[str]]:
-        """``block`` of every lead, in lead order.  A lead alone in its
-        extended orbit has its own closure as its block (``member_closure``),
-        unless that closure holds the samples of a saddle chain, whose rule
-        ``orbit_set_closure`` then applies."""
+        """``block`` of every lead, in lead order: the same kept mapping on every call."""
+        return self._blocks
+
+    @cached_attribute
+    def _blocks(self) -> dict[str, frozenset[str]]:
+        """A lead alone in its extended orbit has its own closure as its block
+        (``member_closure``), unless that closure holds the samples of a
+        saddle chain, whose rule ``orbit_set_closure`` then applies."""
         fc, members_of, chains = self.fc, self._members, self.fc.saddle_chains
         out = {}
         for xid in self.leads:
@@ -311,11 +304,6 @@ class Classifier:
         """The leads whose extended orbit is compact, in lead order, each
         judged only when it is read."""
         return filter(self._compact, self.leads)
-
-    @cached_attribute
-    def periodic_leads(self) -> frozenset[str]:
-        """Every lead that ``iter_periodic_leads`` yields."""
-        return frozenset(self.iter_periodic_leads())
 
     def extension_closed(self, xid: str) -> bool:
         """Whether the two-sided extended orbit of ``xid`` is a closed set."""
@@ -377,12 +365,14 @@ class Classifier:
 
     # -- flow-level verdicts -------------------------------------------------
 
-    @_once
     def recurrent_flow(self) -> Verdict:
+        return _verdict(self._non_recurrent_point)
+
+    @cached_attribute
+    def _non_recurrent_point(self) -> Optional[Witness]:
+        """The least id that is not recurrent on some side."""
         pos, neg = self._not_recurrent
-        if pos or neg:
-            return Verdict(False, Witness((min(pos | neg),), "non-recurrent-point"))
-        return Verdict(True)
+        return Witness((min(pos | neg),), "non-recurrent-point") if pos or neg else None
 
     def _extended_scan(self, engine: Expansion) -> Optional[tuple[str, str]]:
         """The first point and side ("positively" first, then "negatively")
@@ -406,19 +396,21 @@ class Classifier:
         """``_extended_scan`` of the plain engine, kept for both verdicts that read it."""
         return self._extended_scan(self._plain)
 
-    @_once
-    def extended_recurrent(self) -> Verdict:
-        return _scan_verdict(self._plain_failure, "extended")
-
-    @_once
-    def generalized_recurrent(self) -> Verdict:
-        """With no point to scan no engine is built.  When the generalized
-        engine is the plain one, the plain engine's kept scan answers."""
+    @cached_attribute
+    def _generalized_failure(self) -> Optional[tuple[str, str]]:
+        """``_extended_scan`` of the generalized engine.  With no point to scan
+        no engine is built.  When the generalized engine is the plain one, the
+        plain engine's kept scan answers."""
         if not self._scan_ids:
-            return Verdict(True)
+            return None
         engine = self._generalized
-        failure = self._plain_failure if engine is self._plain else self._extended_scan(engine)
-        return _scan_verdict(failure, "generalized")
+        return self._plain_failure if engine is self._plain else self._extended_scan(engine)
+
+    def extended_recurrent(self) -> Verdict:
+        return _verdict(_scan_witness(self._plain_failure, "extended"))
+
+    def generalized_recurrent(self) -> Verdict:
+        return _verdict(_scan_witness(self._generalized_failure, "generalized"))
 
     @cached_attribute
     def wandering(self) -> tuple[str, ...]:
@@ -441,17 +433,18 @@ class Classifier:
                 routed |= schema.target
         return tuple([oid for oid in proper if oid not in routed])
 
-    @_once
     def nonwandering(self) -> Verdict:
         """Every proper non-closed class needs a declared route into the
         closure of the recurrent part; there is no benefit of the doubt."""
-        if self.wandering:
-            return Verdict(False, Witness(self.wandering[:1], "wandering-proper-class"))
-        return Verdict(True)
+        return _verdict(Witness(self.wandering[:1], "wandering-proper-class") if self.wandering else None)
 
-    @_once
     def extended_pap(self) -> Verdict:
-        """The closures of extended orbits must pairwise coincide or be disjoint.
+        """The closures of extended orbits must pairwise coincide or be disjoint."""
+        return _verdict(self._block_overlap)
+
+    @cached_attribute
+    def _block_overlap(self) -> Optional[Witness]:
+        """The first pair of overlapping blocks, read through ``blocks``.
 
         One pass over the distinct blocks, each led by its least id, marks
         the ids that two distinct blocks hold.  The witness is the first
@@ -472,9 +465,10 @@ class Classifier:
         for bx, x in lead.items():
             if not shared.isdisjoint(bx):
                 y = next(y for by, y in lead.items() if y != x and not by.isdisjoint(bx))
-                return Verdict(False, Witness((x, y), "block-overlap"))
-        return Verdict(True)
+                return Witness((x, y), "block-overlap")
+        return None
 
+    @cached_attribute
     def _usc_witness(self) -> Optional[Witness]:
         """Symbolic upper semicontinuity of the block decomposition.
 
@@ -511,25 +505,22 @@ class Classifier:
                     return Witness((schema.id, tid), "schema-limit-not-absorbed")
         return None
 
-    @_once
     def extended_r_closed(self) -> Verdict:
-        pap = self.extended_pap()
-        if not pap.verdict:
-            return Verdict(False, pap.witness)
-        usc = self._usc_witness()
-        if usc is not None:
-            return Verdict(False, usc)
-        return Verdict(True)
+        """p.a.p. first, then the kept absorption witness."""
+        return _verdict(self.extended_pap().witness or self._usc_witness)
 
-    @_once
     def regular(self) -> Verdict:
+        return _verdict(self._irregularity)
+
+    @cached_attribute
+    def _irregularity(self) -> Optional[Witness]:
+        """The first singular set that is not a regular point, or else the
+        first declared accumulation of singularities."""
         for s in self.fc.singular_sets:
             if s.shape is not POINT or s.kind not in REGULAR_KINDS:
-                return Verdict(False, Witness((s.id,), "degenerate-singularity"))
+                return Witness((s.id,), "degenerate-singularity")
         schema = singularity_accumulation(self.fc)
-        if schema is not None:
-            return Verdict(False, Witness((schema.id,), "singularity-accumulation"))
-        return Verdict(True)
+        return None if schema is None else Witness((schema.id,), "singularity-accumulation")
 
     def report(self) -> ClassificationReport:
         return ClassificationReport(

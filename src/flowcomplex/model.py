@@ -633,7 +633,7 @@ def singularity_accumulation(fc: FlowComplex) -> Optional[AccumulationSchema]:
 
 
 def _poincare_hopf_applies(fc: FlowComplex) -> bool:
-    if not (fc.surface.closed and fc.surface.orientable):
+    if not fc.surface.closed:  # the index sum needs no orientation
         return False
     if fc.accumulation_schemas:
         return False

@@ -21,10 +21,8 @@ from flowcomplex import (
     Verdict,
     Witness,
     closure_of,
-    orbit_set_closure,
 )
 from flowcomplex import model, orbits
-from flowcomplex.classify import has_periodic_member_kinds
 
 
 def _wings(fc: FlowComplex, forward: bool) -> dict[str, set[str]]:
@@ -105,7 +103,7 @@ def naive_extended_pap(fc: FlowComplex) -> tuple[bool, tuple[str, str] | None]:
     extended orbits coincide or are disjoint.  Returns the verdict and the
     first overlapping pair of ids in sorted order."""
     ids = sorted(fc.all_ids)
-    blocks = {x: orbit_set_closure(fc, naive_extension(fc, x, Direction.BOTH).members) for x in ids}
+    blocks = {x: naive_orbit_set_closure(fc, naive_extension(fc, x, Direction.BOTH).members) for x in ids}
     for i, x in enumerate(ids):
         for y in ids[i + 1 :]:
             if blocks[x] & blocks[y] and blocks[x] != blocks[y]:
@@ -117,7 +115,7 @@ def naive_dichotomy(fc: FlowComplex, xid: str) -> DichotomyCase:
     """The dichotomy case of a non-closed extended orbit by scans: every id of
     its closure in sorted order, then every locally dense class."""
     members = naive_extension(fc, xid, Direction.BOTH).members
-    for sid in sorted(orbit_set_closure(fc, members)):
+    for sid in sorted(naive_orbit_set_closure(fc, members)):
         sing = fc.sing_by_id.get(sid)
         if sing is not None and not sing.is_saddle:
             return DichotomyCase.NON_SADDLE_SINGULARITY_IN_CLOSURE
@@ -246,12 +244,24 @@ def naive_blocks(ref: Classifier) -> dict[str, frozenset[str]]:
     return {xid: naive_orbit_set_closure(ref.fc, members) for members, xid in leads.items()}
 
 
+def _compact_member_kinds(fc: FlowComplex, members: frozenset[str]) -> bool:
+    """Each member is a proper orbit, a periodic orbit, a saddle or a family
+    (a bundle of closed members), and the set is not one singularity alone."""
+
+    def admitted(mid: str) -> bool:
+        if mid in fc.sing_by_id:
+            return fc.sing_by_id[mid].is_saddle
+        return mid in fc.family_by_id or fc.orbit_by_id[mid].kind in (OrbitKind.PERIODIC, OrbitKind.PROPER)
+
+    return all(admitted(mid) for mid in members) and not (len(members) == 1 and members <= fc.sing_by_id.keys())
+
+
 def naive_periodic_leads(ref: Classifier) -> list[str]:
     """The leads, in id order, whose extended orbit is compact."""
     return [
         xid
         for xid, block in naive_blocks(ref).items()
-        if has_periodic_member_kinds(ref.fc, ref.members(xid)) and block <= ref.members(xid)
+        if _compact_member_kinds(ref.fc, ref.members(xid)) and block <= ref.members(xid)
     ]
 
 

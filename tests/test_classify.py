@@ -45,8 +45,10 @@ from flowcomplex import (
 )
 from flowcomplex import classify, orbits
 from flowcomplex.classify import has_periodic_member_kinds
+from flowcomplex.model import cached_attribute
 from flowcomplex.orbits import Expansion, orbit_set_closure
 from flowcomplex.theorems import (
+    THEOREM_CHECKS,
     TheoremResult,
     _block_with_infinite_singularities,
     _open_extension_missing_dense_side,
@@ -458,6 +460,30 @@ def test_extended_recurrent_is_decided_once_per_classifier(gallery_complexes, mo
         calls.clear()
 
 
+def test_each_kept_fact_is_computed_once_per_classifier(gallery_complexes, monkeypatch):
+    # verdicts keep no answers of their own: each is built from facts kept
+    # through cached_attribute, so two reports and two runs of all twelve
+    # checks on one Classifier compute every fact at most once
+    calls = Counter()
+    for name, fact in vars(Classifier).items():
+        if isinstance(fact, cached_attribute):
+            monkeypatch.setattr(fact, "func", lambda self, body=fact.func, name=name: calls.update((name,)) or body(self))
+    verdict_facts = {"_non_recurrent_point", "_plain_failure", "_generalized_failure", "wandering"}
+    verdict_facts |= {"_blocks", "_block_overlap", "_usc_witness", "_irregularity"}
+    read = set()
+    for fc in [*gallery_complexes.values(), *(random_complex(seed) for seed in range(100))]:
+        cls = Classifier(fc)
+        for _ in range(2):
+            cls.report()
+            for _, check in THEOREM_CHECKS:
+                check(cls)
+        assert max(calls.values()) == 1, (fc, calls)
+        assert cls.blocks() is cls.blocks()
+        read |= calls.keys()
+        calls.clear()
+    assert verdict_facts <= read
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -512,7 +538,6 @@ def test_the_finiteness_check_reads_the_compact_leads_only_as_far_as_it_must(mon
     cls = Classifier(fc)
     assert check_extended_periodic_members(cls).status is TheoremStatus.HOLDS
     assert len(calls) == (len(cls.leads) - len(cls.open_leads) if chain else 1)
-    assert "periodic_leads" not in cls.__dict__
 
 
 def _has_set_cycle(engine, forward):
@@ -889,8 +914,7 @@ def test_per_id_queries_check_the_id_before_building(gallery_complexes, query):
         getattr(cls, query)("nope")
     with pytest.raises(PreconditionError, match=r"an id is a string, not \[\]"):
         getattr(cls, query)([])
-    assert not {"_plain", "_members"} & set(vars(cls))
-    assert cls._answers == {}
+    assert set(vars(cls)) == {"fc"}  # no table, block or fact is kept
 
 
 def set_scans_match_the_per_id_scans(fc):
@@ -909,7 +933,7 @@ def set_scans_match_the_per_id_scans(fc):
     assert list(cls.blocks().items()) == list(blocks.items())
     assert cls.leads == tuple(blocks)
     periodic = naive_periodic_leads(ref)
-    assert list(cls.iter_periodic_leads()) == sorted(cls.periodic_leads) == periodic
+    assert list(cls.iter_periodic_leads()) == [x for x in cls.leads if cls.extended_periodic(x)] == periodic
     open_ids = naive_open_ids(ref)
     assert list(cls.open_ids) == open_ids
     missing = naive_open_extension_missing_dense_side(ref)
@@ -1052,8 +1076,10 @@ def reverse_time(fc):
 def test_reversing_time_changes_no_answer(gallery_complexes):
     # non-wandering, recurrence, p.a.p. and R-closedness are symmetric in
     # time, and a positive semi-orbit of the reversed flow is a negative one
-    # of the flow; witnesses name the positive side first, so they may differ
+    # of the flow, on both engines; witnesses name the positive side first,
+    # so they may differ
     complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(200)]
+    sides = ((True, Direction.FORWARD, Direction.BACKWARD), (False, Direction.BACKWARD, Direction.FORWARD))
     for fc in complexes:
         back = reverse_time(fc)
         assert validate(back).rules() == validate(fc).rules() == frozenset()
@@ -1061,6 +1087,79 @@ def test_reversing_time_changes_no_answer(gallery_complexes):
         verdicts = [{name: v["verdict"] for name, v in c.report().as_dict().items()} for c in (cls, rev)]
         assert verdicts[0] == verdicts[1] and len(verdicts[0]) == 7
         assert [r.status for r in verify_theorems(back)] == [r.status for r in verify_theorems(fc)]
+        engines = [(Expansion.plain(c), Expansion.generalized(c)) for c in (fc, back)]
         for xid in sorted(fc.all_ids):
             assert rev.members(xid) == cls.members(xid), xid
-            assert rev.payload(xid, True) == cls.payload(xid, False), xid
+            assert (rev.positively_recurrent(xid), rev.negatively_recurrent(xid)) == (
+                cls.negatively_recurrent(xid),
+                cls.positively_recurrent(xid),
+            ), xid
+            for forward, direction, opposite in sides:
+                for generalized in (False, True):
+                    assert rev.payload(xid, forward, generalized) == cls.payload(xid, not forward, generalized), xid
+                    assert rev.extended_recurrent_point(xid, forward, generalized) == cls.extended_recurrent_point(
+                        xid, not forward, generalized
+                    ), xid
+                for ours, theirs in zip(*engines):
+                    a, b = theirs.orbit(xid, direction), ours.orbit(xid, opposite)
+                    assert (a.members, a.added_round, a.depth, a.self_readded) == (
+                        b.members,
+                        b.added_round,
+                        b.depth,
+                        b.self_readded,
+                    ), (xid, direction)
+
+
+def rename(fc, to):
+    """The complex with each id ``x`` renamed ``to[x]``."""
+
+    def ids(xs):
+        return frozenset(to[x] for x in xs)
+
+    def ref(r):
+        return None if r is None else dataclasses.replace(r, ids=tuple(to[x] for x in r.ids))
+
+    replace = dataclasses.replace
+    return replace(
+        fc,
+        singular_sets=tuple(replace(s, id=to[s.id]) for s in fc.singular_sets),
+        orbit_classes=tuple(
+            replace(o, id=to[o.id], alpha=ref(o.alpha), omega=ref(o.omega), closure_decl=o.closure_decl and ids(o.closure_decl))
+            for o in fc.orbit_classes
+        ),
+        families=tuple(replace(f, id=to[f.id], boundary0=ids(f.boundary0), boundary1=ids(f.boundary1)) for f in fc.families),
+        accumulation_schemas=tuple(
+            replace(a, id=to[a.id], samples=tuple(to[x] for x in a.samples), target=ids(a.target))
+            for a in fc.accumulation_schemas
+        ),
+        saddle_set_decls=tuple(replace(d, id=to[d.id], members=ids(d.members)) for d in fc.saddle_set_decls),
+    )
+
+
+def order_reversing_names(fc):
+    """The permutation of the record ids that reverses their order."""
+    groups = (fc.singular_sets, fc.orbit_classes, fc.families, fc.accumulation_schemas, fc.saddle_set_decls)
+    names = sorted(r.id for group in groups for r in group)
+    return dict(zip(names, reversed(names)))
+
+
+def verdicts_and_statuses(fc):
+    report = Classifier(fc).report().as_dict()
+    return [v["verdict"] for v in report.values()], [r.status for r in verify_theorems(fc)]
+
+
+def test_renaming_ids_changes_no_answer(gallery_complexes):
+    # no answer depends on how the ids are named or ordered; witnesses name
+    # the least failing id, so they may differ
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(200)]
+    for fc in complexes:
+        to = order_reversing_names(fc)
+        renamed = rename(fc, to)
+        assert validate(renamed).rules() == validate(fc).rules() == frozenset()
+        assert verdicts_and_statuses(renamed) == verdicts_and_statuses(fc)
+        cls, ren = Classifier(fc), Classifier(renamed)
+        for xid in sorted(fc.all_ids):
+            assert ren.members(to[xid]) == frozenset(to[m] for m in cls.members(xid)), xid
+    for name in ("nested_saddles_disk", "double_center_sphere"):
+        fc = build(name, {"n": 40})
+        assert verdicts_and_statuses(rename(fc, order_reversing_names(fc))) == verdicts_and_statuses(fc), name

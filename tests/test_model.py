@@ -63,8 +63,8 @@ from flowcomplex.textio import ParseError, ParseErrors
 from flowcomplex.theorems import TheoremResult, TheoremStatus
 
 
-def _sphere(**kwargs):
-    return FlowComplex.build(SurfaceInfo(0, True, 0), **kwargs)
+def _sphere(surface=SurfaceInfo(0, True, 0), **kwargs):
+    return FlowComplex.build(surface, **kwargs)
 
 
 # a complex that passes validate, with the saddle 's', for the analyses'
@@ -305,6 +305,11 @@ def test_poincare_hopf_rejects_single_center_sphere():
     fc = _sphere(singular_sets=[SingularSet("c", Shape.POINT, PointKind.CENTER)])
     report = validate(fc)
     assert "poincare-hopf" in report.rules()
+
+
+def test_poincare_hopf_holds_on_a_klein_bottle_with_no_singularity():
+    fc = FlowComplex.build(SurfaceInfo(2, False, 0), orbit_classes=[OrbitClass("p", OrbitKind.PERIODIC)])
+    assert validate(fc).ok
 
 
 def test_poincare_hopf_skipped_for_degenerate_points():
@@ -637,6 +642,9 @@ VALIDATE_RULES = [
         dict(singular_sets=[S], saddle_set_decls=[SaddleSetDecl("d", frozenset({"s"}), False)]),
         [("d", "declared isolated=false, but no minimal sets accumulate on it")],
     ),
+    # the index sum needs no orientation: a projective plane and a Klein bottle
+    ("poincare-hopf", dict(surface=SurfaceInfo(1, False, 0)), [("surface", "index sum 0 != Euler characteristic 1")]),
+    ("poincare-hopf", dict(surface=SurfaceInfo(2, False, 0), singular_sets=[C]), [("surface", "index sum 1 != Euler characteristic 0")]),
 ]
 
 
