@@ -39,7 +39,7 @@ from .model import (
     singularity_accumulation,
     value_class,
 )
-from .orbits import Expansion, member_closure, orbit_set_closure, require_side
+from .orbits import Expansion, orbit_set_closure, require_side
 
 
 @value_class
@@ -243,8 +243,11 @@ class Classifier:
         """One id per distinct two-sided extended orbit, the least id whose
         extended orbit it is, in ascending order.  An id alone in its extended
         orbit leads it: no other id's extended orbit is ``{xid}``."""
-        alone = self.fc.all_ids.difference(self._members)
-        return tuple(sorted(alone.union(self._lead_of_members.values())))
+        members_of = self._members
+        if not members_of:
+            return self.fc.sorted_ids
+        leads = set(self._lead_of_members.values())
+        return tuple([x for x in self.fc.sorted_ids if x not in members_of or x in leads])
 
     def block(self, xid: str) -> frozenset[str]:
         """Closure of the two-sided extended orbit of ``xid``, with family ids
@@ -262,11 +265,13 @@ class Classifier:
         (``member_closure``), unless that closure holds the samples of a
         saddle chain, whose rule ``orbit_set_closure`` then applies."""
         fc, members_of, chains = self.fc, self._members, self.fc.saddle_chains
+        families = fc.family_by_id
         out = {}
         for xid in self.leads:
             members = members_of.get(xid)
             if members is None:
-                closure = member_closure(fc, xid)
+                # member_closure without its guards: a family stands for one closed member
+                closure = frozenset((xid,)) if xid in families else fc.closure(xid)
                 if chains and any(closure.issuperset(schema.samples) for schema in chains):
                     closure = orbit_set_closure(fc, (xid,))
                 out[xid] = closure
@@ -293,7 +298,7 @@ class Classifier:
     def open_ids(self) -> tuple[str, ...]:
         """Every id whose extended orbit is not a closed set, sorted."""
         members_of, lead_of, opened = self._members, self._lead_of_members, self.open_leads
-        return tuple(sorted(x for x in self.fc.all_ids if (lead_of[members_of[x]] if x in members_of else x) in opened))
+        return tuple([x for x in self.fc.sorted_ids if (lead_of[members_of[x]] if x in members_of else x) in opened])
 
     def _compact(self, lead: str) -> bool:
         """Whether the extended orbit that ``lead`` leads is compact: a closed
@@ -427,7 +432,7 @@ class Classifier:
                 routed |= fc.closure(o.id)
         for fam in fc.families:
             if fam.kind is PERIODIC_ANNULUS:
-                routed |= fam.boundary0 | fam.boundary1
+                routed.update(fam.boundary0, fam.boundary1)
         for schema in fc.accumulation_schemas:
             if schema.kind is FAMILY_SEQUENCE:
                 routed |= schema.target

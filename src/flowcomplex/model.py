@@ -21,7 +21,7 @@ from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from operator import attrgetter
 from types import UnionType
-from typing import Callable, Iterable, Mapping, Optional, Union, get_args, get_origin
+from typing import Callable, Collection, Iterable, Mapping, Optional, Union, get_args, get_origin
 
 
 class FlowComplexError(Exception):
@@ -533,6 +533,12 @@ class FlowComplex:
         return frozenset(self.sing_by_id) | frozenset(self.orbit_by_id) | frozenset(self.family_by_id)
 
     @cached_attribute
+    def sorted_ids(self) -> tuple[str, ...]:
+        """``all_ids`` in ascending order.  Each record group is in id order,
+        so the sort only merges three sorted runs."""
+        return tuple(sorted([*self.sing_by_id, *self.orbit_by_id, *self.family_by_id]))
+
+    @cached_attribute
     def saddle_ids(self) -> frozenset[str]:
         return frozenset(s.id for s in self.singular_sets if s.is_saddle)
 
@@ -572,25 +578,24 @@ def require_valid(fc: object, caller: str) -> None:
         raise PreconditionError("\n".join([f"{caller} takes a complex that passes validate, which reports:", *map(str, fc._report.violations)]))
 
 
-def _closure_step(fc: FlowComplex, xid: str) -> frozenset[str]:
-    """Ids adjoined to ``xid`` by one application of the closure rule."""
+def _closure_step(fc: FlowComplex, xid: str) -> Collection[str]:
+    """Ids adjoined to ``xid`` by one application of the closure rule: ``()``
+    for a singular set or a periodic orbit, a proper orbit's end ids as a
+    tuple, and a frozenset for a family or a dense class."""
     if xid in fc.sing_by_id:
-        return frozenset()
+        return ()
     fam = fc.family_by_id.get(xid)
     if fam is not None:
         return fam.boundary0 | fam.boundary1
     orb = fc.orbit_by_id[xid]
     if orb.kind is PERIODIC:
-        return frozenset()
-    out: set[str] = set()
-    for ref in (orb.alpha, orb.omega):
-        if ref is not None:
-            out.update(ref.ids)
+        return ()
+    ends = (orb.alpha.ids if orb.alpha is not None else ()) + (orb.omega.ids if orb.omega is not None else ())
     if orb.kind is PROPER:
-        return frozenset(out)
+        return ends
     # locally dense / exceptional: the declared closure, which must also
     # carry any pinned end limit
-    return frozenset(out) | (orb.closure_decl or frozenset())
+    return (orb.closure_decl or frozenset()).union(ends)
 
 
 def closure_of(fc: FlowComplex, xid: str) -> frozenset[str]:
@@ -603,14 +608,19 @@ def closure_of(fc: FlowComplex, xid: str) -> frozenset[str]:
     transitively closed.
     """
     try:
-        fc.require(xid)
-    except AttributeError:  # not a complex; checked here, off the path of every id
+        if xid in fc.sing_by_id:
+            return frozenset((xid,))
+    except (AttributeError, TypeError):  # not a complex, or an unhashable id; checked here, off the path of every id
         require_complex(fc, "closure_of")
+        fc.require(xid)
         raise
+    fc.require(xid)
     step = _closure_step(fc, xid)
-    if fc.sing_by_id.keys() >= step:
-        # singular sets are closed, so one step closes the set
-        return step | {xid}
+    for zid in step:
+        if zid not in fc.sing_by_id:
+            break
+    else:  # singular sets are closed, so one step closes the set
+        return frozenset((xid, *step))
     out: set[str] = {xid}
     frontier = [step]
     while frontier:
@@ -763,7 +773,13 @@ def _validate(fc: FlowComplex) -> ValidationReport:
     """``validate``'s checks: one pass over the orbit classes applies their
     record-local rules and gathers what the others need; the closure-based
     rules run only when every reference resolves.  Violations are listed rule
-    group by rule group.  Ids that may be unresolved sort by ``str``."""
+    group by rule group.  Ids that may be unresolved sort by ``str``.
+
+    ``annulus-ends-coincide``: no periodic annulus shrinks onto one point at
+    both ends.  Its small members at either end are Jordan curves about the
+    point, each bounding a disc (Schoenflies), and such discs nest; so the
+    whole annulus would lie in every small disc about the point.  One
+    periodic orbit at both ends stays valid: a torus flow does that."""
     known, sing, orbit_by_id = fc.all_ids, fc.sing_by_id, fc.orbit_by_id
     unresolved: list[Violation] = []
     ref_kinds: list[Violation] = []
@@ -853,6 +869,7 @@ def _validate(fc: FlowComplex) -> ValidationReport:
 
     escapes: dict[frozenset[str], list[str]] = {}  # per distinct boundary: neighbours share one
     for f in fc.families:
+        point = None  # the single point of the first end, if it is one
         for bset, shrinks in f.boundaries():
             if refs_ok:
                 details = escapes.get(bset)
@@ -864,6 +881,10 @@ def _validate(fc: FlowComplex) -> ValidationReport:
             if len(bset) == 1:
                 [bid] = bset
                 single_point = bid in sing and sing[bid].shape is POINT
+                if single_point:
+                    if bid == point and f.kind is PERIODIC_ANNULUS:
+                        out.append(Violation(f.id, "annulus-ends-coincide", f"both ends are the point {bid}"))
+                    point = bid
             if shrinks and not single_point:
                 out.append(Violation(f.id, "shrink-boundary-not-point", "a shrinking boundary is a single point singularity"))
             if single_point and not shrinks:

@@ -66,6 +66,7 @@ from naive_oracle import (
     naive_recurrent,
     naive_recurrent_flow,
 )
+from test_golden import SCALE_DOCUMENTS
 
 
 def classifier_orbit(cls, xid, direction, generalized=False):
@@ -1163,3 +1164,13 @@ def test_renaming_ids_changes_no_answer(gallery_complexes):
     for name in ("nested_saddles_disk", "double_center_sphere"):
         fc = build(name, {"n": 40})
         assert verdicts_and_statuses(rename(fc, order_reversing_names(fc))) == verdicts_and_statuses(fc), name
+    # at 10^4 ids, where no oracle runs, the reversed id order judges the
+    # lead order and every scan in it
+    for name, n in SCALE_DOCUMENTS:
+        fc = build(name, {"n": n})
+        to = order_reversing_names(fc)
+        renamed = rename(fc, to)
+        assert verdicts_and_statuses(renamed) == verdicts_and_statuses(fc), name
+        cls, ren = Classifier(fc), Classifier(renamed)
+        for xid in sorted(fc.all_ids)[::97]:
+            assert ren.members(to[xid]) == frozenset(to[m] for m in cls.members(xid)), (name, xid)

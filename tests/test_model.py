@@ -6,6 +6,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import random
 import re
 import typing
 from operator import attrgetter
@@ -61,6 +62,7 @@ from flowcomplex.model import ValidationReport, Violation
 from flowcomplex.orbits import Direction, ExtendedOrbitSet, SaddleSetVerdict, member_closure
 from flowcomplex.textio import ParseError, ParseErrors
 from flowcomplex.theorems import TheoremResult, TheoremStatus
+from naive_oracle import naive_closure
 
 
 def _sphere(surface=SurfaceInfo(0, True, 0), **kwargs):
@@ -645,6 +647,16 @@ VALIDATE_RULES = [
     # the index sum needs no orientation: a projective plane and a Klein bottle
     ("poincare-hopf", dict(surface=SurfaceInfo(1, False, 0)), [("surface", "index sum 0 != Euler characteristic 1")]),
     ("poincare-hopf", dict(surface=SurfaceInfo(2, False, 0), singular_sets=[C]), [("surface", "index sum 1 != Euler characteristic 0")]),
+    (
+        # one annulus shrinking onto the same center at both ends; the sink
+        # keeps the index sum at 2
+        "annulus-ends-coincide",
+        dict(
+            singular_sets=[C, SI],
+            families=[Family("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"c"}), frozenset({"c"}), True, True)],
+        ),
+        [("f", "both ends are the point c")],
+    ),
 ]
 
 
@@ -652,6 +664,13 @@ VALIDATE_RULES = [
 def test_every_validate_rule_fires_with_its_detail(rule, records, expected):
     violations = validate(_sphere(**records)).violations
     assert [(v.id, v.detail) for v in violations if v.rule == rule] == expected
+
+
+def test_an_annulus_may_close_up_on_one_periodic_orbit():
+    # the flow of a torus foliated by closed orbits: one annulus whose two
+    # ends are the same orbit; only a point at both ends is rejected
+    annulus = Family("f", FamilyKind.PERIODIC_ANNULUS, frozenset({"g"}), frozenset({"g"}))
+    assert validate(_sphere(SurfaceInfo(1, True, 0), orbit_classes=[G], families=[annulus])).ok
 
 
 def test_the_rule_table_covers_every_violation_validate_can_report():
@@ -764,6 +783,29 @@ def test_closure_idempotent_on_fixtures_and_random(gallery_complexes):
             cl = closure_of(fc, xid)
             expanded = frozenset().union(*(closure_of(fc, y) for y in cl))
             assert expanded == cl
+
+
+def test_closures_and_the_id_order_match_their_definitions(gallery_complexes):
+    # closure_of and the kept closure against an oracle that shares none of
+    # their code; sorted_ids against a full sort of all_ids
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    complexes += [build(name, {"n": 40}) for name in ("nested_saddles_disk", "double_center_sphere")]
+    complexes.append(build("comb_torus", {"n": 640}))
+    for fc in complexes:
+        assert fc.sorted_ids == tuple(sorted(fc.all_ids))
+        for xid in fc.sorted_ids:
+            assert closure_of(fc, xid) == naive_closure(fc, xid) == fc.closure(xid), xid
+
+
+def test_the_id_order_does_not_depend_on_the_record_order():
+    fc = random_complex(5)  # 10 singular sets, 9 orbit classes, 10 families
+    records = [list(getattr(fc, name)) for name in ("singular_sets", "orbit_classes", "families")]
+    shuffle = random.Random(0).shuffle
+    for group in records:
+        shuffle(group)
+    assert all(len(group) > 2 and group != sorted(group, key=attrgetter("id")) for group in records)
+    shuffled = FlowComplex.build(fc.surface, *records, fc.accumulation_schemas, fc.saddle_set_decls)
+    assert shuffled.sorted_ids == fc.sorted_ids == tuple(sorted(fc.all_ids))
 
 
 def test_generator_respects_poincare_hopf_on_closed_regular_surfaces():
