@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .classify import classification_report
 from .dot import export_dot
@@ -122,6 +123,10 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# ``Enum.value`` is a Python-level property on CPython 3.11
+_STATUS_TEXT = {status: status.value for status in TheoremStatus}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     fc = _load_valid(args.file)
     if args.theorems == "all":
@@ -131,14 +136,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify_theorems(fc, names)
     if args.json:
         payload = [
-            {"theorem": r.theorem, "status": r.status.value, "detail": r.detail} for r in results
+            {"theorem": r.theorem, "status": _STATUS_TEXT[r.status], "detail": r.detail} for r in results
         ]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         # verify_theorems returns at least one result
         lines = []
         for r in results:
-            line = f"{r.theorem}: {r.status.value}"
+            line = f"{r.theorem}: {_STATUS_TEXT[r.status]}"
             if r.detail:
                 line += f"  ({r.detail})"
             lines.append(line)
@@ -158,14 +163,14 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
-    later one (parsing does not change it).  Its ``commands`` attribute maps
-    each command name to that command's parser."""
+    later one (parsing does not change it).  Its ``grammars`` attribute maps
+    each command that ``_read_direct`` reads to that command's
+    ``_Grammar``."""
     parser = argparse.ArgumentParser(
         prog="flowcomplex",
         description="Validate, classify and inspect symbolic surface-flow complexes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
 
     p = sub.add_parser("validate", help="check structural invariants")
     p.add_argument("file")
@@ -200,23 +205,105 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlay", metavar="ID")
     p.set_defaults(fn=_cmd_export_dot)
 
+    grammars = {name: _grammar(command) for name, command in sub.choices.items()}
+    parser.grammars = {name: grammar for name, grammar in grammars.items() if grammar is not None}
     return parser
 
 
+class _Grammar(NamedTuple):
+    """One command's arguments as ``_read_direct`` reads them: its one
+    positional's action, each option string's action, the dests a call must
+    give, and the namespace values before any argument is read (each
+    action's default in action order, then the parser's ``set_defaults``),
+    as argparse fills them."""
+
+    positional: argparse.Action
+    options: dict[str, argparse.Action]
+    required: frozenset[str]
+    defaults: dict[str, object]
+
+
+def _grammar(parser: argparse.ArgumentParser) -> _Grammar | None:
+    """The grammar of a command's parser, read from its own actions, or
+    ``None`` when it has an action other than help, one positional, plain
+    stores of one value and ``store_true``."""
+    options, defaults, positionals = {}, {}, []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if type(action) is argparse._StoreAction and action.nargs is None and action.type is None:
+            if not action.option_strings:
+                positionals.append(action)
+        elif type(action) is not argparse._StoreTrueAction:
+            return None
+        options.update(dict.fromkeys(action.option_strings, action))
+        defaults[action.dest] = action.default
+    if len(positionals) != 1:
+        return None
+    required = frozenset(action.dest for action in parser._actions if action.required)
+    return _Grammar(positionals[0], options, required, {**defaults, **parser._defaults})
+
+
+def _read_direct(grammars: dict, argv: list) -> argparse.Namespace | None:
+    """The namespace argparse builds for a well-formed call, read without
+    argparse, or ``None`` for any other call.  A well-formed call is a
+    command of ``grammars`` followed by its one positional and its own
+    options, each option a token of its own given at most once, with no
+    token that is not a ``str`` and no value or positional starting with
+    ``-``.  A ``--opt=value`` form, an abbreviation, ``--``, a help flag or
+    a value outside an option's choices is not well-formed."""
+    if not argv or type(argv[0]) is not str:
+        return None
+    grammar = grammars.get(argv[0])
+    if grammar is None:
+        return None
+    options = grammar.options
+    values = dict(grammar.defaults)
+    given = set()
+    tokens = iter(argv)
+    next(tokens)
+    for token in tokens:
+        if type(token) is not str:
+            return None
+        if token[:1] != "-":
+            action = grammar.positional
+        else:
+            action = options.get(token)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                token = action.const
+            else:
+                token = next(tokens, None)
+                if type(token) is not str or token[:1] == "-":
+                    return None
+        if action.choices is not None and token not in action.choices:
+            return None
+        dest = action.dest
+        if dest in given:
+            return None
+        given.add(dest)
+        values[dest] = token
+    if not grammar.required <= given:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """What ``build_parser().parse_args(argv)`` returns, in one argparse pass
-    where it can.  The top-level parser hands everything after the command
-    name to that command's parser, so that parser alone reads a call it fully
-    consumes.  Any other call (no command, a top-level flag, arguments left
-    over) goes through the full parser, which prints every help text, usage
-    line and error."""
+    """What ``build_parser().parse_args(argv)`` returns.  ``_read_direct``
+    reads a well-formed call of a command it has a grammar for; every other
+    call goes through the full parser, which prints every help text, usage
+    line and error.  An argument that is not a ``str`` is an error of the
+    parser's own form (argparse would raise ``TypeError`` or read it as a
+    command name)."""
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in parser.commands:
-        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_direct(parser.grammars, argv)
+    if args is not None:
+        return args
+    for arg in argv:
+        if not isinstance(arg, str):
+            parser.error(f"argument {arg!r} is not a string")
     return parser.parse_args(argv)
 
 

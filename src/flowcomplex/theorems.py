@@ -92,12 +92,20 @@ def _open_extension_missing_dense_side(cls: Classifier) -> Optional[str]:
 
 
 # -- individual checks --------------------------------------------------------
+#
+# A result whose detail is fixed text is built once, here, and shared:
+# ``TheoremResult`` is immutable.  Results that name ids are built per call.
+
+HOLDS, INAPPLICABLE, VIOLATION = TheoremStatus.HOLDS, TheoremStatus.INAPPLICABLE, TheoremStatus.VIOLATION
+
+_PERIODIC = "extended-periodic-finiteness"
+_PERIODIC_HOLDS = TheoremResult(_PERIODIC, HOLDS)
+_PERIODIC_NONE = TheoremResult(_PERIODIC, INAPPLICABLE, "no compact extended orbits")
 
 
 def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
     """A compact extended orbit consists of finitely many proper orbits and
     saddles, so its members never hold a whole (infinite) saddle chain."""
-    name = "extended-periodic-finiteness"
     chains = cls.fc.saddle_chains
     compact = False
     for xid in cls.iter_periodic_leads():
@@ -107,127 +115,160 @@ def check_extended_periodic_members(cls: Classifier) -> TheoremResult:
         members = cls.members(xid)
         for schema in chains:
             if members.issuperset(schema.samples):
-                return TheoremResult(name, TheoremStatus.VIOLATION, f"{xid}: members hold saddle chain {schema.id}")
-    if not compact:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no compact extended orbits")
-    return TheoremResult(name, TheoremStatus.HOLDS)
+                return TheoremResult(_PERIODIC, VIOLATION, f"{xid}: members hold saddle chain {schema.id}")
+    return _PERIODIC_HOLDS if compact else _PERIODIC_NONE
+
+
+_CYCLES = "limit-cycles-force-wandering"
+_CYCLES_NONE = TheoremResult(_CYCLES, INAPPLICABLE, "no extended limit cycles")
+_CYCLES_NO_WANDERING = TheoremResult(_CYCLES, VIOLATION, "limit cycles present but no wandering point")
+_CYCLES_NO_WITNESS = TheoremResult(_CYCLES, VIOLATION, "no wandering proper orbit equal to its own extension")
 
 
 def check_limit_cycles_force_wandering(cls: Classifier) -> TheoremResult:
     """An extended limit cycle forces a wandering proper orbit equal to its own extension."""
-    name = "limit-cycles-force-wandering"
     if not cls.limit_cycles():
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "no extended limit cycles")
+        return _CYCLES_NONE
     if cls.nonwandering().verdict:
-        return TheoremResult(name, TheoremStatus.VIOLATION, "limit cycles present but no wandering point")
+        return _CYCLES_NO_WANDERING
     for oid in cls.wandering:
         if len(cls.members(oid)) == 1:
-            return TheoremResult(name, TheoremStatus.HOLDS, f"wandering witness {oid}")
-    return TheoremResult(name, TheoremStatus.VIOLATION, "no wandering proper orbit equal to its own extension")
+            return TheoremResult(_CYCLES, HOLDS, f"wandering witness {oid}")
+    return _CYCLES_NO_WITNESS
+
+
+_RECURRENCE = "extended-recurrence-implies-nonwandering"
+_RECURRENCE_HOLDS = TheoremResult(_RECURRENCE, HOLDS)
+_RECURRENCE_NONE = TheoremResult(_RECURRENCE, INAPPLICABLE, "not extended recurrent")
 
 
 def check_recurrence_implies_nonwandering(cls: Classifier) -> TheoremResult:
-    name = "extended-recurrence-implies-nonwandering"
     if not cls.extended_recurrent().verdict:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not extended recurrent")
+        return _RECURRENCE_NONE
     if cls.nonwandering().verdict:
-        return TheoremResult(name, TheoremStatus.HOLDS)
-    return TheoremResult(name, TheoremStatus.VIOLATION, f"wandering witness {cls.nonwandering().witness.ids}")
+        return _RECURRENCE_HOLDS
+    return TheoremResult(_RECURRENCE, VIOLATION, f"wandering witness {cls.nonwandering().witness.ids}")
+
+
+_DICHOTOMY = "nonclosed-orbit-dichotomy"
+_DICHOTOMY_HOLDS = TheoremResult(_DICHOTOMY, HOLDS)
+_DICHOTOMY_NONE = TheoremResult(_DICHOTOMY, INAPPLICABLE, "not extended recurrent")
+_DICHOTOMY_CLOSED = TheoremResult(_DICHOTOMY, INAPPLICABLE, "every extended orbit is closed")
 
 
 def check_dichotomy(cls: Classifier) -> TheoremResult:
     """Non-closed extended orbits either trail into a non-saddle singularity
     or meet the closure of a locally dense orbit."""
-    name = "nonclosed-orbit-dichotomy"
     if not cls.extended_recurrent().verdict:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not extended recurrent")
+        return _DICHOTOMY_NONE
     if not cls.open_leads:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "every extended orbit is closed")
+        return _DICHOTOMY_CLOSED
     for xid in sorted(cls.open_leads):
         if cls.dichotomy(xid) is DichotomyCase.VIOLATION:
-            return TheoremResult(name, TheoremStatus.VIOLATION, f"neither disjunct holds at {xid}")
-    return TheoremResult(name, TheoremStatus.HOLDS)
+            return TheoremResult(_DICHOTOMY, VIOLATION, f"neither disjunct holds at {xid}")
+    return _DICHOTOMY_HOLDS
+
+
+_PARTITION = "partition-implies-extended-recurrence"
+_PARTITION_HOLDS = TheoremResult(_PARTITION, HOLDS)
+_PARTITION_NONE = TheoremResult(_PARTITION, INAPPLICABLE, "not a decomposition")
 
 
 def check_partition_implies_recurrence(cls: Classifier) -> TheoremResult:
     """A decomposition into extended-orbit closures forces extended recurrence
     with finitely many singular pieces in every block."""
-    name = "partition-implies-extended-recurrence"
     if not cls.extended_pap().verdict:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not a decomposition")
+        return _PARTITION_NONE
     if not cls.extended_recurrent().verdict:
-        return TheoremResult(name, TheoremStatus.VIOLATION, f"not extended recurrent: {cls.extended_recurrent().witness.ids}")
+        return TheoremResult(_PARTITION, VIOLATION, f"not extended recurrent: {cls.extended_recurrent().witness.ids}")
     bad = _block_with_infinite_singularities(cls)
     if bad is not None:
-        return TheoremResult(name, TheoremStatus.VIOLATION, f"block of {bad} swallows a saddle chain")
+        return TheoremResult(_PARTITION, VIOLATION, f"block of {bad} swallows a saddle chain")
     bad = _dense_closure_swallows_singularity_sequence(cls)
     if bad is not None:
-        return TheoremResult(name, TheoremStatus.VIOLATION, f"dense closure of {bad} swallows a singularity sequence")
-    return TheoremResult(name, TheoremStatus.HOLDS)
+        return TheoremResult(_PARTITION, VIOLATION, f"dense closure of {bad} swallows a singularity sequence")
+    return _PARTITION_HOLDS
+
+
+_RCLOSED = "rclosed-implies-partition"
+_RCLOSED_HOLDS = TheoremResult(_RCLOSED, HOLDS)
+_RCLOSED_NONE = TheoremResult(_RCLOSED, INAPPLICABLE, "not extended R-closed")
+_RCLOSED_FAILS = TheoremResult(_RCLOSED, VIOLATION, "R-closed without a decomposition")
 
 
 def check_rclosed_implies_partition(cls: Classifier) -> TheoremResult:
-    name = "rclosed-implies-partition"
     if not cls.extended_r_closed().verdict:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not extended R-closed")
-    if cls.extended_pap().verdict:
-        return TheoremResult(name, TheoremStatus.HOLDS)
-    return TheoremResult(name, TheoremStatus.VIOLATION, "R-closed without a decomposition")
+        return _RCLOSED_NONE
+    return _RCLOSED_HOLDS if cls.extended_pap().verdict else _RCLOSED_FAILS
+
+
+_STRUCTURE = "rclosed-singularity-structure"
+_STRUCTURE_HOLDS = TheoremResult(_STRUCTURE, HOLDS)
+_STRUCTURE_NONE = TheoremResult(_STRUCTURE, INAPPLICABLE, "hypothesis fails")
 
 
 def check_rclosed_singularity_structure(cls: Classifier) -> TheoremResult:
     """Under extended R-closedness every singularity is a saddle or an
     extended center, and dense closures trap only finitely many."""
-    name = "rclosed-singularity-structure"
     fc = cls.fc
     if not (cls.extended_r_closed().verdict and is_non_identical(fc)):
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
+        return _STRUCTURE_NONE
     for o in fc.orbit_classes:
         if o.kind in DENSE_KINDS:
             for schema in fc.accumulation_schemas:
                 if (schema.kind is SADDLE_CHAIN or schema.kind is SINGULARITY_SEQUENCE) and set(schema.samples) <= o.closure_decl:
-                    return TheoremResult(name, TheoremStatus.VIOLATION, f"dense closure of {o.id} holds infinitely many singularities")
+                    return TheoremResult(_STRUCTURE, VIOLATION, f"dense closure of {o.id} holds infinitely many singularities")
     for s in fc.singular_sets:
         if s.shape is not POINT:
-            return TheoremResult(name, TheoremStatus.VIOLATION, f"{s.id} is a fixed continuum")
+            return TheoremResult(_STRUCTURE, VIOLATION, f"{s.id} is a fixed continuum")
         if s.is_saddle or cls.extended_center(s.id):
             continue
-        return TheoremResult(name, TheoremStatus.VIOLATION, f"{s.id} is neither a saddle nor an extended center")
-    return TheoremResult(name, TheoremStatus.HOLDS)
+        return TheoremResult(_STRUCTURE, VIOLATION, f"{s.id} is neither a saddle nor an extended center")
+    return _STRUCTURE_HOLDS
+
+
+_REGULARITY = "regularity-equivalence"
+_REGULARITY_HOLDS = TheoremResult(_REGULARITY, HOLDS)
+_REGULARITY_NONE = TheoremResult(_REGULARITY, INAPPLICABLE, "not non-wandering")
 
 
 def check_regularity_equivalence(cls: Classifier) -> TheoremResult:
     """Under non-wandering: regular iff extended recurrent with finitely many singularities."""
-    name = "regularity-equivalence"
-    fc = cls.fc
     if not cls.nonwandering().verdict:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "not non-wandering")
+        return _REGULARITY_NONE
     lhs = cls.regular().verdict
-    rhs = cls.extended_recurrent().verdict and has_finitely_many_singularities(fc)
+    rhs = cls.extended_recurrent().verdict and has_finitely_many_singularities(cls.fc)
     if lhs == rhs:
-        return TheoremResult(name, TheoremStatus.HOLDS)
-    return TheoremResult(name, TheoremStatus.VIOLATION, f"regular={lhs} but recurrent-with-finite-sing={rhs}")
+        return _REGULARITY_HOLDS
+    return TheoremResult(_REGULARITY, VIOLATION, f"regular={lhs} but recurrent-with-finite-sing={rhs}")
+
+
+_CLOSURES = "regular-orbit-closure-dichotomy"
+_CLOSURES_HOLDS = TheoremResult(_CLOSURES, HOLDS)
+_CLOSURES_NONE = TheoremResult(_CLOSURES, INAPPLICABLE, "hypothesis fails")
 
 
 def check_regular_orbit_closure_dichotomy(cls: Classifier) -> TheoremResult:
     """For regular non-wandering flows each extended orbit is closed or both
     of its one-sided extensions reach locally dense orbits."""
-    name = "regular-orbit-closure-dichotomy"
     if not (cls.nonwandering().verdict and cls.regular().verdict):
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
+        return _CLOSURES_NONE
     bad = _open_extension_missing_dense_side(cls)
     if bad is not None:
-        return TheoremResult(name, TheoremStatus.VIOLATION, f"{bad}: open extension missing a dense side")
-    return TheoremResult(name, TheoremStatus.HOLDS)
+        return TheoremResult(_CLOSURES, VIOLATION, f"{bad}: open extension missing a dense side")
+    return _CLOSURES_HOLDS
+
+
+_CLOSED = "closed-extended-orbit-equivalence"
+_CLOSED_HOLDS = TheoremResult(_CLOSED, HOLDS)
+_CLOSED_NONE = TheoremResult(_CLOSED, INAPPLICABLE, "hypothesis fails")
 
 
 def check_closed_extended_orbit_equivalence(cls: Classifier) -> TheoremResult:
     """Without locally dense orbits: decomposition, recurrence with finite
     blocks, and all extended orbits closed are one property."""
-    name = "closed-extended-orbit-equivalence"
-    fc = cls.fc
-    if cls.dense_ids or not is_non_identical(fc):
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
+    if cls.dense_ids or not is_non_identical(cls.fc):
+        return _CLOSED_NONE
     p1 = cls.extended_pap().verdict
     p2 = (
         cls.extended_recurrent().verdict
@@ -235,29 +276,37 @@ def check_closed_extended_orbit_equivalence(cls: Classifier) -> TheoremResult:
     )
     p3 = not cls.open_leads
     if p1 == p2 == p3:
-        return TheoremResult(name, TheoremStatus.HOLDS)
-    return TheoremResult(name, TheoremStatus.VIOLATION, f"decomposition={p1}, recurrence={p2}, closed-orbits={p3}")
+        return _CLOSED_HOLDS
+    return TheoremResult(_CLOSED, VIOLATION, f"decomposition={p1}, recurrence={p2}, closed-orbits={p3}")
+
+
+_FINITE = "finite-singularity-rclosed-equivalence"
+_FINITE_HOLDS = TheoremResult(_FINITE, HOLDS)
+_FINITE_NONE = TheoremResult(_FINITE, INAPPLICABLE, "accumulating structure present")
 
 
 def check_finite_singularity_rclosed_equivalence(cls: Classifier) -> TheoremResult:
     """With finitely many singularities and no accumulation structure,
     R-closedness and the decomposition property coincide."""
-    name = "finite-singularity-rclosed-equivalence"
     fc = cls.fc
     if fc.accumulation_schemas or not has_finitely_many_singularities(fc):
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "accumulating structure present")
+        return _FINITE_NONE
     r = cls.extended_r_closed().verdict
     p = cls.extended_pap().verdict
     if r == p:
-        return TheoremResult(name, TheoremStatus.HOLDS)
-    return TheoremResult(name, TheoremStatus.VIOLATION, f"r-closed={r} but decomposition={p}")
+        return _FINITE_HOLDS
+    return TheoremResult(_FINITE, VIOLATION, f"r-closed={r} but decomposition={p}")
+
+
+_GENUS_ZERO = "genus-zero-equivalence"
+_GENUS_ZERO_HOLDS = TheoremResult(_GENUS_ZERO, HOLDS)
+_GENUS_ZERO_NONE = TheoremResult(_GENUS_ZERO, INAPPLICABLE, "hypothesis fails")
 
 
 def check_genus_zero_equivalence(cls: Classifier) -> TheoremResult:
     """On genus-zero surfaces with finitely many singularities all five
     properties agree: R-closed, decomposition, extended recurrence, regular
     non-wandering, and closed extended orbits."""
-    name = "genus-zero-equivalence"
     fc = cls.fc
     applicable = (
         fc.surface.genus == 0
@@ -267,7 +316,7 @@ def check_genus_zero_equivalence(cls: Classifier) -> TheoremResult:
         and not cls.dense_ids
     )
     if not applicable:
-        return TheoremResult(name, TheoremStatus.INAPPLICABLE, "hypothesis fails")
+        return _GENUS_ZERO_NONE
     values = (
         cls.extended_r_closed().verdict,
         cls.extended_pap().verdict,
@@ -276,25 +325,25 @@ def check_genus_zero_equivalence(cls: Classifier) -> TheoremResult:
         not cls.open_leads,
     )
     if len(set(values)) == 1:
-        return TheoremResult(name, TheoremStatus.HOLDS)
-    return TheoremResult(name, TheoremStatus.VIOLATION, f"predicates disagree: {values}")
+        return _GENUS_ZERO_HOLDS
+    return TheoremResult(_GENUS_ZERO, VIOLATION, f"predicates disagree: {values}")
 
 
 CheckFn = Callable[[Classifier], TheoremResult]
 
 THEOREM_CHECKS: tuple[tuple[str, CheckFn], ...] = (
-    ("closed-extended-orbit-equivalence", check_closed_extended_orbit_equivalence),
-    ("extended-periodic-finiteness", check_extended_periodic_members),
-    ("extended-recurrence-implies-nonwandering", check_recurrence_implies_nonwandering),
-    ("finite-singularity-rclosed-equivalence", check_finite_singularity_rclosed_equivalence),
-    ("genus-zero-equivalence", check_genus_zero_equivalence),
-    ("limit-cycles-force-wandering", check_limit_cycles_force_wandering),
-    ("nonclosed-orbit-dichotomy", check_dichotomy),
-    ("partition-implies-extended-recurrence", check_partition_implies_recurrence),
-    ("rclosed-implies-partition", check_rclosed_implies_partition),
-    ("rclosed-singularity-structure", check_rclosed_singularity_structure),
-    ("regular-orbit-closure-dichotomy", check_regular_orbit_closure_dichotomy),
-    ("regularity-equivalence", check_regularity_equivalence),
+    (_CLOSED, check_closed_extended_orbit_equivalence),
+    (_PERIODIC, check_extended_periodic_members),
+    (_RECURRENCE, check_recurrence_implies_nonwandering),
+    (_FINITE, check_finite_singularity_rclosed_equivalence),
+    (_GENUS_ZERO, check_genus_zero_equivalence),
+    (_CYCLES, check_limit_cycles_force_wandering),
+    (_DICHOTOMY, check_dichotomy),
+    (_PARTITION, check_partition_implies_recurrence),
+    (_RCLOSED, check_rclosed_implies_partition),
+    (_STRUCTURE, check_rclosed_singularity_structure),
+    (_CLOSURES, check_regular_orbit_closure_dichotomy),
+    (_REGULARITY, check_regularity_equivalence),
 )
 
 THEOREM_NAMES: tuple[str, ...] = tuple(name for name, _ in THEOREM_CHECKS)
@@ -302,11 +351,14 @@ THEOREM_NAMES: tuple[str, ...] = tuple(name for name, _ in THEOREM_CHECKS)
 
 def verify_theorems(fc: FlowComplex, names: Optional[Iterable] = None) -> list[TheoremResult]:
     """Run the harness; results are sorted by theorem name."""
+    if names is None:
+        cls = Classifier(fc)
+        return [check(cls) for _, check in THEOREM_CHECKS]
     if isinstance(names, str):
         raise PreconditionError(f"theorem names must be a collection of names, not the string {names!r}")
-    if names is not None and not isinstance(names, Iterable):
+    if not isinstance(names, Iterable):
         raise PreconditionError(f"theorem names must be a collection of names, not {names!r}")
-    names = THEOREM_NAMES if names is None else tuple(names)
+    names = tuple(names)
     bad = [name for name in names if not isinstance(name, str)]
     if bad:
         raise PreconditionError(f"theorem names must be strings, not {bad[0]!r}")

@@ -49,6 +49,7 @@ from flowcomplex.model import cached_attribute
 from flowcomplex.orbits import Expansion, orbit_set_closure
 from flowcomplex.theorems import (
     THEOREM_CHECKS,
+    THEOREM_NAMES,
     TheoremResult,
     _block_with_infinite_singularities,
     _open_extension_missing_dense_side,
@@ -389,6 +390,19 @@ def test_theorem_harness_on_double_center(gallery_complexes):
         "closed-extended-orbit-equivalence",
     ):
         assert results[name].status is TheoremStatus.HOLDS, name
+
+
+def test_shared_theorem_results_equal_fresh_ones(gallery_complexes):
+    """A result whose detail is fixed text is one shared value: it equals and
+    hashes as a result built fresh, and naming every check gives the same
+    results as naming none."""
+    for fc in [*gallery_complexes.values(), *(random_complex(seed) for seed in range(200))]:
+        results = verify_theorems(fc)
+        assert results == verify_theorems(fc, THEOREM_NAMES)
+        fresh = [TheoremResult(r.theorem, r.status, r.detail) for r in results]
+        assert results == fresh
+        assert [hash(r) for r in results] == [hash(r) for r in fresh]
+        assert [r.theorem for r in results] == list(THEOREM_NAMES)
 
 
 def test_five_way_equivalence_positive_case():

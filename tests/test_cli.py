@@ -11,6 +11,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcomplex import FlowComplex, PreconditionError, build, classification_report, cli, emit, extended_orbit, parse, validate, verify_theorems
 from flowcomplex import model
@@ -109,25 +111,41 @@ def test_main_parses_as_the_full_parser_does(tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     doc, out = str(tmp_path / "hd.fc"), str(tmp_path / "out.fc")
     Path(doc).write_text(emit(build("halfdisk_sphere", None)))
-    valid = [
+    # well-formed calls, which the direct reader reads without argparse
+    direct = [
         ["validate", doc],
         ["classify", doc],
         ["classify", doc, "--json"],
+        ["classify", "--json", doc],
+        ["classify", ""],
         ["orbit", doc, "--start", "rp"],
-        ["orbit", doc, "--start=rp", "--direction", "fwd", "--generalized"],
-        ["orbit", doc, "--gen", "--start", "rp"],
-        ["orbit", "--start", "rp", "--", doc],
-        ["classify", "--", doc],
-        ["gallery", "--name", "comb_torus", "--param", "n=3", "--param", "n=4", "--out", out],
+        ["orbit", doc, "--start", ""],
+        ["orbit", "--generalized", "--start", "rp", "--direction", "bwd", doc],
         ["verify", doc, "--theorems", "all", "--json"],
         ["export-dot", doc],
         ["export-dot", doc, "--overlay", "rp"],
     ]
+    valid = [
+        *direct,
+        ["classify", "-"],
+        ["orbit", doc, "--start", "-1"],
+        ["orbit", doc, "--start=rp", "--direction", "fwd", "--generalized"],
+        ["orbit", doc, "--gen", "--start", "rp"],
+        ["orbit", doc, "--start", "rp", "--generalized", "--generalized"],
+        ["orbit", doc, "--start", "a", "--start", "b"],
+        ["orbit", "--start", "rp", "--", doc],
+        ["classify", "--", doc],
+        ["gallery", "--name", "comb_torus", "--param", "n=3", "--param", "n=4", "--out", out],
+    ]
     rejected = [
         ["orbit", doc],
         ["classify"],
+        ["classify", "-x"],
+        ["classify", doc, doc],
         ["gallery", "--out", out],
         ["orbit", doc, "--start", "rp", "--direction", "up"],
+        ["orbit", doc, "--start", "--generalized"],
+        ["orbit", doc, "--start"],
         ["classify", doc, "--bogus"],
         ["classify", doc, "--", "extra"],
         ["orbit", doc, "--start", "rp", "-z", "1"],
@@ -138,21 +156,81 @@ def test_main_parses_as_the_full_parser_does(tmp_path, monkeypatch):
         ["verify", doc, "--help"],
         [],
         ["bogus", doc],
-        [None, doc],
-        [5, doc],
-        [["classify"], doc],
     ]
     fresh = cli.build_parser.__wrapped__()
     for argv in valid:
-        got = _outcome(cli._parse_args, argv)
-        assert got == _outcome(fresh.parse_args, argv), argv
-        assert isinstance(got[0], argparse.Namespace) and got[1:] == ("", ""), argv
+        for given in (argv, tuple(argv)):
+            got = _outcome(cli._parse_args, given)
+            assert got == _outcome(fresh.parse_args, given), argv
+            assert isinstance(got[0], argparse.Namespace) and got[1:] == ("", ""), argv
+            assert list(vars(got[0])) == list(vars(fresh.parse_args(given))), argv
     for argv in rejected:
         want = _outcome(fresh.parse_args, argv)
         assert not isinstance(want[0], argparse.Namespace), argv
         assert _outcome(cli._parse_args, argv) == want, argv
+        assert _outcome(cli._parse_args, tuple(argv)) == want, argv
         if want[0][0] == "exit":
             assert _in_process(argv) == (want[0][1], *want[1:]), argv
+    grammars = cli.build_parser().grammars
+    for argv in valid + rejected:
+        got = cli._read_direct(grammars, argv)
+        assert (got is not None) == (argv in direct), argv
+    for argv in ([], ["orbit", doc, "--start", "rp"], ["--help"]):
+        monkeypatch.setattr(sys, "argv", ["flowcomplex", *argv])
+        assert _outcome(cli._parse_args, None) == _outcome(fresh.parse_args, None), argv
+
+
+def test_an_argument_that_is_not_a_string_is_a_usage_error(tmp_path, monkeypatch):
+    """argparse raises a bare ``TypeError`` for most of these and reads
+    ``None`` as a command name; the CLI prints one usage error instead."""
+    monkeypatch.setenv("COLUMNS", "80")
+    doc = tmp_path / "hd.fc"
+    doc.write_text(emit(build("halfdisk_sphere", None)))
+    usage = cli.build_parser.__wrapped__().format_usage()
+    for argv, bad in (
+        (["classify", doc], doc),
+        ([Path("classify"), str(doc)], Path("classify")),
+        (["orbit", str(doc), "--start", 5], 5),
+        ([None, str(doc)], None),
+        ([["classify"], str(doc)], ["classify"]),
+    ):
+        err = f"{usage}flowcomplex: error: argument {bad!r} is not a string\n"
+        assert _outcome(cli._parse_args, argv) == (("exit", 2), "", err), argv
+        assert _in_process(argv) == (2, "", err), argv
+
+
+_OPTIONS = {
+    "validate": (),
+    "classify": ("--json",),
+    "orbit": ("--start", "--direction", "--generalized"),
+    "gallery": ("--name", "--param", "--out"),
+    "verify": ("--theorems", "--json"),
+    "export-dot": ("--overlay",),
+}
+_VALUES = st.sampled_from(("hd.fc", "rp", "fwd", "both", "up", "all", "comb_torus", "n=3"))
+_ODD = st.sampled_from(("", "-", "-1", "--", "-x", "-h", "--help", "--start=rp", "--gen", "--bogus", "x y", "é")) | st.text(max_size=4)
+
+
+@st.composite
+def _argv(draw):
+    """A command (now and then an odd string), up to two positionals, and
+    around them pieces that are mostly that command's options, each with or
+    without a value: many of these lists are well-formed calls."""
+    command = draw(st.sampled_from((*SUBCOMMANDS, None)))
+    if command is None:
+        command = draw(_ODD)
+    options = st.sampled_from(_OPTIONS.get(command) or ("--json",))
+    piece = st.sampled_from((st.tuples(options, _VALUES), st.tuples(options, _VALUES), st.tuples(options), st.tuples(_ODD))).flatmap(lambda kind: kind)
+    pieces = draw(st.lists(piece, max_size=3))
+    pieces.insert(draw(st.integers(0, len(pieces))), draw(st.lists(_VALUES, min_size=1, max_size=2) | st.lists(_ODD, max_size=1)))
+    return [command, *(token for tokens in pieces for token in tokens)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argv())
+def test_any_argv_parses_as_the_full_parser_does(argv):
+    fresh = cli.build_parser.__wrapped__()
+    assert _outcome(cli._parse_args, argv) == _outcome(fresh.parse_args, argv)
 
 
 def _text_load(path):
