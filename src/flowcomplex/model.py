@@ -494,6 +494,9 @@ class FlowComplex:
         ``(limit, class id)`` pairs whose limit on that side has ``lid`` as its
         least id, so every limit lying inside an id set is found through the
         set's own ids.  Built on first use, with one frozenset per distinct limit.
+        Plain extension reads ``separatrices`` instead; this index serves the
+        declared saddle sets of generalized extension and
+        ``Classifier.limit_cycles``.
         """
         out: dict[tuple[str, str], list[tuple[frozenset[str], str]]] = {}
         limits: dict[tuple[str, ...], tuple[str, frozenset[str]]] = {}
@@ -505,6 +508,32 @@ class FlowComplex:
                         entry = limits[ref.ids] = (ref.ids[0], ref.resolved())
                     lid, limit = entry
                     out.setdefault((side, lid), []).append((limit, o.id))
+        return out
+
+    @cached_attribute
+    def separatrices(self) -> Mapping[str, tuple[list[str], list[str]]]:
+        """Each saddle's ``(stable, unstable)`` separatrices: the orbit classes
+        whose omega, or alpha, is the point reference ``sing:<saddle>``, in id
+        order.  A homoclinic loop is in both lists.  On a complex that passes
+        ``validate`` these are exactly the classes whose limit lies inside the
+        one-saddle set."""
+        saddles = self.saddle_ids
+        if not saddles:
+            return {}
+        out: dict[str, tuple[list[str], list[str]]] = {sid: ([], []) for sid in sorted(saddles)}
+        get = out.get
+        # the two sides spelled out: a loop over them costs a third more
+        for o in self.orbit_classes:
+            ref = o.omega
+            if ref is not None and ref.kind is SING_REF:
+                lists = get(ref.ids[0])
+                if lists is not None:
+                    lists[0].append(o.id)
+            ref = o.alpha
+            if ref is not None and ref.kind is SING_REF:
+                lists = get(ref.ids[0])
+                if lists is not None:
+                    lists[1].append(o.id)
         return out
 
     @cached_attribute
@@ -788,15 +817,10 @@ def _validate(fc: FlowComplex) -> ValidationReport:
     ld_ids: list[str] = []
     set_refs: list[tuple[str, frozenset[str]]] = []
     limits: dict[str, tuple[str, ...]] = {}  # limit ids of each class that is not dense
-    # each saddle owns exactly 2 stable and 2 unstable separatrix slots; a
-    # slot is filled by an orbit class whose omega (stable) or alpha
-    # (unstable) is a point reference to it, so a homoclinic loop fills one
-    # of each
-    slots = {sid: [0, 0] for sid in fc.saddle_ids}
 
     for o in fc.orbit_classes:
         oid, kind, decl, alpha, omega = o.id, o.kind, o.closure_decl, o.alpha, o.omega
-        for ref, slot in ((alpha, 1), (omega, 0)):
+        for ref in (alpha, omega):
             if ref is None:
                 continue
             ids = ref.ids
@@ -810,10 +834,7 @@ def _validate(fc: FlowComplex) -> ValidationReport:
                 set_refs.append((oid, ref.resolved()))
             else:
                 first = ids[0]
-                is_sing = ref.kind is SING_REF
-                wrong = first not in (sing if is_sing else orbit_by_id) and first in known
-                if is_sing and first in slots:
-                    slots[first][slot] += 1
+                wrong = first not in (sing if ref.kind is SING_REF else orbit_by_id) and first in known
             if wrong:
                 detail = f"{ref.kind.value}:{','.join(ids)} names the wrong kind of piece"
                 ref_kinds.append(Violation(oid, "limit-ref-kind", detail))
@@ -925,10 +946,11 @@ def _validate(fc: FlowComplex) -> ValidationReport:
                 detail = "minimal sets accumulate on it" if d.isolated else "no minimal sets accumulate on it"
                 out.append(Violation(d.id, "saddleset-isolated-flag", f"declared isolated={str(d.isolated).lower()}, but {detail}"))
 
-    for sid in sorted(slots):
-        stable, unstable = slots[sid]
-        if stable != 2 or unstable != 2:
-            detail = f"stable slots filled: {stable}, unstable slots filled: {unstable} (need 2 + 2)"
+    # each saddle owns exactly 2 stable and 2 unstable separatrix slots; a
+    # homoclinic loop fills one of each
+    for sid, (stable, unstable) in fc.separatrices.items():
+        if len(stable) != 2 or len(unstable) != 2:
+            detail = f"stable slots filled: {len(stable)}, unstable slots filled: {len(unstable)} (need 2 + 2)"
             out.append(Violation(sid, "saddle-slot-count", detail))
     _check_poincare_hopf(fc, out)
     return ValidationReport(tuple(out))

@@ -12,12 +12,13 @@ sets, expanding whenever a member's limit set is contained in such a set;
 ``validate`` judges each declaration, and ``generalized_saddle_sets`` lists
 the admitted ones.  It and ``Expansion`` take only a complex that passes
 ``validate``.  Plain extension is generalized extension over the singleton
-saddle sets: both run the one fixpoint in ``Expansion``, which reads what a
-set adjoins from the complex's lazily built limit index
-(``FlowComplex.classes_by_limit``).  ``Expansion.orbit`` runs that fixpoint
-per seed and keeps each member's round, for the ``orbit`` command;
-``Classifier`` reads members alone from ``Expansion.payloads``, which fills
-every id's one-sided payload at once.
+saddle sets: both run the one fixpoint in ``Expansion``.  A single saddle
+fires and adjoins its separatrices (``FlowComplex.separatrices``, which
+``validate`` builds); only a declared set that is not a single saddle reads
+the lazily built limit index (``FlowComplex.classes_by_limit``).
+``Expansion.orbit`` runs that fixpoint per seed and keeps each member's
+round, for the ``orbit`` command; ``Classifier`` reads members alone from
+``Expansion.payloads``, which fills every id's one-sided payload at once.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class Expansion:
     singular set is its own limit, which lets extension sweep through the
     separatrices of a saddle taken as a seed).  A fired set adjoins itself
     and every class whose departure-side limit lies inside it; what each set
-    adjoins is computed once per instance, from the complex's limit index.
+    adjoins is computed once per instance, from the saddle's separatrices for
+    a single saddle and from the complex's limit index for any other set.
     ``sets`` is a list or tuple of frozensets of the complex's ids.
     """
 
@@ -151,9 +153,22 @@ class Expansion:
         found = self._adjoined.get(key)
         if found is None:
             fset = self.sets[i]
-            departure = "alpha" if forward else "omega"
-            found = self._adjoined[key] = sorted(fset) + _classes_limiting_into(self.fc, fset, departure)
+            found = self._adjoined[key] = sorted(fset) + self._limiting(fset, forward)[1]
         return found
+
+    def _limiting(self, fset: frozenset[str], forward: bool) -> tuple[list[str], list[str]]:
+        """The classes whose limit lies inside ``fset``, in id order: on the
+        approach side, which fire it, and on the departure side, which it
+        adjoins.  A single saddle reads its separatrices, since in a valid
+        complex a limit inside ``{s}`` is ``sing:s``; any other set reads the
+        limit index."""
+        if len(fset) == 1:
+            [sid] = fset
+            seps = self.fc.separatrices.get(sid)
+            if seps is not None:
+                return seps if forward else (seps[1], seps[0])
+        approach, departure = ("omega", "alpha") if forward else ("alpha", "omega")
+        return _classes_limiting_into(self.fc, fset, approach), _classes_limiting_into(self.fc, fset, departure)
 
     def _fired(self, xid: str, forward: bool) -> Sequence[int]:
         """The sets, in ascending order, that hold the approach-side limit of ``xid``."""
@@ -232,23 +247,14 @@ class Expansion:
         """One pass over the sets: ``_fired(xid, forward)`` of every id that fires
         a set (its singular members and the classes limiting into it on the
         approach side), and what each set adjoins, as ``_adjoins`` in no order."""
-        by_limit, sing = self.fc.classes_by_limit, self.fc.sing_by_id
-        approach, departure = ("omega", "alpha") if forward else ("alpha", "omega")
+        sing = self.fc.sing_by_id
         fired: dict[str, list[int]] = {}
         adjoined: list[list[str]] = []
         for i, fset in enumerate(self.sets):
-            adds = list(fset)
-            for lid in fset:
-                if lid in sing:
-                    fired.setdefault(lid, []).append(i)
-                # each class is listed under the least id of its limit only
-                for limit, oid in by_limit.get((approach, lid), ()):
-                    if limit <= fset:
-                        fired.setdefault(oid, []).append(i)
-                for limit, oid in by_limit.get((departure, lid), ()):
-                    if limit <= fset:
-                        adds.append(oid)
-            adjoined.append(adds)
+            firing, adds = self._limiting(fset, forward)
+            for oid in (*(lid for lid in fset if lid in sing), *firing):
+                fired.setdefault(oid, []).append(i)
+            adjoined.append([*fset, *adds])
         return fired, adjoined
 
     def payloads(self, forward: bool) -> dict[str, frozenset[str]]:

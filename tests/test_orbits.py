@@ -12,6 +12,7 @@ from flowcomplex import (
     CycleSide,
     Direction,
     Expansion,
+    GALLERY,
     Family,
     FamilyKind,
     FlowComplex,
@@ -40,7 +41,9 @@ from flowcomplex import (
 from flowcomplex import model, orbits
 from flowcomplex.orbits import SaddleSetVerdict, _strong_components, orbit_set_closure
 
+from enumerate_docs import complex_of, docs
 from naive_oracle import expand_once, naive_extended_orbit, naive_extension, naive_saddle_set, reachability_members
+from test_golden import SCALE_DOCUMENTS
 
 
 def test_unstable_set_plus_saddle(gallery_complexes):
@@ -219,17 +222,61 @@ def test_generalized_comb_has_no_opening(gallery_complexes):
     assert ext.depth == 0
 
 
-def test_a_one_shot_orbit_builds_the_limit_index_only_when_a_set_fires():
-    # comb_torus has no saddle and its declared set is not isolated, so no
-    # query fires a set; in plus_saddle, r1 runs from the source to a sink
-    # and fires nothing, while a runs into the saddle
-    queries = [("comb_torus", xid, False) for xid in sorted(build("comb_torus").all_ids)]
-    queries += [("plus_saddle", "r1", False), ("plus_saddle", "a", True)]
+def test_only_a_declared_set_builds_the_limit_index():
+    """Plain extension reads each saddle's separatrices, so no plain query
+    builds ``classes_by_limit``: no orbit of any id in any direction, and
+    neither payload table.  A generalized orbit builds it only when it fires
+    a declared set that is not a single saddle: halfdisk_sphere declares its
+    two degenerate points, which every id but c, seg and pd fires."""
+    for entry in GALLERY:
+        fc = build(entry.name)
+        engine = Expansion.plain(fc)
+        for xid in fc.sorted_ids:
+            for direction in Direction:
+                engine.orbit(xid, direction)
+        engine.payloads(True), engine.payloads(False)
+        assert "classes_by_limit" not in fc.__dict__, entry.name
+    queries = [("halfdisk_sphere", xid, xid not in {"c", "seg", "pd"}) for xid in build("halfdisk_sphere").sorted_ids]
+    # no declared set, or none admitted: single saddles fire, and build nothing
+    for name in ("comb_torus", "nested_saddles_disk", "plus_saddle"):
+        queries += [(name, xid, False) for xid in build(name).sorted_ids]
     for name, xid, fires in queries:
-        for engine in (Expansion.plain, Expansion.generalized):
-            fc = build(name)
-            engine(fc).orbit(xid)
-            assert ("classes_by_limit" in fc.__dict__) == fires, (name, xid, engine)
+        fc = build(name)
+        Expansion.generalized(fc).orbit(xid)
+        assert ("classes_by_limit" in fc.__dict__) == fires, (name, xid)
+
+
+class IndexedExpansion(Expansion):
+    """The reference engine: every set, a single saddle too, reads what it
+    fires and adjoins from the limit index."""
+
+    def _limiting(self, fset, forward):
+        approach, departure = ("omega", "alpha") if forward else ("alpha", "omega")
+        return orbits._classes_limiting_into(self.fc, fset, approach), orbits._classes_limiting_into(self.fc, fset, departure)
+
+
+def test_separatrices_are_the_classes_limiting_into_each_saddle(gallery_complexes):
+    """Each saddle's separatrices are the classes whose limit lies inside the
+    one-saddle set, and the plain engine's payload tables and adjoined lists
+    equal the limit index's, key order included, on the gallery, the sweep,
+    the admitted small documents and both scale documents."""
+    complexes = list(gallery_complexes.values()) + [random_complex(seed) for seed in range(1000)]
+    complexes += [fc for fc in map(complex_of, docs()) if validate(fc).ok]
+    complexes += [build(name, {"n": n}) for name, n in SCALE_DOCUMENTS]
+    saddles = 0
+    for fc in complexes:
+        assert list(fc.separatrices) == sorted(fc.saddle_ids)
+        for sid, (stable, unstable) in fc.separatrices.items():
+            assert stable == sorted(orbits._classes_limiting_into(fc, frozenset({sid}), "omega")), sid
+            assert unstable == sorted(orbits._classes_limiting_into(fc, frozenset({sid}), "alpha")), sid
+            saddles += 1
+        engine, reference = Expansion.plain(fc), IndexedExpansion.plain(fc)
+        for forward in (True, False):
+            table, expected = engine.payloads(forward), reference.payloads(forward)
+            assert list(table.items()) == list(expected.items()), forward
+            for i in range(len(engine.sets)):
+                assert engine._adjoins(i, forward) == reference._adjoins(i, forward), (i, forward)
+    assert saddles > 4000
 
 
 def test_saddle_set_verdicts(gallery_complexes):
