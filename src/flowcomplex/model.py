@@ -203,6 +203,10 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     ['a']``).  So no record, made directly or by ``dataclasses.replace``,
     lacks a required field or holds a value of the wrong type.  Use it as
     ``@value_class`` or ``@value_class(slots=True)``.
+    A slotted class also gets the builder ``cls._trusted``, from the same
+    ``exec``: the signature of ``__init__``, the same stores and
+    ``__post_init__``, without the ``None`` and type tests.  Only the
+    document reader calls it, with values its own stricter checks passed.
     """
     if cls is None:
         return lambda cls: value_class(cls, slots=slots)
@@ -212,6 +216,7 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
     names = cls.__match_args__
     module = vars(sys.modules[cls.__module__])
     params, body = [], []
+    trusted = ["\n    self = _new(_cls)"]
     namespace = {"_FACTORY": _FACTORY, "_setattr": object.__setattr__, "PreconditionError": PreconditionError}
     annotations = {}
     for f in fields(cls):
@@ -225,6 +230,7 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
         elif f.default_factory is not MISSING:
             params.append(f"{name}=_FACTORY")
             body.append(f"\n    if {name} is _FACTORY: {name} = _factory_{name}()")
+            trusted.append(body[-1])
             namespace[f"_factory_{name}"] = f.default_factory
         else:
             params.append(name)
@@ -234,15 +240,24 @@ def value_class(cls: Optional[type] = None, /, *, slots: bool = False):
         body.append(f"\n    if {wrong}: raise PreconditionError(f{message!r})")
         if slots:
             body.append(f"\n    _set_{name}(self, {name})")
+            trusted.append(body[-1])
             namespace[f"_set_{name}"] = getattr(cls, name).__set__
         else:
             body.append(f"\n    _setattr(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("\n    self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", namespace)
+        trusted.append(body[-1])
+    source = f"def __init__(self, {', '.join(params)}):{''.join(body)}"
+    if slots:
+        namespace.update(_new=object.__new__, _cls=cls)
+        source += f"\ndef _trusted({', '.join(params)}):{''.join(trusted)}\n    return self"
+    exec(source, namespace)
     init = cls.__init__ = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {**annotations, "return": None}
+    if slots:
+        cls._trusted = staticmethod(namespace["_trusted"])
+        cls._trusted.__qualname__ = f"{cls.__qualname__}._trusted"
     # a one-field class hashes a one-tuple, as the stdlib's does
     getter = attrgetter(*names) if len(names) > 1 else lambda self, name=names[0]: (getattr(self, name),)
     cls._field_values = staticmethod(getter)
@@ -456,6 +471,16 @@ class FlowComplex:
                     raise PreconditionError(f"duplicate id {rec.id!r}")
                 seen.add(rec.id)
             object.__setattr__(self, name, tuple(sorted(records, key=attrgetter("id"))))
+
+    @classmethod
+    def _trusted(cls, surface: SurfaceInfo, *groups: tuple) -> "FlowComplex":
+        """A complex of five groups that each hold only their own record
+        class, in id order, with no id naming two records: what ``parse``
+        has checked line by line.  Only ``parse`` calls it; it skips
+        ``__post_init__``'s pass over the records."""
+        fc = object.__new__(cls)
+        vars(fc).update(zip(cls.__match_args__, (surface, *groups)))
+        return fc
 
     @classmethod
     def build(

@@ -27,6 +27,7 @@ name the kind of piece their prefix says, is left to validation.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import attrgetter
 
 from .model import (
     AccumulationSchema,
@@ -98,19 +99,25 @@ _POINT_KINDS = {f"kind={k.value}": k for k in PointKind}
 _FAMILY_KINDS = {f"kind={k.value}": k for k in FamilyKind}
 _ORBIT_KINDS = OrbitKind._value2member_map_
 _REF_KINDS = RefKind._value2member_map_
+# the builders of the records the reader makes: every value it passes them
+# has passed its own checks, which are stricter than ``__init__``'s
+_ref, _sing, _orbit = LimitRef._trusted, SingularSet._trusted, OrbitClass._trusted
+_family, _accum, _saddleset = Family._trusted, AccumulationSchema._trusted, SaddleSetDecl._trusted
 
 
 class _Reader:
     """One document's surface, seen values and errors, read one line at a time.
 
-    A record method checks the line in ``tokens`` and returns the record's
-    field values, its id first; ``parse`` builds the record only from a
-    line without errors.  A point ``sing`` line, an ``orbit`` line with no
-    field or with ``alpha=`` and ``omega=`` only, and a ``family`` line,
-    each with its fields in the order ``emit`` writes them, are read at the
-    known positions of those fields; the one ``surface`` line and any other
-    line, valid or not, go through ``fields`` and the helpers after it,
-    which report what is off (an absent field reads None).
+    A record method checks the line in ``tokens`` and returns its record,
+    or None when the line has an error.  It builds the record through the
+    class's ``_trusted`` builder, which skips ``__init__``'s tests: the
+    checks here already passed every value.  A point ``sing`` line, an
+    ``orbit`` line with no field or with ``alpha=`` and ``omega=`` only,
+    and a ``family`` line, each with its fields in the order ``emit``
+    writes them, are read at the known positions of those fields; the one
+    ``surface`` line and any other line, valid or not, go through ``fields``
+    and the helpers after it, which report what is off (an absent field
+    reads None).
     Every field present is checked, so a missing field does not hide a bad
     value elsewhere on the line.  A failed check adds ``(token index, offset,
     message)`` to ``pending``; ``parse`` turns those into ``ParseError``s,
@@ -226,9 +233,9 @@ class _Reader:
         elif kind is SET_REF:
             ids = self.ids(key, rest, 4)
             if ids is not None:
-                found = self._refs[value] = LimitRef(kind, tuple(ids))
+                found = self._refs[value] = _ref(kind, tuple(ids))
         elif rest.isidentifier() and rest.isascii():
-            found = self._refs[value] = LimitRef(kind, (rest,))
+            found = self._refs[value] = _ref(kind, (rest,))
         else:
             self.fail_field(key, f"bad identifier {rest!r}", len(prefix) + 1)
         return found
@@ -250,11 +257,11 @@ class _Reader:
         if not self.pending:
             self.surface = SurfaceInfo(genus, orientable, boundary)
 
-    def sing_record(self, rid: str) -> tuple | None:
+    def sing_record(self, rid: str) -> SingularSet | None:
         tokens = self.tokens
         kind = _POINT_KINDS.get(tokens[3]) if len(tokens) == 4 and tokens[2] == "point" else None
         if kind is not None:
-            return rid, POINT, kind
+            return None if self.pending else _sing(rid, POINT, kind)
         if len(tokens) < 3:
             return self.fail(0, "sing record needs a shape")
         shape = self.enum(Shape, tokens[2], "shape")
@@ -267,35 +274,33 @@ class _Reader:
                 self.fail(2, "point singularities need kind=")
         elif shape is not None and "kind" in fields:
             self.fail_field("kind", "arc/circle singular sets take no kind")
-        return rid, shape, kind
+        return None if self.pending else _sing(rid, shape, kind)
 
-    def orbit_record(self, rid: str) -> tuple | None:
+    def orbit_record(self, rid: str) -> OrbitClass | None:
         tokens = self.tokens
         if len(tokens) == 3:
             kind = _ORBIT_KINDS.get(tokens[2])
             if kind is not None:
-                return rid, kind
+                return None if self.pending else _orbit(rid, kind)
         elif len(tokens) == 5:
             kind = _ORBIT_KINDS.get(tokens[2])
             a_key, _, alpha = tokens[3].partition("=")
             o_key, _, omega = tokens[4].partition("=")
             if kind is not None and a_key == "alpha" and o_key == "omega" and alpha and omega:
                 self.start = 3  # as ``fields`` would set it, for ``fail_field`` on a bad reference
-                return rid, kind, self.ref("alpha", alpha), self.ref("omega", omega)
+                alpha, omega = self.ref("alpha", alpha), self.ref("omega", omega)
+                return None if self.pending else _orbit(rid, kind, alpha, omega)
         if len(tokens) < 3:
             return self.fail(0, "orbit record needs a kind")
         kind = self.enum(OrbitKind, tokens[2], "orbit kind")
         fields = self.fields(3, ("alpha", "omega", "closure"))
         alpha, omega, closure = fields.get("alpha"), fields.get("omega"), fields.get("closure")
-        return (
-            rid,
-            kind,
-            alpha and self.ref("alpha", alpha),
-            omega and self.ref("omega", omega),
-            closure and self.id_set("closure", closure),
-        )
+        alpha = alpha and self.ref("alpha", alpha)
+        omega = omega and self.ref("omega", omega)
+        closure = closure and self.id_set("closure", closure)
+        return None if self.pending else _orbit(rid, kind, alpha, omega, closure)
 
-    def family_record(self, rid: str) -> tuple | None:
+    def family_record(self, rid: str) -> Family | None:
         tokens = self.tokens
         if 5 <= len(tokens) <= 7:
             kind = _FAMILY_KINDS.get(tokens[2])
@@ -307,37 +312,37 @@ class _Reader:
             # every flag token is one of the two, each at most once
             if kind is not None and bounds and len(flags) == shrinks0 + shrinks1:
                 self.start = 2
-                return rid, kind, self.id_set("b0", b0), self.id_set("b1", b1), shrinks0, shrinks1
+                b0, b1 = self.id_set("b0", b0), self.id_set("b1", b1)
+                return None if self.pending else _family(rid, kind, b0, b1, shrinks0, shrinks1)
         fields = self.fields(2, ("kind", "b0", "b1", "shrinks0", "shrinks1"), ("b0", "b1", "kind"))
-        return (
-            rid,
-            self.enum(FamilyKind, fields.get("kind"), "family kind", "kind"),
-            self.id_set("b0", fields.get("b0")),
-            self.id_set("b1", fields.get("b1")),
-            self.flag(fields, "shrinks0"),
-            self.flag(fields, "shrinks1"),
-        )
+        kind = self.enum(FamilyKind, fields.get("kind"), "family kind", "kind")
+        b0, b1 = self.id_set("b0", fields.get("b0")), self.id_set("b1", fields.get("b1"))
+        shrinks0, shrinks1 = self.flag(fields, "shrinks0"), self.flag(fields, "shrinks1")
+        return None if self.pending else _family(rid, kind, b0, b1, shrinks0, shrinks1)
 
-    def accum_record(self, rid: str) -> tuple:
+    def accum_record(self, rid: str) -> AccumulationSchema | None:
         fields = self.fields(2, ("kind", "samples", "target"), ("kind", "samples", "target"))
         kind = self.enum(SchemaKind, fields.get("kind"), "schema kind", "kind")
-        samples = self.ids("samples", fields.get("samples")) or ()
-        return rid, kind, tuple(samples), self.id_set("target", fields.get("target"))
+        samples = self.ids("samples", fields.get("samples"))
+        target = self.id_set("target", fields.get("target"))
+        return None if self.pending else _accum(rid, kind, tuple(samples), target)
 
-    def saddleset_record(self, rid: str) -> tuple:
+    def saddleset_record(self, rid: str) -> SaddleSetDecl | None:
         fields = self.fields(2, ("members", "isolated"), ("isolated", "members"))
-        return rid, self.id_set("members", fields.get("members")), self.flag(fields, "isolated")
+        members, isolated = self.id_set("members", fields.get("members")), self.flag(fields, "isolated")
+        return None if self.pending else _saddleset(rid, members, isolated)
 
 
-# each record head after ``surface``, the ``_Reader`` method that reads it and
-# its record class, in FlowComplex field order
+# each record head after ``surface`` and the ``_Reader`` method that reads it,
+# in FlowComplex field order
 _RECORD_KINDS = (
-    ("sing", _Reader.sing_record, SingularSet),
-    ("orbit", _Reader.orbit_record, OrbitClass),
-    ("family", _Reader.family_record, Family),
-    ("accum", _Reader.accum_record, AccumulationSchema),
-    ("saddleset", _Reader.saddleset_record, SaddleSetDecl),
+    ("sing", _Reader.sing_record),
+    ("orbit", _Reader.orbit_record),
+    ("family", _Reader.family_record),
+    ("accum", _Reader.accum_record),
+    ("saddleset", _Reader.saddleset_record),
 )
+_by_id = attrgetter("id")
 
 
 def parse(text: str) -> FlowComplex:
@@ -345,8 +350,8 @@ def parse(text: str) -> FlowComplex:
     if not isinstance(text, str):
         raise PreconditionError(f"parse takes a str, not {type(text).__name__}")
     r = _Reader()
-    # record head -> its reader, its class and what it built, in FlowComplex field order
-    records = {head: (read, cls, []) for head, read, cls in _RECORD_KINDS}
+    # record head -> its reader and the records it built, in FlowComplex field order
+    records = {head: (read, []) for head, read in _RECORD_KINDS}
     pending = r.pending
     errors: list[ParseError] = []
     seen_ids: dict[str, int] = {}
@@ -372,10 +377,10 @@ def parse(text: str) -> FlowComplex:
                 first = seen_ids.setdefault(rid, lineno)
                 if first != lineno:
                     r.fail(1, f"duplicate id {rid!r} (first declared on line {first})")
-                read, make, built = entry
-                values = read(r, rid)  # every field is checked, even after an error
-                if not pending:
-                    built.append(make(*values))
+                read, built = entry
+                record = read(r, rid)  # every field is checked, even after an error
+                if record is not None:
+                    built.append(record)
         elif head == "surface":
             r.surface_record()
         else:
@@ -388,7 +393,10 @@ def parse(text: str) -> FlowComplex:
         errors.append(ParseError(1, 1, "missing surface record"))
     if errors:
         raise ParseErrors(errors)
-    return FlowComplex(r.surface, *(tuple(built) for _, _, built in records.values()))
+    # each group sorted by id: ``seen_ids`` has checked the ids across all
+    # five groups, and each record is its group's class, so the complex
+    # skips ``FlowComplex.__post_init__``'s pass over them
+    return FlowComplex._trusted(r.surface, *(tuple(sorted(built, key=_by_id)) for _, built in records.values()))
 
 
 def _emit_ref(ref: LimitRef) -> str:

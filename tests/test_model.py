@@ -1032,6 +1032,29 @@ def test_value_classes_behave_as_stdlib_frozen_dataclasses(cls, args, other_args
         assert not hasattr(cls, "__post_init__")
 
 
+SLOTTED = [(cls, args) for cls, args, _ in VALUE_CLASSES if "__slots__" in vars(cls)]
+
+
+def test_the_slotted_value_classes_are_the_document_records():
+    assert {cls for cls, _ in SLOTTED} == {LimitRef, SingularSet, OrbitClass, Family, AccumulationSchema, SaddleSetDecl}
+
+
+@pytest.mark.parametrize("cls, args", SLOTTED, ids=[cls.__name__ for cls, _ in SLOTTED])
+def test_the_trusted_builder_builds_what_init_builds(cls, args):
+    """``cls._trusted``, which only the document reader calls, skips
+    ``__init__``'s tests and nothing else."""
+    built, made = cls._trusted(*args), cls(*args)
+    assert type(built) is cls and built == made and not built != made
+    assert repr(built) == repr(made) and hash(built) == hash(made)
+    params = [attrgetter("name", "default", "kind")(p) for p in inspect.signature(cls._trusted).parameters.values()]
+    assert params == [attrgetter("name", "default", "kind")(p) for p in inspect.signature(cls).parameters.values()]
+
+
+def test_the_trusted_builder_runs_post_init():
+    ref = LimitRef._trusted(RefKind.SET, ("b", "a", "b"))
+    assert ref.ids == ("a", "b") and ref == LimitRef.of_set("bab")
+
+
 # every field without a default, of every value class, with the arguments of
 # one instance
 REQUIRED_FIELDS = [

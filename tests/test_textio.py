@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -31,8 +32,11 @@ from flowcomplex import (
     extended_orbit,
     parse,
     random_complex,
+    validate,
     verify_theorems,
 )
+from enumerate_docs import complex_of, docs
+from test_golden import SCALE_DOCUMENTS
 
 MINIMAL = """\
 surface genus=0 orientable=true boundary=0
@@ -364,6 +368,60 @@ orbit m proper alpha=sing:ghost omega=sing:ghost
 def test_round_trip_property(seed):
     fc = random_complex(seed)
     assert parse(emit(fc)) == fc
+
+
+# each record group of a complex and its record class
+GROUPS = {
+    "singular_sets": SingularSet,
+    "orbit_classes": OrbitClass,
+    "families": Family,
+    "accumulation_schemas": AccumulationSchema,
+    "saddle_set_decls": SaddleSetDecl,
+}
+
+
+def _scrambled(text):
+    """``text`` with the records after its surface line in reverse order, and
+    the ids of each ``set:`` reference reversed with the last one repeated."""
+
+    def reverse(match):
+        ids = match.group(1).split(",")[::-1]
+        return "=set:" + ",".join([*ids, ids[-1]])
+
+    head, *records = text.splitlines()
+    return "\n".join([head, *(re.sub(r"=set:([\w,]+)", reverse, line) for line in reversed(records))])
+
+
+def _rebuilt(record):
+    """``record`` made again through its class's public constructor, and so
+    are the limit references it holds."""
+    values = (getattr(record, name) for name in record.__match_args__)
+    return type(record)(*(_rebuilt(v) if isinstance(v, LimitRef) else v for v in values))
+
+
+def test_parse_builds_what_the_public_constructors_build(gallery_complexes):
+    """The reader builds its records and the complex without the public
+    constructors' tests; what it builds equals what they build from the same
+    fields, on the gallery, the sweep, the admitted small documents and both
+    scale documents, each also read with its records and ``set:`` ids out of
+    order."""
+    complexes = [*gallery_complexes.values(), *map(random_complex, range(1000))]
+    complexes += [fc for fc in map(complex_of, docs()) if validate(fc).ok]
+    complexes += [build(name, {"n": n}) for name, n in SCALE_DOCUMENTS]
+    set_refs = 0
+    for fc in complexes:
+        text = emit(fc)
+        set_refs += text.count("=set:")
+        for document in (text, _scrambled(text)):
+            loaded = parse(document)
+            groups = {}
+            for name, record_type in GROUPS.items():
+                records = getattr(loaded, name)
+                assert type(records) is tuple and all(type(r) is record_type for r in records), name
+                groups[name] = tuple(map(_rebuilt, records))
+            assert loaded == FlowComplex(loaded.surface, **groups) == fc
+            assert emit(loaded) == text
+    assert set_refs > 100
 
 
 def test_export_dot_plus_saddle(gallery_complexes):
